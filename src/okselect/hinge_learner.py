@@ -202,10 +202,15 @@ class HingeKernelSelector:
     def predict(self, x) -> Prediction:
         """f_{t,i}(x) = f'_i(x) - lambda_i * guess_i(x); mixture and sign.
 
-        sign(0) is +1.
+        sign(0) is +1. Raises ValueError on a wrong-shaped or non-finite
+        ``x`` before any state changes.
         """
         x = np.asarray(x, dtype=float)
+        if x.shape != (self.config.dim,):
+            raise ValueError(f"expected a ({self.config.dim},) feature vector, got shape {x.shape}")
         xsq = float(x @ x)
+        if not math.isfinite(xsq):
+            raise ValueError("feature vector is not finite or its squared norm overflows")
         guesses = self.reservoir.optimistic_value_many(self.kernels, x, xsq)
         vals = np.empty(len(self.kernels))
         for i, f in enumerate(self.functions):
@@ -342,6 +347,7 @@ class HingeKernelSelector:
 
     def check_invariants(self):
         """Hard budget/norm invariants; raises AssertionError on violation."""
+        assert len(self.store) <= self.config.budget + 1, "store over budget"
         for f in self.functions:
             assert f.buffer_size() <= self.per_kernel_cap, "buffer over budget"
             assert f.norm() <= self.radius + 1e-8, "iterate escaped the ball"

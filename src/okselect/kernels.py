@@ -20,6 +20,7 @@ __all__ = [
     "kernel_eval",
     "self_eval",
     "kernel_column",
+    "kernel_rows",
     "kernel_gram",
     "kernel_cross",
     "feature_distance",
@@ -90,6 +91,30 @@ def kernel_column(spec, X, row_sqnorms, x, x_sqnorm=None):
         sq = np.maximum(row_sqnorms + x_sqnorm - 2.0 * dots, 0.0)
         return np.exp(-sq / (2.0 * spec.param**2))
     return dots**spec.param
+
+
+def kernel_rows(specs, sqdist, dots):
+    """k_i for every kernel i of ``specs``, from distances and inner products.
+
+    ``sqdist`` and ``dots`` are arrays of one shape holding ||x_j - z_j||^2
+    (clipped at zero) and <x_j, z_j> for the same pairs; the result stacks
+    one array of that shape per kernel. For the rows of a matrix against
+    one query it is the (K, n) matrix of k_i(x_j, x), computed with the
+    same rounding as :func:`kernel_column`. Gaussian kernels read only
+    ``sqdist`` and polynomial kernels only ``dots``, so ``sqdist`` may be
+    None for a grid of polynomial kernels.
+    """
+    if sqdist is None:
+        out = np.empty((len(specs),) + dots.shape)
+    else:
+        two_var = np.array([2.0 * spec.param**2 if spec.kind == "gaussian" else 1.0 for spec in specs])
+        out = np.exp(-sqdist / two_var.reshape((-1,) + (1,) * dots.ndim))
+    for i, spec in enumerate(specs):
+        if spec.kind == "polynomial":
+            out[i] = dots**spec.param
+        elif sqdist is None:
+            raise ValueError("Gaussian kernels need the squared distances")
+    return out
 
 
 def kernel_gram(spec, X, row_sqnorms):

@@ -1,7 +1,10 @@
 """Budgeted online kernel selection for smooth losses.
 
 All K kernels share a single buffer: every update anchors at the same
-example for every kernel, so the buffers stay element-wise identical. The
+example for every kernel, so the learner stores B examples, not K * B, and
+keeps the K kernel expansions as one (K, B) coefficient matrix over them.
+Each round computes the inner products and squared distances from x_t to
+the buffered rows once and derives every kernel's values from them. The
 per-kernel gradient is the surrogate l'(f_t(x_t), y_t) * k_i(x_t, .) built
 from the *aggregate* prediction's derivative d. When no nearby buffered
 proxy exists, one shared coin with success probability |d| / (|d| + G1)
@@ -25,9 +28,8 @@ import numpy as np
 
 from .hedge import HedgeState
 from .hinge_learner import Prediction, RoundRecord
-from .kernels import KernelSpec, feature_distance
+from .kernels import KernelSpec, kernel_rows
 from .losses import LogisticLoss, check_label
-from .rkhs import BudgetedFunction, ExampleStore
 
 __all__ = ["SmoothSelectorConfig", "SmoothKernelSelector", "pea_losses"]
 
@@ -95,6 +97,48 @@ def pea_losses(values: np.ndarray, d: float) -> np.ndarray:
     return np.zeros_like(values)
 
 
+class SharedBuffer:
+    """The B examples all K kernel expansions share, and the expansions.
+
+    Rows are kept oldest first in ``X[:n]``, with their squared norms in
+    ``row_sqnorms[:n]``. Kernel i's function is
+    f_i = sum_j coef[i, j] k_i(x_j, .), and ``sq_norms[i]`` caches
+    ||f_i||^2. Columns from ``n`` on are zero.
+    """
+
+    def __init__(self, num_kernels: int, dim: int, budget: int):
+        self.X = np.zeros((budget, dim))
+        self.row_sqnorms = np.zeros(budget)
+        self.coef = np.zeros((num_kernels, budget))
+        self.sq_norms = np.zeros(num_kernels)
+        self.n = 0
+
+    def __len__(self) -> int:
+        return self.n
+
+    def append(self, x, x_sqnorm: float) -> int:
+        j = self.n
+        self.X[j] = x
+        self.row_sqnorms[j] = x_sqnorm
+        self.n += 1
+        return j
+
+    def keep_newest_half(self):
+        """Shift the newest half of an even, full buffer to the front."""
+        n = self.n
+        h = n // 2
+        self.X[:h] = self.X[h:n]
+        self.row_sqnorms[:h] = self.row_sqnorms[h:n]
+        self.coef[:, :h] = self.coef[:, h:n]
+        self.coef[:, h:n] = 0.0
+        self.n = h
+
+    def clear(self):
+        self.coef[:, : self.n] = 0.0
+        self.sq_norms[:] = 0.0
+        self.n = 0
+
+
 class SmoothKernelSelector:
     """Online kernel selection with one shared buffer, for smooth losses."""
 
@@ -122,9 +166,8 @@ class SmoothKernelSelector:
                 stacklevel=2,
             )
 
-        self.store = ExampleStore(config.dim)
-        self.functions = [BudgetedFunction(spec, self.store) for spec in self.kernels]
-        self.buffer: list[int] = []  # the shared buffer; mirrored in every function
+        self.store = SharedBuffer(k, config.dim, self.budget)
+        self._gaussian = any(spec.kind == "gaussian" for spec in self.kernels)
         self.hedge = HedgeState(k)
         self.rng = np.random.default_rng(np.random.SeedSequence(config.seed))
         self.deriv_sum = 0.0  # sum of |l'(f_t(x_t), y_t)| over rounds
@@ -132,11 +175,29 @@ class SmoothKernelSelector:
         self.removals = 0
         self.t = 0
         self._last: Prediction | None = None
+        self._cache = None  # (dots, sqdist, rows) of the last prediction
+
+    def _sqdist(self, dots, z_sqnorm):
+        """Clipped squared distances from the buffered rows to z, given <x_j, z>."""
+        return np.maximum(self.store.row_sqnorms[: self.store.n] + z_sqnorm - 2.0 * dots, 0.0)
 
     def predict(self, x) -> Prediction:
+        """Per-kernel values f_i(x), their Hedge mixture and its sign (sign(0) is +1).
+
+        Raises ValueError on a wrong-shaped or non-finite ``x`` before any
+        state changes.
+        """
         x = np.asarray(x, dtype=float)
+        if x.shape != (self.config.dim,):
+            raise ValueError(f"expected a ({self.config.dim},) feature vector, got shape {x.shape}")
         xsq = float(x @ x)
-        vals = np.array([f.value(x, xsq) for f in self.functions])
+        if not math.isfinite(xsq):
+            raise ValueError("feature vector is not finite or its squared norm overflows")
+        buf = self.store
+        dots = buf.X[: buf.n] @ x
+        sqdist = self._sqdist(dots, xsq) if self._gaussian else None
+        rows = kernel_rows(self.kernels, sqdist, dots)
+        vals = np.vecdot(buf.coef[:, : buf.n], rows)
         p = self.hedge.distribution()
         agg = float(p @ vals)
         pred = Prediction(
@@ -149,27 +210,61 @@ class SmoothKernelSelector:
             label=1 if agg >= 0 else -1,
         )
         self._last = pred
+        self._cache = (dots, sqdist, rows)
         return pred
 
-    def _nearest_buffered(self, x, xsq) -> int | None:
-        """Euclidean-nearest buffered id (for Gaussian kernels this is the
-        per-kernel feature-space argmin for every bandwidth at once); ties
-        resolve to the earliest insertion."""
-        if not self.buffer:
-            return None
-        bx, bsq, _ = self.store.rows(self.buffer)
-        sqd = np.maximum(bsq + xsq - 2.0 * (bx @ x), 0.0)
-        return self.buffer[int(np.argmin(sqd))]
+    def _self_values(self, z_sqnorm: float) -> np.ndarray:
+        """k_i(z, z) for every kernel."""
+        return kernel_rows(self.kernels, np.zeros(1), np.array([z_sqnorm]))[:, 0]
+
+    def _values_at_row(self, j: int) -> np.ndarray:
+        """f_i(x_j) for every kernel, at buffered row j."""
+        buf = self.store
+        dots = buf.X[: buf.n] @ buf.X[j]
+        sqdist = self._sqdist(dots, buf.row_sqnorms[j]) if self._gaussian else None
+        return np.vecdot(buf.coef[:, : buf.n], kernel_rows(self.kernels, sqdist, dots))
+
+    def _step(self, c: float, j: int, fx, kjj):
+        """f_i <- f_i + c k_i(x_j, .) for every kernel, then project onto the ball.
+
+        ||f + c k(x,.)||^2 = ||f||^2 + 2 c f(x) + c^2 k(x, x), with f(x) =
+        ``fx`` evaluated before the step and k(x, x) = ``kjj``.
+        """
+        buf = self.store
+        buf.sq_norms += 2.0 * c * fx + c * c * kjj
+        buf.coef[:, j] += c
+        self._project()
+
+    def _project(self):
+        """Project each f_i onto {||f|| <= radius}; never grows a norm."""
+        buf = self.store
+        r2 = self.radius * self.radius
+        for i in np.flatnonzero(buf.sq_norms > r2):
+            buf.coef[i, : buf.n] *= self.radius / np.sqrt(buf.sq_norms[i])
+            buf.sq_norms[i] = r2
+
+    def _recompute_norms(self):
+        """||f_i||^2 for every kernel from one Gram pass over the buffered rows."""
+        buf = self.store
+        X, sq = buf.X[: buf.n], buf.row_sqnorms[: buf.n]
+        dots = X @ X.T
+        sqdist = np.maximum(sq[:, None] + sq[None, :] - 2.0 * dots, 0.0) if self._gaussian else None
+        grams = kernel_rows(self.kernels, sqdist, dots)
+        for i, gram in enumerate(grams):
+            beta = buf.coef[i, : buf.n]
+            buf.sq_norms[i] = float(beta @ gram @ beta)
 
     def update(self, x, y) -> RoundRecord:
         y = check_label(y)
         x = np.asarray(x, dtype=float)
         pred = self._last
-        if pred is None or pred.x.shape != x.shape or not np.array_equal(pred.x, x):
+        if pred is None or not (pred.x is x or (pred.x.shape == x.shape and np.array_equal(pred.x, x))):
             pred = self.predict(x)
-        self._last = None
+        dots, sqdist, rows = self._cache
+        self._last = self._cache = None
         self.t += 1
         k = len(self.kernels)
+        buf = self.store
 
         d = self.loss.deriv(pred.aggregate, y)
         if not math.isfinite(d):
@@ -183,39 +278,47 @@ class SmoothKernelSelector:
 
         if ad > 0.0:
             gamma = math.sqrt(2.0 * math.log(k)) / math.sqrt(1.0 + self.deriv_sum + ad)
-            anchor = self._nearest_buffered(x, pred.x_sqnorm)
-            use_proxy = False
+            anchor = None
+            if buf.n:
+                if sqdist is None:
+                    sqdist = self._sqdist(dots, pred.x_sqnorm)
+                # The Euclidean-nearest row is the nearest in every Gaussian
+                # feature space at once; ties go to the oldest row.
+                j = int(np.argmin(sqdist))
+                # Its feature-space distance to x comes from x_j - x itself,
+                # so that an exact duplicate is at distance exactly 0.
+                xj = buf.X[j]
+                diff = xj - x
+                k_jx, k_jj, k_xx = kernel_rows(
+                    self.kernels,
+                    np.array([diff @ diff, 0.0, 0.0]),
+                    np.array([xj @ x, buf.row_sqnorms[j], pred.x_sqnorm]),
+                ).T
+                if math.sqrt(max((k_jj + k_xx - 2.0 * k_jx).max(), 0.0)) <= gamma:
+                    anchor = j
             if anchor is not None:
-                xa = self.store.features(anchor)
-                maxdist = max(feature_distance(spec, xa, x) for spec in self.kernels)
-                use_proxy = maxdist <= gamma
-            if use_proxy:
                 branch = "proxy"
-                for f in self.functions:
-                    f.add_scaled(-self.rate * d, anchor)
-                    f.project_ball(self.radius)
+                self._step(-self.rate * d, anchor, self._values_at_row(anchor), k_jj)
             else:
                 branch = "sampled"
                 prob = ad / (ad + self.loss.G1)
                 accepted = bool(self.rng.random() < prob)
                 coin = 1 if accepted else 0
                 if accepted:
-                    if len(self.buffer) == self.budget:
-                        for f in self.functions:
-                            if self.config.removal == "half":
-                                f.split_half(keep="newest")
-                            else:
-                                f.clear()
-                            f.project_ball(self.radius)
-                        self.buffer = [] if self.config.removal == "restart" else self.buffer[self.budget // 2 :]
+                    fx = pred.per_kernel
+                    if buf.n == self.budget:
+                        if self.config.removal == "half":
+                            buf.keep_newest_half()
+                            self._recompute_norms()
+                            self._project()
+                        else:
+                            buf.clear()
+                        # f_i(x) over the kept rows, after the projection
+                        fx = np.vecdot(buf.coef[:, : buf.n], rows[:, self.budget - buf.n :])
                         self.removals += 1
                         did_remove = True
-                    eid = self.store.add(x, y)
-                    for f in self.functions:
-                        f.add_scaled(-self.rate * d / prob, eid)
-                        f.project_ball(self.radius)
-                        f.buffer_append(eid)
-                    self.buffer.append(eid)
+                    j = buf.append(x, pred.x_sqnorm)
+                    self._step(-self.rate * d / prob, j, fx, self._self_values(pred.x_sqnorm))
 
         losses = pea_losses(pred.per_kernel, d)
         self.hedge.update(losses)
@@ -248,9 +351,7 @@ class SmoothKernelSelector:
         return math.ceil(4.0 * self.loss.G2 * self.cum_loss / denom)
 
     def check_invariants(self):
-        first = self.functions[0].own_buffer
-        for f in self.functions:
-            assert f.own_buffer == first, "shared buffer lost coherence"
-            assert f.buffer_size() <= self.budget, "buffer over budget"
-            assert f.norm() <= self.radius + 1e-8, "iterate escaped the ball"
-        assert self.buffer == first, "learner buffer diverged from functions"
+        """Hard budget/norm invariants; raises AssertionError on violation."""
+        assert len(self.store) <= self.budget, "buffer over budget"
+        norms = np.sqrt(np.maximum(self.store.sq_norms, 0.0))
+        assert np.all(norms <= self.radius + 1e-8), "iterate escaped the ball"

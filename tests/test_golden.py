@@ -1,0 +1,140 @@
+"""Golden traces: per-round digests of both learners on fixed seeds.
+
+Each case streams a short fixed-seed stream through a learner and hashes,
+per round, the predicted label, the exact bits of the aggregate
+(``float.hex``), the branch, the coin and the removal flags, and at the end
+the cumulative loss and the removal counts. The digests were recorded
+before the smooth learner moved to one shared buffer; a change that moves
+any rounding or random draw of a learner changes them. Print the current
+digests with ``PYTHONPATH=src python tests/test_golden.py``.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import warnings
+
+import numpy as np
+import pytest
+
+from okselect import (
+    HingeKernelSelector,
+    HingeSelectorConfig,
+    SmoothKernelSelector,
+    SmoothSelectorConfig,
+    gaussian,
+    gen_lowerbound,
+    polynomial,
+)
+
+from conftest import blob_stream
+
+GRID = tuple(gaussian(s, i) for i, s in enumerate((0.25, 1.0, 4.0, 16.0, 64.0)))
+
+
+def pooled_blobs(T: int, pool: int, seed: int):
+    """T draws with replacement from a small blob pool, so inputs repeat and proxies fire."""
+    X, y = blob_stream(pool, 4, seed=seed)
+    idx = np.random.default_rng(seed).integers(0, pool, size=T)
+    return X[idx], y[idx]
+
+
+def lowerbound(budget: int, rounds: int, seed: int):
+    ds = gen_lowerbound(budget=budget, rounds=rounds, seed=seed)
+    return ds.dense_features(), ds.y
+
+
+def smooth(stream, **kw):
+    return lambda: (SmoothKernelSelector(SmoothSelectorConfig(**kw)), stream)
+
+
+def hinge(stream, **kw):
+    return lambda: (HingeKernelSelector(HingeSelectorConfig(horizon=len(stream[1]), **kw)), stream)
+
+
+# name -> (build, branches and removal the case must reach)
+CASES = {
+    "momd_s_blob_half": (
+        smooth(pooled_blobs(500, 12, seed=41), kernels=GRID, dim=4, budget=8, seed=1),
+        {"proxy", "sampled", "removed"},
+    ),
+    "momd_s_blob_restart": (
+        smooth(pooled_blobs(500, 12, seed=42), kernels=GRID, dim=4, budget=6, seed=2, removal="restart"),
+        {"proxy", "sampled", "removed"},
+    ),
+    "momd_s_mixed_grid": (
+        smooth(
+            pooled_blobs(400, 10, seed=43),
+            kernels=(gaussian(0.5, 0), gaussian(4.0, 1), polynomial(1, 2)), dim=4, budget=4, seed=3,
+        ),
+        {"proxy", "sampled", "removed"},
+    ),
+    "momd_s_lowerbound_poly1": (
+        smooth(lowerbound(10, 800, seed=44), kernels=(polynomial(1, 0),), dim=30, budget=10, seed=4),
+        {"proxy", "sampled", "removed"},
+    ),
+    "momd_h_blob_half": (
+        hinge(blob_stream(400, 4, seed=45, noise=1.5), kernels=GRID, dim=4, budget=40, seed=5),
+        {"proxy", "sampled", "removed"},
+    ),
+    "momd_h_blob_restart": (
+        hinge(blob_stream(400, 4, seed=46, noise=1.5), kernels=GRID, dim=4, budget=40, seed=6, removal="restart"),
+        {"proxy", "sampled", "removed"},
+    ),
+    "momd_h_lowerbound_poly1": (
+        hinge(lowerbound(10, 600, seed=47), kernels=(polynomial(1, 0),), dim=30, budget=20, seed=7),
+        {"proxy", "sampled", "removed"},
+    ),
+}
+
+GOLDEN = {
+    "momd_s_blob_half": "dd80117ac5af5490cf6240f75bca8d482befee4cd64ad0523f84b2a56d41a8d8",
+    "momd_s_blob_restart": "8649364a64097555d9e0fac5aa8abb4ba17cfe93794fe3ff8fc800589eebac36",
+    "momd_s_mixed_grid": "8621ad3bc844e3dbdee9ae5a6178f1893e0371aad8ec37ec76b4b2bab6ca9632",
+    "momd_s_lowerbound_poly1": "e7dabb6961177bf1236945f682fe53af795a29b1b7af624e779e91b361f256d3",
+    "momd_h_blob_half": "06a6e35219a1fa2db1233cc83061bba1240ae8dfca33888cbc208d99d5a44b6f",
+    "momd_h_blob_restart": "b1b302cfdde574c207ad8cd5a3903b3126e5732120fc85cad9c55937b0ca5720",
+    "momd_h_lowerbound_poly1": "d66645e2392e4cea6f803cfbb9dd82412f0d28a9fffbaab034d2545d54fcdfe1",
+}
+
+
+def trace(name: str):
+    """(sha256 of the case's trace, the branches and removal it reached)."""
+    build, _ = CASES[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        learner, (X, y) = build()
+    h = hashlib.sha256()
+    reached = set()
+    cum_loss = 0.0
+    for t in range(len(y)):
+        learner.predict(X[t])
+        rec = learner.update(X[t], int(y[t]))
+        cum_loss += learner.loss.value(rec.aggregate, int(y[t]))
+        line = (
+            rec.label,
+            float(rec.aggregate).hex(),
+            tuple(rec.branch),
+            tuple(int(c) for c in rec.coin),
+            tuple(bool(r) for r in rec.removed),
+        )
+        h.update(repr(line).encode())
+        reached.update(rec.branch)
+        if rec.removed.any():
+            reached.add("removed")
+    removals = np.atleast_1d(learner.removals).tolist()
+    h.update(repr((cum_loss.hex(), removals)).encode())
+    return h.hexdigest(), reached
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_trace(name):
+    digest, reached = trace(name)
+    assert CASES[name][1] <= reached, f"{name} reached only {sorted(reached)}"
+    assert digest == GOLDEN[name]
+
+
+if __name__ == "__main__":
+    for case in CASES:
+        digest, reached = trace(case)
+        print(f'    "{case}": "{digest}",  # reaches {sorted(reached)}')

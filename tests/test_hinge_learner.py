@@ -283,3 +283,41 @@ class TestFullRuns:
                     proxies += 1
                     assert learner.functions[i].buffer_size() == before[i]
         assert proxies > 0
+
+
+class TestInputValidation:
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            np.array([np.nan, 0.0, 0.0, 0.0]),
+            np.array([0.0, -np.inf, 0.0, 0.0]),
+            np.array([1e200, 0.0, 0.0, 0.0]),
+            np.zeros(5),
+            np.zeros((4, 1)),
+        ],
+    )
+    def test_bad_input_rejected_before_any_state_changes(self, bad):
+        X, y = blob_stream(60, 4, seed=29)
+        learner, untouched = (HingeKernelSelector(make_config(seed=7, horizon=60)) for _ in range(2))
+
+        def rng_states(lr):
+            return [r.bit_generator.state for r in lr._rngs] + [lr.reservoir.rng.bit_generator.state]
+
+        for lr in (learner, untouched):
+            for t in range(40):
+                lr.predict(X[t])
+                lr.update(X[t], y[t])
+        with np.errstate(over="ignore"), pytest.raises(ValueError):
+            learner.predict(bad)
+        with np.errstate(over="ignore"), pytest.raises(ValueError):
+            learner.update(bad, 1)
+        assert learner.t == untouched.t
+        assert rng_states(learner) == rng_states(untouched)
+        assert learner.store.live_ids() == untouched.store.live_ids()
+        for eid in learner.store.live_ids():
+            assert np.array_equal(learner.store.features(eid), untouched.store.features(eid))
+        assert learner.reservoir.seen == untouched.reservoir.seen
+        for t in range(40, 60):
+            recs = [lr.update(X[t], y[t]) for lr in (learner, untouched)]
+            assert recs[0].aggregate == recs[1].aggregate
+            assert np.array_equal(recs[0].coin, recs[1].coin)

@@ -12,6 +12,7 @@ from okselect.kernels import (
     kernel_cross,
     kernel_eval,
     kernel_gram,
+    kernel_rows,
     polynomial,
     self_eval,
 )
@@ -96,6 +97,27 @@ def test_batched_column_matches_scalar():
         dcol = feature_distance_column(spec, X, sq, x)
         for j in range(20):
             assert dcol[j] == pytest.approx(feature_distance(spec, X[j], x), rel=1e-9, abs=1e-9)
+
+
+def test_rows_match_column_and_gram_bit_for_bit():
+    rng = np.random.default_rng(12)
+    X = rng.normal(size=(30, 6))
+    sq = np.einsum("ij,ij->i", X, X)
+    x = rng.normal(size=6)
+    xsq = float(x @ x)
+    specs = (gaussian(0.5, 0), polynomial(1, 1), gaussian(4.0, 2), polynomial(3, 3))
+    dots = X @ x
+    rows = kernel_rows(specs, np.maximum(sq + xsq - 2.0 * dots, 0.0), dots)
+    gdots = X @ X.T
+    grams = kernel_rows(specs, np.maximum(sq[:, None] + sq[None, :] - 2.0 * gdots, 0.0), gdots)
+    assert rows.shape == (4, 30) and grams.shape == (4, 30, 30)
+    for i, spec in enumerate(specs):
+        assert np.array_equal(rows[i], kernel_column(spec, X, sq, x, xsq))
+        assert np.array_equal(grams[i], kernel_gram(spec, X, sq))
+    poly = (polynomial(1, 0), polynomial(2, 1))
+    assert np.array_equal(kernel_rows(poly, None, dots), [dots**1.0, dots**2.0])
+    with pytest.raises(ValueError):
+        kernel_rows(specs, None, dots)
 
 
 def test_gram_and_cross_match_scalar():

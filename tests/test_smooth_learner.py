@@ -1,7 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from okselect import (
     LogisticLoss,
@@ -10,9 +13,10 @@ from okselect import (
     gaussian,
     polynomial,
 )
+from okselect.kernels import kernel_eval
 from okselect.smooth_learner import pea_losses
 
-from conftest import assert_refcounts_conserved, blob_stream
+from conftest import blob_stream
 
 GRID = tuple(gaussian(s, i) for i, s in enumerate((0.25, 1.0, 4.0, 16.0, 64.0)))
 
@@ -20,13 +24,23 @@ GRID = tuple(gaussian(s, i) for i, s in enumerate((0.25, 1.0, 4.0, 16.0, 64.0)))
 def make_learner(**kw):
     """Build a selector with the K>d / aggressive-radius advisories muted;
     they are exercised explicitly in TestConfig."""
-    import warnings
-
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         base = dict(kernels=GRID, dim=4, budget=40, seed=0)
         base.update(kw)
         return SmoothKernelSelector(SmoothSelectorConfig(**base))
+
+
+def scalar_value(spec, rows, coefs, x) -> float:
+    """Oracle for f(x) = sum_j c_j k(x_j, x), one scalar kernel value at a time."""
+    return sum(c * kernel_eval(spec, z, x) for z, c in zip(rows, coefs))
+
+
+def scalar_sq_norm(spec, rows, coefs) -> float:
+    """Oracle for ||f||^2 = sum_j sum_l c_j c_l k(x_j, x_l)."""
+    return sum(
+        cj * cl * kernel_eval(spec, zj, zl) for zj, cj in zip(rows, coefs) for zl, cl in zip(rows, coefs)
+    )
 
 
 class TestPeaLosses:
@@ -68,23 +82,18 @@ class TestPredict:
         assert pred.aggregate == pytest.approx(pred.per_kernel[0], rel=1e-12)
 
     def test_hand_built_state_matches_brute_force(self):
-        from okselect.kernels import kernel_eval
-
         learner = make_learner(kernels=(gaussian(0.5, 0), gaussian(2.0, 1)))
-        a = learner.store.add([1.0, 0.0, 0.0, 0.0], 1)
-        b = learner.store.add([0.0, 1.0, 0.0, 0.0], -1)
-        for f, (ca, cb) in zip(learner.functions, [(0.5, -0.25), (0.1, 0.3)]):
-            f.add_scaled(ca, a)
-            f.add_scaled(cb, b)
-            f.buffer_append(a)
-            f.buffer_append(b)
-        learner.buffer = [a, b]
+        buf = learner.store
+        for z in ([1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]):
+            z = np.array(z)
+            buf.append(z, float(z @ z))
+        buf.coef[:, :2] = [[0.5, -0.25], [0.1, 0.3]]
         x = np.array([0.3, 0.3, 0.1, 0.0])
         pred = learner.predict(x)
         p = learner.hedge.distribution()
         brute = 0.0
-        for i, f in enumerate(learner.functions):
-            fi = sum(c * kernel_eval(f.spec, learner.store.features(e), x) for e, c in f.coeffs.items())
+        for i, spec in enumerate(learner.kernels):
+            fi = scalar_value(spec, buf.X[:2], buf.coef[i, :2], x)
             assert pred.per_kernel[i] == pytest.approx(fi, rel=1e-10)
             brute += p[i] * fi
         assert pred.aggregate == pytest.approx(brute, rel=1e-10)
@@ -116,8 +125,9 @@ class TestUpdateBranches:
         learner.predict(x)
         rec = learner.update(x, 1)
         assert rec.branch[0] == "skip"
-        assert learner.buffer == []
-        assert all(f.squared_norm() == 0.0 for f in learner.functions)
+        assert len(learner.store) == 0
+        assert np.all(learner.store.sq_norms == 0.0)
+        assert np.all(learner.store.coef == 0.0)
         assert learner.cum_loss == pytest.approx(0.3)
         assert learner.deriv_sum == 0.0
 
@@ -129,9 +139,9 @@ class TestUpdateBranches:
         for _ in range(50):
             learner.predict(x)
             learner.update(x, 1)
-            if learner.buffer:
+            if len(learner.store):
                 break
-        assert learner.buffer, "no acceptance in 50 rounds; reseed the test"
+        assert len(learner.store), "no acceptance in 50 rounds; reseed the test"
         learner.predict(x)
         rec = learner.update(x, 1)
         assert rec.branch[0] == "proxy"
@@ -143,43 +153,68 @@ class TestUpdateBranches:
         for t in range(400):
             x = rng.normal(size=4)
             y = int(rng.choice([-1, 1]))
-            before = list(learner.buffer)
+            before = learner.store.X[: len(learner.store)].copy()
             learner.predict(x)
             rec = learner.update(x, y)
             if rec.removed[0]:
                 removal_seen = True
                 assert len(before) == 4
-                kept_plus_new = learner.buffer
-                assert len(kept_plus_new) == 4 // 2 + 1
-                assert kept_plus_new[:-1] == before[2:]  # newest half survives
-                for f in learner.functions:
-                    assert f.own_buffer == kept_plus_new
+                assert len(learner.store) == 4 // 2 + 1
+                kept_plus_new = learner.store.X[:3]
+                assert np.array_equal(kept_plus_new[:2], before[2:])  # newest half survives
+                assert np.array_equal(kept_plus_new[2], x)
+                assert np.all(learner.store.coef[:, 3:] == 0.0)
             learner.check_invariants()
         assert removal_seen, "removal never fired; adjust seed"
 
 
 class TestSharedBufferCoherence:
-    def test_buffers_identical_across_kernels_all_rounds(self):
-        X, y = blob_stream(500, 4, seed=32)
-        learner = make_learner(budget=10, seed=4)
-        for t in range(len(y)):
-            learner.predict(X[t])
-            learner.update(X[t], y[t])
-            first = learner.functions[0].own_buffer
-            for f in learner.functions[1:]:
-                assert f.own_buffer == first
-            assert learner.buffer == first
-        assert_refcounts_conserved(learner.store, functions=learner.functions)
-
     def test_norm_and_budget_invariants(self):
         X, y = blob_stream(600, 4, seed=33)
         learner = make_learner(budget=8, seed=5)
         for t in range(len(y)):
             learner.predict(X[t])
             learner.update(X[t], y[t])
-            assert len(learner.buffer) <= 8
-            for f in learner.functions:
-                assert f.norm() <= learner.radius + 1e-8
+            assert len(learner.store) <= 8
+            assert np.all(np.sqrt(learner.store.sq_norms) <= learner.radius + 1e-8)
+            learner.check_invariants()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        half_budget=st.integers(1, 4),
+        grid=st.sampled_from([
+            (gaussian(0.5, 0), gaussian(2.0, 1), gaussian(8.0, 2)),
+            (polynomial(1, 0),),
+            (polynomial(1, 0), polynomial(2, 1)),
+            (gaussian(1.0, 0), polynomial(1, 1)),
+        ]),
+        removal=st.sampled_from(["half", "restart"]),
+        pool=st.lists(
+            st.lists(st.floats(-1.5, 1.5, allow_nan=False), min_size=3, max_size=3),
+            min_size=2, max_size=6,
+        ),
+        rounds=st.lists(st.tuples(st.integers(0, 5), st.sampled_from([-1, 1])), min_size=10, max_size=40),
+        seed=st.integers(0, 2**16),
+    )
+    def test_values_and_norms_match_scalar_oracles(self, half_budget, grid, removal, pool, rounds, seed):
+        # Rounds draw from a small pool of inputs, so duplicates force proxies.
+        learner = make_learner(kernels=grid, dim=3, budget=2 * half_budget, removal=removal, seed=seed)
+        buf = learner.store
+        pool = np.array(pool)
+        for idx, y in rounds:
+            x = pool[idx % len(pool)]
+            pred = learner.predict(x)
+            n = len(buf)
+            for i, spec in enumerate(grid):
+                fi = scalar_value(spec, buf.X[:n], buf.coef[i, :n], x)
+                assert pred.per_kernel[i] == pytest.approx(fi, rel=1e-9, abs=1e-12)
+            learner.update(x, y)
+            learner.check_invariants()
+            n = len(buf)
+            assert np.all(buf.coef[:, n:] == 0.0)
+            for i, spec in enumerate(grid):
+                norm_sq = scalar_sq_norm(spec, buf.X[:n], buf.coef[i, :n])
+                assert buf.sq_norms[i] == pytest.approx(norm_sq, rel=1e-9, abs=1e-12)
 
 
 class TestSampling:
@@ -230,7 +265,8 @@ class TestConfig:
             learner.predict(X[t])
             rec = learner.update(X[t], y[t])
             if rec.removed[0]:
-                assert len(learner.buffer) == 1  # cleared, then the new example
+                assert len(learner.store) == 1  # cleared, then the new example
+                assert np.array_equal(learner.store.X[0], X[t])
             learner.check_invariants()
 
     def test_polynomial_single_kernel(self):
@@ -247,3 +283,36 @@ class TestConfig:
                 proxy_rounds += 1
             learner.check_invariants()
         assert proxy_rounds > 0
+
+
+class TestInputValidation:
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            np.array([np.nan, 0.0, 0.0, 0.0]),
+            np.array([0.0, np.inf, 0.0, 0.0]),
+            np.array([1e200, 0.0, 0.0, 0.0]),
+            np.zeros(3),
+            np.zeros((4, 1)),
+        ],
+    )
+    def test_bad_input_rejected_before_any_state_changes(self, bad):
+        X, y = blob_stream(60, 4, seed=38)
+        learner, untouched = make_learner(budget=6, seed=14), make_learner(budget=6, seed=14)
+        for lr in (learner, untouched):
+            for t in range(40):
+                lr.predict(X[t])
+                lr.update(X[t], y[t])
+        with np.errstate(over="ignore"), pytest.raises(ValueError):
+            learner.predict(bad)
+        with np.errstate(over="ignore"), pytest.raises(ValueError):
+            learner.update(bad, 1)
+        assert learner.t == untouched.t
+        assert learner.rng.bit_generator.state == untouched.rng.bit_generator.state
+        a, b = learner.store, untouched.store
+        assert len(a) == len(b)
+        for name in ("X", "row_sqnorms", "coef", "sq_norms"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
+        for t in range(40, 60):
+            recs = [lr.update(X[t], y[t]) for lr in (learner, untouched)]
+            assert recs[0].aggregate == recs[1].aggregate and recs[0].coin[0] == recs[1].coin[0]
