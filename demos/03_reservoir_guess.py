@@ -24,8 +24,8 @@ for _ in range(runs):
     for t in range(T):
         if r.observe([float(t)], 1):
             round_of[r.archive[-1]] = t
-    for eid in r.sample:
-        counts[round_of[eid]] += 1
+    for slot in r.sample:
+        counts[round_of[slot]] += 1
 expected = runs * M / T
 print(f"each of {T} rounds should appear in the final sample ~{expected:.0f} times")
 print(f"observed min/mean/max over rounds: {counts.min():.0f} / {counts.mean():.1f} / {counts.max():.0f}")
@@ -33,7 +33,7 @@ print(f"observed min/mean/max over rounds: {counts.min():.0f} / {counts.mean():.
 print()
 print("=== the guess tracks the running average ===")
 spec = gaussian(1.0)
-store = ExampleStore(dim=2)
+store = ExampleStore(dim=2, capacity=256)  # room for the uncapped archive of this run
 r = Reservoir(store, capacity=10, archive_cap=10**9, rng=rng, specs=(spec,))
 history = []
 query = np.array([0.25, -0.4])
@@ -42,7 +42,7 @@ for t in range(2000):
     x = rng.normal(size=2)
     y = 1 if x.sum() > 0 else -1
     exact = -np.mean([yy * kernel_eval(spec, xx, query) for xx, yy in history]) if history else 0.0
-    guess = r.optimistic_value(spec, query)
+    guess = r.optimistic_value_many((spec,), query)[0]
     if t in (10, 100, 500, 1999):
         print(f"t={t:<5} guess={guess:+.4f}  full-history average={exact:+.4f}  "
               f"sample size={len(r)}  archive={len(r.archive)}")

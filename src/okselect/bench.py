@@ -50,6 +50,12 @@ REPORT_COLUMNS = [
 ]
 
 
+# The metric cells of a report row. The last three come from the learner's
+# summary(); a cell that no one fills is written empty.
+_METRIC_COLUMNS = ("AMR_percent", "cum_loss", "wall_time_s", "alignment_proxy_min",
+                   "removals_per_kernel", "archive_size")
+
+
 class ConfigError(ValueError):
     pass
 
@@ -309,29 +315,9 @@ def run(config: ExperimentConfig) -> Report:
             row["AMR_percent"] = 100.0 * stats["mistakes"] / ds.num_examples
             row["cum_loss"] = stats["cum_loss"]
             row["wall_time_s"] = stats["wall_time_s"]
-            if isinstance(learner, HingeKernelSelector):
-                row["alignment_proxy_min"] = float(learner.alignment_proxies().min())
-                row["removals_per_kernel"] = ";".join(str(int(v)) for v in learner.removals)
-                row["archive_size"] = float(len(learner.reservoir.archive))
-                learner.check_invariants()
-            elif isinstance(learner, SmoothKernelSelector):
-                row["alignment_proxy_min"] = ""
-                row["removals_per_kernel"] = ";".join(
-                    [str(int(learner.removals))] * len(learner.kernels)
-                )
-                row["archive_size"] = ""
-                learner.check_invariants()
-            else:
-                row["alignment_proxy_min"] = ""
-                row["removals_per_kernel"] = ""
-                row["archive_size"] = ""
+            row.update(learner.summary())
         except Exception as exc:  # noqa: BLE001 - failure rows are part of the contract
-            row["AMR_percent"] = ""
-            row["cum_loss"] = ""
-            row["wall_time_s"] = ""
-            row["alignment_proxy_min"] = ""
-            row["removals_per_kernel"] = ""
-            row["archive_size"] = ""
+            row.update(dict.fromkeys(_METRIC_COLUMNS, ""))
             row["config"] = f"FAILED: {type(exc).__name__}: {exc}"
         report.rows.append(row)
     if config.output:
@@ -375,21 +361,7 @@ def alignment_probe(config: ExperimentConfig) -> dict:
         raise ConfigError("the alignment probe is defined for the hinge learner")
     base = load_dataset(config)
     ds = data_mod.permute(base, config.seed)
-    specs = config.kernel_specs()
-    learner = HingeKernelSelector(
-        HingeSelectorConfig(
-            kernels=specs,
-            dim=ds.dim,
-            budget=400,
-            horizon=config.horizon or ds.num_examples,
-            reservoir_size=30,
-            ball_radius=config.radius(),
-            lambda_scale=config.lambda_scale,
-            lambda_rule=config.lambda_rule,
-            removal=config.removal,
-            seed=config.seed,
-        )
-    )
+    learner = _build_learner(replace(config, B=400, M=30), ds, config.seed)
     _stream(learner, ds, HingeLoss())
     proxies = learner.alignment_proxies()
     return {

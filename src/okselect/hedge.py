@@ -1,10 +1,11 @@
 """Prediction-with-expert-advice aggregation over the kernel grid.
 
 Weights are never materialized: only cumulative losses and the running
-second moment are stored, and the distribution is derived on demand with
-max-subtraction, so nothing underflows for long streams. The adaptive rate
-is eta_t = sqrt(2 ln K) / sqrt(1 + sum_tau sum_i p_{tau,i} c_{tau,i}^2),
-with eta_1 = sqrt(2 ln K).
+second moment are stored, and the distribution is derived from them with
+max-subtraction, so nothing underflows for long streams. It is derived once
+per update and shared by the next round's prediction and update. The
+adaptive rate is eta_t = sqrt(2 ln K) / sqrt(1 + sum_tau sum_i p_{tau,i}
+c_{tau,i}^2), with eta_1 = sqrt(2 ln K).
 """
 
 from __future__ import annotations
@@ -24,16 +25,22 @@ class HedgeState:
         self.cum_loss = np.zeros(num_experts)
         self.second_moment = 0.0
         self.round = 0
+        self._p = self._softmax()
 
     def rate(self) -> float:
         return float(np.sqrt(2.0 * np.log(self.num_experts)) / np.sqrt(1.0 + self.second_moment))
 
-    def distribution(self) -> np.ndarray:
-        """Current simplex point: softmax of -eta * cum_loss."""
+    def _softmax(self) -> np.ndarray:
         z = -self.rate() * self.cum_loss
         z -= z.max()
         w = np.exp(z)
-        return w / w.sum()
+        p = w / w.sum()
+        p.flags.writeable = False  # shared by every caller until the next update
+        return p
+
+    def distribution(self) -> np.ndarray:
+        """Current simplex point: softmax of -eta * cum_loss (read-only)."""
+        return self._p
 
     def update(self, losses) -> np.ndarray:
         """Charge one round of non-negative losses; returns the p used.
@@ -46,8 +53,9 @@ class HedgeState:
             raise ValueError(f"expected {self.num_experts} losses, got shape {c.shape}")
         if not np.all(np.isfinite(c)) or np.any(c < 0):
             raise ValueError("losses must be finite and non-negative")
-        p = self.distribution()
+        p = self._p
         self.second_moment += float(p @ (c * c))
         self.cum_loss += c
         self.round += 1
+        self._p = self._softmax()
         return p

@@ -12,6 +12,12 @@ buffer (or restarts, if configured), projects the survivor onto the ball,
 and then steps. Predictions across kernels are mixed by an adaptive Hedge
 distribution over the per-kernel hinge losses.
 
+All examples live in one store of B + 1 slots: the reservoir archive and
+the K buffers together hold at most B, and the last slot takes the round's
+example, which is stored when ``update`` starts and freed when it ends
+unless a buffer or the reservoir kept it. A full store raises, so the
+memory budget is enforced by the data structure itself.
+
 Within a round the K per-kernel updates depend only on the shared round
 inputs and on per-kernel random streams derived from the master seed, so
 the outcome does not depend on the order (or parallel schedule) in which
@@ -130,11 +136,11 @@ def importance_weighted_coeffs(
     """
     out = dict(guess_coeffs)
     if accepted:
-        for eid, c in grad_coeffs.items():
-            out[eid] = out.get(eid, 0.0) + c / prob
-        for eid, c in guess_coeffs.items():
-            out[eid] = out[eid] - c / prob
-    return {eid: c for eid, c in out.items() if c != 0.0}
+        for s, c in grad_coeffs.items():
+            out[s] = out.get(s, 0.0) + c / prob
+        for s, c in guess_coeffs.items():
+            out[s] = out[s] - c / prob
+    return {s: c for s, c in out.items() if c != 0.0}
 
 
 @dataclass
@@ -184,7 +190,9 @@ class HingeKernelSelector:
 
         seeds = np.random.SeedSequence(config.seed).spawn(k + 1)
         self._rngs = [np.random.default_rng(s) for s in seeds[:k]]
-        self.store = ExampleStore(config.dim)
+        # The archive and the K buffers hold at most B examples between
+        # rounds; the extra slot is the round's example while in flight.
+        self.store = ExampleStore(config.dim, capacity=config.budget + 1)
         self.reservoir = Reservoir(
             self.store,
             capacity=config.reservoir_size,
@@ -239,14 +247,8 @@ class HingeKernelSelector:
         self._last = None
         self.t += 1
         k = len(self.kernels)
-
-        round_id = None
-
-        def ensure_stored() -> int:
-            nonlocal round_id
-            if round_id is None:
-                round_id = self.store.add(x, y)
-            return round_id
+        # the round's example; freed at the end unless a buffer or the reservoir took it
+        slot = self.store.add(x, y)
 
         branch = ["skip"] * k
         prob = np.full(k, np.nan)
@@ -299,24 +301,23 @@ class HingeKernelSelector:
                 coin[i] = 1 if accepted else 0
             if accepted and f.buffer_size() == self.per_kernel_cap:
                 if self.config.removal == "half":
-                    f.split_half(keep="oldest")
+                    f.split_half()
                 else:
                     f.clear()
                 f.project_ball(self.radius)
                 self.removals[i] += 1
                 removed[i] = True
-            grad = {ensure_stored(): -y} if accepted else {}
+            grad = {slot: -y} if accepted else {}
             tilde = importance_weighted_coeffs(grad, guess, p_i, accepted)
-            f.add_scaled_many({eid: -self.rate * c for eid, c in tilde.items()})
+            f.add_scaled_many({s: -self.rate * c for s, c in tilde.items()})
             if accepted:
-                f.buffer_append(ensure_stored())
+                f.buffer_append(slot)
             f.project_ball(self.radius)
 
         pre_hedge = losses.copy()
         self.hedge.update(pre_hedge)
-        accepted_by_reservoir = self.reservoir.observe(x, y, example_id=round_id)
-        if round_id is not None:
-            self.store.release_if_unreferenced(round_id)
+        accepted_by_reservoir = self.reservoir.observe(x, y, slot=slot)
+        self.store.release_if_unreferenced(slot)
 
         return RoundRecord(
             t=self.t,
@@ -345,9 +346,23 @@ class HingeKernelSelector:
         k = len(self.kernels)
         return np.ceil(4.0 * k * self.gap_sums / (self.config.budget * k1))
 
+    def summary(self) -> dict:
+        """Report cells of a finished run, after checking the invariants."""
+        self.check_invariants()
+        return {
+            "alignment_proxy_min": float(self.gap_sums.min()),
+            "removals_per_kernel": ";".join(str(int(v)) for v in self.removals),
+            "archive_size": float(len(self.reservoir.archive)),
+        }
+
     def check_invariants(self):
-        """Hard budget/norm invariants; raises AssertionError on violation."""
-        assert len(self.store) <= self.config.budget + 1, "store over budget"
+        """Hard budget/norm invariants; raises AssertionError on violation.
+
+        Between rounds every live store slot is in the archive or in a
+        kernel buffer, so the caps below bound the store by B.
+        """
+        held = set(self.reservoir.archive).union(*(f.own_buffer for f in self.functions))
+        assert held == set(np.flatnonzero(self.store.live).tolist()), "live slot outside archive and buffers"
         for f in self.functions:
             assert f.buffer_size() <= self.per_kernel_cap, "buffer over budget"
             assert f.norm() <= self.radius + 1e-8, "iterate escaped the ball"

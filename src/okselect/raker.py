@@ -109,3 +109,7 @@ class RakerBaseline:
         self.log_weights -= eta * losses
         self.cum_loss += losses
         return {"t": self.t, "losses": losses, "values": vals}
+
+    def summary(self) -> dict:
+        """Report cells of a finished run: the baseline adds none."""
+        return {}

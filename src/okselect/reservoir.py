@@ -5,9 +5,10 @@ query x is -(1/|V|) sum_{(x_j, y_j) in V} y_j k(x_j, x). Per-kernel caches
 of the guess's squared norm are maintained under insert/evict swaps, so an
 accepted round costs O(M * K) kernel evaluations.
 
-The archive (every id that ever entered the reservoir) is capped: once
-``archive_cap`` ids have been archived, insertion freezes. This turns the
-expected-size budget accounting into a hard memory bound.
+The sample and the archive hold store slots. The archive (every example
+that ever entered the reservoir) is capped: once ``archive_cap`` examples
+have been archived, insertion freezes. This turns the expected-size budget
+accounting into a hard memory bound.
 """
 
 from __future__ import annotations
@@ -44,8 +45,8 @@ class Reservoir:
         self.archive_cap = archive_cap
         self.rng = rng
         self.specs = tuple(specs)
-        self.sample: list[int] = []  # the current uniform sample V
-        self.archive: list[int] = []
+        self.sample: list[int] = []  # slots of the current uniform sample V
+        self.archive: list[int] = []  # slots of every example ever sampled
         self.seen = 0
         self.frozen = False
         # per-kernel sum_{j,k in V} y_j y_k k(x_j, x_k), unnormalized
@@ -56,13 +57,15 @@ class Reservoir:
 
     # -- stream ingestion ------------------------------------------------
 
-    def observe(self, x, y, example_id: int | None = None) -> bool:
+    def observe(self, x, y, slot: int | None = None) -> bool:
         """Offer the round's example; returns True if it entered the sample.
 
-        Insertion happens with probability min(1, M/t) where t counts
-        observe calls; on insertion into a full sample a uniformly chosen
-        element is evicted (it stays in the archive). No-op once frozen,
-        though ``seen`` keeps counting.
+        ``slot`` names the example when the caller has already stored it;
+        otherwise (x, y) is stored only if it is inserted. Insertion happens
+        with probability min(1, M/t) where t counts observe calls; on
+        insertion into a full sample a uniformly chosen element is evicted
+        (it stays in the archive). No-op once frozen, though ``seen`` keeps
+        counting.
         """
         self.seen += 1
         if self.frozen:
@@ -70,37 +73,27 @@ class Reservoir:
         p = min(1.0, self.capacity / self.seen)
         if self.rng.random() >= p:
             return False
-        eid = example_id if example_id is not None else self.store.add(x, y)
-        x = self.store.features(eid)
-        xsq = self.store.sqnorm(eid)
-        ylab = self.store.label(eid)
+        if slot is None:
+            slot = self.store.add(x, y)
         if len(self.sample) == self.capacity:
             k = int(self.rng.integers(self.capacity))
-            self._cache_remove(self.sample[k])
+            self._cache_update(self.sample[k], -1.0)
             self.store.decref(self.sample[k])
-            self.sample[k] = eid
+            self.sample[k] = slot
         else:
-            self.sample.append(eid)
-        self.store.incref(eid)
-        self._cache_insert(eid, x, xsq, ylab)
-        self.archive.append(eid)
-        self.store.incref(eid)
+            self.sample.append(slot)
+        self.store.incref(slot)
+        self._cache_update(slot, 1.0)
+        self.archive.append(slot)
+        self.store.incref(slot)
         if len(self.archive) >= self.archive_cap:
             self.frozen = True
         return True
 
     # -- optimistic gradient views ----------------------------------------
 
-    def optimistic_value(self, spec: KernelSpec, x, x_sqnorm=None) -> float:
-        """Value of the gradient guess at x; 0 while the sample is empty."""
-        if not self.sample:
-            return 0.0
-        X, sq, labels = self.store.rows(self.sample)
-        col = kernel_column(spec, X, sq, x, x_sqnorm)
-        return -float(labels @ col) / len(self.sample)
-
     def optimistic_value_many(self, specs, x, x_sqnorm=None) -> np.ndarray:
-        """Guess values at x for several kernels, sharing the row fetch."""
+        """Guess values at x for each kernel; 0 while the sample is empty."""
         out = np.zeros(len(specs))
         if not self.sample:
             return out
@@ -119,36 +112,24 @@ class Reservoir:
         return max(self._gram_sum[spec.index], 0.0) / len(self.sample) ** 2
 
     def optimistic_coeffs(self) -> dict[int, float]:
-        """The guess as an id -> coefficient map: {id_j: -y_j / |V|}."""
-        if not self.sample:
-            return {}
+        """The guess as a slot -> coefficient map: {slot_j: -y_j / |V|}."""
         m = len(self.sample)
-        return {eid: -self.store.label(eid) / m for eid in self.sample}
+        labels = self.store.label
+        return {s: -float(labels[s]) / m for s in self.sample}
 
     # -- cache maintenance -------------------------------------------------
 
-    def _cache_remove(self, eid: int):
-        # G' = G - 2 y_v (sum_{j in V} y_j k_jv) + k_vv, V including v
+    def _cache_update(self, slot: int, sign: float):
+        # remove (sign -1): G' = G - 2 y_v (sum_{j in V} y_j k_jv) + k_vv, V including v
+        # insert (sign +1): G' = G + 2 y_e (sum_{j in V'} y_j k_je) - k_ee, V' including e
         if not self.specs:
             return
-        xv = self.store.features(eid)
-        xvsq = self.store.sqnorm(eid)
-        yv = self.store.label(eid)
-        X, sq, labels = self.store.rows(self.sample)
-        for spec in self.specs:
-            col = kernel_column(spec, X, sq, xv, xvsq)
-            kvv = self_eval(spec, xv, xvsq)
-            self._gram_sum[spec.index] += -2.0 * yv * float(labels @ col) + kvv
-
-    def _cache_insert(self, eid: int, x, xsq: float, ylab: float):
-        # G' = G + 2 y_e (sum_{j in V'} y_j k_je) - k_ee, V' including e
-        if not self.specs:
-            return
+        x, xsq, y = self.store.X[slot], float(self.store.sqnorm[slot]), float(self.store.label[slot])
         X, sq, labels = self.store.rows(self.sample)
         for spec in self.specs:
             col = kernel_column(spec, X, sq, x, xsq)
-            kee = self_eval(spec, x, xsq)
-            self._gram_sum[spec.index] += 2.0 * ylab * float(labels @ col) - kee
+            kxx = self_eval(spec, x, xsq)
+            self._gram_sum[spec.index] += sign * (2.0 * y * float(labels @ col) - kxx)
 
     def recompute_sq_norm(self, spec: KernelSpec) -> float:
         """Brute-force O(M^2) recomputation (used by tests as the oracle)."""

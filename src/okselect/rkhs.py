@@ -1,9 +1,10 @@
 """Budgeted representation of RKHS elements.
 
-An :class:`ExampleStore` pools the feature vectors that any live structure
-(a function's buffer, a coefficient, the reservoir, the archive) still
-references; reference counting recycles slots so total memory tracks the
-configured budgets instead of the stream length.
+An :class:`ExampleStore` holds, in preallocated arrays of a fixed number of
+slots, the examples that any live structure (a function's buffer, a
+coefficient, the reservoir, the archive) still references. The slot is an
+example's only handle; reference counting frees a slot as soon as nothing
+holds it, so memory is fixed by the capacity, not by the stream length.
 
 A :class:`BudgetedFunction` is a kernel expansion f = sum_j beta_j k(x_j, .)
 whose squared RKHS norm is maintained incrementally through the rank-one
@@ -21,105 +22,88 @@ __all__ = ["ExampleStore", "BudgetedFunction"]
 
 
 class ExampleStore:
-    """Reference-counted pool of stored examples.
+    """Fixed-capacity, reference-counted pool of stored examples.
 
-    Ids are unique and never reused. Every buffer membership, nonzero
-    coefficient, reservoir slot, and archive slot owns one reference; a
-    slot whose count reaches zero is recycled for future examples.
+    A stored example is known only by its slot: its row in ``X``,
+    ``sqnorm``, ``label`` and ``refs``. ``live`` marks the slots in use,
+    including one added this round that nothing references yet. Every
+    buffer membership, nonzero coefficient, reservoir entry and archive
+    entry owns one reference; a slot whose count drops back to zero is freed
+    for the next ``add``. The arrays are allocated once and never grow, so
+    ``add`` on a full store raises.
     """
 
     def __init__(self, dim: int, capacity: int = 64):
         if dim < 1:
             raise ValueError("feature dimension must be >= 1")
+        if capacity < 1:
+            raise ValueError("store capacity must be >= 1")
         self.dim = dim
-        self._X = np.zeros((capacity, dim))
-        self._sqnorm = np.zeros(capacity)
-        self._label = np.zeros(capacity)
-        self._refs = np.zeros(capacity, dtype=np.int64)
-        self._slot_of = {}
+        self.capacity = capacity
+        self.X = np.zeros((capacity, dim))
+        self.sqnorm = np.zeros(capacity)
+        self.label = np.zeros(capacity)
+        self.refs = np.zeros(capacity, dtype=np.int64)
+        self.live = np.zeros(capacity, dtype=bool)
         self._free = list(range(capacity - 1, -1, -1))
-        self._next_id = 0
 
     def __len__(self) -> int:
-        return len(self._slot_of)
-
-    def _grow(self):
-        old = self._X.shape[0]
-        new = max(2 * old, 8)
-        self._X = np.vstack([self._X, np.zeros((new - old, self.dim))])
-        self._sqnorm = np.concatenate([self._sqnorm, np.zeros(new - old)])
-        self._label = np.concatenate([self._label, np.zeros(new - old)])
-        self._refs = np.concatenate([self._refs, np.zeros(new - old, dtype=np.int64)])
-        self._free.extend(range(new - 1, old - 1, -1))
+        return self.capacity - len(self._free)
 
     def add(self, x, y) -> int:
-        """Store (x, y) with refcount 0 and return its fresh id."""
+        """Store (x, y) with refcount 0 and return its slot."""
         x = np.asarray(x, dtype=float)
         if x.shape != (self.dim,):
             raise ValueError(f"expected a ({self.dim},) vector, got {x.shape}")
         if not self._free:
-            self._grow()
+            raise RuntimeError(f"example store is full: all {self.capacity} slots are live")
         slot = self._free.pop()
-        eid = self._next_id
-        self._next_id += 1
-        self._X[slot] = x
-        self._sqnorm[slot] = float(x @ x)
-        self._label[slot] = float(y)
-        self._refs[slot] = 0
-        self._slot_of[eid] = slot
-        return eid
+        self.X[slot] = x
+        self.sqnorm[slot] = float(x @ x)
+        self.label[slot] = float(y)
+        self.live[slot] = True
+        return slot
 
-    def incref(self, eid: int):
-        self._refs[self._slot_of[eid]] += 1
+    def _check_live(self, slot: int):
+        if not self.live[slot]:
+            raise KeyError(f"slot {slot} holds no example")
 
-    def decref(self, eid: int):
-        slot = self._slot_of[eid]
-        self._refs[slot] -= 1
-        if self._refs[slot] < 0:
-            raise RuntimeError(f"refcount of example {eid} went negative")
-        if self._refs[slot] == 0:
-            del self._slot_of[eid]
-            self._free.append(slot)
+    def incref(self, slot: int):
+        self._check_live(slot)
+        self.refs[slot] += 1
 
-    def release_if_unreferenced(self, eid: int):
-        """Drop an entry that was added this round but never referenced."""
-        slot = self._slot_of.get(eid)
-        if slot is not None and self._refs[slot] == 0:
-            del self._slot_of[eid]
-            self._free.append(slot)
+    def decref(self, slot: int):
+        self._check_live(slot)
+        if self.refs[slot] == 0:
+            raise RuntimeError(f"refcount of slot {slot} went negative")
+        self.refs[slot] -= 1
+        if self.refs[slot] == 0:
+            self._free_slot(slot)
 
-    def refcount(self, eid: int) -> int:
-        return int(self._refs[self._slot_of[eid]])
+    def release_if_unreferenced(self, slot: int):
+        """Free a slot that was added this round but never referenced."""
+        if self.live[slot] and self.refs[slot] == 0:
+            self._free_slot(slot)
 
-    def features(self, eid: int) -> np.ndarray:
-        return self._X[self._slot_of[eid]]
+    def _free_slot(self, slot: int):
+        self.live[slot] = False
+        self._free.append(slot)
 
-    def label(self, eid: int) -> float:
-        return float(self._label[self._slot_of[eid]])
-
-    def sqnorm(self, eid: int) -> float:
-        return float(self._sqnorm[self._slot_of[eid]])
-
-    def slots(self, ids) -> np.ndarray:
-        return np.fromiter((self._slot_of[e] for e in ids), dtype=np.int64, count=len(ids))
-
-    def rows(self, ids):
-        """(features, row squared norms, labels) for a batch of ids."""
-        sl = self.slots(ids)
-        return self._X[sl], self._sqnorm[sl], self._label[sl]
-
-    def live_ids(self):
-        return list(self._slot_of.keys())
+    def rows(self, slots):
+        """(features, row squared norms, labels) for a batch of slots."""
+        sl = np.asarray(slots, dtype=np.intp)
+        return self.X[sl], self.sqnorm[sl], self.label[sl]
 
 
 class BudgetedFunction:
     """A kernel expansion under a buffer budget.
 
-    ``own_buffer`` lists, in insertion order, the example ids charged
-    against this function's budget. Coefficient support may extend beyond
-    it: gradient-guess anchors live in the shared archive and are budgeted
-    there. Ids whose coefficient was stepped to exactly zero stay in
-    ``own_buffer`` (budgeting counts buffer membership, not nonzero-ness).
+    ``coeffs`` maps store slots to nonzero coefficients. ``own_buffer``
+    lists, in insertion order, the slots charged against this function's
+    budget. Coefficient support may extend beyond it: gradient-guess
+    anchors live in the shared archive and are budgeted there. Slots whose
+    coefficient was stepped to exactly zero stay in ``own_buffer``
+    (budgeting counts buffer membership, not nonzero-ness).
 
     Single-writer: concurrent updates of one instance are not supported;
     distinct functions over a shared store snapshot may be updated in
@@ -132,7 +116,7 @@ class BudgetedFunction:
         self.coeffs: dict[int, float] = {}
         self.own_buffer: list[int] = []
         self._sq_norm = 0.0
-        self._anchor_cache = None  # (ids tuple, X rows, sqnorms, coeff array)
+        self._anchor_cache = None  # (X rows, sqnorms, coeff array) of the support
 
     # -- views ---------------------------------------------------------
 
@@ -147,54 +131,49 @@ class BudgetedFunction:
 
     def _anchors(self):
         if self._anchor_cache is None:
-            ids = tuple(self.coeffs.keys())
-            if ids:
-                X, sq, _ = self.store.rows(ids)
-                beta = np.fromiter((self.coeffs[e] for e in ids), dtype=float, count=len(ids))
-            else:
-                X = np.zeros((0, self.store.dim))
-                sq = np.zeros(0)
-                beta = np.zeros(0)
-            self._anchor_cache = (ids, X, sq, beta)
+            n = len(self.coeffs)
+            X, sq, _ = self.store.rows(np.fromiter(self.coeffs, dtype=np.intp, count=n))
+            beta = np.fromiter(self.coeffs.values(), dtype=float, count=n)
+            self._anchor_cache = (X, sq, beta)
         return self._anchor_cache
 
     def value(self, x, x_sqnorm: float | None = None) -> float:
         """f(x) = sum_j beta_j k(x_j, x)."""
-        ids, X, sq, beta = self._anchors()
-        if not ids:
+        if not self.coeffs:
             return 0.0
+        X, sq, beta = self._anchors()
         col = kernel_column(self.spec, X, sq, x, x_sqnorm)
         return float(beta @ col)
 
-    def value_at(self, eid: int) -> float:
-        return self.value(self.store.features(eid), self.store.sqnorm(eid))
+    def value_at(self, slot: int) -> float:
+        return self.value(self.store.X[slot], float(self.store.sqnorm[slot]))
 
     # -- updates -------------------------------------------------------
 
-    def _set_coeff(self, eid: int, value: float):
-        old = self.coeffs.get(eid, 0.0)
+    def _set_coeff(self, slot: int, value: float):
+        old = self.coeffs.get(slot, 0.0)
         if old == 0.0 and value != 0.0:
-            self.store.incref(eid)
-            self.coeffs[eid] = value
+            self.store.incref(slot)
+            self.coeffs[slot] = value
         elif old != 0.0 and value == 0.0:
-            del self.coeffs[eid]
-            self.store.decref(eid)
+            del self.coeffs[slot]
+            self.store.decref(slot)
         elif value != 0.0:
-            self.coeffs[eid] = value
+            self.coeffs[slot] = value
         self._anchor_cache = None
 
-    def add_scaled(self, c: float, eid: int):
-        """f <- f + c * k(x_eid, .), updating the norm cache incrementally.
+    def add_scaled(self, c: float, slot: int):
+        """f <- f + c * k(x_slot, .), updating the norm cache incrementally.
 
         ||f + c k(x,.)||^2 = ||f||^2 + 2 c f(x) + c^2 k(x, x), with f(x)
         evaluated before the update.
         """
         if c == 0.0:
             return
-        fx = self.value_at(eid)
-        kxx = self_eval(self.spec, None, self.store.sqnorm(eid))
+        fx = self.value_at(slot)
+        kxx = self_eval(self.spec, None, float(self.store.sqnorm[slot]))
         self._sq_norm += 2.0 * c * fx + c * c * kxx
-        self._set_coeff(eid, self.coeffs.get(eid, 0.0) + c)
+        self._set_coeff(slot, self.coeffs.get(slot, 0.0) + c)
 
     def add_scaled_many(self, updates: dict[int, float]):
         """f <- f + g with g = sum_j c_j k(x_j, .), one norm update for all.
@@ -202,21 +181,20 @@ class BudgetedFunction:
         ||f + g||^2 = ||f||^2 + 2 <f, g> + ||g||^2 where <f, g> =
         sum_j c_j f(x_j).
         """
-        items = [(e, c) for e, c in updates.items() if c != 0.0]
+        items = [(s, c) for s, c in updates.items() if c != 0.0]
         if not items:
             return
-        ids = [e for e, _ in items]
         cs = np.array([c for _, c in items])
-        Xg, sqg, _ = self.store.rows(ids)
+        Xg, sqg, _ = self.store.rows([s for s, _ in items])
         inner = 0.0
-        f_ids, fX, fsq, beta = self._anchors()
-        if f_ids:
+        if self.coeffs:
+            fX, fsq, beta = self._anchors()
             cross = kernel_cross(self.spec, fX, fsq, Xg, sqg)
             inner = float(beta @ cross @ cs)
         gram = kernel_gram(self.spec, Xg, sqg)
         self._sq_norm += 2.0 * inner + float(cs @ gram @ cs)
-        for e, c in items:
-            self._set_coeff(e, self.coeffs.get(e, 0.0) + c)
+        for s, c in items:
+            self._set_coeff(s, self.coeffs.get(s, 0.0) + c)
 
     def project_ball(self, radius: float):
         """Project onto {||f|| <= radius}; idempotent, never grows the norm."""
@@ -224,39 +202,32 @@ class BudgetedFunction:
         if nsq <= radius * radius:
             return
         scale = radius / np.sqrt(nsq)
-        for e in list(self.coeffs.keys()):
-            self.coeffs[e] *= scale
+        for s in self.coeffs:
+            self.coeffs[s] *= scale
         self._sq_norm = radius * radius
         self._anchor_cache = None
 
-    def buffer_append(self, eid: int):
-        self.store.incref(eid)
-        self.own_buffer.append(eid)
+    def buffer_append(self, slot: int):
+        self.store.incref(slot)
+        self.own_buffer.append(slot)
 
-    def split_half(self, keep: str) -> list[int]:
-        """Drop half of ``own_buffer`` by insertion order.
+    def split_half(self) -> list[int]:
+        """Drop the newer half of ``own_buffer`` and return its slots.
 
-        ``keep="oldest"`` retains the first half, ``keep="newest"`` the
-        second. Coefficients on removed ids are deleted; coefficient mass
-        on ids outside ``own_buffer`` (archive anchors) stays with the kept
-        function. The norm cache is recomputed from scratch, which also
-        resets accumulated drift.
+        Coefficients on the dropped slots are deleted; coefficient mass on
+        slots outside ``own_buffer`` (archive anchors) stays. The norm
+        cache is recomputed from scratch, which also resets accumulated
+        drift.
         """
         n = len(self.own_buffer)
         if n < 2 or n % 2 != 0:
             raise ValueError(f"own_buffer size {n} is not an even size >= 2")
-        if keep not in ("oldest", "newest"):
-            raise ValueError(f"keep must be 'oldest' or 'newest', got {keep!r}")
-        half = n // 2
-        if keep == "oldest":
-            kept, removed = self.own_buffer[:half], self.own_buffer[half:]
-        else:
-            kept, removed = self.own_buffer[half:], self.own_buffer[:half]
-        for eid in removed:
-            if eid in self.coeffs:
-                del self.coeffs[eid]
-                self.store.decref(eid)
-            self.store.decref(eid)  # buffer membership
+        kept, removed = self.own_buffer[: n // 2], self.own_buffer[n // 2 :]
+        for slot in removed:
+            if slot in self.coeffs:
+                del self.coeffs[slot]
+                self.store.decref(slot)
+            self.store.decref(slot)  # buffer membership
         self.own_buffer = kept
         self._anchor_cache = None
         self.recompute_sq_norm()
@@ -264,11 +235,11 @@ class BudgetedFunction:
 
     def clear(self) -> list[int]:
         """Restart: drop the whole buffer and every coefficient."""
-        removed = list(self.own_buffer)
-        for eid in removed:
-            self.store.decref(eid)
-        for eid in list(self.coeffs.keys()):
-            self.store.decref(eid)
+        removed = self.own_buffer
+        for slot in removed:
+            self.store.decref(slot)
+        for slot in self.coeffs:
+            self.store.decref(slot)
         self.coeffs = {}
         self.own_buffer = []
         self._sq_norm = 0.0
@@ -277,10 +248,10 @@ class BudgetedFunction:
 
     def recompute_sq_norm(self) -> float:
         """O(B^2) norm from the Gram matrix of the coefficient support."""
-        ids, X, sq, beta = self._anchors()
-        if not ids:
+        if not self.coeffs:
             self._sq_norm = 0.0
         else:
+            X, sq, beta = self._anchors()
             gram = kernel_gram(self.spec, X, sq)
             self._sq_norm = float(beta @ gram @ beta)
         return self.squared_norm()

@@ -350,6 +350,11 @@ class SmoothKernelSelector:
             return math.inf
         return math.ceil(4.0 * self.loss.G2 * self.cum_loss / denom)
 
+    def summary(self) -> dict:
+        """Report cells of a finished run, after checking the invariants."""
+        self.check_invariants()
+        return {"removals_per_kernel": ";".join([str(int(self.removals))] * len(self.kernels))}
+
     def check_invariants(self):
         """Hard budget/norm invariants; raises AssertionError on violation."""
         assert len(self.store) <= self.budget, "buffer over budget"

@@ -42,27 +42,24 @@ def random_function(spec, store: ExampleStore, n_atoms: int, rng, scale: float =
     """A function with random coefficients whose atoms are all buffered."""
     f = BudgetedFunction(spec, store)
     for _ in range(n_atoms):
-        eid = store.add(rng.normal(size=store.dim), rng.choice([-1, 1]))
-        f.add_scaled(scale * rng.normal(), eid)
-        f.buffer_append(eid)
+        slot = store.add(rng.normal(size=store.dim), rng.choice([-1, 1]))
+        f.add_scaled(scale * rng.normal(), slot)
+        f.buffer_append(slot)
     return f
 
 
 def brute_norm_sq(spec, store: ExampleStore, coeffs: dict) -> float:
     """Independent O(B^2) norm oracle via scalar kernel evaluations."""
-    ids = list(coeffs.keys())
     total = 0.0
-    for a in ids:
-        for b in ids:
-            total += coeffs[a] * coeffs[b] * kernel_eval(
-                spec, store.features(a), store.features(b)
-            )
+    for a in coeffs:
+        for b in coeffs:
+            total += coeffs[a] * coeffs[b] * kernel_eval(spec, store.X[a], store.X[b])
     return total
 
 
 def brute_value(spec, store: ExampleStore, coeffs: dict, x) -> float:
     """Independent evaluation oracle via scalar kernel evaluations."""
-    return sum(c * kernel_eval(spec, store.features(e), x) for e, c in coeffs.items())
+    return sum(c * kernel_eval(spec, store.X[s], x) for s, c in coeffs.items())
 
 
 def scan_refcounts(store: ExampleStore, functions=(), buffers=()) -> dict:
@@ -70,19 +67,19 @@ def scan_refcounts(store: ExampleStore, functions=(), buffers=()) -> dict:
     coefficients across functions, plus memberships of extra buffers."""
     counts: dict[int, int] = {}
     for f in functions:
-        for eid in f.own_buffer:
-            counts[eid] = counts.get(eid, 0) + 1
-        for eid in f.coeffs:
-            counts[eid] = counts.get(eid, 0) + 1
+        for slot in f.own_buffer:
+            counts[slot] = counts.get(slot, 0) + 1
+        for slot in f.coeffs:
+            counts[slot] = counts.get(slot, 0) + 1
     for buf in buffers:
-        for eid in buf:
-            counts[eid] = counts.get(eid, 0) + 1
+        for slot in buf:
+            counts[slot] = counts.get(slot, 0) + 1
     return counts
 
 
 def assert_refcounts_conserved(store: ExampleStore, functions=(), buffers=()):
     counts = scan_refcounts(store, functions, buffers)
-    for eid in store.live_ids():
-        assert store.refcount(eid) == counts.get(eid, 0), f"refcount mismatch for id {eid}"
-    for eid, n in counts.items():
-        assert store.refcount(eid) == n
+    for slot in np.flatnonzero(store.live):
+        assert store.refs[slot] == counts.get(slot, 0), f"refcount mismatch at slot {slot}"
+    for slot, n in counts.items():
+        assert store.live[slot] and store.refs[slot] == n

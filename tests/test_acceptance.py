@@ -265,7 +265,7 @@ def test_criterion_7_mirror_step_optimality():
         n = int(rng.integers(3, 10))
         store = ExampleStore(dim=3)
         ids = [store.add(rng.normal(size=3), 1) for _ in range(n)]
-        pts = [store.features(e).copy() for e in ids]
+        pts = [store.X[s].copy() for s in ids]
         G = np.array([[kernel_eval(spec, a, b) for b in pts] for a in pts])
         radius = float(rng.uniform(0.5, 2.0))
         lam = float(rng.uniform(0.05, 1.0))

@@ -81,8 +81,8 @@ class TestPredict:
     def test_concentrated_mixture(self):
         learner = HingeKernelSelector(make_config())
         # force the Hedge mass onto kernel 2
-        learner.hedge.cum_loss = np.array([50.0, 50.0, 0.0, 50.0, 50.0])
-        learner.hedge.second_moment = 1.0
+        for _ in range(20):
+            learner.hedge.update([50.0, 50.0, 0.0, 50.0, 50.0])
         learner.reservoir.observe(np.array([1.0, 1.0, 0.0, 0.0]), -1)
         x = np.array([0.5, 0.5, 0.0, 0.0])
         pred = learner.predict(x)
@@ -140,7 +140,7 @@ class TestSamplingProbability:
         # snapshot the guess sample before update() observes the round's example
         store = learner.store
         snapshot = [
-            (store.features(e).copy(), store.label(e)) for e in learner.reservoir.sample
+            (store.X[s].copy(), store.label[s]) for s in learner.reservoir.sample
         ]
         learner.predict(x)
         rec = learner.update(x, y)
@@ -313,9 +313,9 @@ class TestInputValidation:
             learner.update(bad, 1)
         assert learner.t == untouched.t
         assert rng_states(learner) == rng_states(untouched)
-        assert learner.store.live_ids() == untouched.store.live_ids()
-        for eid in learner.store.live_ids():
-            assert np.array_equal(learner.store.features(eid), untouched.store.features(eid))
+        live = learner.store.live
+        assert np.array_equal(live, untouched.store.live)
+        assert np.array_equal(learner.store.X[live], untouched.store.X[live])
         assert learner.reservoir.seen == untouched.reservoir.seen
         for t in range(40, 60):
             recs = [lr.update(X[t], y[t]) for lr in (learner, untouched)]

@@ -7,10 +7,11 @@ from okselect import ExampleStore, Reservoir
 from okselect.kernels import gaussian, kernel_eval
 
 BIG_CAP = 10**9  # effectively uncapped archive for sampling-law tests
+STORE_CAP = 1024  # store slots: room for an uncapped archive over these streams
 
 
 def make_reservoir(capacity=10, archive_cap=BIG_CAP, seed=0, specs=(), dim=2):
-    store = ExampleStore(dim=dim)
+    store = ExampleStore(dim=dim, capacity=STORE_CAP)
     rng = np.random.default_rng(seed)
     return store, Reservoir(store, capacity, archive_cap, rng, specs=specs)
 
@@ -63,7 +64,7 @@ def test_expected_archive_growth():
     # E[|archive|] <= M (1 + ln T); check the empirical mean over 200 runs
     M, T, runs = 10, 10_000, 200
     sizes = []
-    store = ExampleStore(dim=1)
+    store = ExampleStore(dim=1, capacity=STORE_CAP)
     rng = np.random.default_rng(4)
     for _ in range(runs):
         r = Reservoir(store, M, BIG_CAP, rng)
@@ -92,12 +93,12 @@ def test_optimistic_value_empty_and_single():
     spec = gaussian(1.0)
     store, r = make_reservoir(capacity=4, seed=6, specs=(spec,))
     x = np.array([0.5, 0.5])
-    assert r.optimistic_value(spec, x) == 0.0
+    assert r.optimistic_value_many((spec,), x)[0] == 0.0
     assert r.optimistic_sq_norm(spec) == 0.0
     assert r.optimistic_coeffs() == {}
     r.observe([1.0, 0.0], 1)  # t=1: inserted with probability 1
     expect = -kernel_eval(spec, np.array([1.0, 0.0]), x)
-    assert r.optimistic_value(spec, x) == pytest.approx(expect, abs=1e-12)
+    assert r.optimistic_value_many((spec,), x)[0] == pytest.approx(expect, abs=1e-12)
     assert r.optimistic_sq_norm(spec) == pytest.approx(1.0, abs=1e-12)
     eid = r.sample[0]
     assert r.optimistic_coeffs() == {eid: -1.0}
@@ -108,7 +109,7 @@ def test_optimistic_value_cancellation():
     store, r = make_reservoir(capacity=4, seed=7, specs=(spec,))
     r.observe([1.0, 0.0], 1)
     r.observe([1.0, 0.0], -1)
-    assert r.optimistic_value(spec, np.array([0.3, 0.4])) == pytest.approx(0.0, abs=1e-12)
+    assert r.optimistic_value_many((spec,), np.array([0.3, 0.4]))[0] == pytest.approx(0.0, abs=1e-12)
     assert r.optimistic_sq_norm(spec) == pytest.approx(0.0, abs=1e-12)
 
 
@@ -135,14 +136,14 @@ def test_optimistic_coeffs_values():
         r.observe([float(t)], 1 if t % 2 == 0 else -1)
     coeffs = r.optimistic_coeffs()
     assert len(coeffs) == 5
-    for eid, c in coeffs.items():
-        assert c == pytest.approx(-store.label(eid) / 5)
+    for slot, c in coeffs.items():
+        assert c == pytest.approx(-store.label[slot] / 5)
 
 
 def test_refcounts_cover_sample_and_archive():
     store, r = make_reservoir(capacity=3, seed=10, dim=1)
     for t in range(50):
         r.observe([float(t)], 1)
-    for eid in r.archive:
-        expected = 1 + r.sample.count(eid)
-        assert store.refcount(eid) == expected
+    for slot in r.archive:
+        expected = 1 + r.sample.count(slot)
+        assert store.refs[slot] == expected

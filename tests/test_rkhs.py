@@ -1,23 +1,28 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from okselect import BudgetedFunction, ExampleStore
+from okselect import BudgetedFunction, ExampleStore, Reservoir
 from okselect.kernels import gaussian, kernel_eval, polynomial
 
-from conftest import assert_refcounts_conserved, brute_norm_sq, brute_value, random_function
+from conftest import assert_refcounts_conserved, brute_norm_sq, brute_value, random_function, scan_refcounts
 
 
 class TestExampleStore:
-    def test_ids_unique_and_never_reused(self):
+    def test_freed_slot_is_reused_and_full_store_raises(self):
         s = ExampleStore(dim=2, capacity=2)
         a = s.add([1.0, 0.0], 1)
         s.incref(a)
         b = s.add([0.0, 1.0], -1)
         s.incref(b)
+        with pytest.raises(RuntimeError):
+            s.add([2.0, 2.0], 1)  # the store never grows
         s.decref(a)  # slot freed
+        assert not s.live[a]
         c = s.add([2.0, 2.0], 1)
-        assert len({a, b, c}) == 3
-        assert a not in s.live_ids()
+        assert c == a and len(s) == 2
+        assert np.array_equal(s.X[c], [2.0, 2.0]) and np.array_equal(s.X[b], [0.0, 1.0])
 
     def test_slot_recycling_bounds_memory(self):
         s = ExampleStore(dim=1, capacity=4)
@@ -26,7 +31,7 @@ class TestExampleStore:
             s.incref(e)
             s.decref(e)
         assert len(s) == 0
-        assert s._X.shape[0] == 4  # never grew
+        assert s.X.shape[0] == 4  # never grew
 
     def test_negative_refcount_rejected(self):
         s = ExampleStore(dim=1)
@@ -80,7 +85,7 @@ class TestEvaluate:
             before = f.value(z)
             c = rng.normal()
             anchor = rng.choice(f.own_buffer)
-            expected = before + c * kernel_eval(spec, s.features(anchor), z)
+            expected = before + c * kernel_eval(spec, s.X[anchor], z)
             f.add_scaled(c, anchor)
             assert f.value(z) == pytest.approx(expected, rel=1e-9, abs=1e-10)
 
@@ -173,7 +178,7 @@ class TestProjection:
         f = random_function(spec, s, 10, rng, scale=2.0)
         ids = list(f.coeffs.keys())
         beta_pre = np.array([f.coeffs[e] for e in ids])
-        X = np.vstack([s.features(e) for e in ids])
+        X = s.X[ids]
         G = np.array([[kernel_eval(spec, a, b) for b in X] for a in X])
         U = 1.0
         assert beta_pre @ G @ beta_pre > U**2
@@ -204,16 +209,10 @@ class TestSplitHalf:
 
     def test_keep_oldest(self):
         s, f, ids = self._four_atom()
-        removed = f.split_half(keep="oldest")
+        removed = f.split_half()
         assert f.own_buffer == ids[:2]
         assert removed == ids[2:]
         assert all(e not in f.coeffs for e in removed)
-
-    def test_keep_newest(self):
-        s, f, ids = self._four_atom()
-        removed = f.split_half(keep="newest")
-        assert f.own_buffer == ids[2:]
-        assert removed == ids[:2]
 
     def test_odd_buffer_rejected(self):
         s = ExampleStore(dim=2)
@@ -223,14 +222,14 @@ class TestSplitHalf:
             f.add_scaled(1.0, e)
             f.buffer_append(e)
         with pytest.raises(ValueError):
-            f.split_half(keep="oldest")
+            f.split_half()
 
     def test_norm_recomputed(self):
         rng = np.random.default_rng(10)
         spec = gaussian(0.8)
         s = ExampleStore(dim=3)
         f = random_function(spec, s, 12, rng)
-        f.split_half(keep="oldest")
+        f.split_half()
         assert f.squared_norm() == pytest.approx(brute_norm_sq(spec, s, f.coeffs), rel=1e-8, abs=1e-12)
 
     def test_archive_supported_mass_is_kept(self):
@@ -241,15 +240,15 @@ class TestSplitHalf:
         f = random_function(spec, s, 4, rng)
         outside = s.add(rng.normal(size=2), -1)
         f.add_scaled(0.33, outside)
-        f.split_half(keep="oldest")
+        f.split_half()
         assert f.coeffs[outside] == pytest.approx(0.33)
         assert outside not in f.own_buffer
 
     def test_refcounts_released(self):
         s, f, ids = self._four_atom()
-        removed = f.split_half(keep="oldest")
+        removed = f.split_half()
         for e in removed:
-            assert e not in s.live_ids()  # reclaimed: no references remain
+            assert not s.live[e]  # reclaimed: no references remain
         assert_refcounts_conserved(s, functions=[f])
 
 
@@ -270,7 +269,7 @@ def test_drift_over_random_interleaving():
         elif op == 1:
             f.project_ball(2.0)
         elif op == 2 and f.buffer_size() >= 2 and f.buffer_size() % 2 == 0:
-            f.split_half(keep="oldest" if rng.random() < 0.5 else "newest")
+            f.split_half()
     oracle = brute_norm_sq(spec, s, f.coeffs)
     assert f.squared_norm() == pytest.approx(oracle, rel=1e-6, abs=1e-9)
     assert_refcounts_conserved(s, functions=[f])
@@ -287,3 +286,81 @@ def test_clear_releases_everything():
     assert f.coeffs == {}
     assert f.own_buffer == []
     assert len(s) == 0
+
+
+_OPS = ("add", "add_scaled", "add_scaled_many", "project_ball", "split_half", "clear", "observe")
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n_functions=st.integers(2, 3),
+    ops=st.lists(
+        st.tuples(st.sampled_from(_OPS), st.integers(0, 2), st.integers(0, 2**32 - 1)),
+        min_size=1, max_size=60,
+    ),
+)
+def test_random_operations_keep_refcounts_and_rows(n_functions, ops):
+    # Several functions and a reservoir share one store, as in the hinge
+    # learner. Each op adds at most one example, so 60 ops fit the store.
+    store = ExampleStore(dim=2)
+    spec = gaussian(1.0)
+    funcs = [BudgetedFunction(gaussian(0.5 + i, i), store) for i in range(n_functions)]
+    res = Reservoir(store, capacity=3, archive_cap=6, rng=np.random.default_rng(0), specs=(spec,))
+    given_rows = {}  # handle -> (x, y) passed to add
+
+    def held():
+        return scan_refcounts(store, functions=funcs, buffers=[res.sample, res.archive])
+
+    def add(x, y):
+        before = held()
+        h = store.add(x, y)
+        assert h not in before, "a held example's storage was handed out again"
+        given_rows[h] = (np.array(x, dtype=float), float(y))
+        return h
+
+    for op, which, seed in ops:
+        rng = np.random.default_rng(seed)
+        f = funcs[which % n_functions]
+        x, y = rng.normal(size=2), int(rng.choice([-1, 1]))
+        pool = sorted(held())
+        if op == "add":
+            h = add(x, y)
+            f.add_scaled(rng.normal(), h)
+            f.buffer_append(h)
+        elif op == "add_scaled" and pool:
+            h = pool[int(rng.integers(len(pool)))]
+            # half the time cancel the coefficient exactly, releasing a reference
+            c = -f.coeffs[h] if h in f.coeffs and rng.random() < 0.5 else rng.normal()
+            f.add_scaled(c, h)
+        elif op == "add_scaled_many":
+            updates = {h: -0.5 * c for h, c in res.optimistic_coeffs().items()}
+            for h in rng.choice(pool, size=min(2, len(pool)), replace=False) if pool else ():
+                updates[int(h)] = updates.get(int(h), 0.0) + rng.normal()
+            if rng.random() < 0.5:
+                updates[add(x, y)] = rng.normal()  # held by its coefficient only
+            f.add_scaled_many(updates)
+        elif op == "project_ball":
+            f.project_ball(0.5)
+        elif op == "split_half" and f.buffer_size() >= 2 and f.buffer_size() % 2 == 0:
+            f.split_half()
+        elif op == "clear":
+            f.clear()
+        elif op == "observe":
+            if which == 0:  # the learner's path: the round's example is stored first
+                h = add(x, y)
+                res.observe(x, y, slot=h)
+                store.release_if_unreferenced(h)
+            else:
+                before = held()
+                if res.observe(x, y):
+                    h = res.archive[-1]
+                    assert h not in before, "a held example's storage was handed out again"
+                    given_rows[h] = (x, float(y))
+
+        counts = held()
+        assert_refcounts_conserved(store, functions=funcs, buffers=[res.sample, res.archive])
+        assert len(store) == len(counts)
+        for h in counts:
+            gx, gy = given_rows[h]
+            assert np.array_equal(store.X[h], gx)
+            assert store.label[h] == gy
