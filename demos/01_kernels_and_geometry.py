@@ -9,7 +9,7 @@ drives the proxy-update rule.
 import numpy as np
 
 from okselect import feature_distance, gaussian, kernel_eval, polynomial
-from okselect.kernels import kernel_column
+from okselect.kernels import kernel_rows, pairwise
 
 rng = np.random.default_rng(0)
 
@@ -38,12 +38,14 @@ print(f"orthonormal basis vectors: k(e1,e2)={kernel_eval(spec, e1, e2)}  "
 print()
 print("=== Batched evaluation ===")
 print("Stored examples live in a matrix; one query against all of them is a")
-print("single matrix-vector product plus cached row norms:")
+print("single matrix-vector product plus cached row norms, and every kernel")
+print("of a grid is read off the same inner products and distances:")
 X = rng.normal(size=(5, 3))
 sq = np.einsum("ij,ij->i", X, X)
 q = rng.normal(size=3)
-col = kernel_column(gaussian(1.0), X, sq, q)
-check = [kernel_eval(gaussian(1.0), row, q) for row in X]
-print("  batch:", np.round(col, 6))
-print("  loop :", np.round(check, 6))
-print("  max abs difference:", float(np.max(np.abs(col - np.array(check)))))
+grid = (gaussian(0.5), gaussian(1.0), polynomial(2))
+rows = kernel_rows(grid, *pairwise(X, sq, q, float(q @ q)))
+for spec, row in zip(grid, rows):
+    check = np.array([kernel_eval(spec, x, q) for x in X])
+    print(f"  {spec.kind:<10} {spec.param:<4} batch: {' '.join(f'{v:.4f}' for v in row)}  "
+          f"max abs difference to a loop: {float(np.max(np.abs(row - check))):.1e}")

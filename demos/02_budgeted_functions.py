@@ -1,55 +1,69 @@
 #!/usr/bin/env python3
 """Budgeted kernel expansions: steps, projection, and half-removal.
 
-A hypothesis is f = sum_j beta_j k(x_j, .) where the x_j sit in the slots
-of a fixed-size, reference-counted example store. The squared norm is
-tracked incrementally; removing the newer half of the buffer recomputes it
-exactly and frees the slot of any example nothing references anymore.
+A hypothesis is f_i = sum_s coef[i, s] k_i(x_s, .) where the x_s sit in the
+slots of a fixed-size, reference-counted example store, and the K
+hypotheses of a kernel grid are the rows of one coefficient matrix. Each
+squared norm is tracked incrementally; removing the newer half of a buffer
+recomputes it exactly and frees the slot of any example nothing references
+anymore.
 """
 
 import numpy as np
 
-from okselect import BudgetedFunction, ExampleStore, gaussian
+from okselect import ExampleStore, KernelExpansions, gaussian
 
 rng = np.random.default_rng(1)
 store = ExampleStore(dim=2)
-spec = gaussian(1.0)
-f = BudgetedFunction(spec, store)
+ex = KernelExpansions((gaussian(1.0, 0), gaussian(4.0, 1)), store)
 
-print("=== rank-one steps with incremental norm tracking ===")
+print("=== steps with incremental norm tracking, for both kernels ===")
 for step in range(6):
     slot = store.add(rng.normal(size=2), rng.choice([-1, 1]))
-    f.add_scaled(rng.normal() * 0.8, slot)
-    f.buffer_append(slot)
-    print(f"step {step}: |buffer|={f.buffer_size()}  cached ||f||^2={f.squared_norm():.6f}  "
-          f"recomputed={f.recompute_sq_norm():.6f}")
+    for i in range(2):
+        ex.step(i, [slot], [rng.normal() * 0.8])
+        ex.buffer_append(i, slot)
+    cached = ex.sq_norms.copy()
+    recomputed = [ex.recompute_sq_norm(i) for i in range(2)]
+    print(f"step {step}: |buffer|={len(ex.buffers[0])}  cached ||f_i||^2={np.round(cached, 6)}  "
+          f"recomputed={np.round(recomputed, 6)}")
+
+print()
+print("=== the values of every kernel from one pass over the store ===")
+q = np.array([0.2, -0.1])
+rows = ex.rows(q, float(q @ q))
+print(f"k_i(x_s, q) for the {store.capacity} slots: a {rows.shape} matrix")
+print("f_i(q) =", np.round(np.vecdot(ex.coef, rows), 6))
 
 print()
 print("=== projection onto the norm ball ===")
 radius = 0.75
-print(f"before: ||f|| = {f.norm():.4f}, radius = {radius}")
-f.project_ball(radius)
-print(f"after : ||f|| = {f.norm():.4f} (cache set exactly to radius^2: {f.squared_norm()})")
-f.project_ball(radius)
-print(f"idempotent: second projection leaves ||f|| = {f.norm():.4f}")
+print(f"before: ||f_i|| = {np.round(np.sqrt(ex.sq_norms), 4)}, radius = {radius}")
+ex.project(radius)
+print(f"after : ||f_i|| = {np.round(np.sqrt(ex.sq_norms), 4)} (caches set exactly to radius^2: {ex.sq_norms})")
+ex.project(radius)
+print(f"idempotent: second projection leaves ||f_i|| = {np.round(np.sqrt(ex.sq_norms), 4)}")
 
 print()
 print("=== half-removal ===")
-print("buffer (insertion order):", f.own_buffer)
-removed = f.split_half()
-print("kept oldest half:        ", f.own_buffer)
-print("removed slots:           ", removed)
-print("removed slots were freed by the store:", not store.live[removed].any())
+print("kernel 0 buffer (insertion order):", ex.buffers[0])
+removed = ex.split_half(0)
+print("kept oldest half:                 ", ex.buffers[0])
+print("removed slots:                    ", removed)
+print("removed slots are still live, held by kernel 1's buffer:", bool(store.live[removed].all()))
+ex.split_half(1)
+print("after kernel 1's split they are freed:", not store.live[removed].any())
 print(f"live slots: {len(store)} of {store.capacity}")
-print(f"norm recomputed from the survivors: ||f||^2 = {f.squared_norm():.6f}")
+print(f"norms recomputed from the survivors: ||f_i||^2 = {np.round(ex.sq_norms, 6)}")
 
 print()
 print("=== coefficient mass outside the buffer survives a split ===")
 outside = store.add(rng.normal(size=2), 1)
-f.add_scaled(0.4, outside)  # e.g. a gradient-guess anchor budgeted elsewhere
-while f.buffer_size() % 2 != 0:
+store.incref(outside)  # held by an archive, as the hinge learner's guess anchors are
+ex.step(0, [outside], [0.4])
+while len(ex.buffers[0]) % 2 != 0:
     slot = store.add(rng.normal(size=2), 1)
-    f.add_scaled(0.1, slot)
-    f.buffer_append(slot)
-f.split_half()
-print(f"after another split, the outside anchor still carries {f.coeffs[outside]:.2f}")
+    ex.step(0, [slot], [0.1])
+    ex.buffer_append(0, slot)
+ex.split_half(0)
+print(f"after another split, the outside anchor still carries {ex.coef[0, outside]:.2f}")

@@ -10,7 +10,7 @@ fraction of the memory.
 import numpy as np
 
 from okselect import ExampleStore, Reservoir, gaussian
-from okselect.kernels import kernel_eval
+from okselect.kernels import kernel_eval, kernel_rows, pairwise
 
 rng = np.random.default_rng(2)
 
@@ -42,7 +42,8 @@ for t in range(2000):
     x = rng.normal(size=2)
     y = 1 if x.sum() > 0 else -1
     exact = -np.mean([yy * kernel_eval(spec, xx, query) for xx, yy in history]) if history else 0.0
-    guess = r.optimistic_value_many((spec,), query)[0]
+    rows = kernel_rows((spec,), *pairwise(store.X, store.sqnorm, query, float(query @ query)))
+    guess = r.optimistic_value_many(rows)[0]
     if t in (10, 100, 500, 1999):
         print(f"t={t:<5} guess={guess:+.4f}  full-history average={exact:+.4f}  "
               f"sample size={len(r)}  archive={len(r.archive)}")

@@ -28,7 +28,7 @@ from .kernels import KernelSpec, feature_distance, gaussian, kernel_eval, polyno
 from .losses import HingeLoss, LogisticLoss
 from .raker import RakerBaseline, RakerConfig
 from .reservoir import Reservoir
-from .rkhs import BudgetedFunction, ExampleStore
+from .rkhs import ExampleStore, KernelExpansions
 from .smooth_learner import SmoothKernelSelector, SmoothSelectorConfig, pea_losses
 
 __version__ = "0.1.0"
@@ -61,7 +61,7 @@ __all__ = [
     "RakerConfig",
     "Reservoir",
     "ExampleStore",
-    "BudgetedFunction",
+    "KernelExpansions",
     "SmoothKernelSelector",
     "SmoothSelectorConfig",
     "pea_losses",

@@ -16,12 +16,15 @@ All examples live in one store of B + 1 slots: the reservoir archive and
 the K buffers together hold at most B, and the last slot takes the round's
 example, which is stored when ``update`` starts and freed when it ends
 unless a buffer or the reservoir kept it. A full store raises, so the
-memory budget is enforced by the data structure itself.
+memory budget is enforced by the data structure itself. The K iterates are
+one (K, B + 1) coefficient matrix over the store's slots. Each round
+computes the inner products and squared distances from x_t to every slot
+once and derives all K kernel rows from them; the iterates' values, the
+reservoir guesses and the proxy search all read those rows.
 
 Within a round the K per-kernel updates depend only on the shared round
 inputs and on per-kernel random streams derived from the master seed, so
-the outcome does not depend on the order (or parallel schedule) in which
-kernels are processed.
+the outcome does not depend on the order in which kernels are processed.
 """
 
 from __future__ import annotations
@@ -32,10 +35,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .hedge import HedgeState
-from .kernels import KernelSpec, feature_distance_column, self_eval
+from .kernels import KernelSpec, self_values
 from .losses import HingeLoss, check_label
 from .reservoir import Reservoir
-from .rkhs import BudgetedFunction, ExampleStore
+from .rkhs import ExampleStore, KernelExpansions
 
 __all__ = [
     "HingeSelectorConfig",
@@ -200,12 +203,13 @@ class HingeKernelSelector:
             rng=np.random.default_rng(seeds[k]),
             specs=self.kernels,
         )
-        self.functions = [BudgetedFunction(spec, self.store) for spec in self.kernels]
+        self.expansions = KernelExpansions(self.kernels, self.store)
         self.hedge = HedgeState(k)
         self.gap_sums = np.zeros(k)  # per-kernel alignment proxy accumulator
         self.removals = np.zeros(k, dtype=int)
         self.t = 0
         self._last: Prediction | None = None
+        self._rows = None  # kernel rows of the last prediction, over every store slot
 
     def predict(self, x) -> Prediction:
         """f_{t,i}(x) = f'_i(x) - lambda_i * guess_i(x); mixture and sign.
@@ -219,10 +223,9 @@ class HingeKernelSelector:
         xsq = float(x @ x)
         if not math.isfinite(xsq):
             raise ValueError("feature vector is not finite or its squared norm overflows")
-        guesses = self.reservoir.optimistic_value_many(self.kernels, x, xsq)
-        vals = np.empty(len(self.kernels))
-        for i, f in enumerate(self.functions):
-            vals[i] = f.value(x, xsq) - self.rate * guesses[i]
+        rows = self.expansions.rows(x, xsq)
+        guesses = self.reservoir.optimistic_value_many(rows)
+        vals = np.vecdot(self.expansions.coef, rows) - self.rate * guesses
         p = self.hedge.distribution()
         agg = float(p @ vals)
         pred = Prediction(
@@ -235,6 +238,7 @@ class HingeKernelSelector:
             label=1 if agg >= 0 else -1,
         )
         self._last = pred
+        self._rows = rows
         return pred
 
     def update(self, x, y) -> RoundRecord:
@@ -244,9 +248,11 @@ class HingeKernelSelector:
         pred = self._last
         if pred is None or pred.x.shape != x.shape or not np.array_equal(pred.x, x):
             pred = self.predict(x)
-        self._last = None
+        rows = self._rows
+        self._last = self._rows = None
         self.t += 1
         k = len(self.kernels)
+        ex = self.expansions
         # the round's example; freed at the end unless a buffer or the reservoir took it
         slot = self.store.add(x, y)
 
@@ -256,35 +262,30 @@ class HingeKernelSelector:
         gap_sq_rec = np.zeros(k)
         removed = np.zeros(k, dtype=bool)
         losses = np.empty(k)
+        kxx = self_values(self.kernels, pred.x_sqnorm)
 
         for i, spec in enumerate(self.kernels):
-            f = self.functions[i]
             vi = pred.per_kernel[i]
             losses[i] = self.loss.value(vi, y)
             if y * vi >= 1.0:
-                f.project_ball(self.radius)  # no-op while feasible
                 continue
             # margin violated: grad = -y k(x_t, .)
-            kxx = self_eval(spec, x, pred.x_sqnorm)
-            guess_sq = self.reservoir.optimistic_sq_norm(spec)
-            gap_sq = max(kxx + 2.0 * y * pred.guess_values[i] + guess_sq, 0.0)
+            guess_sq = self.reservoir.optimistic_sq_norm(i)
+            gap_sq = max(kxx[i] + 2.0 * y * pred.guess_values[i] + guess_sq, 0.0)
             gap_sq_rec[i] = gap_sq
             self.gap_sums[i] += gap_sq
             gamma = gap_sq / math.sqrt(1.0 + self.gap_sums[i])
 
-            anchor = None
-            if f.own_buffer:
-                bx, bsq, _ = self.store.rows(f.own_buffer)
-                dists = feature_distance_column(spec, bx, bsq, x, pred.x_sqnorm)
+            buf = ex.buffers[i]
+            if buf:
+                # feature-space distances from x to the buffered examples
+                kjj = self_values((spec,), self.store.sqnorm[buf])[0]
+                dists = np.sqrt(np.maximum(kjj + kxx[i] - 2.0 * rows[i, buf], 0.0))
                 j = int(np.argmin(dists))  # ties resolve to the earliest insertion
                 if dists[j] <= gamma:
-                    anchor = f.own_buffer[j]
-
-            if anchor is not None:
-                branch[i] = "proxy"
-                f.add_scaled(self.rate * y, anchor)
-                f.project_ball(self.radius)
-                continue
+                    branch[i] = "proxy"
+                    ex.step(i, [buf[j]], [self.rate * y])
+                    continue
 
             branch[i] = "sampled"
             guess = self.reservoir.optimistic_coeffs()
@@ -299,20 +300,21 @@ class HingeKernelSelector:
                 prob[i] = p_i
                 accepted = bool(self._rngs[i].random() < p_i)
                 coin[i] = 1 if accepted else 0
-            if accepted and f.buffer_size() == self.per_kernel_cap:
+            if accepted and len(buf) == self.per_kernel_cap:
                 if self.config.removal == "half":
-                    f.split_half()
+                    ex.split_half(i)
                 else:
-                    f.clear()
-                f.project_ball(self.radius)
+                    ex.clear(i)
+                ex.project(self.radius)
                 self.removals[i] += 1
                 removed[i] = True
             grad = {slot: -y} if accepted else {}
             tilde = importance_weighted_coeffs(grad, guess, p_i, accepted)
-            f.add_scaled_many({s: -self.rate * c for s, c in tilde.items()})
+            ex.step(i, list(tilde), [-self.rate * c for c in tilde.values()])
             if accepted:
-                f.buffer_append(slot)
-            f.project_ball(self.radius)
+                ex.buffer_append(i, slot)
+        # each kernel's step touched only its own row, so one projection serves all
+        ex.project(self.radius)
 
         pre_hedge = losses.copy()
         self.hedge.update(pre_hedge)
@@ -359,12 +361,17 @@ class HingeKernelSelector:
         """Hard budget/norm invariants; raises AssertionError on violation.
 
         Between rounds every live store slot is in the archive or in a
-        kernel buffer, so the caps below bound the store by B.
+        kernel buffer, so the caps below bound the store by B. Each
+        kernel's coefficients are zero outside its buffer and the archive,
+        so those memberships alone keep every slot an iterate needs alive.
         """
-        held = set(self.reservoir.archive).union(*(f.own_buffer for f in self.functions))
+        ex = self.expansions
+        archive = set(self.reservoir.archive)
+        held = archive.union(*ex.buffers)
         assert held == set(np.flatnonzero(self.store.live).tolist()), "live slot outside archive and buffers"
-        for f in self.functions:
-            assert f.buffer_size() <= self.per_kernel_cap, "buffer over budget"
-            assert f.norm() <= self.radius + 1e-8, "iterate escaped the ball"
+        for i, buf in enumerate(ex.buffers):
+            assert len(buf) <= self.per_kernel_cap, "buffer over budget"
+            assert set(np.flatnonzero(ex.coef[i]).tolist()) <= archive.union(buf), "coefficient outside buffer and archive"
+        assert np.all(np.sqrt(np.maximum(ex.sq_norms, 0.0)) <= self.radius + 1e-8), "iterate escaped the ball"
         assert len(self.reservoir.archive) <= self.archive_cap, "archive over cap"
         assert len(self.reservoir) <= self.config.reservoir_size, "reservoir over capacity"

@@ -4,7 +4,9 @@ Two kernel families are supported: Gaussian kernels (the benchmark grid)
 and homogeneous polynomial kernels (used by the adversarial stream
 generator). Gaussian values are computed through squared Euclidean
 distances, so batched queries against a matrix of stored examples reduce
-to one matrix-vector product plus cached row norms.
+to one matrix product plus cached row norms: :func:`pairwise` gives the
+inner products and distances, and :func:`kernel_rows` derives every
+kernel of a grid from that one pass.
 """
 
 from __future__ import annotations
@@ -18,13 +20,12 @@ __all__ = [
     "gaussian",
     "polynomial",
     "kernel_eval",
-    "self_eval",
-    "kernel_column",
+    "pairwise",
+    "sq_distances",
     "kernel_rows",
-    "kernel_gram",
-    "kernel_cross",
+    "kernel_column",
+    "self_values",
     "feature_distance",
-    "feature_distance_column",
 ]
 
 
@@ -34,9 +35,10 @@ class KernelSpec:
 
     ``kind`` is ``"gaussian"`` (param = bandwidth sigma > 0, so that
     k(x, z) = exp(-||x - z||^2 / (2 sigma^2))) or ``"polynomial"``
-    (param = degree p > 0, k(x, z) = <x, z>^p). ``index`` is the kernel's
-    position in the candidate grid; per-kernel random streams and report
-    columns key off it.
+    (param = degree p > 0, k(x, z) = <x, z>^p). ``index`` labels the
+    kernel's position in its candidate grid; no state is keyed off it, since
+    the learners and the reservoir name a kernel by its position in the
+    grid they were given.
     """
 
     kind: str
@@ -68,41 +70,36 @@ def kernel_eval(spec: KernelSpec, x, z) -> float:
     return float((x @ z) ** spec.param)
 
 
-def self_eval(spec: KernelSpec, x, x_sqnorm: float | None = None) -> float:
-    """k(x, x). Exactly 1 for Gaussian kernels."""
-    if spec.kind == "gaussian":
-        return 1.0
-    if x_sqnorm is None:
-        x = np.asarray(x, dtype=float)
-        x_sqnorm = float(x @ x)
-    return float(x_sqnorm**spec.param)
+def sq_distances(dots, row_sqnorms, z_sqnorms):
+    """||x_j - z||^2 clipped at zero, from <x_j, z> and the squared norms.
 
-
-def kernel_column(spec, X, row_sqnorms, x, x_sqnorm=None):
-    """k(x_j, x) for every row x_j of ``X``, vectorized.
-
-    ``row_sqnorms`` carries the cached ||x_j||^2 of the rows; ``x_sqnorm``
-    may be passed to avoid recomputing ||x||^2 for repeated queries.
+    ``dots`` is (n,) for one query z or (n, m) for m query rows.
     """
-    dots = X @ x
-    if spec.kind == "gaussian":
-        if x_sqnorm is None:
-            x_sqnorm = float(x @ x)
-        sq = np.maximum(row_sqnorms + x_sqnorm - 2.0 * dots, 0.0)
-        return np.exp(-sq / (2.0 * spec.param**2))
-    return dots**spec.param
+    if dots.ndim == 2:
+        row_sqnorms = row_sqnorms[:, None]
+    return np.maximum(row_sqnorms + z_sqnorms - 2.0 * dots, 0.0)
 
 
-def kernel_rows(specs, sqdist, dots):
-    """k_i for every kernel i of ``specs``, from distances and inner products.
+def pairwise(X, row_sqnorms, z, z_sqnorms):
+    """(<x_j, z>, clipped ||x_j - z||^2) for every row x_j of ``X``.
 
-    ``sqdist`` and ``dots`` are arrays of one shape holding ||x_j - z_j||^2
-    (clipped at zero) and <x_j, z_j> for the same pairs; the result stacks
-    one array of that shape per kernel. For the rows of a matrix against
-    one query it is the (K, n) matrix of k_i(x_j, x), computed with the
-    same rounding as :func:`kernel_column`. Gaussian kernels read only
-    ``sqdist`` and polynomial kernels only ``dots``, so ``sqdist`` may be
-    None for a grid of polynomial kernels.
+    ``z`` is one query vector with squared norm ``z_sqnorms``, giving two
+    (n,) arrays, or a matrix of query rows with their squared norms, giving
+    two (n, m) arrays. The result feeds :func:`kernel_rows`.
+    """
+    dots = X @ z.T
+    return dots, sq_distances(dots, row_sqnorms, z_sqnorms)
+
+
+def kernel_rows(specs, dots, sqdist=None):
+    """k_i for every kernel i of ``specs``, from inner products and distances.
+
+    ``dots`` and ``sqdist`` are arrays of one shape holding <x_j, z_j> and
+    ||x_j - z_j||^2 (clipped at zero) for the same pairs, as
+    :func:`pairwise` returns them; the result stacks one array of that
+    shape per kernel. Gaussian kernels read only ``sqdist`` and polynomial
+    kernels only ``dots``, so ``sqdist`` may be None for a grid of
+    polynomial kernels.
     """
     if sqdist is None:
         out = np.empty((len(specs),) + dots.shape)
@@ -117,22 +114,22 @@ def kernel_rows(specs, sqdist, dots):
     return out
 
 
-def kernel_gram(spec, X, row_sqnorms):
-    """Full Gram matrix of the rows of ``X``."""
-    dots = X @ X.T
-    if spec.kind == "gaussian":
-        sq = np.maximum(row_sqnorms[:, None] + row_sqnorms[None, :] - 2.0 * dots, 0.0)
-        return np.exp(-sq / (2.0 * spec.param**2))
-    return dots**spec.param
+def kernel_column(spec, X, row_sqnorms, z, z_sqnorms):
+    """k(x_j, z) of one kernel for every row x_j of ``X``.
+
+    ``z`` is a query vector or a matrix of query rows, as in
+    :func:`pairwise`, so this also gives Gram and cross-kernel matrices.
+    """
+    return kernel_rows((spec,), *pairwise(X, row_sqnorms, z, z_sqnorms))[0]
 
 
-def kernel_cross(spec, X1, sqnorms1, X2, sqnorms2):
-    """Cross-kernel matrix k(x1_i, x2_j) between two row sets."""
-    dots = X1 @ X2.T
-    if spec.kind == "gaussian":
-        sq = np.maximum(sqnorms1[:, None] + sqnorms2[None, :] - 2.0 * dots, 0.0)
-        return np.exp(-sq / (2.0 * spec.param**2))
-    return dots**spec.param
+def self_values(specs, sqnorms):
+    """k_i(z, z) for every kernel i and every z with squared norm in ``sqnorms``.
+
+    Exactly 1 for Gaussian kernels.
+    """
+    sqnorms = np.asarray(sqnorms, dtype=float)
+    return kernel_rows(specs, sqnorms, np.zeros_like(sqnorms))
 
 
 def feature_distance(spec: KernelSpec, x, z) -> float:
@@ -141,17 +138,5 @@ def feature_distance(spec: KernelSpec, x, z) -> float:
     The radicand is clamped at zero to absorb floating-point noise near
     x == z.
     """
-    sq = self_eval(spec, x) + self_eval(spec, z) - 2.0 * kernel_eval(spec, x, z)
+    sq = kernel_eval(spec, x, x) + kernel_eval(spec, z, z) - 2.0 * kernel_eval(spec, x, z)
     return float(np.sqrt(max(sq, 0.0)))
-
-
-def feature_distance_column(spec, X, row_sqnorms, x, x_sqnorm=None):
-    """Feature-space distances from x to every row of ``X``, vectorized."""
-    if x_sqnorm is None:
-        x_sqnorm = float(x @ x)
-    col = kernel_column(spec, X, row_sqnorms, x, x_sqnorm)
-    if spec.kind == "gaussian":
-        sq = 2.0 - 2.0 * col
-    else:
-        sq = row_sqnorms**spec.param + x_sqnorm**spec.param - 2.0 * col
-    return np.sqrt(np.maximum(sq, 0.0))

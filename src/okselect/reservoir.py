@@ -1,9 +1,10 @@
 """Uniform reservoir sample of the stream plus its append-only archive.
 
 The reservoir feeds the hinge learner's gradient guess: the guess at a
-query x is -(1/|V|) sum_{(x_j, y_j) in V} y_j k(x_j, x). Per-kernel caches
-of the guess's squared norm are maintained under insert/evict swaps, so an
-accepted round costs O(M * K) kernel evaluations.
+query x is -(1/|V|) sum_{(x_j, y_j) in V} y_j k(x_j, x). The caches of the
+guess's squared norm, one per kernel, are maintained under insert/evict
+swaps, so an accepted round costs one pass over the sample for all K
+kernels.
 
 The sample and the archive hold store slots. The archive (every example
 that ever entered the reservoir) is capped: once ``archive_cap`` examples
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .kernels import KernelSpec, kernel_column, self_eval
+from .kernels import KernelSpec, kernel_rows, pairwise, self_values
 from .rkhs import ExampleStore
 
 __all__ = ["Reservoir"]
@@ -24,8 +25,8 @@ __all__ = ["Reservoir"]
 class Reservoir:
     """Capacity-M uniform sample with archive and optimistic-gradient views.
 
-    Single-writer; reads for distinct kernels may run in parallel against a
-    per-round snapshot.
+    ``specs`` are the kernels whose guess norms are cached; a kernel is
+    named by its position in ``specs``.
     """
 
     def __init__(
@@ -49,8 +50,8 @@ class Reservoir:
         self.archive: list[int] = []  # slots of every example ever sampled
         self.seen = 0
         self.frozen = False
-        # per-kernel sum_{j,k in V} y_j y_k k(x_j, x_k), unnormalized
-        self._gram_sum = {spec.index: 0.0 for spec in self.specs}
+        # sum_{j,k in V} y_j y_k k_i(x_j, x_k) for each kernel i, unnormalized
+        self._gram_sum = np.zeros(len(self.specs))
 
     def __len__(self) -> int:
         return len(self.sample)
@@ -92,24 +93,21 @@ class Reservoir:
 
     # -- optimistic gradient views ----------------------------------------
 
-    def optimistic_value_many(self, specs, x, x_sqnorm=None) -> np.ndarray:
-        """Guess values at x for each kernel; 0 while the sample is empty."""
-        out = np.zeros(len(specs))
-        if not self.sample:
-            return out
-        X, sq, labels = self.store.rows(self.sample)
-        for i, spec in enumerate(specs):
-            col = kernel_column(spec, X, sq, x, x_sqnorm)
-            out[i] = -float(labels @ col) / len(self.sample)
-        return out
+    def optimistic_value_many(self, rows) -> np.ndarray:
+        """Guess values at a query for each kernel; 0 while the sample is empty.
 
-    def optimistic_sq_norm(self, spec: KernelSpec) -> float:
-        """Squared RKHS norm of the guess, from the maintained cache."""
+        ``rows`` is the (K, capacity) matrix of k_i(x_s, x) between every
+        store slot s and the query x.
+        """
+        if not self.sample:
+            return np.zeros(len(rows))
+        return -np.vecdot(rows[:, self.sample], self.store.label[self.sample]) / len(self.sample)
+
+    def optimistic_sq_norm(self, i: int) -> float:
+        """Squared RKHS norm of the guess under kernel ``specs[i]``, from the cache."""
         if not self.sample:
             return 0.0
-        if spec.index not in self._gram_sum:
-            raise KeyError(f"no cache for kernel index {spec.index}")
-        return max(self._gram_sum[spec.index], 0.0) / len(self.sample) ** 2
+        return max(self._gram_sum[i], 0.0) / len(self.sample) ** 2
 
     def optimistic_coeffs(self) -> dict[int, float]:
         """The guess as a slot -> coefficient map: {slot_j: -y_j / |V|}."""
@@ -124,19 +122,7 @@ class Reservoir:
         # insert (sign +1): G' = G + 2 y_e (sum_{j in V'} y_j k_je) - k_ee, V' including e
         if not self.specs:
             return
-        x, xsq, y = self.store.X[slot], float(self.store.sqnorm[slot]), float(self.store.label[slot])
-        X, sq, labels = self.store.rows(self.sample)
-        for spec in self.specs:
-            col = kernel_column(spec, X, sq, x, xsq)
-            kxx = self_eval(spec, x, xsq)
-            self._gram_sum[spec.index] += sign * (2.0 * y * float(labels @ col) - kxx)
-
-    def recompute_sq_norm(self, spec: KernelSpec) -> float:
-        """Brute-force O(M^2) recomputation (used by tests as the oracle)."""
-        if not self.sample:
-            return 0.0
-        X, sq, labels = self.store.rows(self.sample)
-        from .kernels import kernel_gram
-
-        gram = kernel_gram(spec, X, sq)
-        return float(labels @ gram @ labels) / len(self.sample) ** 2
+        st, v = self.store, self.sample
+        x, xsq, y = st.X[slot], float(st.sqnorm[slot]), float(st.label[slot])
+        rows = kernel_rows(self.specs, *pairwise(st.X[v], st.sqnorm[v], x, xsq))
+        self._gram_sum += sign * (2.0 * y * np.vecdot(rows, st.label[v]) - self_values(self.specs, xsq))

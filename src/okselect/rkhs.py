@@ -1,24 +1,25 @@
 """Budgeted representation of RKHS elements.
 
 An :class:`ExampleStore` holds, in preallocated arrays of a fixed number of
-slots, the examples that any live structure (a function's buffer, a
-coefficient, the reservoir, the archive) still references. The slot is an
-example's only handle; reference counting frees a slot as soon as nothing
-holds it, so memory is fixed by the capacity, not by the stream length.
+slots, the examples that a buffer or the reservoir still references. The
+slot is an example's only handle; reference counting frees a slot as soon
+as nothing holds it, so memory is fixed by the capacity, not by the stream
+length.
 
-A :class:`BudgetedFunction` is a kernel expansion f = sum_j beta_j k(x_j, .)
-whose squared RKHS norm is maintained incrementally through the rank-one
-identity and recomputed from the Gram matrix whenever half of its buffer is
-removed.
+:class:`KernelExpansions` keeps K kernel expansions
+f_i = sum_s coef[i, s] k_i(x_s, .) over the slots of one store as a
+(K, capacity) coefficient matrix, with each squared RKHS norm maintained
+incrementally and recomputed from the Gram matrix of the support whenever
+half of a buffer is removed.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .kernels import KernelSpec, kernel_column, kernel_cross, kernel_gram, self_eval
+from .kernels import KernelSpec, kernel_column, kernel_rows, pairwise
 
-__all__ = ["ExampleStore", "BudgetedFunction"]
+__all__ = ["ExampleStore", "KernelExpansions"]
 
 
 class ExampleStore:
@@ -27,8 +28,8 @@ class ExampleStore:
     A stored example is known only by its slot: its row in ``X``,
     ``sqnorm``, ``label`` and ``refs``. ``live`` marks the slots in use,
     including one added this round that nothing references yet. Every
-    buffer membership, nonzero coefficient, reservoir entry and archive
-    entry owns one reference; a slot whose count drops back to zero is freed
+    buffer membership, reservoir entry and archive entry owns one
+    reference; a slot whose count drops back to zero is freed
     for the next ``add``. The arrays are allocated once and never grow, so
     ``add`` on a full store raises.
     """
@@ -89,169 +90,98 @@ class ExampleStore:
         self.live[slot] = False
         self._free.append(slot)
 
-    def rows(self, slots):
-        """(features, row squared norms, labels) for a batch of slots."""
-        sl = np.asarray(slots, dtype=np.intp)
-        return self.X[sl], self.sqnorm[sl], self.label[sl]
 
+class KernelExpansions:
+    """K kernel expansions over the slots of one store, one per kernel.
 
-class BudgetedFunction:
-    """A kernel expansion under a buffer budget.
-
-    ``coeffs`` maps store slots to nonzero coefficients. ``own_buffer``
-    lists, in insertion order, the slots charged against this function's
-    budget. Coefficient support may extend beyond it: gradient-guess
-    anchors live in the shared archive and are budgeted there. Slots whose
-    coefficient was stepped to exactly zero stay in ``own_buffer``
-    (budgeting counts buffer membership, not nonzero-ness).
-
-    Single-writer: concurrent updates of one instance are not supported;
-    distinct functions over a shared store snapshot may be updated in
-    parallel.
+    Kernel i's function is f_i = sum_s coef[i, s] k_i(x_s, .) and
+    ``sq_norms[i]`` caches ||f_i||^2. ``buffers[i]`` lists, in insertion
+    order, the slots charged against kernel i's budget; each membership
+    holds a store reference. Coefficients hold none: a coefficient may sit
+    on a slot outside the buffer (a gradient-guess anchor in the archive),
+    and whoever steps on such a slot keeps it alive by other means. Slots
+    whose coefficient was stepped to exactly zero stay in the buffer
+    (budgeting counts membership, not nonzero-ness).
     """
 
-    def __init__(self, spec: KernelSpec, store: ExampleStore):
-        self.spec = spec
+    def __init__(self, specs: tuple[KernelSpec, ...], store: ExampleStore):
+        self.specs = tuple(specs)
         self.store = store
-        self.coeffs: dict[int, float] = {}
-        self.own_buffer: list[int] = []
-        self._sq_norm = 0.0
-        self._anchor_cache = None  # (X rows, sqnorms, coeff array) of the support
+        self.coef = np.zeros((len(self.specs), store.capacity))
+        self.sq_norms = np.zeros(len(self.specs))
+        self.buffers: list[list[int]] = [[] for _ in self.specs]
 
-    # -- views ---------------------------------------------------------
+    def rows(self, x, x_sqnorm: float) -> np.ndarray:
+        """(K, capacity) matrix of k_i(x_s, x), from one pass over the store.
 
-    def squared_norm(self) -> float:
-        return max(self._sq_norm, 0.0)
-
-    def norm(self) -> float:
-        return float(np.sqrt(self.squared_norm()))
-
-    def buffer_size(self) -> int:
-        return len(self.own_buffer)
-
-    def _anchors(self):
-        if self._anchor_cache is None:
-            n = len(self.coeffs)
-            X, sq, _ = self.store.rows(np.fromiter(self.coeffs, dtype=np.intp, count=n))
-            beta = np.fromiter(self.coeffs.values(), dtype=float, count=n)
-            self._anchor_cache = (X, sq, beta)
-        return self._anchor_cache
-
-    def value(self, x, x_sqnorm: float | None = None) -> float:
-        """f(x) = sum_j beta_j k(x_j, x)."""
-        if not self.coeffs:
-            return 0.0
-        X, sq, beta = self._anchors()
-        col = kernel_column(self.spec, X, sq, x, x_sqnorm)
-        return float(beta @ col)
-
-    def value_at(self, slot: int) -> float:
-        return self.value(self.store.X[slot], float(self.store.sqnorm[slot]))
-
-    # -- updates -------------------------------------------------------
-
-    def _set_coeff(self, slot: int, value: float):
-        old = self.coeffs.get(slot, 0.0)
-        if old == 0.0 and value != 0.0:
-            self.store.incref(slot)
-            self.coeffs[slot] = value
-        elif old != 0.0 and value == 0.0:
-            del self.coeffs[slot]
-            self.store.decref(slot)
-        elif value != 0.0:
-            self.coeffs[slot] = value
-        self._anchor_cache = None
-
-    def add_scaled(self, c: float, slot: int):
-        """f <- f + c * k(x_slot, .), updating the norm cache incrementally.
-
-        ||f + c k(x,.)||^2 = ||f||^2 + 2 c f(x) + c^2 k(x, x), with f(x)
-        evaluated before the update.
+        Free slots hold stale rows; their coefficients are zero.
         """
-        if c == 0.0:
-            return
-        fx = self.value_at(slot)
-        kxx = self_eval(self.spec, None, float(self.store.sqnorm[slot]))
-        self._sq_norm += 2.0 * c * fx + c * c * kxx
-        self._set_coeff(slot, self.coeffs.get(slot, 0.0) + c)
+        return kernel_rows(self.specs, *pairwise(self.store.X, self.store.sqnorm, x, x_sqnorm))
 
-    def add_scaled_many(self, updates: dict[int, float]):
-        """f <- f + g with g = sum_j c_j k(x_j, .), one norm update for all.
+    def step(self, i: int, slots, cs):
+        """f_i <- f_i + g with g = sum_j cs[j] k_i(x_{slots[j]}, .), over distinct slots.
 
-        ||f + g||^2 = ||f||^2 + 2 <f, g> + ||g||^2 where <f, g> =
-        sum_j c_j f(x_j).
+        ||f + g||^2 = ||f||^2 + (2 beta + c)^T K c, where beta and c are the
+        coefficient vectors of f and g over the union of their supports and
+        K is the kernel matrix between that union and ``slots``.
         """
-        items = [(s, c) for s, c in updates.items() if c != 0.0]
-        if not items:
+        if not len(slots):
             return
-        cs = np.array([c for _, c in items])
-        Xg, sqg, _ = self.store.rows([s for s, _ in items])
-        inner = 0.0
-        if self.coeffs:
-            fX, fsq, beta = self._anchors()
-            cross = kernel_cross(self.spec, fX, fsq, Xg, sqg)
-            inner = float(beta @ cross @ cs)
-        gram = kernel_gram(self.spec, Xg, sqg)
-        self._sq_norm += 2.0 * inner + float(cs @ gram @ cs)
-        for s, c in items:
-            self._set_coeff(s, self.coeffs.get(s, 0.0) + c)
+        slots = np.asarray(slots, dtype=np.intp)
+        cs = np.asarray(cs, dtype=float)
+        row = self.coef[i]
+        g = np.zeros_like(row)
+        g[slots] = cs
+        u = np.flatnonzero((row != 0.0) | (g != 0.0))
+        X, sq = self.store.X, self.store.sqnorm
+        block = kernel_column(self.specs[i], X[u], sq[u], X[slots], sq[slots])
+        self.sq_norms[i] += float((2.0 * row[u] + g[u]) @ block @ cs)
+        row[slots] += cs
 
-    def project_ball(self, radius: float):
-        """Project onto {||f|| <= radius}; idempotent, never grows the norm."""
-        nsq = self.squared_norm()
-        if nsq <= radius * radius:
-            return
-        scale = radius / np.sqrt(nsq)
-        for s in self.coeffs:
-            self.coeffs[s] *= scale
-        self._sq_norm = radius * radius
-        self._anchor_cache = None
+    def project(self, radius: float):
+        """Project each f_i onto {||f|| <= radius}; idempotent, never grows a norm."""
+        r2 = radius * radius
+        for i in np.flatnonzero(self.sq_norms > r2):
+            self.coef[i] *= radius / np.sqrt(self.sq_norms[i])
+            self.sq_norms[i] = r2
 
-    def buffer_append(self, slot: int):
+    def buffer_append(self, i: int, slot: int):
         self.store.incref(slot)
-        self.own_buffer.append(slot)
+        self.buffers[i].append(slot)
 
-    def split_half(self) -> list[int]:
-        """Drop the newer half of ``own_buffer`` and return its slots.
+    def split_half(self, i: int) -> list[int]:
+        """Drop the newer half of kernel i's buffer and return its slots.
 
-        Coefficients on the dropped slots are deleted; coefficient mass on
-        slots outside ``own_buffer`` (archive anchors) stays. The norm
-        cache is recomputed from scratch, which also resets accumulated
-        drift.
+        Coefficients on the dropped slots are zeroed; coefficient mass on
+        slots outside the buffer (archive anchors) stays. The norm cache is
+        recomputed from scratch, which also resets accumulated drift.
         """
-        n = len(self.own_buffer)
+        buf = self.buffers[i]
+        n = len(buf)
         if n < 2 or n % 2 != 0:
-            raise ValueError(f"own_buffer size {n} is not an even size >= 2")
-        kept, removed = self.own_buffer[: n // 2], self.own_buffer[n // 2 :]
-        for slot in removed:
-            if slot in self.coeffs:
-                del self.coeffs[slot]
-                self.store.decref(slot)
-            self.store.decref(slot)  # buffer membership
-        self.own_buffer = kept
-        self._anchor_cache = None
-        self.recompute_sq_norm()
-        return removed
-
-    def clear(self) -> list[int]:
-        """Restart: drop the whole buffer and every coefficient."""
-        removed = self.own_buffer
+            raise ValueError(f"buffer size {n} is not an even size >= 2")
+        kept, removed = buf[: n // 2], buf[n // 2 :]
+        self.coef[i, removed] = 0.0
         for slot in removed:
             self.store.decref(slot)
-        for slot in self.coeffs:
-            self.store.decref(slot)
-        self.coeffs = {}
-        self.own_buffer = []
-        self._sq_norm = 0.0
-        self._anchor_cache = None
+        self.buffers[i] = kept
+        self.recompute_sq_norm(i)
         return removed
 
-    def recompute_sq_norm(self) -> float:
-        """O(B^2) norm from the Gram matrix of the coefficient support."""
-        if not self.coeffs:
-            self._sq_norm = 0.0
-        else:
-            X, sq, beta = self._anchors()
-            gram = kernel_gram(self.spec, X, sq)
-            self._sq_norm = float(beta @ gram @ beta)
-        return self.squared_norm()
+    def clear(self, i: int) -> list[int]:
+        """Restart kernel i: drop its whole buffer and every coefficient."""
+        removed = self.buffers[i]
+        for slot in removed:
+            self.store.decref(slot)
+        self.coef[i] = 0.0
+        self.sq_norms[i] = 0.0
+        self.buffers[i] = []
+        return removed
+
+    def recompute_sq_norm(self, i: int) -> float:
+        """O(n^2) ||f_i||^2 from the Gram matrix of the coefficient support."""
+        s = np.flatnonzero(self.coef[i])
+        beta = self.coef[i, s]
+        X, sq = self.store.X[s], self.store.sqnorm[s]
+        self.sq_norms[i] = float(beta @ kernel_column(self.specs[i], X, sq, X, sq) @ beta)
+        return self.sq_norms[i]

@@ -28,7 +28,7 @@ import numpy as np
 
 from .hedge import HedgeState
 from .hinge_learner import Prediction, RoundRecord
-from .kernels import KernelSpec, kernel_rows
+from .kernels import KernelSpec, kernel_rows, self_values, sq_distances
 from .losses import LogisticLoss, check_label
 
 __all__ = ["SmoothSelectorConfig", "SmoothKernelSelector", "pea_losses"]
@@ -179,7 +179,7 @@ class SmoothKernelSelector:
 
     def _sqdist(self, dots, z_sqnorm):
         """Clipped squared distances from the buffered rows to z, given <x_j, z>."""
-        return np.maximum(self.store.row_sqnorms[: self.store.n] + z_sqnorm - 2.0 * dots, 0.0)
+        return sq_distances(dots, self.store.row_sqnorms[: self.store.n], z_sqnorm)
 
     def predict(self, x) -> Prediction:
         """Per-kernel values f_i(x), their Hedge mixture and its sign (sign(0) is +1).
@@ -196,7 +196,7 @@ class SmoothKernelSelector:
         buf = self.store
         dots = buf.X[: buf.n] @ x
         sqdist = self._sqdist(dots, xsq) if self._gaussian else None
-        rows = kernel_rows(self.kernels, sqdist, dots)
+        rows = kernel_rows(self.kernels, dots, sqdist)
         vals = np.vecdot(buf.coef[:, : buf.n], rows)
         p = self.hedge.distribution()
         agg = float(p @ vals)
@@ -213,16 +213,13 @@ class SmoothKernelSelector:
         self._cache = (dots, sqdist, rows)
         return pred
 
-    def _self_values(self, z_sqnorm: float) -> np.ndarray:
-        """k_i(z, z) for every kernel."""
-        return kernel_rows(self.kernels, np.zeros(1), np.array([z_sqnorm]))[:, 0]
-
     def _values_at_row(self, j: int) -> np.ndarray:
         """f_i(x_j) for every kernel, at buffered row j."""
         buf = self.store
         dots = buf.X[: buf.n] @ buf.X[j]
         sqdist = self._sqdist(dots, buf.row_sqnorms[j]) if self._gaussian else None
-        return np.vecdot(buf.coef[:, : buf.n], kernel_rows(self.kernels, sqdist, dots))
+        rows = kernel_rows(self.kernels, dots, sqdist)
+        return np.vecdot(buf.coef[:, : buf.n], rows)
 
     def _step(self, c: float, j: int, fx, kjj):
         """f_i <- f_i + c k_i(x_j, .) for every kernel, then project onto the ball.
@@ -248,8 +245,7 @@ class SmoothKernelSelector:
         buf = self.store
         X, sq = buf.X[: buf.n], buf.row_sqnorms[: buf.n]
         dots = X @ X.T
-        sqdist = np.maximum(sq[:, None] + sq[None, :] - 2.0 * dots, 0.0) if self._gaussian else None
-        grams = kernel_rows(self.kernels, sqdist, dots)
+        grams = kernel_rows(self.kernels, dots, sq_distances(dots, sq, sq) if self._gaussian else None)
         for i, gram in enumerate(grams):
             beta = buf.coef[i, : buf.n]
             buf.sq_norms[i] = float(beta @ gram @ beta)
@@ -291,8 +287,8 @@ class SmoothKernelSelector:
                 diff = xj - x
                 k_jx, k_jj, k_xx = kernel_rows(
                     self.kernels,
-                    np.array([diff @ diff, 0.0, 0.0]),
                     np.array([xj @ x, buf.row_sqnorms[j], pred.x_sqnorm]),
+                    np.array([diff @ diff, 0.0, 0.0]),
                 ).T
                 if math.sqrt(max((k_jj + k_xx - 2.0 * k_jx).max(), 0.0)) <= gamma:
                     anchor = j
@@ -318,7 +314,7 @@ class SmoothKernelSelector:
                         self.removals += 1
                         did_remove = True
                     j = buf.append(x, pred.x_sqnorm)
-                    self._step(-self.rate * d / prob, j, fx, self._self_values(pred.x_sqnorm))
+                    self._step(-self.rate * d / prob, j, fx, self_values(self.kernels, pred.x_sqnorm))
 
         losses = pea_losses(pred.per_kernel, d)
         self.hedge.update(losses)

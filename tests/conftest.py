@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from okselect import BudgetedFunction, ExampleStore
+from okselect import ExampleStore, KernelExpansions
 from okselect.kernels import kernel_eval
 
 
@@ -38,14 +38,25 @@ def blob_stream(T: int, d: int, seed: int, sep: float = 1.2, noise: float = 0.7)
     return X[perm], y[perm]
 
 
-def random_function(spec, store: ExampleStore, n_atoms: int, rng, scale: float = 1.0):
-    """A function with random coefficients whose atoms are all buffered."""
-    f = BudgetedFunction(spec, store)
+def random_expansion(spec, store: ExampleStore, n_atoms: int, rng, scale: float = 1.0):
+    """A one-kernel expansion with random coefficients whose atoms are all buffered."""
+    ex = KernelExpansions((spec,), store)
     for _ in range(n_atoms):
         slot = store.add(rng.normal(size=store.dim), rng.choice([-1, 1]))
-        f.add_scaled(scale * rng.normal(), slot)
-        f.buffer_append(slot)
-    return f
+        ex.step(0, [slot], [scale * rng.normal()])
+        ex.buffer_append(0, slot)
+    return ex
+
+
+def coeffs(ex: KernelExpansions, i: int = 0) -> dict:
+    """Kernel i's nonzero coefficients as a slot -> coefficient map."""
+    return {int(s): float(ex.coef[i, s]) for s in np.flatnonzero(ex.coef[i])}
+
+
+def value(ex: KernelExpansions, i: int, x) -> float:
+    """f_i(x) from the expansion's own one-pass kernel rows."""
+    x = np.asarray(x, dtype=float)
+    return float(ex.coef[i] @ ex.rows(x, float(x @ x))[i])
 
 
 def brute_norm_sq(spec, store: ExampleStore, coeffs: dict) -> float:
@@ -62,23 +73,42 @@ def brute_value(spec, store: ExampleStore, coeffs: dict, x) -> float:
     return sum(c * kernel_eval(spec, store.X[s], x) for s, c in coeffs.items())
 
 
-def scan_refcounts(store: ExampleStore, functions=(), buffers=()) -> dict:
-    """Exhaustively recount references: buffer memberships + nonzero
-    coefficients across functions, plus memberships of extra buffers."""
+def brute_guess_sq_norm(reservoir, spec) -> float:
+    """O(M^2) squared norm of the reservoir's gradient guess under ``spec``."""
+    guess = reservoir.optimistic_coeffs()
+    return brute_norm_sq(spec, reservoir.store, guess) if guess else 0.0
+
+
+def column_oracle(spec, X, row_sqnorms, x, x_sqnorm):
+    """k(x_j, x) for the rows of ``X``, written out once per kernel kind."""
+    dots = X @ x
+    if spec.kind == "gaussian":
+        sq = np.maximum(row_sqnorms + x_sqnorm - 2.0 * dots, 0.0)
+        return np.exp(-sq / (2.0 * spec.param**2))
+    return dots**spec.param
+
+
+def gram_oracle(spec, X, row_sqnorms):
+    """Gram matrix of the rows of ``X``, written out once per kernel kind."""
+    dots = X @ X.T
+    if spec.kind == "gaussian":
+        sq = np.maximum(row_sqnorms[:, None] + row_sqnorms[None, :] - 2.0 * dots, 0.0)
+        return np.exp(-sq / (2.0 * spec.param**2))
+    return dots**spec.param
+
+
+def scan_refcounts(store: ExampleStore, expansions=(), buffers=()) -> dict:
+    """Exhaustively recount references: the kernel buffers' memberships,
+    plus memberships of extra buffers. Coefficients hold no references."""
     counts: dict[int, int] = {}
-    for f in functions:
-        for slot in f.own_buffer:
-            counts[slot] = counts.get(slot, 0) + 1
-        for slot in f.coeffs:
-            counts[slot] = counts.get(slot, 0) + 1
-    for buf in buffers:
+    for buf in [b for ex in expansions for b in ex.buffers] + list(buffers):
         for slot in buf:
             counts[slot] = counts.get(slot, 0) + 1
     return counts
 
 
-def assert_refcounts_conserved(store: ExampleStore, functions=(), buffers=()):
-    counts = scan_refcounts(store, functions, buffers)
+def assert_refcounts_conserved(store: ExampleStore, expansions=(), buffers=()):
+    counts = scan_refcounts(store, expansions, buffers)
     for slot in np.flatnonzero(store.live):
         assert store.refs[slot] == counts.get(slot, 0), f"refcount mismatch at slot {slot}"
     for slot, n in counts.items():

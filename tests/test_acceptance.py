@@ -257,7 +257,7 @@ def test_criterion_6_unbiased_surrogates():
 
 
 def test_criterion_7_mirror_step_optimality():
-    from okselect.rkhs import BudgetedFunction
+    from okselect.rkhs import KernelExpansions
 
     rng = np.random.default_rng(63)
     spec = gaussian(1.0)
@@ -270,20 +270,20 @@ def test_criterion_7_mirror_step_optimality():
         radius = float(rng.uniform(0.5, 2.0))
         lam = float(rng.uniform(0.05, 1.0))
 
-        f = BudgetedFunction(spec, store)
+        f = KernelExpansions((spec,), store)
         beta_f = rng.normal(size=n) * rng.uniform(0.2, 1.5)
         for e, c in zip(ids, beta_f):
-            f.add_scaled(float(c), e)
-        f.project_ball(radius)  # feasible start
-        beta_f = np.array([f.coeffs.get(e, 0.0) for e in ids])
+            f.step(0, [e], [float(c)])
+        f.project(radius)  # feasible start
+        beta_f = f.coef[0, ids].copy()
 
         grad = np.zeros(n)
         grad[rng.integers(n)] = rng.normal()
         grad[rng.integers(n)] += rng.normal()
 
-        f.add_scaled_many({e: float(-lam * g) for e, g in zip(ids, grad) if g != 0.0})
-        f.project_ball(radius)
-        beta_new = np.array([f.coeffs.get(e, 0.0) for e in ids])
+        f.step(0, ids, -lam * grad)
+        f.project(radius)
+        beta_new = f.coef[0, ids].copy()
 
         def objective(beta):
             diff = beta - beta_f

@@ -5,8 +5,13 @@ per round, the predicted label, the exact bits of the aggregate
 (``float.hex``), the branch, the coin and the removal flags, and at the end
 the cumulative loss and the removal counts. The digests were recorded
 before the smooth learner moved to one shared buffer; a change that moves
-any rounding or random draw of a learner changes them. Print the current
-digests with ``PYTHONPATH=src python tests/test_golden.py``.
+any rounding or random draw of a learner changes them. The two
+``momd_h_blob`` digests were recorded again when the hinge learner moved to
+one coefficient matrix: its sums now run in slot order over one pass of
+the whole store, which moves the last bits of the aggregates (by at most
+5e-13 relative), while every label, branch, coin, removal and reservoir
+decision stayed the same. Print the current digests with
+``PYTHONPATH=src python tests/test_golden.py``.
 """
 
 from __future__ import annotations
@@ -92,8 +97,8 @@ GOLDEN = {
     "momd_s_blob_restart": "8649364a64097555d9e0fac5aa8abb4ba17cfe93794fe3ff8fc800589eebac36",
     "momd_s_mixed_grid": "8621ad3bc844e3dbdee9ae5a6178f1893e0371aad8ec37ec76b4b2bab6ca9632",
     "momd_s_lowerbound_poly1": "e7dabb6961177bf1236945f682fe53af795a29b1b7af624e779e91b361f256d3",
-    "momd_h_blob_half": "06a6e35219a1fa2db1233cc83061bba1240ae8dfca33888cbc208d99d5a44b6f",
-    "momd_h_blob_restart": "b1b302cfdde574c207ad8cd5a3903b3126e5732120fc85cad9c55937b0ca5720",
+    "momd_h_blob_half": "c4ee79e6321e33086e5fa28a2339314c6c59b27a2ee23c2d7176699cc0b3a5f4",
+    "momd_h_blob_restart": "1df210a556b101599da2f45b462c6a45d509fecff4d228832d27d807a2e1510e",
     "momd_h_lowerbound_poly1": "d66645e2392e4cea6f803cfbb9dd82412f0d28a9fffbaab034d2545d54fcdfe1",
 }
 

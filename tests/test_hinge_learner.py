@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from okselect import (
     BudgetError,
@@ -9,11 +11,12 @@ from okselect import (
     HingeSelectorConfig,
     allocate_budgets,
     gaussian,
+    polynomial,
 )
 from okselect.hinge_learner import importance_weighted_coeffs
 from okselect.kernels import kernel_eval
 
-from conftest import assert_refcounts_conserved, blob_stream
+from conftest import assert_refcounts_conserved, blob_stream, brute_guess_sq_norm, brute_norm_sq, brute_value, coeffs
 
 GRID = tuple(gaussian(s, i) for i, s in enumerate((0.25, 1.0, 4.0, 16.0, 64.0)))
 
@@ -99,11 +102,11 @@ class TestFirstRound:
         # empty guess: P = 1 and the step is a plain projected gradient step
         assert np.allclose(rec.prob, 1.0)
         assert np.all(rec.coin == 1)
-        for i, f in enumerate(learner.functions):
-            assert f.buffer_size() == 1
-            eid = f.own_buffer[0]
+        ex = learner.expansions
+        for i, buf in enumerate(ex.buffers):
+            assert len(buf) == 1
             expect = min(1.0, learner.radius / learner.rate) * learner.rate * 1.0
-            assert f.coeffs[eid] == pytest.approx(expect, rel=1e-12)
+            assert ex.coef[i, buf[0]] == pytest.approx(expect, rel=1e-12)
 
     def test_first_round_gap_is_kernel_diagonal(self):
         learner = HingeKernelSelector(make_config())
@@ -208,7 +211,7 @@ class TestFullRuns:
                     assert learner.per_kernel_cap // 2 + 1 <= learner.per_kernel_cap
         assert_refcounts_conserved(
             learner.store,
-            functions=learner.functions,
+            expansions=[learner.expansions],
             buffers=[learner.reservoir.sample, learner.reservoir.archive],
         )
 
@@ -221,7 +224,7 @@ class TestFullRuns:
             rec = learner.update(X[t], y[t])
             for i in range(len(GRID)):
                 if rec.removed[i]:
-                    sizes_after_removal.append(learner.functions[i].buffer_size())
+                    sizes_after_removal.append(len(learner.expansions.buffers[i]))
         assert sizes_after_removal, "no removal was exercised; change the seed"
         assert set(sizes_after_removal) == {learner.per_kernel_cap // 2 + 1}
 
@@ -276,13 +279,73 @@ class TestFullRuns:
         proxies = 0
         for t in range(len(y)):
             learner.predict(X[t])
-            before = [f.buffer_size() for f in learner.functions]
+            before = [len(buf) for buf in learner.expansions.buffers]
             rec = learner.update(X[t], y[t])
             for i in range(len(GRID)):
                 if rec.branch[i] == "proxy":
                     proxies += 1
-                    assert learner.functions[i].buffer_size() == before[i]
+                    assert len(learner.expansions.buffers[i]) == before[i]
         assert proxies > 0
+
+
+class TestCoefficientMatrix:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        grid=st.sampled_from([
+            (gaussian(0.5, 0), gaussian(2.0, 1), gaussian(8.0, 2)),
+            (gaussian(1.0, 0),),
+            (polynomial(1, 0),),
+            (gaussian(1.0, 0), polynomial(1, 1)),
+        ]),
+        extra_budget=st.integers(0, 6),
+        reservoir_size=st.integers(1, 3),
+        removal=st.sampled_from(["half", "restart"]),
+        pool=st.lists(
+            st.lists(st.floats(-1.5, 1.5, allow_nan=False), min_size=3, max_size=3),
+            min_size=2, max_size=6,
+        ),
+        rounds=st.lists(st.tuples(st.integers(0, 5), st.sampled_from([-1, 1])), min_size=10, max_size=40),
+        seed=st.integers(0, 2**16),
+    )
+    def test_values_and_norms_match_scalar_oracles(self, grid, extra_budget, reservoir_size, removal, pool, rounds, seed):
+        # Rounds draw from a small pool of inputs, so duplicates force proxies,
+        # and small budgets force half-removals or restarts.
+        learner = HingeKernelSelector(HingeSelectorConfig(
+            kernels=grid, dim=3, budget=4 * len(grid) + extra_budget, horizon=len(rounds),
+            reservoir_size=reservoir_size, removal=removal, seed=seed,
+        ))
+        store, ex, res = learner.store, learner.expansions, learner.reservoir
+        pool = np.array(pool)
+        for idx, y in rounds:
+            x = pool[idx % len(pool)]
+            pred = learner.predict(x)
+            guess = res.optimistic_coeffs()
+            for i, spec in enumerate(grid):
+                g = brute_value(spec, store, guess, x)
+                assert pred.guess_values[i] == pytest.approx(g, rel=1e-9, abs=1e-12)
+                fi = brute_value(spec, store, coeffs(ex, i), x)
+                assert pred.per_kernel[i] == pytest.approx(fi - learner.rate * g, rel=1e-9, abs=1e-12)
+            learner.update(x, y)
+            learner.check_invariants()
+            archive = set(res.archive)
+            assert not ex.coef[:, ~store.live].any()
+            for i, spec in enumerate(grid):
+                assert set(np.flatnonzero(ex.coef[i]).tolist()) <= archive | set(ex.buffers[i])
+                assert ex.sq_norms[i] == pytest.approx(brute_norm_sq(spec, store, coeffs(ex, i)), rel=1e-9, abs=1e-12)
+                assert res.optimistic_sq_norm(i) == pytest.approx(brute_guess_sq_norm(res, spec), rel=1e-9, abs=1e-12)
+
+    def test_default_kernel_indices_change_nothing(self):
+        # gaussian() defaults to index 0; each kernel must still get its own guess-norm cache
+        X, y = blob_stream(120, 3, seed=30)
+        runs = []
+        for grid in ((gaussian(0.5), gaussian(4.0)), (gaussian(0.5, 0), gaussian(4.0, 1))):
+            learner = HingeKernelSelector(HingeSelectorConfig(kernels=grid, dim=3, budget=20, horizon=120, seed=8))
+            recs = [(learner.predict(X[t]), learner.update(X[t], y[t]))[1] for t in range(len(y))]
+            runs.append(recs)
+        for a, b in zip(*runs):
+            assert (a.label, a.aggregate, a.branch, a.reservoir_accepted) == (b.label, b.aggregate, b.branch, b.reservoir_accepted)
+            for field in ("per_kernel", "losses", "prob", "coin", "gap_sq", "removed"):
+                assert np.array_equal(getattr(a, field), getattr(b, field), equal_nan=True)
 
 
 class TestInputValidation:

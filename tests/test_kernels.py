@@ -6,22 +6,22 @@ import pytest
 from okselect.kernels import (
     KernelSpec,
     feature_distance,
-    feature_distance_column,
     gaussian,
     kernel_column,
-    kernel_cross,
     kernel_eval,
-    kernel_gram,
     kernel_rows,
+    pairwise,
     polynomial,
-    self_eval,
+    self_values,
 )
+
+from conftest import column_oracle, gram_oracle
 
 
 def test_gaussian_identity_is_one():
     x = np.array([0.3, -0.7])
     assert kernel_eval(gaussian(1.0), x, x) == 1.0
-    assert self_eval(gaussian(1.0), x) == 1.0
+    assert self_values((gaussian(1.0), gaussian(3.0)), x @ x).tolist() == [1.0, 1.0]
 
 
 def test_gaussian_closed_form():
@@ -64,7 +64,8 @@ def test_distance_squared_matches_expansion():
     for _ in range(1000):
         x, z = rng.normal(size=3), rng.normal(size=3)
         lhs = feature_distance(spec, x, z) ** 2
-        rhs = self_eval(spec, x) + self_eval(spec, z) - 2.0 * kernel_eval(spec, x, z)
+        kxx, kzz = self_values((spec,), [x @ x, z @ z])[0]
+        rhs = kxx + kzz - 2.0 * kernel_eval(spec, x, z)
         assert abs(lhs - rhs) <= 1e-12
 
 
@@ -90,11 +91,13 @@ def test_batched_column_matches_scalar():
     X = rng.normal(size=(20, 6))
     sq = np.einsum("ij,ij->i", X, X)
     x = rng.normal(size=6)
+    xsq = float(x @ x)
     for spec in (gaussian(1.3), polynomial(3)):
-        col = kernel_column(spec, X, sq, x)
+        col = kernel_column(spec, X, sq, x, xsq)
         for j in range(20):
             assert col[j] == pytest.approx(kernel_eval(spec, X[j], x), rel=1e-10, abs=1e-12)
-        dcol = feature_distance_column(spec, X, sq, x)
+        # feature-space distances from one column, as the hinge learner's proxy search takes them
+        dcol = np.sqrt(np.maximum(self_values((spec,), sq)[0] + self_values((spec,), xsq)[0] - 2.0 * col, 0.0))
         for j in range(20):
             assert dcol[j] == pytest.approx(feature_distance(spec, X[j], x), rel=1e-9, abs=1e-9)
 
@@ -106,18 +109,18 @@ def test_rows_match_column_and_gram_bit_for_bit():
     x = rng.normal(size=6)
     xsq = float(x @ x)
     specs = (gaussian(0.5, 0), polynomial(1, 1), gaussian(4.0, 2), polynomial(3, 3))
-    dots = X @ x
-    rows = kernel_rows(specs, np.maximum(sq + xsq - 2.0 * dots, 0.0), dots)
-    gdots = X @ X.T
-    grams = kernel_rows(specs, np.maximum(sq[:, None] + sq[None, :] - 2.0 * gdots, 0.0), gdots)
+    rows = kernel_rows(specs, *pairwise(X, sq, x, xsq))
+    grams = kernel_rows(specs, *pairwise(X, sq, X, sq))
     assert rows.shape == (4, 30) and grams.shape == (4, 30, 30)
     for i, spec in enumerate(specs):
-        assert np.array_equal(rows[i], kernel_column(spec, X, sq, x, xsq))
-        assert np.array_equal(grams[i], kernel_gram(spec, X, sq))
+        assert np.array_equal(rows[i], column_oracle(spec, X, sq, x, xsq))
+        assert np.array_equal(grams[i], gram_oracle(spec, X, sq))
+        assert np.array_equal(kernel_column(spec, X, sq, X, sq), grams[i])
+    dots = X @ x
     poly = (polynomial(1, 0), polynomial(2, 1))
-    assert np.array_equal(kernel_rows(poly, None, dots), [dots**1.0, dots**2.0])
+    assert np.array_equal(kernel_rows(poly, dots), [dots**1.0, dots**2.0])
     with pytest.raises(ValueError):
-        kernel_rows(specs, None, dots)
+        kernel_rows(specs, dots)
 
 
 def test_gram_and_cross_match_scalar():
@@ -127,8 +130,8 @@ def test_gram_and_cross_match_scalar():
     sqx = np.einsum("ij,ij->i", X, X)
     sqz = np.einsum("ij,ij->i", Z, Z)
     for spec in (gaussian(0.7), polynomial(2)):
-        G = kernel_gram(spec, X, sqx)
-        C = kernel_cross(spec, X, sqx, Z, sqz)
+        G = kernel_column(spec, X, sqx, X, sqx)
+        C = kernel_column(spec, X, sqx, Z, sqz)
         for a in range(8):
             for b in range(8):
                 assert G[a, b] == pytest.approx(kernel_eval(spec, X[a], X[b]), rel=1e-10, abs=1e-12)

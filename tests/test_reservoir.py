@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from okselect import ExampleStore, Reservoir
-from okselect.kernels import gaussian, kernel_eval
+from okselect.kernels import gaussian, kernel_eval, kernel_rows, pairwise
+
+from conftest import brute_guess_sq_norm
 
 BIG_CAP = 10**9  # effectively uncapped archive for sampling-law tests
 STORE_CAP = 1024  # store slots: room for an uncapped archive over these streams
@@ -14,6 +16,13 @@ def make_reservoir(capacity=10, archive_cap=BIG_CAP, seed=0, specs=(), dim=2):
     store = ExampleStore(dim=dim, capacity=STORE_CAP)
     rng = np.random.default_rng(seed)
     return store, Reservoir(store, capacity, archive_cap, rng, specs=specs)
+
+
+def guess(r, spec, x):
+    """The reservoir's guess value at x, from kernel rows over the whole store."""
+    x = np.asarray(x, dtype=float)
+    st = r.store
+    return r.optimistic_value_many(kernel_rows((spec,), *pairwise(st.X, st.sqnorm, x, float(x @ x))))[0]
 
 
 def test_always_inserts_until_full():
@@ -93,13 +102,13 @@ def test_optimistic_value_empty_and_single():
     spec = gaussian(1.0)
     store, r = make_reservoir(capacity=4, seed=6, specs=(spec,))
     x = np.array([0.5, 0.5])
-    assert r.optimistic_value_many((spec,), x)[0] == 0.0
-    assert r.optimistic_sq_norm(spec) == 0.0
+    assert guess(r, spec, x) == 0.0
+    assert r.optimistic_sq_norm(0) == 0.0
     assert r.optimistic_coeffs() == {}
     r.observe([1.0, 0.0], 1)  # t=1: inserted with probability 1
     expect = -kernel_eval(spec, np.array([1.0, 0.0]), x)
-    assert r.optimistic_value_many((spec,), x)[0] == pytest.approx(expect, abs=1e-12)
-    assert r.optimistic_sq_norm(spec) == pytest.approx(1.0, abs=1e-12)
+    assert guess(r, spec, x) == pytest.approx(expect, abs=1e-12)
+    assert r.optimistic_sq_norm(0) == pytest.approx(1.0, abs=1e-12)
     eid = r.sample[0]
     assert r.optimistic_coeffs() == {eid: -1.0}
 
@@ -109,24 +118,25 @@ def test_optimistic_value_cancellation():
     store, r = make_reservoir(capacity=4, seed=7, specs=(spec,))
     r.observe([1.0, 0.0], 1)
     r.observe([1.0, 0.0], -1)
-    assert r.optimistic_value_many((spec,), np.array([0.3, 0.4]))[0] == pytest.approx(0.0, abs=1e-12)
-    assert r.optimistic_sq_norm(spec) == pytest.approx(0.0, abs=1e-12)
+    assert guess(r, spec, [0.3, 0.4]) == pytest.approx(0.0, abs=1e-12)
+    assert r.optimistic_sq_norm(0) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_sq_norm_cache_tracks_brute_force_under_swaps():
-    specs = (gaussian(0.5, 0), gaussian(2.0, 1))
+    # default indices (both 0): each kernel still needs its own cache
+    specs = (gaussian(0.5), gaussian(2.0))
     store, r = make_reservoir(capacity=10, seed=8, specs=specs, dim=3)
     rng = np.random.default_rng(80)
     for t in range(400):
         r.observe(rng.normal(size=3), int(rng.choice([-1, 1])))
         if t % 20 == 0:
-            for spec in specs:
-                assert r.optimistic_sq_norm(spec) == pytest.approx(
-                    r.recompute_sq_norm(spec), rel=1e-8, abs=1e-10
+            for i, spec in enumerate(specs):
+                assert r.optimistic_sq_norm(i) == pytest.approx(
+                    brute_guess_sq_norm(r, spec), rel=1e-8, abs=1e-10
                 )
-    for spec in specs:
-        assert r.optimistic_sq_norm(spec) == pytest.approx(
-            r.recompute_sq_norm(spec), rel=1e-8, abs=1e-10
+    for i, spec in enumerate(specs):
+        assert r.optimistic_sq_norm(i) == pytest.approx(
+            brute_guess_sq_norm(r, spec), rel=1e-8, abs=1e-10
         )
 
 

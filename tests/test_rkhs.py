@@ -3,10 +3,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from okselect import BudgetedFunction, ExampleStore, Reservoir
+from okselect import ExampleStore, KernelExpansions, Reservoir
 from okselect.kernels import gaussian, kernel_eval, polynomial
 
-from conftest import assert_refcounts_conserved, brute_norm_sq, brute_value, random_function, scan_refcounts
+from conftest import (
+    assert_refcounts_conserved,
+    brute_norm_sq,
+    brute_value,
+    coeffs,
+    random_expansion,
+    scan_refcounts,
+    value,
+)
 
 
 class TestExampleStore:
@@ -46,128 +54,128 @@ class TestExampleStore:
         ids = [s.add([float(i), -float(i)], (-1) ** i) for i in range(5)]
         for e in ids:
             s.incref(e)
-        X, sq, lab = s.rows(ids[1:4])
-        assert np.allclose(X[:, 0], [1.0, 2.0, 3.0])
-        assert np.allclose(sq, [2.0, 8.0, 18.0])
-        assert np.allclose(lab, [-1.0, 1.0, -1.0])
+        batch = ids[1:4]
+        assert np.allclose(s.X[batch, 0], [1.0, 2.0, 3.0])
+        assert np.allclose(s.sqnorm[batch], [2.0, 8.0, 18.0])
+        assert np.allclose(s.label[batch], [-1.0, 1.0, -1.0])
 
 
 class TestEvaluate:
     def test_empty_function_is_zero(self):
         s = ExampleStore(dim=2)
-        f = BudgetedFunction(gaussian(1.0), s)
-        assert f.value(np.array([1.0, 2.0])) == 0.0
-        assert f.squared_norm() == 0.0
+        ex = KernelExpansions((gaussian(1.0),), s)
+        assert value(ex, 0, [1.0, 2.0]) == 0.0
+        assert ex.sq_norms[0] == 0.0
 
     def test_single_atom_at_itself(self):
         s = ExampleStore(dim=2)
-        f = BudgetedFunction(gaussian(1.0), s)
+        ex = KernelExpansions((gaussian(1.0),), s)
         e = s.add([0.3, -0.7], 1)
-        f.add_scaled(1.0, e)
-        assert f.value(np.array([0.3, -0.7])) == pytest.approx(1.0, abs=1e-12)
+        ex.step(0, [e], [1.0])
+        assert value(ex, 0, [0.3, -0.7]) == pytest.approx(1.0, abs=1e-12)
 
     def test_against_brute_force(self):
         rng = np.random.default_rng(3)
         s = ExampleStore(dim=3)
         spec = gaussian(0.9)
-        f = random_function(spec, s, 20, rng)
+        ex = random_expansion(spec, s, 20, rng)
         for _ in range(20):
             x = rng.normal(size=3)
-            assert f.value(x) == pytest.approx(brute_value(spec, s, f.coeffs, x), rel=1e-10, abs=1e-12)
+            assert value(ex, 0, x) == pytest.approx(brute_value(spec, s, coeffs(ex), x), rel=1e-10, abs=1e-12)
 
     def test_linearity(self):
         rng = np.random.default_rng(4)
         s = ExampleStore(dim=3)
         spec = gaussian(1.5)
-        f = random_function(spec, s, 10, rng)
+        ex = random_expansion(spec, s, 10, rng)
         for _ in range(50):
             z = rng.normal(size=3)
-            before = f.value(z)
+            before = value(ex, 0, z)
             c = rng.normal()
-            anchor = rng.choice(f.own_buffer)
+            anchor = rng.choice(ex.buffers[0])
             expected = before + c * kernel_eval(spec, s.X[anchor], z)
-            f.add_scaled(c, anchor)
-            assert f.value(z) == pytest.approx(expected, rel=1e-9, abs=1e-10)
+            ex.step(0, [anchor], [c])
+            assert value(ex, 0, z) == pytest.approx(expected, rel=1e-9, abs=1e-10)
 
 
 class TestNormTracking:
     def test_single_atom_norm(self):
         s = ExampleStore(dim=2)
-        f = BudgetedFunction(gaussian(1.0), s)
+        ex = KernelExpansions((gaussian(1.0), gaussian(1.0, 1)), s)
         e = s.add([1.0, 1.0], 1)
-        f.add_scaled(1.0, e)
-        assert f.squared_norm() == pytest.approx(1.0, abs=1e-12)
-        f2 = BudgetedFunction(gaussian(1.0), s)
-        f2.add_scaled(-0.5, e)
-        assert f2.squared_norm() == pytest.approx(0.25, abs=1e-12)
+        ex.step(0, [e], [1.0])
+        assert ex.sq_norms[0] == pytest.approx(1.0, abs=1e-12)
+        ex.step(1, [e], [-0.5])
+        assert ex.sq_norms[1] == pytest.approx(0.25, abs=1e-12)
+        assert ex.sq_norms[0] == pytest.approx(1.0, abs=1e-12)  # rows are independent
 
     def test_add_then_subtract_returns_to_start(self):
         rng = np.random.default_rng(5)
         s = ExampleStore(dim=3)
-        f = random_function(gaussian(1.0), s, 8, rng)
-        start = f.squared_norm()
-        e = f.own_buffer[0]
-        f.add_scaled(0.7, e)
-        f.add_scaled(-0.7, e)
-        assert f.squared_norm() == pytest.approx(start, abs=1e-10)
+        ex = random_expansion(gaussian(1.0), s, 8, rng)
+        start = ex.sq_norms[0]
+        e = ex.buffers[0][0]
+        ex.step(0, [e], [0.7])
+        ex.step(0, [e], [-0.7])
+        assert ex.sq_norms[0] == pytest.approx(start, abs=1e-10)
 
     @pytest.mark.parametrize("spec", [gaussian(0.8), polynomial(2)])
     def test_incremental_matches_gram(self, spec):
         rng = np.random.default_rng(6)
         s = ExampleStore(dim=3)
-        f = random_function(spec, s, 20, rng)
+        ex = random_expansion(spec, s, 20, rng)
         for _ in range(30):
-            f.add_scaled(rng.normal(), rng.choice(f.own_buffer))
-            oracle = brute_norm_sq(spec, s, f.coeffs)
-            assert f.squared_norm() == pytest.approx(oracle, rel=1e-8, abs=1e-10)
+            ex.step(0, [rng.choice(ex.buffers[0])], [rng.normal()])
+            oracle = brute_norm_sq(spec, s, coeffs(ex))
+            assert ex.sq_norms[0] == pytest.approx(oracle, rel=1e-8, abs=1e-10)
 
     def test_add_scaled_many_matches_sequential(self):
         rng = np.random.default_rng(7)
         spec = gaussian(1.2)
         s = ExampleStore(dim=3)
-        f = random_function(spec, s, 6, rng)
+        f = random_expansion(spec, s, 6, rng)
         extra = [s.add(rng.normal(size=3), 1) for _ in range(3)]
-        updates = {e: rng.normal() for e in list(f.own_buffer[:2]) + extra}
-        g = random_function(spec, s, 0, rng)  # fresh empty
-        for e, c in f.coeffs.items():
-            g.add_scaled(c, e)
-        for e, c in updates.items():
-            g.add_scaled(c, e)
-        f.add_scaled_many(updates)
-        assert f.squared_norm() == pytest.approx(g.squared_norm(), rel=1e-9, abs=1e-10)
+        updates = {e: rng.normal() for e in list(f.buffers[0][:2]) + extra}
+        g = KernelExpansions((spec,), s)
+        for e, c in list(coeffs(f).items()) + list(updates.items()):
+            g.step(0, [e], [c])
+        f.step(0, list(updates), list(updates.values()))
+        assert f.sq_norms[0] == pytest.approx(g.sq_norms[0], rel=1e-9, abs=1e-10)
         for e in updates:
-            assert f.coeffs.get(e, 0.0) == pytest.approx(g.coeffs.get(e, 0.0), rel=1e-12)
+            assert f.coef[0, e] == pytest.approx(g.coef[0, e], rel=1e-12)
 
 
 class TestProjection:
     def test_inside_ball_untouched(self):
         s = ExampleStore(dim=2)
-        f = BudgetedFunction(gaussian(1.0), s)
+        ex = KernelExpansions((gaussian(1.0),), s)
         e = s.add([1.0, 0.0], 1)
-        f.add_scaled(0.5, e)
-        coeff = dict(f.coeffs)
-        f.project_ball(1.0)
-        assert f.coeffs == coeff
+        ex.step(0, [e], [0.5])
+        coef = ex.coef.copy()
+        ex.project(1.0)
+        assert np.array_equal(ex.coef, coef)
 
     def test_scaling(self):
         s = ExampleStore(dim=2)
-        f = BudgetedFunction(gaussian(1.0), s)
+        ex = KernelExpansions((gaussian(1.0), gaussian(2.0, 1)), s)
         e = s.add([1.0, 0.0], 1)
-        f.add_scaled(2.0, e)
-        f.project_ball(1.0)
-        assert f.coeffs[e] == pytest.approx(1.0, abs=1e-12)
-        assert f.squared_norm() == 1.0
+        ex.step(0, [e], [2.0])
+        ex.step(1, [e], [0.5])
+        ex.project(1.0)
+        assert ex.coef[0, e] == pytest.approx(1.0, abs=1e-12)
+        assert ex.sq_norms[0] == 1.0
+        assert ex.coef[1, e] == 0.5  # a feasible row is left alone
 
     def test_projection_norm_exact_and_idempotent(self):
         rng = np.random.default_rng(8)
         s = ExampleStore(dim=3)
-        f = random_function(gaussian(1.0), s, 15, rng, scale=3.0)
-        assert f.norm() > 1.0
-        f.project_ball(1.0)
-        assert f.recompute_sq_norm() == pytest.approx(1.0, rel=1e-8)
-        coeffs = dict(f.coeffs)
-        f.project_ball(1.0)
-        assert f.coeffs == coeffs  # idempotent
+        ex = random_expansion(gaussian(1.0), s, 15, rng, scale=3.0)
+        assert ex.sq_norms[0] > 1.0
+        ex.project(1.0)
+        assert ex.recompute_sq_norm(0) == pytest.approx(1.0, rel=1e-8)
+        coef = ex.coef.copy()
+        ex.project(1.0)
+        assert np.array_equal(ex.coef, coef)  # idempotent
 
     def test_projection_is_nearest_point(self):
         # the projected function minimizes ||g - f_pre|| over the ball:
@@ -175,15 +183,15 @@ class TestProjection:
         rng = np.random.default_rng(9)
         spec = gaussian(1.0)
         s = ExampleStore(dim=3)
-        f = random_function(spec, s, 10, rng, scale=2.0)
-        ids = list(f.coeffs.keys())
-        beta_pre = np.array([f.coeffs[e] for e in ids])
+        ex = random_expansion(spec, s, 10, rng, scale=2.0)
+        ids = list(coeffs(ex))
+        beta_pre = ex.coef[0, ids].copy()
         X = s.X[ids]
         G = np.array([[kernel_eval(spec, a, b) for b in X] for a in X])
         U = 1.0
         assert beta_pre @ G @ beta_pre > U**2
-        f.project_ball(U)
-        beta_post = np.array([f.coeffs[e] for e in ids])
+        ex.project(U)
+        beta_post = ex.coef[0, ids]
         best = (beta_post - beta_pre) @ G @ (beta_post - beta_pre)
         for _ in range(1000):
             cand = rng.normal(size=len(ids))
@@ -197,94 +205,96 @@ class TestSplitHalf:
     def _four_atom(self, spec=None):
         spec = spec or gaussian(1.0)
         s = ExampleStore(dim=2)
-        f = BudgetedFunction(spec, s)
+        ex = KernelExpansions((spec,), s)
         ids = []
-        pts = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]
-        for p in pts:
+        for p in ([0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]):
             e = s.add(p, 1)
-            f.add_scaled(0.5, e)
-            f.buffer_append(e)
+            ex.step(0, [e], [0.5])
+            ex.buffer_append(0, e)
             ids.append(e)
-        return s, f, ids
+        return s, ex, ids
 
     def test_keep_oldest(self):
-        s, f, ids = self._four_atom()
-        removed = f.split_half()
-        assert f.own_buffer == ids[:2]
+        s, ex, ids = self._four_atom()
+        removed = ex.split_half(0)
+        assert ex.buffers[0] == ids[:2]
         assert removed == ids[2:]
-        assert all(e not in f.coeffs for e in removed)
+        assert np.all(ex.coef[0, removed] == 0.0)
 
     def test_odd_buffer_rejected(self):
         s = ExampleStore(dim=2)
-        f = BudgetedFunction(gaussian(1.0), s)
+        ex = KernelExpansions((gaussian(1.0),), s)
         for p in ([0.0, 0.0], [1.0, 0.0], [0.0, 1.0]):
             e = s.add(p, 1)
-            f.add_scaled(1.0, e)
-            f.buffer_append(e)
+            ex.step(0, [e], [1.0])
+            ex.buffer_append(0, e)
         with pytest.raises(ValueError):
-            f.split_half()
+            ex.split_half(0)
 
     def test_norm_recomputed(self):
         rng = np.random.default_rng(10)
         spec = gaussian(0.8)
         s = ExampleStore(dim=3)
-        f = random_function(spec, s, 12, rng)
-        f.split_half()
-        assert f.squared_norm() == pytest.approx(brute_norm_sq(spec, s, f.coeffs), rel=1e-8, abs=1e-12)
+        ex = random_expansion(spec, s, 12, rng)
+        ex.split_half(0)
+        assert ex.sq_norms[0] == pytest.approx(brute_norm_sq(spec, s, coeffs(ex)), rel=1e-8, abs=1e-12)
 
     def test_archive_supported_mass_is_kept(self):
-        # coefficients anchored outside own_buffer survive the split
+        # coefficients anchored outside the buffer survive the split
         rng = np.random.default_rng(11)
         spec = gaussian(1.0)
         s = ExampleStore(dim=2)
-        f = random_function(spec, s, 4, rng)
+        ex = random_expansion(spec, s, 4, rng)
         outside = s.add(rng.normal(size=2), -1)
-        f.add_scaled(0.33, outside)
-        f.split_half()
-        assert f.coeffs[outside] == pytest.approx(0.33)
-        assert outside not in f.own_buffer
+        s.incref(outside)  # held by an archive, as in the hinge learner
+        ex.step(0, [outside], [0.33])
+        ex.split_half(0)
+        assert ex.coef[0, outside] == pytest.approx(0.33)
+        assert outside not in ex.buffers[0]
 
     def test_refcounts_released(self):
-        s, f, ids = self._four_atom()
-        removed = f.split_half()
+        s, ex, ids = self._four_atom()
+        removed = ex.split_half(0)
         for e in removed:
             assert not s.live[e]  # reclaimed: no references remain
-        assert_refcounts_conserved(s, functions=[f])
+        assert_refcounts_conserved(s, expansions=[ex])
 
 
 def test_drift_over_random_interleaving():
     rng = np.random.default_rng(12)
     spec = gaussian(1.1)
     s = ExampleStore(dim=3)
-    f = random_function(spec, s, 6, rng)
+    ex = random_expansion(spec, s, 6, rng)
     for _ in range(1000):
         op = rng.integers(3)
+        buf = ex.buffers[0]
         if op == 0:
-            if rng.random() < 0.5 and f.own_buffer:
-                f.add_scaled(rng.normal(), rng.choice(f.own_buffer))
+            if rng.random() < 0.5 and buf:
+                ex.step(0, [rng.choice(buf)], [rng.normal()])
             else:
                 e = s.add(rng.normal(size=3), rng.choice([-1, 1]))
-                f.add_scaled(rng.normal(), e)
-                f.buffer_append(e)
+                ex.step(0, [e], [rng.normal()])
+                ex.buffer_append(0, e)
         elif op == 1:
-            f.project_ball(2.0)
-        elif op == 2 and f.buffer_size() >= 2 and f.buffer_size() % 2 == 0:
-            f.split_half()
-    oracle = brute_norm_sq(spec, s, f.coeffs)
-    assert f.squared_norm() == pytest.approx(oracle, rel=1e-6, abs=1e-9)
-    assert_refcounts_conserved(s, functions=[f])
+            ex.project(2.0)
+        elif op == 2 and len(buf) >= 2 and len(buf) % 2 == 0:
+            ex.split_half(0)
+    oracle = brute_norm_sq(spec, s, coeffs(ex))
+    assert ex.sq_norms[0] == pytest.approx(oracle, rel=1e-6, abs=1e-9)
+    assert_refcounts_conserved(s, expansions=[ex])
 
 
 def test_clear_releases_everything():
     rng = np.random.default_rng(13)
     s = ExampleStore(dim=2)
-    f = random_function(gaussian(1.0), s, 6, rng)
+    ex = random_expansion(gaussian(1.0), s, 6, rng)
     outside = s.add(rng.normal(size=2), 1)
-    f.add_scaled(1.0, outside)
-    f.clear()
-    assert f.squared_norm() == 0.0
-    assert f.coeffs == {}
-    assert f.own_buffer == []
+    ex.step(0, [outside], [1.0])
+    ex.clear(0)
+    s.release_if_unreferenced(outside)
+    assert ex.sq_norms[0] == 0.0
+    assert not ex.coef.any()
+    assert ex.buffers[0] == []
     assert len(s) == 0
 
 
@@ -293,23 +303,25 @@ _OPS = ("add", "add_scaled", "add_scaled_many", "project_ball", "split_half", "c
 
 @settings(max_examples=80, deadline=None)
 @given(
-    n_functions=st.integers(2, 3),
+    n_kernels=st.integers(2, 3),
     ops=st.lists(
         st.tuples(st.sampled_from(_OPS), st.integers(0, 2), st.integers(0, 2**32 - 1)),
         min_size=1, max_size=60,
     ),
 )
-def test_random_operations_keep_refcounts_and_rows(n_functions, ops):
-    # Several functions and a reservoir share one store, as in the hinge
-    # learner. Each op adds at most one example, so 60 ops fit the store.
+def test_random_operations_keep_refcounts_and_rows(n_kernels, ops):
+    # Several kernels' expansions and a reservoir share one store, as in the
+    # hinge learner, and steps land only where that learner puts them: on a
+    # kernel's own buffer, on the archive, or on a new example that then
+    # joins the buffer. Each op adds at most one example, so 60 ops fit.
     store = ExampleStore(dim=2)
     spec = gaussian(1.0)
-    funcs = [BudgetedFunction(gaussian(0.5 + i, i), store) for i in range(n_functions)]
+    ex = KernelExpansions(tuple(gaussian(0.5 + i, i) for i in range(n_kernels)), store)
     res = Reservoir(store, capacity=3, archive_cap=6, rng=np.random.default_rng(0), specs=(spec,))
     given_rows = {}  # handle -> (x, y) passed to add
 
     def held():
-        return scan_refcounts(store, functions=funcs, buffers=[res.sample, res.archive])
+        return scan_refcounts(store, expansions=[ex], buffers=[res.sample, res.archive])
 
     def add(x, y):
         before = held()
@@ -320,31 +332,34 @@ def test_random_operations_keep_refcounts_and_rows(n_functions, ops):
 
     for op, which, seed in ops:
         rng = np.random.default_rng(seed)
-        f = funcs[which % n_functions]
+        i = which % n_kernels
         x, y = rng.normal(size=2), int(rng.choice([-1, 1]))
-        pool = sorted(held())
+        pool = sorted(set(ex.buffers[i]) | set(res.archive))
         if op == "add":
             h = add(x, y)
-            f.add_scaled(rng.normal(), h)
-            f.buffer_append(h)
+            ex.step(i, [h], [rng.normal()])
+            ex.buffer_append(i, h)
         elif op == "add_scaled" and pool:
             h = pool[int(rng.integers(len(pool)))]
-            # half the time cancel the coefficient exactly, releasing a reference
-            c = -f.coeffs[h] if h in f.coeffs and rng.random() < 0.5 else rng.normal()
-            f.add_scaled(c, h)
+            # half the time cancel the coefficient exactly
+            c = -ex.coef[i, h] if ex.coef[i, h] != 0.0 and rng.random() < 0.5 else rng.normal()
+            ex.step(i, [h], [c])
         elif op == "add_scaled_many":
             updates = {h: -0.5 * c for h, c in res.optimistic_coeffs().items()}
             for h in rng.choice(pool, size=min(2, len(pool)), replace=False) if pool else ():
                 updates[int(h)] = updates.get(int(h), 0.0) + rng.normal()
-            if rng.random() < 0.5:
-                updates[add(x, y)] = rng.normal()  # held by its coefficient only
-            f.add_scaled_many(updates)
+            new = add(x, y) if rng.random() < 0.5 else None
+            if new is not None:
+                updates[new] = rng.normal()
+            ex.step(i, list(updates), list(updates.values()))
+            if new is not None:
+                ex.buffer_append(i, new)
         elif op == "project_ball":
-            f.project_ball(0.5)
-        elif op == "split_half" and f.buffer_size() >= 2 and f.buffer_size() % 2 == 0:
-            f.split_half()
+            ex.project(0.5)
+        elif op == "split_half" and len(ex.buffers[i]) >= 2 and len(ex.buffers[i]) % 2 == 0:
+            ex.split_half(i)
         elif op == "clear":
-            f.clear()
+            ex.clear(i)
         elif op == "observe":
             if which == 0:  # the learner's path: the round's example is stored first
                 h = add(x, y)
@@ -358,9 +373,13 @@ def test_random_operations_keep_refcounts_and_rows(n_functions, ops):
                     given_rows[h] = (x, float(y))
 
         counts = held()
-        assert_refcounts_conserved(store, functions=funcs, buffers=[res.sample, res.archive])
+        assert_refcounts_conserved(store, expansions=[ex], buffers=[res.sample, res.archive])
         assert len(store) == len(counts)
         for h in counts:
             gx, gy = given_rows[h]
             assert np.array_equal(store.X[h], gx)
             assert store.label[h] == gy
+        # every coefficient sits on the kernel's own buffer or the archive
+        for k, buf in enumerate(ex.buffers):
+            assert set(np.flatnonzero(ex.coef[k]).tolist()) <= set(buf) | set(res.archive)
+        assert not ex.coef[:, ~store.live].any()
