@@ -24,7 +24,8 @@ for step in range(6):
         ex.step(i, [slot], [rng.normal() * 0.8])
         ex.buffer_append(i, slot)
     cached = ex.sq_norms.copy()
-    recomputed = [ex.recompute_sq_norm(i) for i in range(2)]
+    ex.recompute_sq_norms()
+    recomputed = ex.sq_norms
     print(f"step {step}: |buffer|={len(ex.buffers[0])}  cached ||f_i||^2={np.round(cached, 6)}  "
           f"recomputed={np.round(recomputed, 6)}")
 

@@ -39,5 +39,5 @@ for budget in (12, 50, 150):
 
 print()
 print("A single buffer serves every kernel: the same coin decides insertion")
-print("for all of them, so the buffers stay identical and the memory cost")
-print("does not multiply with the size of the kernel grid.")
+print("for all of them, so the K expansions share the store's B slots and the")
+print("memory cost does not multiply with the size of the kernel grid.")

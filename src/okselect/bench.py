@@ -102,6 +102,10 @@ class ExperimentConfig:
             raise ConfigError("the shared-buffer learner needs a smooth loss (logistic)")
         if self.repeats < 1:
             raise ConfigError("repeats must be >= 1")
+        if self.U != "sqrt_b" and not (
+            isinstance(self.U, (int, float)) and not isinstance(self.U, bool) and math.isfinite(self.U) and self.U > 0
+        ):
+            raise ConfigError(f"U must be 'sqrt_b' or a finite positive radius, got {self.U!r}")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":

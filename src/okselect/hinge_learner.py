@@ -55,6 +55,13 @@ class BudgetError(ValueError):
     """The example budget cannot accommodate the configuration."""
 
 
+def check_radius_and_scale(ball_radius, lambda_scale):
+    """Raise ValueError unless the ball radius (when set) and the rate scale are finite and > 0."""
+    for name, value in (("ball_radius", ball_radius), ("lambda_scale", lambda_scale)):
+        if value is not None and not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+
+
 @dataclass
 class HingeSelectorConfig:
     """Configuration of the hinge-loss selector.
@@ -91,6 +98,7 @@ class HingeSelectorConfig:
             raise ValueError("removal must be 'half' or 'restart'")
         if self.lambda_rule not in ("scaled", "theory"):
             raise ValueError("lambda_rule must be 'scaled' or 'theory'")
+        check_radius_and_scale(self.ball_radius, self.lambda_scale)
         if self.budget < 2 * len(self.kernels) + 2:
             raise BudgetError(
                 f"budget {self.budget} too small for K={len(self.kernels)} kernels"
@@ -263,6 +271,7 @@ class HingeKernelSelector:
         removed = np.zeros(k, dtype=bool)
         losses = np.empty(k)
         kxx = self_values(self.kernels, pred.x_sqnorm)
+        guess = None  # the reservoir's guess; the sample cannot change before observe
 
         for i, spec in enumerate(self.kernels):
             vi = pred.per_kernel[i]
@@ -288,7 +297,8 @@ class HingeKernelSelector:
                     continue
 
             branch[i] = "sampled"
-            guess = self.reservoir.optimistic_coeffs()
+            if guess is None:
+                guess = self.reservoir.optimistic_coeffs()
             if gap_sq == 0.0:
                 # grad coincides with the guess: exact deterministic step
                 prob[i] = 0.0

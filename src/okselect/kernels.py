@@ -80,15 +80,17 @@ def sq_distances(dots, row_sqnorms, z_sqnorms):
     return np.maximum(row_sqnorms + z_sqnorms - 2.0 * dots, 0.0)
 
 
-def pairwise(X, row_sqnorms, z, z_sqnorms):
+def pairwise(X, row_sqnorms, z, z_sqnorms, distances: bool = True):
     """(<x_j, z>, clipped ||x_j - z||^2) for every row x_j of ``X``.
 
     ``z`` is one query vector with squared norm ``z_sqnorms``, giving two
     (n,) arrays, or a matrix of query rows with their squared norms, giving
-    two (n, m) arrays. The result feeds :func:`kernel_rows`.
+    two (n, m) arrays. The result feeds :func:`kernel_rows`. With
+    ``distances=False`` the distances are None, which is enough for a grid
+    of polynomial kernels.
     """
     dots = X @ z.T
-    return dots, sq_distances(dots, row_sqnorms, z_sqnorms)
+    return dots, sq_distances(dots, row_sqnorms, z_sqnorms) if distances else None
 
 
 def kernel_rows(specs, dots, sqdist=None):

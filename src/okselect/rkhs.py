@@ -1,16 +1,17 @@
 """Budgeted representation of RKHS elements.
 
-An :class:`ExampleStore` holds, in preallocated arrays of a fixed number of
-slots, the examples that a buffer or the reservoir still references. The
-slot is an example's only handle; reference counting frees a slot as soon
-as nothing holds it, so memory is fixed by the capacity, not by the stream
-length.
+The store and the expansions serve both learners. An :class:`ExampleStore`
+holds, in preallocated arrays of a fixed number of slots, the examples that
+a buffer or the reservoir still references. The slot is an example's only
+handle; reference counting frees a slot as soon as nothing holds it, so
+memory is fixed by the capacity, not by the stream length.
 
 :class:`KernelExpansions` keeps K kernel expansions
 f_i = sum_s coef[i, s] k_i(x_s, .) over the slots of one store as a
 (K, capacity) coefficient matrix, with each squared RKHS norm maintained
 incrementally and recomputed from the Gram matrix of the support whenever
-half of a buffer is removed.
+half of a buffer is removed. The hinge learner keeps one buffer per kernel
+in it; the smooth learner keeps one buffer for all K kernels itself.
 """
 
 from __future__ import annotations
@@ -65,43 +66,50 @@ class ExampleStore:
         self.live[slot] = True
         return slot
 
-    def _check_live(self, slot: int):
+    def incref(self, slot: int):
         if not self.live[slot]:
             raise KeyError(f"slot {slot} holds no example")
-
-    def incref(self, slot: int):
-        self._check_live(slot)
         self.refs[slot] += 1
 
-    def decref(self, slot: int):
-        self._check_live(slot)
-        if self.refs[slot] == 0:
+    def decref(self, slots):
+        """Drop one reference from a slot, or from each of an array of distinct slots.
+
+        Slots left unreferenced are freed in the order given.
+        """
+        slots = np.asarray(slots, dtype=np.intp).ravel()
+        refs = self.refs[slots]
+        if np.count_nonzero(refs) < refs.size:  # only live slots hold references
+            slot = slots[refs == 0][0]
+            if not self.live[slot]:
+                raise KeyError(f"slot {slot} holds no example")
             raise RuntimeError(f"refcount of slot {slot} went negative")
-        self.refs[slot] -= 1
-        if self.refs[slot] == 0:
-            self._free_slot(slot)
+        refs -= 1
+        self.refs[slots] = refs
+        freed = slots[refs == 0] if np.count_nonzero(refs) else slots  # often all of them
+        self.live[freed] = False
+        self._free.extend(freed.tolist())
 
     def release_if_unreferenced(self, slot: int):
         """Free a slot that was added this round but never referenced."""
         if self.live[slot] and self.refs[slot] == 0:
-            self._free_slot(slot)
-
-    def _free_slot(self, slot: int):
-        self.live[slot] = False
-        self._free.append(slot)
+            self.live[slot] = False
+            self._free.append(slot)
 
 
 class KernelExpansions:
     """K kernel expansions over the slots of one store, one per kernel.
 
     Kernel i's function is f_i = sum_s coef[i, s] k_i(x_s, .) and
-    ``sq_norms[i]`` caches ||f_i||^2. ``buffers[i]`` lists, in insertion
-    order, the slots charged against kernel i's budget; each membership
-    holds a store reference. Coefficients hold none: a coefficient may sit
-    on a slot outside the buffer (a gradient-guess anchor in the archive),
-    and whoever steps on such a slot keeps it alive by other means. Slots
+    ``sq_norms[i]`` caches ||f_i||^2. Coefficients hold no store
+    references; whoever steps on a slot keeps it alive. ``buffers[i]``
+    lists, in insertion order, the slots charged against kernel i's budget
+    when each kernel has a buffer of its own (the hinge learner); each
+    membership holds a store reference. A coefficient may sit on a slot
+    outside the buffer (a gradient-guess anchor in the archive). Slots
     whose coefficient was stepped to exactly zero stay in the buffer
-    (budgeting counts membership, not nonzero-ness).
+    (budgeting counts membership, not nonzero-ness). A learner whose
+    kernels share one buffer (the smooth learner) keeps that buffer
+    itself and leaves ``buffers`` empty.
     """
 
     def __init__(self, specs: tuple[KernelSpec, ...], store: ExampleStore):
@@ -110,13 +118,14 @@ class KernelExpansions:
         self.coef = np.zeros((len(self.specs), store.capacity))
         self.sq_norms = np.zeros(len(self.specs))
         self.buffers: list[list[int]] = [[] for _ in self.specs]
+        self._distances = any(spec.kind == "gaussian" for spec in self.specs)
 
     def rows(self, x, x_sqnorm: float) -> np.ndarray:
         """(K, capacity) matrix of k_i(x_s, x), from one pass over the store.
 
         Free slots hold stale rows; their coefficients are zero.
         """
-        return kernel_rows(self.specs, *pairwise(self.store.X, self.store.sqnorm, x, x_sqnorm))
+        return kernel_rows(self.specs, *pairwise(self.store.X, self.store.sqnorm, x, x_sqnorm, self._distances))
 
     def step(self, i: int, slots, cs):
         """f_i <- f_i + g with g = sum_j cs[j] k_i(x_{slots[j]}, .), over distinct slots.
@@ -162,26 +171,32 @@ class KernelExpansions:
             raise ValueError(f"buffer size {n} is not an even size >= 2")
         kept, removed = buf[: n // 2], buf[n // 2 :]
         self.coef[i, removed] = 0.0
-        for slot in removed:
-            self.store.decref(slot)
+        self.store.decref(removed)
         self.buffers[i] = kept
-        self.recompute_sq_norm(i)
+        self.recompute_sq_norms(slice(i, i + 1))
         return removed
 
     def clear(self, i: int) -> list[int]:
         """Restart kernel i: drop its whole buffer and every coefficient."""
         removed = self.buffers[i]
-        for slot in removed:
-            self.store.decref(slot)
+        self.store.decref(removed)
         self.coef[i] = 0.0
         self.sq_norms[i] = 0.0
         self.buffers[i] = []
         return removed
 
-    def recompute_sq_norm(self, i: int) -> float:
-        """O(n^2) ||f_i||^2 from the Gram matrix of the coefficient support."""
-        s = np.flatnonzero(self.coef[i])
-        beta = self.coef[i, s]
-        X, sq = self.store.X[s], self.store.sqnorm[s]
-        self.sq_norms[i] = float(beta @ kernel_column(self.specs[i], X, sq, X, sq) @ beta)
-        return self.sq_norms[i]
+    def recompute_sq_norms(self, kernels: slice = slice(None), slots=None):
+        """O(n^2) ||f_i||^2 for the kernels in a slice, from one pairwise pass over ``slots``.
+
+        ``slots`` must cover the coefficient support of every kernel in the
+        slice; by default it is their joint support.
+        """
+        coef, norms = self.coef[kernels], self.sq_norms[kernels]
+        if slots is None:
+            slots = np.flatnonzero(coef.any(axis=0))
+        X = self.store.X.take(slots, axis=0)
+        sq = self.store.sqnorm.take(slots) if self._distances else None
+        grams = kernel_rows(self.specs[kernels], *pairwise(X, sq, X, sq, self._distances))
+        for j, gram in enumerate(grams):
+            beta = coef[j].take(slots)
+            norms[j] = float(beta @ gram @ beta)

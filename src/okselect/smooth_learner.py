@@ -1,18 +1,21 @@
 """Budgeted online kernel selection for smooth losses.
 
 All K kernels share a single buffer: every update anchors at the same
-example for every kernel, so the learner stores B examples, not K * B, and
-keeps the K kernel expansions as one (K, B) coefficient matrix over them.
-Each round computes the inner products and squared distances from x_t to
-the buffered rows once and derives every kernel's values from them. The
-per-kernel gradient is the surrogate l'(f_t(x_t), y_t) * k_i(x_t, .) built
-from the *aggregate* prediction's derivative d. When no nearby buffered
-proxy exists, one shared coin with success probability |d| / (|d| + G1)
-decides whether the round's example is stepped on (importance-weighted by
-1/P) and inserted; a success against a full buffer first discards the
-oldest half (keeping the newest), projects, and then steps. The Hedge
-losses are the gap-to-best form: d * (v_i - min_j v_j) when d > 0, else
-d * (v_i - max_j v_j), which is non-negative with at least one zero.
+example for every kernel, so the learner stores B examples, not K * B. The
+examples live in an :class:`~okselect.rkhs.ExampleStore` of B slots and
+the K kernel expansions in a :class:`~okselect.rkhs.KernelExpansions`, a
+(K, B) coefficient matrix over those slots; the learner itself keeps only
+the buffer's insertion order. Each round computes the inner products and
+squared distances from x_t to the stored rows once and derives every
+kernel's values from them. The per-kernel gradient is the surrogate
+l'(f_t(x_t), y_t) * k_i(x_t, .) built from the *aggregate* prediction's
+derivative d. When no nearby buffered proxy exists, one shared coin with
+success probability |d| / (|d| + G1) decides whether the round's example
+is stepped on (importance-weighted by 1/P) and inserted; a success against
+a full buffer first discards the oldest half (keeping the newest),
+projects, and then steps. The Hedge losses are the gap-to-best form:
+d * (v_i - min_j v_j) when d > 0, else d * (v_i - max_j v_j), which is
+non-negative with at least one zero.
 
 A failed coin performs no update at all; the asymmetry with the hinge
 learner (which still steps on the guess) is deliberate.
@@ -27,9 +30,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hedge import HedgeState
-from .hinge_learner import Prediction, RoundRecord
-from .kernels import KernelSpec, kernel_rows, self_values, sq_distances
+from .hinge_learner import Prediction, RoundRecord, check_radius_and_scale
+from .kernels import KernelSpec, kernel_rows, pairwise, self_values, sq_distances
 from .losses import LogisticLoss, check_label
+from .rkhs import ExampleStore, KernelExpansions
 
 __all__ = ["SmoothSelectorConfig", "SmoothKernelSelector", "pea_losses"]
 
@@ -72,6 +76,7 @@ class SmoothSelectorConfig:
             raise ValueError("removal must be 'half' or 'restart'")
         if self.lambda_rule not in ("scaled", "theory"):
             raise ValueError("lambda_rule must be 'scaled' or 'theory'")
+        check_radius_and_scale(self.ball_radius, self.lambda_scale)
 
     @property
     def radius(self) -> float:
@@ -95,48 +100,6 @@ def pea_losses(values: np.ndarray, d: float) -> np.ndarray:
     if d < 0:
         return d * (values - values.max())
     return np.zeros_like(values)
-
-
-class SharedBuffer:
-    """The B examples all K kernel expansions share, and the expansions.
-
-    Rows are kept oldest first in ``X[:n]``, with their squared norms in
-    ``row_sqnorms[:n]``. Kernel i's function is
-    f_i = sum_j coef[i, j] k_i(x_j, .), and ``sq_norms[i]`` caches
-    ||f_i||^2. Columns from ``n`` on are zero.
-    """
-
-    def __init__(self, num_kernels: int, dim: int, budget: int):
-        self.X = np.zeros((budget, dim))
-        self.row_sqnorms = np.zeros(budget)
-        self.coef = np.zeros((num_kernels, budget))
-        self.sq_norms = np.zeros(num_kernels)
-        self.n = 0
-
-    def __len__(self) -> int:
-        return self.n
-
-    def append(self, x, x_sqnorm: float) -> int:
-        j = self.n
-        self.X[j] = x
-        self.row_sqnorms[j] = x_sqnorm
-        self.n += 1
-        return j
-
-    def keep_newest_half(self):
-        """Shift the newest half of an even, full buffer to the front."""
-        n = self.n
-        h = n // 2
-        self.X[:h] = self.X[h:n]
-        self.row_sqnorms[:h] = self.row_sqnorms[h:n]
-        self.coef[:, :h] = self.coef[:, h:n]
-        self.coef[:, h:n] = 0.0
-        self.n = h
-
-    def clear(self):
-        self.coef[:, : self.n] = 0.0
-        self.sq_norms[:] = 0.0
-        self.n = 0
 
 
 class SmoothKernelSelector:
@@ -166,7 +129,10 @@ class SmoothKernelSelector:
                 stacklevel=2,
             )
 
-        self.store = SharedBuffer(k, config.dim, self.budget)
+        # Every live slot is buffered, so the store's size is the buffer's.
+        self.store = ExampleStore(config.dim, capacity=self.budget)
+        self.expansions = KernelExpansions(self.kernels, self.store)
+        self._order = np.zeros(self.budget, dtype=np.intp)  # buffered slots, oldest first
         self._gaussian = any(spec.kind == "gaussian" for spec in self.kernels)
         self.hedge = HedgeState(k)
         self.rng = np.random.default_rng(np.random.SeedSequence(config.seed))
@@ -175,11 +141,12 @@ class SmoothKernelSelector:
         self.removals = 0
         self.t = 0
         self._last: Prediction | None = None
-        self._cache = None  # (dots, sqdist, rows) of the last prediction
+        self._cache = None  # (dots, sqdist, rows) of the last prediction, over every store slot
 
-    def _sqdist(self, dots, z_sqnorm):
-        """Clipped squared distances from the buffered rows to z, given <x_j, z>."""
-        return sq_distances(dots, self.store.row_sqnorms[: self.store.n], z_sqnorm)
+    @property
+    def buffer(self) -> np.ndarray:
+        """The buffered store slots, oldest first."""
+        return self._order[: len(self.store)]
 
     def predict(self, x) -> Prediction:
         """Per-kernel values f_i(x), their Hedge mixture and its sign (sign(0) is +1).
@@ -193,11 +160,11 @@ class SmoothKernelSelector:
         xsq = float(x @ x)
         if not math.isfinite(xsq):
             raise ValueError("feature vector is not finite or its squared norm overflows")
-        buf = self.store
-        dots = buf.X[: buf.n] @ x
-        sqdist = self._sqdist(dots, xsq) if self._gaussian else None
+        # The distances feed only Gaussian kernels and the proxy search, so a
+        # polynomial grid computes them in update, when a proxy is looked for.
+        dots, sqdist = pairwise(self.store.X, self.store.sqnorm, x, xsq, self._gaussian)
         rows = kernel_rows(self.kernels, dots, sqdist)
-        vals = np.vecdot(buf.coef[:, : buf.n], rows)
+        vals = np.vecdot(self.expansions.coef, rows)
         p = self.hedge.distribution()
         agg = float(p @ vals)
         pred = Prediction(
@@ -213,42 +180,16 @@ class SmoothKernelSelector:
         self._cache = (dots, sqdist, rows)
         return pred
 
-    def _values_at_row(self, j: int) -> np.ndarray:
-        """f_i(x_j) for every kernel, at buffered row j."""
-        buf = self.store
-        dots = buf.X[: buf.n] @ buf.X[j]
-        sqdist = self._sqdist(dots, buf.row_sqnorms[j]) if self._gaussian else None
-        rows = kernel_rows(self.kernels, dots, sqdist)
-        return np.vecdot(buf.coef[:, : buf.n], rows)
-
-    def _step(self, c: float, j: int, fx, kjj):
-        """f_i <- f_i + c k_i(x_j, .) for every kernel, then project onto the ball.
+    def _step(self, c: float, slot: int, fx, kjj):
+        """f_i <- f_i + c k_i(x_slot, .) for every kernel, then project onto the ball.
 
         ||f + c k(x,.)||^2 = ||f||^2 + 2 c f(x) + c^2 k(x, x), with f(x) =
         ``fx`` evaluated before the step and k(x, x) = ``kjj``.
         """
-        buf = self.store
-        buf.sq_norms += 2.0 * c * fx + c * c * kjj
-        buf.coef[:, j] += c
-        self._project()
-
-    def _project(self):
-        """Project each f_i onto {||f|| <= radius}; never grows a norm."""
-        buf = self.store
-        r2 = self.radius * self.radius
-        for i in np.flatnonzero(buf.sq_norms > r2):
-            buf.coef[i, : buf.n] *= self.radius / np.sqrt(buf.sq_norms[i])
-            buf.sq_norms[i] = r2
-
-    def _recompute_norms(self):
-        """||f_i||^2 for every kernel from one Gram pass over the buffered rows."""
-        buf = self.store
-        X, sq = buf.X[: buf.n], buf.row_sqnorms[: buf.n]
-        dots = X @ X.T
-        grams = kernel_rows(self.kernels, dots, sq_distances(dots, sq, sq) if self._gaussian else None)
-        for i, gram in enumerate(grams):
-            beta = buf.coef[i, : buf.n]
-            buf.sq_norms[i] = float(beta @ gram @ beta)
+        ex = self.expansions
+        ex.sq_norms += 2.0 * c * fx + c * c * kjj
+        ex.coef[:, slot] += c
+        ex.project(self.radius)
 
     def update(self, x, y) -> RoundRecord:
         y = check_label(y)
@@ -260,7 +201,7 @@ class SmoothKernelSelector:
         self._last = self._cache = None
         self.t += 1
         k = len(self.kernels)
-        buf = self.store
+        store, ex, buffer = self.store, self.expansions, self.buffer
 
         d = self.loss.deriv(pred.aggregate, y)
         if not math.isfinite(d):
@@ -274,27 +215,28 @@ class SmoothKernelSelector:
 
         if ad > 0.0:
             gamma = math.sqrt(2.0 * math.log(k)) / math.sqrt(1.0 + self.deriv_sum + ad)
-            anchor = None
-            if buf.n:
+            anchor = k_xx = None
+            if len(buffer):
                 if sqdist is None:
-                    sqdist = self._sqdist(dots, pred.x_sqnorm)
-                # The Euclidean-nearest row is the nearest in every Gaussian
-                # feature space at once; ties go to the oldest row.
-                j = int(np.argmin(sqdist))
+                    sqdist = sq_distances(dots, store.sqnorm, pred.x_sqnorm)
+                # The Euclidean-nearest buffered example is the nearest in
+                # every Gaussian feature space at once; ties go to the oldest.
+                j = buffer[np.argmin(sqdist[buffer])]
                 # Its feature-space distance to x comes from x_j - x itself,
                 # so that an exact duplicate is at distance exactly 0.
-                xj = buf.X[j]
+                xj = store.X[j]
                 diff = xj - x
                 k_jx, k_jj, k_xx = kernel_rows(
                     self.kernels,
-                    np.array([xj @ x, buf.row_sqnorms[j], pred.x_sqnorm]),
+                    np.array([xj @ x, store.sqnorm[j], pred.x_sqnorm]),
                     np.array([diff @ diff, 0.0, 0.0]),
                 ).T
                 if math.sqrt(max((k_jj + k_xx - 2.0 * k_jx).max(), 0.0)) <= gamma:
                     anchor = j
             if anchor is not None:
                 branch = "proxy"
-                self._step(-self.rate * d, anchor, self._values_at_row(anchor), k_jj)
+                fx = np.vecdot(ex.coef, ex.rows(store.X[anchor], store.sqnorm[anchor]))
+                self._step(-self.rate * d, anchor, fx, k_jj)
             else:
                 branch = "sampled"
                 prob = ad / (ad + self.loss.G1)
@@ -302,19 +244,24 @@ class SmoothKernelSelector:
                 coin = 1 if accepted else 0
                 if accepted:
                     fx = pred.per_kernel
-                    if buf.n == self.budget:
-                        if self.config.removal == "half":
-                            buf.keep_newest_half()
-                            self._recompute_norms()
-                            self._project()
-                        else:
-                            buf.clear()
-                        # f_i(x) over the kept rows, after the projection
-                        fx = np.vecdot(buf.coef[:, : buf.n], rows[:, self.budget - buf.n :])
+                    if len(buffer) == self.budget:
+                        # half-removal drops the oldest half; a restart drops all
+                        h = self.budget // 2 if self.config.removal == "half" else self.budget
+                        store.decref(buffer[:h])
+                        ex.coef[:, buffer[:h]] = 0.0
+                        ex.recompute_sq_norms(slots=buffer[h:])
+                        ex.project(self.radius)
+                        self._order[: self.budget - h] = buffer[h:]
+                        # f_i(x) over the kept examples, after the projection
+                        fx = np.vecdot(ex.coef, rows)
                         self.removals += 1
                         did_remove = True
-                    j = buf.append(x, pred.x_sqnorm)
-                    self._step(-self.rate * d / prob, j, fx, self_values(self.kernels, pred.x_sqnorm))
+                    slot = store.add(x, y)
+                    store.incref(slot)
+                    self._order[len(store) - 1] = slot
+                    if k_xx is None:
+                        k_xx = self_values(self.kernels, pred.x_sqnorm)
+                    self._step(-self.rate * d / prob, slot, fx, k_xx)
 
         losses = pea_losses(pred.per_kernel, d)
         self.hedge.update(losses)
@@ -352,7 +299,17 @@ class SmoothKernelSelector:
         return {"removals_per_kernel": ";".join([str(int(self.removals))] * len(self.kernels))}
 
     def check_invariants(self):
-        """Hard budget/norm invariants; raises AssertionError on violation."""
-        assert len(self.store) <= self.budget, "buffer over budget"
-        norms = np.sqrt(np.maximum(self.store.sq_norms, 0.0))
-        assert np.all(norms <= self.radius + 1e-8), "iterate escaped the ball"
+        """Hard budget/norm invariants; raises AssertionError on violation.
+
+        Between rounds the live store slots are exactly the buffered ones,
+        each held by one reference, and every coefficient outside the buffer
+        is zero, so the buffer alone bounds the memory by B.
+        """
+        store, ex, buffer = self.store, self.expansions, self.buffer
+        assert len(store) <= self.budget, "buffer over budget"
+        assert sorted(buffer.tolist()) == np.flatnonzero(store.live).tolist(), "live slots are not the buffer"
+        assert np.all(store.refs[buffer] == 1), "buffered slot not held exactly once"
+        outside = np.ones(store.capacity, dtype=bool)
+        outside[buffer] = False
+        assert not ex.coef[:, outside].any(), "coefficient outside the buffer"
+        assert np.all(np.sqrt(np.maximum(ex.sq_norms, 0.0)) <= self.radius + 1e-8), "iterate escaped the ball"

@@ -52,6 +52,16 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="unknown config keys"):
             ExperimentConfig.from_dict({"dataset": "x", "algorithm": "momd_h", "budget": 4})
 
+    @pytest.mark.parametrize("U", [0, -1.0, math.nan, math.inf, "sqrt_B", True, None])
+    def test_bad_radius_rejected(self, U):
+        with pytest.raises(ConfigError, match="U must be"):
+            ExperimentConfig(dataset="x", algorithm="momd_h", U=U)
+
+    def test_radius_reported_as_configured(self, tmp_path):
+        for U, shown in (("sqrt_b", math.sqrt(40)), (2.5, 2.5), (3, 3.0)):
+            report = run(small_config(tmp_path, U=U, repeats=1))
+            assert float(report.rows[0]["U"]) == pytest.approx(shown, rel=1e-5)
+
     def test_generator_spec(self):
         cfg = ExperimentConfig(
             dataset={"generator": "lowerbound", "budget": 2, "rounds": 10, "seed": 0},

@@ -384,3 +384,14 @@ class TestInputValidation:
             recs = [lr.update(X[t], y[t]) for lr in (learner, untouched)]
             assert recs[0].aggregate == recs[1].aggregate
             assert np.array_equal(recs[0].coin, recs[1].coin)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("ball_radius", math.nan), ("ball_radius", -2.0), ("ball_radius", 0.0), ("ball_radius", math.inf),
+         ("lambda_scale", math.nan), ("lambda_scale", -1.0), ("lambda_scale", 0.0), ("lambda_scale", math.inf)],
+    )
+    def test_bad_radius_or_rate_scale_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            make_config(**{field: value})
+        cfg = make_config(ball_radius=2.0, lambda_scale=0.5)
+        assert cfg.radius == 2.0 and cfg.learning_rate(len(GRID)) > 0

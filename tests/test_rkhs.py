@@ -172,7 +172,8 @@ class TestProjection:
         ex = random_expansion(gaussian(1.0), s, 15, rng, scale=3.0)
         assert ex.sq_norms[0] > 1.0
         ex.project(1.0)
-        assert ex.recompute_sq_norm(0) == pytest.approx(1.0, rel=1e-8)
+        ex.recompute_sq_norms()
+        assert ex.sq_norms[0] == pytest.approx(1.0, rel=1e-8)
         coef = ex.coef.copy()
         ex.project(1.0)
         assert np.array_equal(ex.coef, coef)  # idempotent

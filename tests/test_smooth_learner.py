@@ -83,17 +83,15 @@ class TestPredict:
 
     def test_hand_built_state_matches_brute_force(self):
         learner = make_learner(kernels=(gaussian(0.5, 0), gaussian(2.0, 1)))
-        buf = learner.store
-        for z in ([1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]):
-            z = np.array(z)
-            buf.append(z, float(z @ z))
-        buf.coef[:, :2] = [[0.5, -0.25], [0.1, 0.3]]
+        store, ex = learner.store, learner.expansions
+        slots = [store.add(z, 1) for z in ([1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0])]
+        ex.coef[:, slots] = [[0.5, -0.25], [0.1, 0.3]]
         x = np.array([0.3, 0.3, 0.1, 0.0])
         pred = learner.predict(x)
         p = learner.hedge.distribution()
         brute = 0.0
         for i, spec in enumerate(learner.kernels):
-            fi = scalar_value(spec, buf.X[:2], buf.coef[i, :2], x)
+            fi = scalar_value(spec, store.X[slots], ex.coef[i, slots], x)
             assert pred.per_kernel[i] == pytest.approx(fi, rel=1e-10)
             brute += p[i] * fi
         assert pred.aggregate == pytest.approx(brute, rel=1e-10)
@@ -126,8 +124,8 @@ class TestUpdateBranches:
         rec = learner.update(x, 1)
         assert rec.branch[0] == "skip"
         assert len(learner.store) == 0
-        assert np.all(learner.store.sq_norms == 0.0)
-        assert np.all(learner.store.coef == 0.0)
+        assert np.all(learner.expansions.sq_norms == 0.0)
+        assert np.all(learner.expansions.coef == 0.0)
         assert learner.cum_loss == pytest.approx(0.3)
         assert learner.deriv_sum == 0.0
 
@@ -153,17 +151,17 @@ class TestUpdateBranches:
         for t in range(400):
             x = rng.normal(size=4)
             y = int(rng.choice([-1, 1]))
-            before = learner.store.X[: len(learner.store)].copy()
+            before = learner.store.X[learner.buffer]
             learner.predict(x)
             rec = learner.update(x, y)
             if rec.removed[0]:
                 removal_seen = True
                 assert len(before) == 4
-                assert len(learner.store) == 4 // 2 + 1
-                kept_plus_new = learner.store.X[:3]
+                assert len(learner.store) == len(learner.buffer) == 4 // 2 + 1
+                kept_plus_new = learner.store.X[learner.buffer]  # oldest first
                 assert np.array_equal(kept_plus_new[:2], before[2:])  # newest half survives
                 assert np.array_equal(kept_plus_new[2], x)
-                assert np.all(learner.store.coef[:, 3:] == 0.0)
+                assert np.all(np.delete(learner.expansions.coef, learner.buffer, axis=1) == 0.0)
             learner.check_invariants()
         assert removal_seen, "removal never fired; adjust seed"
 
@@ -176,7 +174,7 @@ class TestSharedBufferCoherence:
             learner.predict(X[t])
             learner.update(X[t], y[t])
             assert len(learner.store) <= 8
-            assert np.all(np.sqrt(learner.store.sq_norms) <= learner.radius + 1e-8)
+            assert np.all(np.sqrt(learner.expansions.sq_norms) <= learner.radius + 1e-8)
             learner.check_invariants()
 
     @settings(max_examples=60, deadline=None)
@@ -199,22 +197,22 @@ class TestSharedBufferCoherence:
     def test_values_and_norms_match_scalar_oracles(self, half_budget, grid, removal, pool, rounds, seed):
         # Rounds draw from a small pool of inputs, so duplicates force proxies.
         learner = make_learner(kernels=grid, dim=3, budget=2 * half_budget, removal=removal, seed=seed)
-        buf = learner.store
+        store, ex = learner.store, learner.expansions
         pool = np.array(pool)
         for idx, y in rounds:
             x = pool[idx % len(pool)]
             pred = learner.predict(x)
-            n = len(buf)
+            buf = learner.buffer
             for i, spec in enumerate(grid):
-                fi = scalar_value(spec, buf.X[:n], buf.coef[i, :n], x)
+                fi = scalar_value(spec, store.X[buf], ex.coef[i, buf], x)
                 assert pred.per_kernel[i] == pytest.approx(fi, rel=1e-9, abs=1e-12)
             learner.update(x, y)
             learner.check_invariants()
-            n = len(buf)
-            assert np.all(buf.coef[:, n:] == 0.0)
+            buf = learner.buffer
+            assert np.all(np.delete(ex.coef, buf, axis=1) == 0.0)
             for i, spec in enumerate(grid):
-                norm_sq = scalar_sq_norm(spec, buf.X[:n], buf.coef[i, :n])
-                assert buf.sq_norms[i] == pytest.approx(norm_sq, rel=1e-9, abs=1e-12)
+                norm_sq = scalar_sq_norm(spec, store.X[buf], ex.coef[i, buf])
+                assert ex.sq_norms[i] == pytest.approx(norm_sq, rel=1e-9, abs=1e-12)
 
 
 class TestSampling:
@@ -250,6 +248,17 @@ class TestConfig:
             cfg = SmoothSelectorConfig(kernels=(gaussian(1.0, 0),), dim=4, budget=25, seed=0)
         assert cfg.budget == 24
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("ball_radius", math.nan), ("ball_radius", -2.0), ("ball_radius", 0.0), ("ball_radius", math.inf),
+         ("lambda_scale", math.nan), ("lambda_scale", -1.0), ("lambda_scale", 0.0), ("lambda_scale", math.inf)],
+    )
+    def test_bad_radius_or_rate_scale_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SmoothSelectorConfig(kernels=GRID, dim=4, budget=40, **{field: value})
+        cfg = SmoothSelectorConfig(kernels=GRID, dim=4, budget=40, ball_radius=2.0, lambda_scale=0.5)
+        assert cfg.radius == 2.0 and cfg.learning_rate() > 0
+
     def test_removal_count_scale(self):
         X, y = blob_stream(800, 4, seed=36)
         learner = make_learner(budget=8, seed=10)
@@ -266,7 +275,7 @@ class TestConfig:
             rec = learner.update(X[t], y[t])
             if rec.removed[0]:
                 assert len(learner.store) == 1  # cleared, then the new example
-                assert np.array_equal(learner.store.X[0], X[t])
+                assert np.array_equal(learner.store.X[learner.buffer[0]], X[t])
             learner.check_invariants()
 
     def test_polynomial_single_kernel(self):
@@ -309,10 +318,12 @@ class TestInputValidation:
             learner.update(bad, 1)
         assert learner.t == untouched.t
         assert learner.rng.bit_generator.state == untouched.rng.bit_generator.state
-        a, b = learner.store, untouched.store
-        assert len(a) == len(b)
-        for name in ("X", "row_sqnorms", "coef", "sq_norms"):
-            assert np.array_equal(getattr(a, name), getattr(b, name))
+        assert len(learner.store) == len(untouched.store)
+        assert np.array_equal(learner.buffer, untouched.buffer)
+        for name in ("X", "sqnorm", "label", "refs", "live"):
+            assert np.array_equal(getattr(learner.store, name), getattr(untouched.store, name))
+        for name in ("coef", "sq_norms"):
+            assert np.array_equal(getattr(learner.expansions, name), getattr(untouched.expansions, name))
         for t in range(40, 60):
             recs = [lr.update(X[t], y[t]) for lr in (learner, untouched)]
             assert recs[0].aggregate == recs[1].aggregate and recs[0].coin[0] == recs[1].coin[0]
