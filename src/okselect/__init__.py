@@ -26,6 +26,7 @@ from .hinge_learner import (
 )
 from .kernels import KernelSpec, feature_distance, gaussian, kernel_eval, polynomial
 from .losses import HingeLoss, LogisticLoss
+from .protocol import Prediction, RoundRecord, SelectorConfig
 from .raker import RakerBaseline, RakerConfig
 from .reservoir import Reservoir
 from .rkhs import ExampleStore, KernelExpansions
@@ -65,4 +66,7 @@ __all__ = [
     "SmoothKernelSelector",
     "SmoothSelectorConfig",
     "pea_losses",
+    "Prediction",
+    "RoundRecord",
+    "SelectorConfig",
 ]

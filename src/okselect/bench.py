@@ -221,47 +221,21 @@ def load_dataset(config: ExperimentConfig) -> data_mod.Dataset:
 
 def _build_learner(config: ExperimentConfig, ds, seed: int):
     specs = config.kernel_specs()
-    if config.algorithm == "momd_h":
-        return HingeKernelSelector(
-            HingeSelectorConfig(
-                kernels=specs,
-                dim=ds.dim,
-                budget=config.B,
-                horizon=config.horizon or ds.num_examples,
-                reservoir_size=config.M,
-                ball_radius=config.radius(),
-                lambda_scale=config.lambda_scale,
-                lambda_rule=config.lambda_rule,
-                removal=config.removal,
-                seed=seed,
-            )
-        )
-    if config.algorithm == "momd_s":
-        return SmoothKernelSelector(
-            SmoothSelectorConfig(
-                kernels=specs,
-                dim=ds.dim,
-                budget=config.B,
-                loss=config.loss_object(),
-                ball_radius=config.radius(),
-                lambda_scale=config.lambda_scale,
-                lambda_rule=config.lambda_rule,
-                removal=config.removal,
-                seed=seed,
-            )
-        )
-    eta = config.eta if config.eta is not None else 1.0 / math.sqrt(ds.num_examples)
-    return RakerBaseline(
-        RakerConfig(
-            kernels=specs,
-            dim=ds.dim,
-            num_features=config.D,
-            step_size=eta,
-            reg=config.reg,
-            loss=config.loss_object(),
-            seed=seed,
-        )
+    if config.algorithm == "raker":
+        eta = config.eta if config.eta is not None else 1.0 / math.sqrt(ds.num_examples)
+        return RakerBaseline(RakerConfig(
+            kernels=specs, dim=ds.dim, num_features=config.D, step_size=eta, reg=config.reg,
+            loss=config.loss_object(), seed=seed,
+        ))
+    shared = dict(
+        kernels=specs, dim=ds.dim, budget=config.B, ball_radius=config.radius(),
+        lambda_scale=config.lambda_scale, lambda_rule=config.lambda_rule, removal=config.removal, seed=seed,
     )
+    if config.algorithm == "momd_h":
+        return HingeKernelSelector(HingeSelectorConfig(
+            **shared, horizon=config.horizon or ds.num_examples, reservoir_size=config.M,
+        ))
+    return SmoothKernelSelector(SmoothSelectorConfig(**shared, loss=config.loss_object()))
 
 
 def _stream(learner, ds, loss) -> dict:

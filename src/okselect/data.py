@@ -51,9 +51,6 @@ class Dataset:
             self._dense = self.X.toarray().astype(float)
         return self._dense
 
-    def example(self, t: int):
-        return self.dense_features()[t], int(self.y[t])
-
     def __len__(self) -> int:
         return self.num_examples
 

@@ -30,21 +30,20 @@ the outcome does not depend on the order in which kernels are processed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .hedge import HedgeState
-from .kernels import KernelSpec, self_values
+from .kernels import self_values
 from .losses import HingeLoss, check_label
+from .protocol import Prediction, RoundRecord, SelectorConfig, check_features, same_example
 from .reservoir import Reservoir
 from .rkhs import ExampleStore, KernelExpansions
 
 __all__ = [
     "HingeSelectorConfig",
     "HingeKernelSelector",
-    "Prediction",
-    "RoundRecord",
     "allocate_budgets",
     "importance_weighted_coeffs",
     "BudgetError",
@@ -55,63 +54,33 @@ class BudgetError(ValueError):
     """The example budget cannot accommodate the configuration."""
 
 
-def check_radius_and_scale(ball_radius, lambda_scale):
-    """Raise ValueError unless the ball radius (when set) and the rate scale are finite and > 0."""
-    for name, value in (("ball_radius", ball_radius), ("lambda_scale", lambda_scale)):
-        if value is not None and not (math.isfinite(value) and value > 0):
-            raise ValueError(f"{name} must be finite and > 0, got {value!r}")
-
-
-@dataclass
-class HingeSelectorConfig:
+@dataclass(kw_only=True)
+class HingeSelectorConfig(SelectorConfig):
     """Configuration of the hinge-loss selector.
 
     ``budget`` is the total number of stored examples (reservoir archive
     plus all per-kernel buffers). ``horizon`` is the stream length, or an
     estimate of it in streaming mode (the archive slice depends on ln T);
-    the estimate used is echoed into run reports by the bench layer.
-    ``lambda_rule`` picks the learning-rate rule: ``"scaled"`` gives
-    lambda_i = lambda_scale * U / sqrt(B) (the benchmark rule, with
-    lambda_scale in {2, 1, 0.5}), ``"theory"`` gives
-    lambda_i = U * sqrt(K) / sqrt(2 B).
+    the estimate used is echoed into run reports by the bench layer. The
+    ``"theory"`` rate is lambda_i = U * sqrt(K) / sqrt(2 B).
     """
 
-    kernels: tuple[KernelSpec, ...]
-    dim: int
-    budget: int
     horizon: int
     reservoir_size: int = 10
-    ball_radius: float | None = None  # default sqrt(budget)
-    lambda_scale: float = 1.0
-    lambda_rule: str = "scaled"
-    removal: str = "half"  # or "restart"
-    seed: int = 0
 
     def __post_init__(self):
-        if not self.kernels:
-            raise ValueError("need at least one kernel")
+        super().__post_init__()
         if self.reservoir_size < 1:
             raise ValueError("reservoir size must be >= 1")
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
-        if self.removal not in ("half", "restart"):
-            raise ValueError("removal must be 'half' or 'restart'")
-        if self.lambda_rule not in ("scaled", "theory"):
-            raise ValueError("lambda_rule must be 'scaled' or 'theory'")
-        check_radius_and_scale(self.ball_radius, self.lambda_scale)
         if self.budget < 2 * len(self.kernels) + 2:
             raise BudgetError(
                 f"budget {self.budget} too small for K={len(self.kernels)} kernels"
             )
 
-    @property
-    def radius(self) -> float:
-        return float(self.ball_radius) if self.ball_radius is not None else math.sqrt(self.budget)
-
-    def learning_rate(self, num_kernels: int) -> float:
-        if self.lambda_rule == "theory":
-            return self.radius * math.sqrt(num_kernels) / math.sqrt(2.0 * self.budget)
-        return self.lambda_scale * self.radius / math.sqrt(self.budget)
+    def theory_rate(self) -> float:
+        return self.radius * math.sqrt(len(self.kernels)) / math.sqrt(2.0 * self.budget)
 
 
 def allocate_budgets(config: HingeSelectorConfig) -> tuple[int, int]:
@@ -154,39 +123,6 @@ def importance_weighted_coeffs(
     return {s: c for s, c in out.items() if c != 0.0}
 
 
-@dataclass
-class Prediction:
-    """Pre-update view of one round."""
-
-    x: np.ndarray
-    x_sqnorm: float
-    per_kernel: np.ndarray  # f_{t,i}(x_t)
-    guess_values: np.ndarray  # guess gradient evaluated at x_t, per kernel
-    weights: np.ndarray  # Hedge distribution p_t
-    aggregate: float
-    label: int
-
-
-@dataclass
-class RoundRecord:
-    """What happened in one round, per kernel where applicable."""
-
-    t: int
-    label: int
-    truth: int
-    mistake: bool
-    aggregate: float
-    per_kernel: np.ndarray
-    losses: np.ndarray
-    branch: list  # "skip" | "proxy" | "sampled"
-    prob: np.ndarray  # Bernoulli success probability (nan when not drawn)
-    coin: np.ndarray  # realized draw (-1 not drawn / 0 / 1)
-    gap_sq: np.ndarray  # ||grad - guess||^2 (0 when the margin held)
-    removed: np.ndarray  # True where a half-removal (or restart) fired
-    reservoir_accepted: bool = False
-    extras: dict = field(default_factory=dict)
-
-
 class HingeKernelSelector:
     """Online kernel selection with per-kernel budgets, for the hinge loss."""
 
@@ -196,7 +132,7 @@ class HingeKernelSelector:
         k = len(self.kernels)
         self.archive_cap, self.per_kernel_cap = allocate_budgets(config)
         self.radius = config.radius
-        self.rate = config.learning_rate(k)
+        self.rate = config.learning_rate()
         self.loss = HingeLoss()
 
         seeds = np.random.SeedSequence(config.seed).spawn(k + 1)
@@ -225,12 +161,7 @@ class HingeKernelSelector:
         sign(0) is +1. Raises ValueError on a wrong-shaped or non-finite
         ``x`` before any state changes.
         """
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.config.dim,):
-            raise ValueError(f"expected a ({self.config.dim},) feature vector, got shape {x.shape}")
-        xsq = float(x @ x)
-        if not math.isfinite(xsq):
-            raise ValueError("feature vector is not finite or its squared norm overflows")
+        x, xsq = check_features(x, self.config.dim)
         rows = self.expansions.rows(x, xsq)
         guesses = self.reservoir.optimistic_value_many(rows)
         vals = np.vecdot(self.expansions.coef, rows) - self.rate * guesses
@@ -252,10 +183,10 @@ class HingeKernelSelector:
     def update(self, x, y) -> RoundRecord:
         """Consume the round's true label; one call per round, after predict."""
         y = check_label(y)
-        x = np.asarray(x, dtype=float)
         pred = self._last
-        if pred is None or pred.x.shape != x.shape or not np.array_equal(pred.x, x):
+        if pred is None or not same_example(pred.x, x):
             pred = self.predict(x)
+        x = pred.x
         rows = self._rows
         self._last = self._rows = None
         self.t += 1
@@ -326,8 +257,7 @@ class HingeKernelSelector:
         # each kernel's step touched only its own row, so one projection serves all
         ex.project(self.radius)
 
-        pre_hedge = losses.copy()
-        self.hedge.update(pre_hedge)
+        self.hedge.update(losses)
         accepted_by_reservoir = self.reservoir.observe(x, y, slot=slot)
         self.store.release_if_unreferenced(slot)
 
@@ -338,7 +268,7 @@ class HingeKernelSelector:
             mistake=pred.label != int(y),
             aggregate=pred.aggregate,
             per_kernel=pred.per_kernel,
-            losses=pre_hedge,
+            losses=losses,
             branch=branch,
             prob=prob,
             coin=coin,

@@ -21,6 +21,7 @@ import numpy as np
 
 from .kernels import KernelSpec
 from .losses import HingeLoss, check_label
+from .protocol import check_features, same_example
 
 __all__ = ["RakerConfig", "RakerBaseline"]
 
@@ -43,6 +44,9 @@ class RakerConfig:
                 raise ValueError("random Fourier features require Gaussian kernels")
         if self.num_features < 1:
             raise ValueError("need at least one random feature")
+        for name, value in (("step_size", self.step_size), ("reg", self.reg)):
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
         if self.loss is None:
             self.loss = HingeLoss()
 
@@ -82,6 +86,8 @@ class RakerBaseline:
         return w / w.sum()
 
     def predict(self, x):
+        """(per-kernel values, their mixture, its sign); ValueError on a bad ``x`` before any state changes."""
+        x, _ = check_features(x, self.config.dim)
         zs = [self.features(i, x) for i in range(len(self.kernels))]
         vals = np.array([self.theta[i] @ zs[i] for i in range(len(self.kernels))])
         if not np.all(np.isfinite(vals)):
@@ -94,7 +100,7 @@ class RakerBaseline:
     def update(self, x, y) -> dict:
         y = check_label(y)
         cached = self._last
-        if cached is None or not np.array_equal(np.asarray(cached[0], dtype=float), np.asarray(x, dtype=float)):
+        if cached is None or not same_example(cached[0], x):
             self.predict(x)
             cached = self._last
         _, zs, vals = cached

@@ -30,37 +30,27 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hedge import HedgeState
-from .hinge_learner import Prediction, RoundRecord, check_radius_and_scale
-from .kernels import KernelSpec, kernel_rows, pairwise, self_values, sq_distances
+from .kernels import kernel_rows, pairwise, self_values, sq_distances
 from .losses import LogisticLoss, check_label
+from .protocol import Prediction, RoundRecord, SelectorConfig, check_features, same_example
 from .rkhs import ExampleStore, KernelExpansions
 
 __all__ = ["SmoothSelectorConfig", "SmoothKernelSelector", "pea_losses"]
 
 
-@dataclass
-class SmoothSelectorConfig:
+@dataclass(kw_only=True)
+class SmoothSelectorConfig(SelectorConfig):
     """Configuration of the smooth-loss selector.
 
     ``budget`` is the shared buffer size; odd values are floored to the
     next even value (half-removal needs an even buffer) with a warning.
-    ``lambda_rule="scaled"`` gives lambda_i = lambda_scale * U / sqrt(B);
-    ``"theory"`` gives lambda_i = 2 U / (G1 sqrt(B)).
+    The ``"theory"`` rate is lambda_i = 2 U / (G1 sqrt(B)).
     """
 
-    kernels: tuple[KernelSpec, ...]
-    dim: int
-    budget: int
     loss: object = None  # smooth loss with value/deriv and G1/G2; default logistic
-    ball_radius: float | None = None
-    lambda_scale: float = 1.0
-    lambda_rule: str = "scaled"
-    removal: str = "half"
-    seed: int = 0
 
     def __post_init__(self):
-        if not self.kernels:
-            raise ValueError("need at least one kernel")
+        super().__post_init__()
         if self.budget < 2:
             raise ValueError("budget must be >= 2")
         if self.budget % 2 != 0:
@@ -72,20 +62,9 @@ class SmoothSelectorConfig:
             self.budget -= 1
         if self.loss is None:
             self.loss = LogisticLoss()
-        if self.removal not in ("half", "restart"):
-            raise ValueError("removal must be 'half' or 'restart'")
-        if self.lambda_rule not in ("scaled", "theory"):
-            raise ValueError("lambda_rule must be 'scaled' or 'theory'")
-        check_radius_and_scale(self.ball_radius, self.lambda_scale)
 
-    @property
-    def radius(self) -> float:
-        return float(self.ball_radius) if self.ball_radius is not None else math.sqrt(self.budget)
-
-    def learning_rate(self) -> float:
-        if self.lambda_rule == "theory":
-            return 2.0 * self.radius / (self.loss.G1 * math.sqrt(self.budget))
-        return self.lambda_scale * self.radius / math.sqrt(self.budget)
+    def theory_rate(self) -> float:
+        return 2.0 * self.radius / (self.loss.G1 * math.sqrt(self.budget))
 
 
 def pea_losses(values: np.ndarray, d: float) -> np.ndarray:
@@ -154,12 +133,7 @@ class SmoothKernelSelector:
         Raises ValueError on a wrong-shaped or non-finite ``x`` before any
         state changes.
         """
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.config.dim,):
-            raise ValueError(f"expected a ({self.config.dim},) feature vector, got shape {x.shape}")
-        xsq = float(x @ x)
-        if not math.isfinite(xsq):
-            raise ValueError("feature vector is not finite or its squared norm overflows")
+        x, xsq = check_features(x, self.config.dim)
         # The distances feed only Gaussian kernels and the proxy search, so a
         # polynomial grid computes them in update, when a proxy is looked for.
         dots, sqdist = pairwise(self.store.X, self.store.sqnorm, x, xsq, self._gaussian)
@@ -193,10 +167,10 @@ class SmoothKernelSelector:
 
     def update(self, x, y) -> RoundRecord:
         y = check_label(y)
-        x = np.asarray(x, dtype=float)
         pred = self._last
-        if pred is None or not (pred.x is x or (pred.x.shape == x.shape and np.array_equal(pred.x, x))):
+        if pred is None or not same_example(pred.x, x):
             pred = self.predict(x)
+        x = pred.x
         dots, sqdist, rows = self._cache
         self._last = self._cache = None
         self.t += 1

@@ -394,4 +394,4 @@ class TestInputValidation:
         with pytest.raises(ValueError, match=field):
             make_config(**{field: value})
         cfg = make_config(ball_radius=2.0, lambda_scale=0.5)
-        assert cfg.radius == 2.0 and cfg.learning_rate(len(GRID)) > 0
+        assert cfg.radius == 2.0 and cfg.learning_rate() > 0

@@ -1,0 +1,127 @@
+"""The shared round protocol: input checks of every learner, and the exports."""
+
+import copy
+import importlib
+import pkgutil
+
+import numpy as np
+import pytest
+
+import okselect
+from okselect import (
+    HingeKernelSelector,
+    HingeSelectorConfig,
+    RakerBaseline,
+    RakerConfig,
+    SmoothKernelSelector,
+    SmoothSelectorConfig,
+    gaussian,
+)
+from okselect.protocol import check_features, same_example
+
+from conftest import blob_stream
+
+D = 4
+GRID = tuple(gaussian(s, i) for i, s in enumerate((0.25, 1.0, 4.0, 16.0, 64.0)))
+LEARNERS = {
+    "momd_h": lambda: HingeKernelSelector(HingeSelectorConfig(
+        kernels=GRID, dim=D, budget=30, horizon=60, reservoir_size=3, seed=7)),
+    "momd_s": lambda: SmoothKernelSelector(SmoothSelectorConfig(kernels=GRID, dim=D, budget=6, seed=14)),
+    "raker": lambda: RakerBaseline(RakerConfig(kernels=GRID, dim=D, num_features=16, step_size=0.1, seed=3)),
+}
+BAD_X = {
+    "nan": np.array([np.nan, 0.0, 0.0, 0.0]),
+    "+inf": np.array([0.0, np.inf, 0.0, 0.0]),
+    "-inf": np.array([0.0, 0.0, -np.inf, 0.0]),
+    "overflow": np.array([1e200, 0.0, 0.0, 0.0]),  # finite, but its square overflows
+    "long": np.zeros(D + 1),
+    "column": np.zeros((D, 1)),
+}
+
+
+def assert_same_state(a, b, path="learner"):
+    """Recursive exact equality of two object graphs: arrays bit for bit, generators by state."""
+    assert type(a) is type(b), path
+    if isinstance(a, np.ndarray):
+        assert (a.shape, a.dtype, a.tobytes()) == (b.shape, b.dtype, b.tobytes()), path
+    elif isinstance(a, np.random.Generator):
+        assert a.bit_generator.state == b.bit_generator.state, path
+    elif isinstance(a, dict):
+        assert a.keys() == b.keys(), path
+        for key in a:
+            assert_same_state(a[key], b[key], f"{path}[{key!r}]")
+    elif isinstance(a, (list, tuple)):
+        assert len(a) == len(b), path
+        for i, (u, v) in enumerate(zip(a, b)):
+            assert_same_state(u, v, f"{path}[{i}]")
+    elif hasattr(a, "__dict__"):
+        assert_same_state(vars(a), vars(b), path)
+    else:
+        assert a == b or (a != a and b != b), path  # a NaN equals a NaN here
+
+
+def played(name, rounds=40):
+    """A learner of the given kind after ``rounds`` rounds of a blob stream, and the stream."""
+    X, y = blob_stream(60, D, seed=29)
+    learner = LEARNERS[name]()
+    for t in range(rounds):
+        learner.predict(X[t])
+        learner.update(X[t], y[t])
+    return learner, X, y
+
+
+def assert_rejected(learner, call):
+    """``call`` raises ValueError and leaves ``learner`` as it was."""
+    before = copy.deepcopy(learner)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError):
+        call()
+    assert_same_state(learner, before)
+
+
+@pytest.mark.parametrize("name", LEARNERS)
+@pytest.mark.parametrize("bad", BAD_X)
+def test_bad_features_rejected_before_any_state_changes(name, bad):
+    learner, X, y = played(name)
+    x = BAD_X[bad]
+    assert_rejected(learner, lambda: learner.predict(x))
+    assert_rejected(learner, lambda: learner.update(x, 1))  # no pending prediction
+    learner.predict(X[40])
+    assert_rejected(learner, lambda: learner.update(x, -1))  # pending prediction of another x
+    learner.update(X[40], y[40])
+
+
+@pytest.mark.parametrize("name", LEARNERS)
+@pytest.mark.parametrize("label", [0, 2])
+def test_bad_label_rejected_before_any_state_changes(name, label):
+    learner, X, y = played(name)
+    learner.predict(X[40])
+    assert_rejected(learner, lambda: learner.update(X[40], label))
+    learner.update(X[40], y[40])  # the pending prediction still serves the round
+
+
+def test_check_features():
+    x, xsq = check_features([3, 4], 2)
+    assert x.dtype == float and x.shape == (2,) and xsq == 25.0
+    with pytest.raises(ValueError, match="shape"):
+        check_features([[3, 4]], 2)
+
+
+def test_same_example_is_identity_or_equal_values():
+    x = np.array([1.0, 2.0])
+    assert same_example(x, x) and same_example(x, [1, 2])
+    assert not same_example(x, [1.0, 2.5]) and not same_example(x, x[:, None])
+    nan = np.array([np.nan])
+    assert same_example(nan, nan) and not same_example(nan, nan.copy())
+
+
+def _modules():
+    yield okselect
+    for info in pkgutil.iter_modules(okselect.__path__):
+        if info.name != "__main__":  # importing it runs the command line
+            yield importlib.import_module(f"okselect.{info.name}")
+
+
+@pytest.mark.parametrize("module", list(_modules()), ids=lambda m: m.__name__)
+def test_every_export_resolves(module):
+    missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+    assert not missing, f"{module.__name__}.__all__ names missing attributes: {missing}"

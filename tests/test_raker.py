@@ -123,3 +123,15 @@ def test_loss_object_is_used():
     out = model.update(x, 1)
     assert out["losses"].shape == (5,)
     assert np.all(out["losses"] >= 0)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("step_size", math.nan), ("step_size", -1.0), ("step_size", math.inf),
+     ("reg", math.nan), ("reg", -0.5), ("reg", math.inf)],
+)
+def test_bad_step_size_or_reg_rejected(field, value):
+    with pytest.raises(ValueError, match=field):
+        RakerConfig(kernels=GRID, dim=4, **{field: value})
+    cfg = RakerConfig(kernels=GRID, dim=4, step_size=0.0, reg=0.0)  # a frozen model is a valid one
+    assert cfg.step_size == 0.0 and cfg.reg == 0.0
