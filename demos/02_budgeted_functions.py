@@ -19,7 +19,8 @@ ex = KernelExpansions((gaussian(1.0, 0), gaussian(4.0, 1)), store)
 
 print("=== steps with incremental norm tracking, for both kernels ===")
 for step in range(6):
-    slot = store.add(rng.normal(size=2), rng.choice([-1, 1]))
+    x = rng.normal(size=2)
+    slot = store.add(x, rng.choice([-1, 1]), float(x @ x))  # the caller passes the squared norm it has
     for i in range(2):
         ex.step(i, [slot], [rng.normal() * 0.8])
         ex.buffer_append(i, slot)
@@ -59,11 +60,13 @@ print(f"norms recomputed from the survivors: ||f_i||^2 = {np.round(ex.sq_norms, 
 
 print()
 print("=== coefficient mass outside the buffer survives a split ===")
-outside = store.add(rng.normal(size=2), 1)
+x = rng.normal(size=2)
+outside = store.add(x, 1, float(x @ x))
 store.incref(outside)  # held by an archive, as the hinge learner's guess anchors are
 ex.step(0, [outside], [0.4])
 while len(ex.buffers[0]) % 2 != 0:
-    slot = store.add(rng.normal(size=2), 1)
+    x = rng.normal(size=2)
+    slot = store.add(x, 1, float(x @ x))
     ex.step(0, [slot], [0.1])
     ex.buffer_append(0, slot)
 ex.split_half(0)

@@ -10,6 +10,8 @@ c_{tau,i}^2), with eta_1 = sqrt(2 ln K).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = ["HedgeState"]
@@ -25,16 +27,17 @@ class HedgeState:
         self.cum_loss = np.zeros(num_experts)
         self.second_moment = 0.0
         self.round = 0
+        self._eta1 = float(np.sqrt(2.0 * np.log(num_experts)))  # sqrt(2 ln K), the first round's rate
         self._p = self._softmax()
 
     def rate(self) -> float:
-        return float(np.sqrt(2.0 * np.log(self.num_experts)) / np.sqrt(1.0 + self.second_moment))
+        return self._eta1 / math.sqrt(1.0 + self.second_moment)
 
     def _softmax(self) -> np.ndarray:
-        z = -self.rate() * self.cum_loss
-        z -= z.max()
-        w = np.exp(z)
-        p = w / w.sum()
+        p = -self.rate() * self.cum_loss
+        p -= p.max()
+        np.exp(p, out=p)
+        p /= p.sum()
         p.flags.writeable = False  # shared by every caller until the next update
         return p
 
@@ -51,10 +54,13 @@ class HedgeState:
         c = np.asarray(losses, dtype=float)
         if c.shape != (self.num_experts,):
             raise ValueError(f"expected {self.num_experts} losses, got shape {c.shape}")
-        if not np.all(np.isfinite(c)) or np.any(c < 0):
-            raise ValueError("losses must be finite and non-negative")
         p = self._p
-        self.second_moment += float(p @ (c * c))
+        moment = float(p @ (c * c))
+        # Cheap test first: NaN fails the comparison and an infinite loss gives a non-finite moment.
+        if not (c.min() >= 0.0 and math.isfinite(moment)):
+            if not np.all(np.isfinite(c)) or np.any(c < 0):
+                raise ValueError("losses must be finite and non-negative")
+        self.second_moment += moment
         self.cum_loss += c
         self.round += 1
         self._p = self._softmax()

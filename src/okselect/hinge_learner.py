@@ -17,14 +17,26 @@ the K buffers together hold at most B, and the last slot takes the round's
 example, which is stored when ``update`` starts and freed when it ends
 unless a buffer or the reservoir kept it. A full store raises, so the
 memory budget is enforced by the data structure itself. The K iterates are
-one (K, B + 1) coefficient matrix over the store's slots. Each round
-computes the inner products and squared distances from x_t to every slot
-once and derives all K kernel rows from them; the iterates' values, the
-reservoir guesses and the proxy search all read those rows.
+one (K, B + 1) coefficient matrix over the store's slots, and each buffer
+is a row of slots in insertion order. Each round computes the inner
+products and squared distances from x_t to every slot once (in
+``predict``) and derives all K kernel rows from them; the iterates' values,
+the reservoir guesses and the proxy search all read those rows.
+
+The update runs for all K kernels at once, as (K,) array operations: the
+margin test, the gaps, the proxy search over one (K, n) matrix of
+feature-space distances, the coin probabilities and the sampled steps.
+A sampled step changes each iterate by a multiple of the guess and of
+k(x_t, .), so its change of squared norm is closed-form in f_i(x_t), the
+guess's value at x_t, its squared norm and <f_i, guess>, which the
+reservoir's label sums give; it evaluates no kernel. Kernel passes happen
+only in ``predict``, in the rare proxy step, when a removal recomputes a
+norm, and when the reservoir's sample changes.
 
 Within a round the K per-kernel updates depend only on the shared round
 inputs and on per-kernel random streams derived from the master seed, so
-the outcome does not depend on the order in which kernels are processed.
+the outcome does not depend on the order in which kernels are processed;
+the coins are drawn in kernel order, each from its kernel's own stream.
 """
 
 from __future__ import annotations
@@ -46,6 +58,7 @@ __all__ = [
     "HingeKernelSelector",
     "allocate_budgets",
     "importance_weighted_coeffs",
+    "surrogate_weights",
     "BudgetError",
 ]
 
@@ -123,6 +136,19 @@ def importance_weighted_coeffs(
     return {s: c for s, c in out.items() if c != 0.0}
 
 
+def surrogate_weights(y: float, prob, accepted) -> tuple[np.ndarray, np.ndarray]:
+    """Array form of :func:`importance_weighted_coeffs` for several kernels at once.
+
+    With grad = -y k(x, .), each kernel's surrogate
+    (grad - guess)/p 1[accepted] + guess is gamma guess + delta k(x, .), where
+    gamma = 1 - a/p and delta = -y a/p (a = 1 if the coin was accepted,
+    else 0). Returns the (n,) arrays gamma and delta; ``prob`` is read only
+    where the coin was accepted.
+    """
+    ratio = accepted / np.where(accepted, prob, 1.0)
+    return 1.0 - ratio, -y * ratio
+
+
 class HingeKernelSelector:
     """Online kernel selection with per-kernel budgets, for the hinge loss."""
 
@@ -154,6 +180,9 @@ class HingeKernelSelector:
         self.t = 0
         self._last: Prediction | None = None
         self._rows = None  # kernel rows of the last prediction, over every store slot
+        self._fx = None  # the iterates' values f_i(x) at the last prediction, before the guess term
+        self._self_k = np.zeros((k, config.budget + 1))  # k_i(x_s, x_s), written when a round stores x_s
+        self._row_starts = np.arange(k)[:, None] * self.store.capacity
 
     def predict(self, x) -> Prediction:
         """f_{t,i}(x) = f'_i(x) - lambda_i * guess_i(x); mixture and sign.
@@ -164,7 +193,8 @@ class HingeKernelSelector:
         x, xsq = check_features(x, self.config.dim)
         rows = self.expansions.rows(x, xsq)
         guesses = self.reservoir.optimistic_value_many(rows)
-        vals = np.vecdot(self.expansions.coef, rows) - self.rate * guesses
+        fx = np.vecdot(self.expansions.coef, rows)
+        vals = fx - self.rate * guesses
         p = self.hedge.distribution()
         agg = float(p @ vals)
         pred = Prediction(
@@ -177,7 +207,7 @@ class HingeKernelSelector:
             label=1 if agg >= 0 else -1,
         )
         self._last = pred
-        self._rows = rows
+        self._rows, self._fx = rows, fx
         return pred
 
     def update(self, x, y) -> RoundRecord:
@@ -187,78 +217,55 @@ class HingeKernelSelector:
         if pred is None or not same_example(pred.x, x):
             pred = self.predict(x)
         x = pred.x
-        rows = self._rows
-        self._last = self._rows = None
+        rows, fx = self._rows, self._fx
+        self._last = self._rows = self._fx = None
         self.t += 1
-        k = len(self.kernels)
-        ex = self.expansions
+        ex, res = self.expansions, self.reservoir
         # the round's example; freed at the end unless a buffer or the reservoir took it
-        slot = self.store.add(x, y)
-
-        branch = ["skip"] * k
-        prob = np.full(k, np.nan)
-        coin = np.full(k, -1, dtype=int)
-        gap_sq_rec = np.zeros(k)
-        removed = np.zeros(k, dtype=bool)
-        losses = np.empty(k)
+        slot = self.store.add(x, y, pred.x_sqnorm)
+        res.track(slot, pred.guess_values)
         kxx = self_values(self.kernels, pred.x_sqnorm)
-        guess = None  # the reservoir's guess; the sample cannot change before observe
+        self._self_k[:, slot] = kxx
 
-        for i, spec in enumerate(self.kernels):
-            vi = pred.per_kernel[i]
-            losses[i] = self.loss.value(vi, y)
-            if y * vi >= 1.0:
-                continue
-            # margin violated: grad = -y k(x_t, .)
-            guess_sq = self.reservoir.optimistic_sq_norm(i)
-            gap_sq = max(kxx[i] + 2.0 * y * pred.guess_values[i] + guess_sq, 0.0)
-            gap_sq_rec[i] = gap_sq
-            self.gap_sums[i] += gap_sq
-            gamma = gap_sq / math.sqrt(1.0 + self.gap_sums[i])
+        margins = y * pred.per_kernel
+        losses = np.maximum(1.0 - margins, 0.0)
+        violated = margins < 1.0
+        # where the margin is violated, grad = -y k(x_t, .)
+        guess_sq = res.optimistic_sq_norms()
+        gap_sq = np.maximum(kxx + 2.0 * y * pred.guess_values + guess_sq, 0.0) * violated
+        self.gap_sums += gap_sq
+        gamma = gap_sq / np.sqrt(1.0 + self.gap_sums)
+        proxy = violated & (ex.buffer_sizes > 0)
+        if np.count_nonzero(proxy):
+            proxy = self._proxy_steps(proxy, rows, kxx, gamma, y)
+        sampled = violated & ~proxy
 
-            buf = ex.buffers[i]
-            if buf:
-                # feature-space distances from x to the buffered examples
-                kjj = self_values((spec,), self.store.sqnorm[buf])[0]
-                dists = np.sqrt(np.maximum(kjj + kxx[i] - 2.0 * rows[i, buf], 0.0))
-                j = int(np.argmin(dists))  # ties resolve to the earliest insertion
-                if dists[j] <= gamma:
-                    branch[i] = "proxy"
-                    ex.step(i, [buf[j]], [self.rate * y])
-                    continue
-
-            branch[i] = "sampled"
-            if guess is None:
-                guess = self.reservoir.optimistic_coeffs()
-            if gap_sq == 0.0:
-                # grad coincides with the guess: exact deterministic step
-                prob[i] = 0.0
-                coin[i] = 0
-                accepted = False
-                p_i = 1.0  # unused
-            else:
-                p_i = gap_sq / (gap_sq + guess_sq)
-                prob[i] = p_i
-                accepted = bool(self._rngs[i].random() < p_i)
-                coin[i] = 1 if accepted else 0
-            if accepted and len(buf) == self.per_kernel_cap:
+        # a zero gap means grad coincides with the guess: an exact step, no coin
+        drawn = sampled & (gap_sq > 0.0)
+        prob = np.where(sampled, 0.0, np.nan)
+        np.divide(gap_sq, gap_sq + guess_sq, out=prob, where=drawn)
+        accepted = np.zeros(len(self.kernels), dtype=bool)
+        for i in drawn.nonzero()[0].tolist():
+            accepted[i] = self._rngs[i].random() < prob[i]
+        removed = accepted & (ex.buffer_sizes == self.per_kernel_cap)
+        if np.count_nonzero(removed):
+            for i in removed.nonzero()[0].tolist():
                 if self.config.removal == "half":
                     ex.split_half(i)
                 else:
                     ex.clear(i)
-                ex.project(self.radius)
-                self.removals[i] += 1
-                removed[i] = True
-            grad = {slot: -y} if accepted else {}
-            tilde = importance_weighted_coeffs(grad, guess, p_i, accepted)
-            ex.step(i, list(tilde), [-self.rate * c for c in tilde.values()])
-            if accepted:
-                ex.buffer_append(i, slot)
+            self.removals += removed
+            ex.project(self.radius)
+            fx[removed] = np.vecdot(ex.coef[removed], rows[removed])
+        if np.count_nonzero(sampled):
+            self._sampled_steps(sampled, accepted, prob, slot, y, fx, kxx, pred.guess_values, guess_sq)
+            if np.count_nonzero(accepted):
+                ex.buffer_append(accepted.nonzero()[0], slot)
         # each kernel's step touched only its own row, so one projection serves all
         ex.project(self.radius)
 
         self.hedge.update(losses)
-        accepted_by_reservoir = self.reservoir.observe(x, y, slot=slot)
+        accepted_by_reservoir = res.observe(x, y, slot=slot)
         self.store.release_if_unreferenced(slot)
 
         return RoundRecord(
@@ -269,13 +276,58 @@ class HingeKernelSelector:
             aggregate=pred.aggregate,
             per_kernel=pred.per_kernel,
             losses=losses,
-            branch=branch,
+            branch=[("proxy" if p else "sampled") if v else "skip" for v, p in zip(violated.tolist(), proxy.tolist())],
             prob=prob,
-            coin=coin,
-            gap_sq=gap_sq_rec,
+            coin=np.where(sampled, accepted, -1),
+            gap_sq=gap_sq,
             removed=removed,
             reservoir_accepted=accepted_by_reservoir,
         )
+
+    def _proxy_steps(self, candidates, rows, kxx, gamma, y) -> np.ndarray:
+        """Step each candidate kernel whose nearest buffered example lies within gamma.
+
+        One (K, n) matrix holds the feature-space distances from x to every
+        buffered example of every kernel, from the round's kernel rows and
+        the examples' cached self-similarities, read through the buffers'
+        slot arrays. Returns the (K,) mask of kernels that took the proxy
+        step.
+        """
+        ex = self.expansions
+        sizes = ex.buffer_sizes
+        slots = ex.buffer_slots[:, : sizes.max()]
+        at = self._row_starts + slots  # flat positions in the (K, capacity) arrays
+        dists = np.sqrt(np.maximum(self._self_k.take(at) + kxx[:, None] - 2.0 * rows.take(at), 0.0))
+        dists[np.arange(slots.shape[1]) >= sizes[:, None]] = np.inf
+        proxy = candidates & (dists.min(axis=1) <= gamma)
+        for i in proxy.nonzero()[0].tolist():
+            j = dists[i].argmin()  # ties resolve to the earliest insertion
+            ex.step(i, [slots[i, j]], [self.rate * y])
+        return proxy
+
+    def _sampled_steps(self, sampled, accepted, prob, slot, y, fx, kxx, guess_values, guess_sq):
+        """Step every sampled kernel by -rate times its importance-weighted surrogate.
+
+        Kernel i's step is c_i = u_i g + w_i k_i(x, .), with g the guess and
+        (u_i, w_i) = -rate (gamma_i, delta_i) from :func:`surrogate_weights`.
+        So ||f_i + c_i||^2 - ||f_i||^2 is
+        u_i (2 <f_i, g> + u_i ||g||^2 + 2 w_i g(x)) + w_i (2 f_i(x) + w_i k_i(x, x)),
+        where <f_i, g> comes from the reservoir's label sums, f_i(x) and g(x)
+        from predict, and ||g||^2 from the reservoir's cache. No kernel is
+        evaluated. The other kernels get a zero step.
+        """
+        res = self.reservoir
+        m = len(res)
+        gamma, delta = surrogate_weights(y, prob, accepted)
+        scale = -self.rate * sampled
+        u, w = scale * gamma, scale * delta
+        f_dot_g = -np.vecdot(self.expansions.coef, res.label_sums) / m if m else 0.0
+        changes = u * (2.0 * f_dot_g + u * guess_sq + 2.0 * w * guess_values) + w * (2.0 * fx + w * kxx)
+        guess = -res.store.label[res.sample] / m if m else np.zeros(0)  # g's coefficients on the sample
+        C = np.empty((len(u), m + 1))  # each step's coefficients on the sample, then on x
+        C[:, :m] = np.multiply.outer(u, guess)
+        C[:, m] = w
+        self.expansions.step_all(np.append(res.sample, slot), C, changes)
 
     # -- diagnostics -----------------------------------------------------
 
@@ -307,9 +359,10 @@ class HingeKernelSelector:
         """
         ex = self.expansions
         archive = set(self.reservoir.archive)
-        held = archive.union(*ex.buffers)
+        buffers = [buf.tolist() for buf in ex.buffers]
+        held = archive.union(*buffers)
         assert held == set(np.flatnonzero(self.store.live).tolist()), "live slot outside archive and buffers"
-        for i, buf in enumerate(ex.buffers):
+        for i, buf in enumerate(buffers):
             assert len(buf) <= self.per_kernel_cap, "buffer over budget"
             assert set(np.flatnonzero(ex.coef[i]).tolist()) <= archive.union(buf), "coefficient outside buffer and archive"
         assert np.all(np.sqrt(np.maximum(ex.sq_norms, 0.0)) <= self.radius + 1e-8), "iterate escaped the ball"

@@ -131,7 +131,11 @@ def self_values(specs, sqnorms):
     Exactly 1 for Gaussian kernels.
     """
     sqnorms = np.asarray(sqnorms, dtype=float)
-    return kernel_rows(specs, sqnorms, np.zeros_like(sqnorms))
+    out = np.ones((len(specs),) + sqnorms.shape)
+    for i, spec in enumerate(specs):
+        if spec.kind == "polynomial":
+            out[i] = sqnorms**spec.param
+    return out
 
 
 def feature_distance(spec: KernelSpec, x, z) -> float:

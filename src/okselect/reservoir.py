@@ -1,10 +1,15 @@
 """Uniform reservoir sample of the stream plus its append-only archive.
 
 The reservoir feeds the hinge learner's gradient guess: the guess at a
-query x is -(1/|V|) sum_{(x_j, y_j) in V} y_j k(x_j, x). The caches of the
-guess's squared norm, one per kernel, are maintained under insert/evict
-swaps, so an accepted round costs one pass over the sample for all K
-kernels.
+query x is -(1/|V|) sum_{(x_j, y_j) in V} y_j k(x_j, x). For each kernel i
+the reservoir keeps the label sums sum_{j in V} y_j k_i(x_j, x_s) at every
+store slot s, a (K, capacity) matrix. With them the learner reads the
+inner product of any iterate with the guess, and the guess's squared norm,
+without evaluating a kernel. A slot's sums are written when its example is
+stored (from the guess values the learner computed at predict), and one
+pass over the store against the new sample recomputes every slot's sums
+when the sample changes. Sample changes stop when the archive freezes, so
+they are rare: about a hundred on a stream of thousands.
 
 The sample and the archive hold store slots. The archive (every example
 that ever entered the reservoir) is capped: once ``archive_cap`` examples
@@ -16,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .kernels import KernelSpec, kernel_rows, pairwise, self_values
+from .kernels import KernelSpec, kernel_rows, pairwise
 from .rkhs import ExampleStore
 
 __all__ = ["Reservoir"]
@@ -25,8 +30,10 @@ __all__ = ["Reservoir"]
 class Reservoir:
     """Capacity-M uniform sample with archive and optimistic-gradient views.
 
-    ``specs`` are the kernels whose guess norms are cached; a kernel is
-    named by its position in ``specs``.
+    ``specs`` are the kernels whose label sums are kept; a kernel is named
+    by its position in ``specs``. ``label_sums[i, s]`` is
+    sum_{j in V} y_j k_i(x_j, x_s), valid at every live slot that entered
+    through :meth:`observe` or was registered with :meth:`track`.
     """
 
     def __init__(
@@ -46,10 +53,11 @@ class Reservoir:
         self.archive_cap = archive_cap
         self.rng = rng
         self.specs = tuple(specs)
-        self.sample: list[int] = []  # slots of the current uniform sample V
+        self.sample = np.zeros(0, dtype=np.intp)  # slots of the current uniform sample V
         self.archive: list[int] = []  # slots of every example ever sampled
         self.seen = 0
         self.frozen = False
+        self.label_sums = np.zeros((len(self.specs), store.capacity))
         # sum_{j,k in V} y_j y_k k_i(x_j, x_k) for each kernel i, unnormalized
         self._gram_sum = np.zeros(len(self.specs))
 
@@ -75,21 +83,28 @@ class Reservoir:
         if self.rng.random() >= p:
             return False
         if slot is None:
-            slot = self.store.add(x, y)
+            x = np.asarray(x, dtype=float)
+            slot = self.store.add(x, y, float(x @ x))
         if len(self.sample) == self.capacity:
             k = int(self.rng.integers(self.capacity))
-            self._cache_update(self.sample[k], -1.0)
-            self.store.decref(self.sample[k])
+            self.store.decref(self.sample[k])  # the evicted example stays in the archive
             self.sample[k] = slot
         else:
-            self.sample.append(slot)
-        self.store.incref(slot)
-        self._cache_update(slot, 1.0)
+            self.sample = np.append(self.sample, slot)
         self.archive.append(slot)
-        self.store.incref(slot)
+        self.store.incref(slot, 2)  # one reference for the sample, one for the archive
+        self._sums_update()
         if len(self.archive) >= self.archive_cap:
             self.frozen = True
         return True
+
+    def track(self, slot: int, guess_values):
+        """Write the label sums of an example just stored in ``slot``.
+
+        ``guess_values`` are the guess values at that example, computed
+        against the current sample (by :meth:`optimistic_value_many`).
+        """
+        self.label_sums[:, slot] = -len(self.sample) * np.asarray(guess_values)
 
     # -- optimistic gradient views ----------------------------------------
 
@@ -99,30 +114,33 @@ class Reservoir:
         ``rows`` is the (K, capacity) matrix of k_i(x_s, x) between every
         store slot s and the query x.
         """
-        if not self.sample:
+        if not len(self.sample):
             return np.zeros(len(rows))
         return -np.vecdot(rows[:, self.sample], self.store.label[self.sample]) / len(self.sample)
 
+    def optimistic_sq_norms(self) -> np.ndarray:
+        """Squared RKHS norm of the guess under each kernel of ``specs``."""
+        if not len(self.sample):
+            return np.zeros(len(self.specs))
+        return np.maximum(self._gram_sum, 0.0) / len(self.sample) ** 2
+
     def optimistic_sq_norm(self, i: int) -> float:
-        """Squared RKHS norm of the guess under kernel ``specs[i]``, from the cache."""
-        if not self.sample:
-            return 0.0
-        return max(self._gram_sum[i], 0.0) / len(self.sample) ** 2
+        """Squared RKHS norm of the guess under kernel ``specs[i]``."""
+        return float(self.optimistic_sq_norms()[i])
 
     def optimistic_coeffs(self) -> dict[int, float]:
         """The guess as a slot -> coefficient map: {slot_j: -y_j / |V|}."""
         m = len(self.sample)
         labels = self.store.label
-        return {s: -float(labels[s]) / m for s in self.sample}
+        return {s: -float(labels[s]) / m for s in self.sample.tolist()}
 
-    # -- cache maintenance -------------------------------------------------
+    # -- label-sum maintenance ---------------------------------------------
 
-    def _cache_update(self, slot: int, sign: float):
-        # remove (sign -1): G' = G - 2 y_v (sum_{j in V} y_j k_jv) + k_vv, V including v
-        # insert (sign +1): G' = G + 2 y_e (sum_{j in V'} y_j k_je) - k_ee, V' including e
+    def _sums_update(self):
+        # One pass over the store against the new sample, so the sums carry no drift.
         if not self.specs:
             return
         st, v = self.store, self.sample
-        x, xsq, y = st.X[slot], float(st.sqnorm[slot]), float(st.label[slot])
-        rows = kernel_rows(self.specs, *pairwise(st.X[v], st.sqnorm[v], x, xsq))
-        self._gram_sum += sign * (2.0 * y * np.vecdot(rows, st.label[v]) - self_values(self.specs, xsq))
+        rows = kernel_rows(self.specs, *pairwise(st.X, st.sqnorm, st.X[v], st.sqnorm[v]))
+        self.label_sums = rows @ st.label[v]
+        self._gram_sum = np.vecdot(self.label_sums[:, v], st.label[v])

@@ -9,9 +9,11 @@ memory is fixed by the capacity, not by the stream length.
 :class:`KernelExpansions` keeps K kernel expansions
 f_i = sum_s coef[i, s] k_i(x_s, .) over the slots of one store as a
 (K, capacity) coefficient matrix, with each squared RKHS norm maintained
-incrementally and recomputed from the Gram matrix of the support whenever
-half of a buffer is removed. The hinge learner keeps one buffer per kernel
-in it; the smooth learner keeps one buffer for all K kernels itself.
+incrementally (from the kernel block of a step, or from a change the caller
+knows in closed form) and recomputed from the Gram matrix of the support
+whenever half of a buffer is removed. The hinge learner keeps one buffer
+per kernel in it; the smooth learner keeps one buffer for all K kernels
+itself.
 """
 
 from __future__ import annotations
@@ -52,8 +54,11 @@ class ExampleStore:
     def __len__(self) -> int:
         return self.capacity - len(self._free)
 
-    def add(self, x, y) -> int:
-        """Store (x, y) with refcount 0 and return its slot."""
+    def add(self, x, y, x_sqnorm: float) -> int:
+        """Store (x, y) with refcount 0 and return its slot.
+
+        ``x_sqnorm`` is x @ x, which every caller has already computed.
+        """
         x = np.asarray(x, dtype=float)
         if x.shape != (self.dim,):
             raise ValueError(f"expected a ({self.dim},) vector, got {x.shape}")
@@ -61,15 +66,16 @@ class ExampleStore:
             raise RuntimeError(f"example store is full: all {self.capacity} slots are live")
         slot = self._free.pop()
         self.X[slot] = x
-        self.sqnorm[slot] = float(x @ x)
+        self.sqnorm[slot] = x_sqnorm
         self.label[slot] = float(y)
         self.live[slot] = True
         return slot
 
-    def incref(self, slot: int):
+    def incref(self, slot: int, n: int = 1):
+        """Add ``n`` references to a live slot."""
         if not self.live[slot]:
             raise KeyError(f"slot {slot} holds no example")
-        self.refs[slot] += 1
+        self.refs[slot] += n
 
     def decref(self, slots):
         """Drop one reference from a slot, or from each of an array of distinct slots.
@@ -101,15 +107,15 @@ class KernelExpansions:
 
     Kernel i's function is f_i = sum_s coef[i, s] k_i(x_s, .) and
     ``sq_norms[i]`` caches ||f_i||^2. Coefficients hold no store
-    references; whoever steps on a slot keeps it alive. ``buffers[i]``
-    lists, in insertion order, the slots charged against kernel i's budget
-    when each kernel has a buffer of its own (the hinge learner); each
-    membership holds a store reference. A coefficient may sit on a slot
-    outside the buffer (a gradient-guess anchor in the archive). Slots
-    whose coefficient was stepped to exactly zero stay in the buffer
-    (budgeting counts membership, not nonzero-ness). A learner whose
-    kernels share one buffer (the smooth learner) keeps that buffer
-    itself and leaves ``buffers`` empty.
+    references; whoever steps on a slot keeps it alive. When each kernel
+    has a buffer of its own (the hinge learner), kernel i's buffer is
+    ``buffer_slots[i, :buffer_sizes[i]]``: the slots charged against its
+    budget, in insertion order, each membership holding a store reference.
+    A coefficient may sit on a slot outside the buffer (a gradient-guess
+    anchor in the archive). Slots whose coefficient was stepped to exactly
+    zero stay in the buffer (budgeting counts membership, not
+    nonzero-ness). A learner whose kernels share one buffer (the smooth
+    learner) keeps that buffer itself and leaves these empty.
     """
 
     def __init__(self, specs: tuple[KernelSpec, ...], store: ExampleStore):
@@ -117,8 +123,15 @@ class KernelExpansions:
         self.store = store
         self.coef = np.zeros((len(self.specs), store.capacity))
         self.sq_norms = np.zeros(len(self.specs))
-        self.buffers: list[list[int]] = [[] for _ in self.specs]
+        self.buffer_slots = np.zeros((len(self.specs), store.capacity), dtype=np.intp)
+        self.buffer_sizes = np.zeros(len(self.specs), dtype=np.intp)
+        self._row_starts = np.arange(len(self.specs))[:, None] * store.capacity
         self._distances = any(spec.kind == "gaussian" for spec in self.specs)
+
+    @property
+    def buffers(self) -> list[np.ndarray]:
+        """Each kernel's buffer as a view of its slots, in insertion order."""
+        return [self.buffer_slots[i, :n] for i, n in enumerate(self.buffer_sizes)]
 
     def rows(self, x, x_sqnorm: float) -> np.ndarray:
         """(K, capacity) matrix of k_i(x_s, x), from one pass over the store.
@@ -147,6 +160,16 @@ class KernelExpansions:
         self.sq_norms[i] += float((2.0 * row[u] + g[u]) @ block @ cs)
         row[slots] += cs
 
+    def step_all(self, slots, C, sq_norm_changes):
+        """f_i <- f_i + sum_j C[i, j] k_i(x_{slots[j]}, .) for every kernel i, over distinct slots.
+
+        The caller supplies the (K,) changes of ||f_i||^2, which it knows in
+        closed form, so no kernel is evaluated.
+        """
+        # coef is C-contiguous, so reshape gives a view and the flat positions address it
+        self.coef.reshape(-1)[self._row_starts + slots] += C
+        self.sq_norms += sq_norm_changes
+
     def project(self, radius: float):
         """Project each f_i onto {||f|| <= radius}; idempotent, never grows a norm."""
         r2 = radius * radius
@@ -154,35 +177,37 @@ class KernelExpansions:
             self.coef[i] *= radius / np.sqrt(self.sq_norms[i])
             self.sq_norms[i] = r2
 
-    def buffer_append(self, i: int, slot: int):
-        self.store.incref(slot)
-        self.buffers[i].append(slot)
+    def buffer_append(self, kernels, slot: int):
+        """Append ``slot`` to the buffer of each kernel in ``kernels`` (an index or an array of distinct indices)."""
+        kernels = np.atleast_1d(kernels)
+        self.store.incref(slot, len(kernels))
+        self.buffer_slots[kernels, self.buffer_sizes[kernels]] = slot
+        self.buffer_sizes[kernels] += 1
 
-    def split_half(self, i: int) -> list[int]:
+    def split_half(self, i: int) -> np.ndarray:
         """Drop the newer half of kernel i's buffer and return its slots.
 
         Coefficients on the dropped slots are zeroed; coefficient mass on
         slots outside the buffer (archive anchors) stays. The norm cache is
         recomputed from scratch, which also resets accumulated drift.
         """
-        buf = self.buffers[i]
-        n = len(buf)
+        n = int(self.buffer_sizes[i])
         if n < 2 or n % 2 != 0:
             raise ValueError(f"buffer size {n} is not an even size >= 2")
-        kept, removed = buf[: n // 2], buf[n // 2 :]
+        removed = self.buffer_slots[i, n // 2 : n].copy()
         self.coef[i, removed] = 0.0
         self.store.decref(removed)
-        self.buffers[i] = kept
+        self.buffer_sizes[i] = n // 2
         self.recompute_sq_norms(slice(i, i + 1))
         return removed
 
-    def clear(self, i: int) -> list[int]:
+    def clear(self, i: int) -> np.ndarray:
         """Restart kernel i: drop its whole buffer and every coefficient."""
-        removed = self.buffers[i]
+        removed = self.buffer_slots[i, : self.buffer_sizes[i]].copy()
         self.store.decref(removed)
         self.coef[i] = 0.0
         self.sq_norms[i] = 0.0
-        self.buffers[i] = []
+        self.buffer_sizes[i] = 0
         return removed
 
     def recompute_sq_norms(self, kernels: slice = slice(None), slots=None):

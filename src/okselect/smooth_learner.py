@@ -230,7 +230,7 @@ class SmoothKernelSelector:
                         fx = np.vecdot(ex.coef, rows)
                         self.removals += 1
                         did_remove = True
-                    slot = store.add(x, y)
+                    slot = store.add(x, y, pred.x_sqnorm)
                     store.incref(slot)
                     self._order[len(store) - 1] = slot
                     if k_xx is None:

@@ -38,11 +38,17 @@ def blob_stream(T: int, d: int, seed: int, sep: float = 1.2, noise: float = 0.7)
     return X[perm], y[perm]
 
 
+def store_example(store: ExampleStore, x, y) -> int:
+    """Store (x, y), passing the squared norm that the store takes from its caller."""
+    x = np.asarray(x, dtype=float)
+    return store.add(x, y, float(x @ x))
+
+
 def random_expansion(spec, store: ExampleStore, n_atoms: int, rng, scale: float = 1.0):
     """A one-kernel expansion with random coefficients whose atoms are all buffered."""
     ex = KernelExpansions((spec,), store)
     for _ in range(n_atoms):
-        slot = store.add(rng.normal(size=store.dim), rng.choice([-1, 1]))
+        slot = store_example(store, rng.normal(size=store.dim), rng.choice([-1, 1]))
         ex.step(0, [slot], [scale * rng.normal()])
         ex.buffer_append(0, slot)
     return ex

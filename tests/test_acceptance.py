@@ -31,7 +31,7 @@ from okselect import (
 from okselect.hinge_learner import importance_weighted_coeffs
 from okselect.kernels import kernel_eval
 
-from conftest import blob_stream, dataset_path
+from conftest import blob_stream, dataset_path, store_example
 
 GRID = tuple(gaussian(s, i) for i, s in enumerate((0.25, 1.0, 4.0, 16.0, 64.0)))
 
@@ -264,7 +264,7 @@ def test_criterion_7_mirror_step_optimality():
     for state in range(100):
         n = int(rng.integers(3, 10))
         store = ExampleStore(dim=3)
-        ids = [store.add(rng.normal(size=3), 1) for _ in range(n)]
+        ids = [store_example(store, rng.normal(size=3), 1) for _ in range(n)]
         pts = [store.X[s].copy() for s in ids]
         G = np.array([[kernel_eval(spec, a, b) for b in pts] for a in pts])
         radius = float(rng.uniform(0.5, 2.0))

@@ -17,8 +17,17 @@ proxy-step values now sum over every store slot in slot order, and slots
 are reused out of insertion order after a removal, which moves the last
 bits of the aggregates (by at most 8e-15 relative), while every label,
 branch, coin and removal stayed the same. ``momd_s_lowerbound_poly1`` did
-not move. Print the current digests with
-``PYTHONPATH=src python tests/test_golden.py``.
+not move. The three ``momd_h`` digests were recorded again when the hinge
+learner's sampled step became closed-form: each squared norm now changes
+by a formula over cached inner products instead of a fresh kernel block,
+the step's coefficients are -rate (1 - 1/p) times the guess's instead of
+-rate (g - g/p), and the guess's squared norm is summed from label sums
+recomputed at each sample change instead of updated in place. That moves
+the last bits of the aggregates (by at most 4e-13 relative), while every
+label, branch, coin, removal and reservoir decision stayed the same, and
+``tests/test_reference.py`` (the learner against its scalar reference)
+passed on the same change. The four ``momd_s`` digests did not move.
+Print the current digests with ``PYTHONPATH=src python tests/test_golden.py``.
 """
 
 from __future__ import annotations
@@ -104,9 +113,9 @@ GOLDEN = {
     "momd_s_blob_restart": "89535456a1de0a1f4eea1b1851ef5648e4290d0deba312311a03611eefffff26",
     "momd_s_mixed_grid": "868bfe6558ea0a90b75a0fa41f4c977e54d191e71b22a9ba79b79e0a3813296c",
     "momd_s_lowerbound_poly1": "e7dabb6961177bf1236945f682fe53af795a29b1b7af624e779e91b361f256d3",
-    "momd_h_blob_half": "c4ee79e6321e33086e5fa28a2339314c6c59b27a2ee23c2d7176699cc0b3a5f4",
-    "momd_h_blob_restart": "1df210a556b101599da2f45b462c6a45d509fecff4d228832d27d807a2e1510e",
-    "momd_h_lowerbound_poly1": "d66645e2392e4cea6f803cfbb9dd82412f0d28a9fffbaab034d2545d54fcdfe1",
+    "momd_h_blob_half": "53a2c50e8967698d1a839c0daeb426fa0b50214b31f1a1682933987deee6fe27",
+    "momd_h_blob_restart": "f36234fb6d7c09c3ed62144587cb32b96110a5dba23a7faee75361ab4ab32bea",
+    "momd_h_lowerbound_poly1": "778d7afb4c2e0d773db067b67c1ad5e07b479368f18788de0fab675cfe3e4195",
 }
 
 

@@ -103,3 +103,69 @@ def test_second_moment_monotone_and_underflow_safe():
         assert np.isfinite(p).all()
         assert abs(p.sum() - 1.0) <= 1e-12
     assert p[1] > 0.99
+
+
+class _FormulaHedge:
+    """HedgeState's update as first written: full input scan, rate through numpy scalars."""
+
+    def __init__(self, K):
+        self.K = K
+        self.cum_loss = np.zeros(K)
+        self.second_moment = 0.0
+        self.p = self.softmax()
+
+    def rate(self):
+        return float(np.sqrt(2.0 * np.log(self.K)) / np.sqrt(1.0 + self.second_moment))
+
+    def softmax(self):
+        z = -self.rate() * self.cum_loss
+        z -= z.max()
+        w = np.exp(z)
+        return w / w.sum()
+
+    def update(self, c):
+        c = np.asarray(c, dtype=float)
+        if not np.all(np.isfinite(c)) or np.any(c < 0):
+            raise ValueError("losses must be finite and non-negative")
+        p = self.p
+        self.second_moment += float(p @ (c * c))
+        self.cum_loss += c
+        self.p = self.softmax()
+        return p
+
+
+@pytest.mark.parametrize("K", [1, 2, 5])
+def test_lean_update_is_bit_identical_to_the_formulas(K):
+    rng = np.random.default_rng(16 + K)
+    lean, ref = HedgeState(K), _FormulaHedge(K)
+    for t in range(400):
+        # spans zeros, tiny and huge losses, so the exponentials underflow at times
+        c = rng.choice([0.0, 1e-300, 0.5, 1.0, 30.0, 1e3]) * rng.uniform(0, 2, size=K)
+        used = lean.update(c), ref.update(c)
+        assert [v.hex() for v in used[0]] == [v.hex() for v in used[1]]
+        assert [v.hex() for v in lean.distribution()] == [v.hex() for v in ref.p]
+        assert lean.rate().hex() == ref.rate().hex()
+        assert lean.second_moment.hex() == ref.second_moment.hex()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1e-12])
+@pytest.mark.parametrize("K", [1, 2, 5])
+def test_every_bad_loss_rejected_before_any_state_changes(K, bad):
+    s = HedgeState(K)
+    s.update(np.linspace(0.1, 1.0, K))
+    before = (s.cum_loss.copy(), s.second_moment, s.round, s.distribution().copy())
+    for where in range(K):
+        c = np.full(K, 0.5)
+        c[where] = bad
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            s.update(c)
+    assert np.array_equal(s.cum_loss, before[0]) and s.second_moment == before[1] and s.round == before[2]
+    assert np.array_equal(s.distribution(), before[3])
+
+
+def test_finite_losses_whose_square_overflows_are_accepted():
+    # only the cheap check fails; the full scan finds nothing wrong
+    s = HedgeState(2)
+    with np.errstate(over="ignore"):
+        s.update([1e200, 0.0])
+    assert s.second_moment == math.inf

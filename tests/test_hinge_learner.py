@@ -13,7 +13,7 @@ from okselect import (
     gaussian,
     polynomial,
 )
-from okselect.hinge_learner import importance_weighted_coeffs
+from okselect.hinge_learner import importance_weighted_coeffs, surrogate_weights
 from okselect.kernels import kernel_eval
 
 from conftest import assert_refcounts_conserved, blob_stream, brute_guess_sq_norm, brute_norm_sq, brute_value, coeffs
@@ -187,6 +187,24 @@ class TestSurrogateGradient:
         coeffs0 = importance_weighted_coeffs({7: -1.0}, {3: -0.5}, 0.25, False)
         assert coeffs0 == {3: -0.5}
 
+    @pytest.mark.parametrize("guess", [{3: -0.25, 8: 0.25, 5: -0.25, 1: 0.25}, {}], ids=["sample", "empty sample"])
+    @pytest.mark.parametrize("y", [-1.0, 1.0])
+    def test_array_form_matches_dict_reference(self, guess, y):
+        # one kernel per case: accepted, rejected, p = 1, a zero gap (no coin), accepted at a small p
+        prob = np.array([0.3, 0.3, 1.0, 0.0, 0.02])
+        accepted = np.array([True, False, True, False, True])
+        gamma, delta = surrogate_weights(y, prob, accepted)
+        x_slot = 100  # the round's example, never in the sample
+        for i in range(len(prob)):
+            want = importance_weighted_coeffs({x_slot: -y} if accepted[i] else {}, guess, prob[i], accepted[i])
+            got = {s: gamma[i] * c for s, c in guess.items()} | {x_slot: delta[i]}
+            scale = 1.0 / prob[i] if accepted[i] else 1.0
+            for s, c in got.items():
+                if s not in want:
+                    assert c == 0.0, (i, s)  # dropped exactly where the array form is exactly zero
+                else:
+                    assert c == pytest.approx(want[s], rel=0, abs=4e-16 * scale), (i, s)
+
 
 class TestFullRuns:
     def run_stream(self, learner, X, y, check_every=1):
@@ -315,6 +333,10 @@ class TestCoefficientMatrix:
             reservoir_size=reservoir_size, removal=removal, seed=seed,
         ))
         store, ex, res = learner.store, learner.expansions, learner.reservoir
+        added = []  # the slot of each round's example, as the store hands it out
+        store_add = store.add
+        store.add = lambda *args: added.append(store_add(*args)) or added[-1]
+        insertions = [[] for _ in grid]  # each buffer rebuilt from the round records, oldest first
         pool = np.array(pool)
         for idx, y in rounds:
             x = pool[idx % len(pool)]
@@ -325,7 +347,7 @@ class TestCoefficientMatrix:
                 assert pred.guess_values[i] == pytest.approx(g, rel=1e-9, abs=1e-12)
                 fi = brute_value(spec, store, coeffs(ex, i), x)
                 assert pred.per_kernel[i] == pytest.approx(fi - learner.rate * g, rel=1e-9, abs=1e-12)
-            learner.update(x, y)
+            rec = learner.update(x, y)
             learner.check_invariants()
             archive = set(res.archive)
             assert not ex.coef[:, ~store.live].any()
@@ -333,6 +355,16 @@ class TestCoefficientMatrix:
                 assert set(np.flatnonzero(ex.coef[i]).tolist()) <= archive | set(ex.buffers[i])
                 assert ex.sq_norms[i] == pytest.approx(brute_norm_sq(spec, store, coeffs(ex, i)), rel=1e-9, abs=1e-12)
                 assert res.optimistic_sq_norm(i) == pytest.approx(brute_guess_sq_norm(res, spec), rel=1e-9, abs=1e-12)
+                # the reservoir's label sums at every live slot
+                for s in np.flatnonzero(store.live):
+                    want = sum(store.label[j] * kernel_eval(spec, store.X[j], store.X[s]) for j in res.sample)
+                    assert res.label_sums[i, s] == pytest.approx(want, rel=1e-9, abs=1e-12)
+                # the buffer's slots in insertion order: half-removal keeps the oldest half
+                if rec.removed[i]:
+                    del insertions[i][len(insertions[i]) // 2 if removal == "half" else 0 :]
+                if rec.coin[i] == 1:
+                    insertions[i].append(added[-1])
+                assert ex.buffers[i].tolist() == insertions[i]
 
     def test_default_kernel_indices_change_nothing(self):
         # gaussian() defaults to index 0; each kernel must still get its own guess-norm cache

@@ -30,7 +30,7 @@ def test_always_inserts_until_full():
     for t in range(5):
         assert r.observe([float(t), 0.0], 1) is True
     assert len(r) == 5
-    assert r.archive == r.sample
+    assert r.archive == r.sample.tolist()
 
 
 def test_acceptance_rate_at_twice_capacity():
@@ -155,5 +155,5 @@ def test_refcounts_cover_sample_and_archive():
     for t in range(50):
         r.observe([float(t)], 1)
     for slot in r.archive:
-        expected = 1 + r.sample.count(slot)
+        expected = 1 + r.sample.tolist().count(slot)
         assert store.refs[slot] == expected

@@ -84,7 +84,7 @@ class TestPredict:
     def test_hand_built_state_matches_brute_force(self):
         learner = make_learner(kernels=(gaussian(0.5, 0), gaussian(2.0, 1)))
         store, ex = learner.store, learner.expansions
-        slots = [store.add(z, 1) for z in ([1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0])]
+        slots = [store.add(z, 1, 1.0) for z in ([1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0])]
         ex.coef[:, slots] = [[0.5, -0.25], [0.1, 0.3]]
         x = np.array([0.3, 0.3, 0.1, 0.0])
         pred = learner.predict(x)
