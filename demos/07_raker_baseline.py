@@ -21,7 +21,7 @@ x, z = rng.normal(size=3), rng.normal(size=3)
 truth = kernel_eval(spec, x, z)
 for D in (10, 100, 1000):
     model = RakerBaseline(RakerConfig(kernels=(spec,), dim=3, num_features=D, seed=0))
-    zx, zz = model.features(0, x), model.features(0, z)
+    zx, zz = model.features(x)[0], model.features(z)[0]
     print(f"D={D:<5} <z(x),z(z)>={zx @ zz:+.4f}   true k(x,z)={truth:+.4f}   "
           f"||z(x)||^2={zx @ zx:.12f}")
 

@@ -10,6 +10,7 @@ from its config alone.
 
 from __future__ import annotations
 
+import csv
 import itertools
 import json
 import math
@@ -169,10 +170,11 @@ class Report:
 
     def to_csv(self, path):
         mean_row, std_row = self.aggregates()
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(",".join(REPORT_COLUMNS) + "\n")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(REPORT_COLUMNS)
             for row in self.formatted_rows() + [mean_row, std_row]:
-                fh.write(",".join(_csv_cell(row[c]) for c in REPORT_COLUMNS) + "\n")
+                writer.writerow([row[c] for c in REPORT_COLUMNS])
 
     def mean(self, col: str) -> float:
         mean_row, _ = self.aggregates()
@@ -185,13 +187,6 @@ def _fmt(x) -> str:
     if isinstance(x, float):
         return f"{x:.6g}"
     return str(x)
-
-
-def _csv_cell(x) -> str:
-    s = str(x)
-    if "," in s or '"' in s:
-        s = '"' + s.replace('"', '""') + '"'
-    return s
 
 
 def _format_row(row: dict) -> dict:
@@ -239,25 +234,18 @@ def _build_learner(config: ExperimentConfig, ds, seed: int):
 
 
 def _stream(learner, ds, loss) -> dict:
+    """Predict, then update, on every example of ``ds``; mistakes and loss
+    come from the pre-update label and aggregate in each round's record."""
     mistakes = 0
     cum = 0.0
     t0 = time.perf_counter()
     X = ds.dense_features()
     y = ds.y
-    if isinstance(learner, RakerBaseline):
-        for t in range(ds.num_examples):
-            _, agg, label = learner.predict(X[t])
-            truth = int(y[t])
-            mistakes += label != truth
-            cum += loss.value(agg, truth)
-            learner.update(X[t], truth)
-    else:
-        for t in range(ds.num_examples):
-            pred = learner.predict(X[t])
-            truth = int(y[t])
-            mistakes += pred.label != truth
-            cum += loss.value(pred.aggregate, truth)
-            learner.update(X[t], truth)
+    for t in range(ds.num_examples):
+        learner.predict(X[t])
+        rec = learner.update(X[t], int(y[t]))
+        mistakes += rec.mistake
+        cum += loss.value(rec.aggregate, rec.truth)
     wall = time.perf_counter() - t0
     return {"mistakes": mistakes, "cum_loss": cum, "wall_time_s": wall}
 

@@ -2,9 +2,10 @@
 
 Every learner plays the same round: ``predict(x)`` checks the features and
 returns the pre-update view, then ``update(x, y)`` consumes the label,
-reusing the pending prediction when it was made for the same ``x``. The two
-budgeted selectors share the core of their configuration; its ``"scaled"``
-rate is lambda_i = lambda_scale * U / sqrt(B) (the benchmark rule, with
+reusing the pending prediction when it was made for the same ``x``, and
+returns the round's :class:`RoundRecord`. The two budgeted selectors share
+the core of their configuration; its ``"scaled"`` rate is
+lambda_i = lambda_scale * U / sqrt(B) (the benchmark rule, with
 lambda_scale in {2, 1, 0.5}) and each selector supplies its ``"theory"`` rate.
 """
 
@@ -55,7 +56,8 @@ class Prediction:
 
 @dataclass
 class RoundRecord:
-    """What happened in one round, per kernel where applicable."""
+    """What happened in one round, per kernel where applicable. The fields
+    from ``branch`` on are selector-only: the raker leaves them at their defaults."""
 
     t: int
     label: int
@@ -64,11 +66,11 @@ class RoundRecord:
     aggregate: float
     per_kernel: np.ndarray
     losses: np.ndarray
-    branch: list  # "skip" | "proxy" | "sampled"
-    prob: np.ndarray  # Bernoulli success probability (nan when not drawn)
-    coin: np.ndarray  # realized draw (-1 not drawn / 0 / 1)
-    gap_sq: np.ndarray  # ||grad - guess||^2 (0 when the margin held)
-    removed: np.ndarray  # True where a half-removal (or restart) fired
+    branch: list | None = None  # "skip" | "proxy" | "sampled"
+    prob: np.ndarray | None = None  # Bernoulli success probability (nan when not drawn)
+    coin: np.ndarray | None = None  # realized draw (-1 not drawn / 0 / 1)
+    gap_sq: np.ndarray | None = None  # ||grad - guess||^2 (0 when the margin held)
+    removed: np.ndarray | None = None  # True where a half-removal (or restart) fired
     reservoir_accepted: bool = False
     extras: dict = field(default_factory=dict)
 

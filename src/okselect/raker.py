@@ -7,6 +7,11 @@ the feature vector always has unit squared norm. A linear model per kernel
 is trained by regularized online gradient descent, and the per-kernel
 predictions are mixed by multiplicative weights on their task losses.
 
+Each per-kernel quantity is one array with a row per kernel (kernel i owns
+frequency rows iD to (i+1)D - 1), so a round is one matrix-vector product,
+one ``sin``, one ``cos`` and array steps. ``update`` returns the shared
+:class:`~okselect.protocol.RoundRecord`, selector-only fields left unset.
+
 The baseline reconstructs the comparison setup at the level of structure
 (random features + per-kernel OGD + multiplicative weights); it makes no
 exactness claim beyond that.
@@ -21,7 +26,7 @@ import numpy as np
 
 from .kernels import KernelSpec
 from .losses import HingeLoss, check_label
-from .protocol import check_features, same_example
+from .protocol import RoundRecord, check_features, same_example
 
 __all__ = ["RakerConfig", "RakerBaseline"]
 
@@ -52,33 +57,34 @@ class RakerConfig:
 
 
 class RakerBaseline:
-    """Per-kernel linear models on random Fourier features."""
+    """Per-kernel linear models on random Fourier features, one array row per kernel."""
 
     def __init__(self, config: RakerConfig):
         self.config = config
         self.kernels = tuple(config.kernels)
         k = len(self.kernels)
-        d = config.dim
+        D = config.num_features
         rng = np.random.default_rng(np.random.SeedSequence(config.seed))
-        # frequencies ~ Normal(0, 1/sigma^2) per kernel
-        self.freqs = [
-            rng.normal(0.0, 1.0 / spec.param, size=(config.num_features, d))
-            for spec in self.kernels
-        ]
-        self.theta = [np.zeros(2 * config.num_features) for _ in range(k)]
+        # frequencies ~ Normal(0, 1/sigma^2) per coordinate; kernel i owns rows iD .. (i+1)D - 1
+        freqs = rng.standard_normal((k, D, config.dim))
+        freqs *= np.array([1.0 / spec.param for spec in self.kernels])[:, None, None]
+        self.freqs = freqs.reshape(k * D, config.dim)
+        self.theta = np.zeros((k, 2 * D))
         self.log_weights = np.zeros(k)
         self.cum_loss = np.zeros(k)
         self.t = 0
         self._last = None
 
-    def features(self, i: int, x) -> np.ndarray:
-        """z(x) = (1/sqrt(D)) [sin(w_1.x), cos(w_1.x), ...]; ||z||^2 = 1."""
+    def features(self, x) -> np.ndarray:
+        """Row i is z_i(x) = (1/sqrt(D)) [sin(w_1.x), cos(w_1.x), ...] of kernel i; ||z_i||^2 = 1."""
         x = np.asarray(x, dtype=float)
-        proj = self.freqs[i] @ x
-        z = np.empty(2 * self.config.num_features)
-        z[0::2] = np.sin(proj)
-        z[1::2] = np.cos(proj)
-        return z / math.sqrt(self.config.num_features)
+        k, D = self.theta.shape[0], self.config.num_features
+        proj = (self.freqs @ x).reshape(k, D)
+        z = np.empty((k, 2 * D))
+        z[:, 0::2] = np.sin(proj)
+        z[:, 1::2] = np.cos(proj)
+        z /= math.sqrt(D)
+        return z
 
     def mixture_weights(self) -> np.ndarray:
         z = self.log_weights - self.log_weights.max()
@@ -88,33 +94,32 @@ class RakerBaseline:
     def predict(self, x):
         """(per-kernel values, their mixture, its sign); ValueError on a bad ``x`` before any state changes."""
         x, _ = check_features(x, self.config.dim)
-        zs = [self.features(i, x) for i in range(len(self.kernels))]
-        vals = np.array([self.theta[i] @ zs[i] for i in range(len(self.kernels))])
+        zs = self.features(x)
+        vals = np.vecdot(self.theta, zs)
         if not np.all(np.isfinite(vals)):
             raise FloatingPointError("baseline weights diverged")
-        w = self.mixture_weights()
-        agg = float(w @ vals)
-        self._last = (x, zs, vals)
-        return vals, agg, 1 if agg >= 0 else -1
+        agg = float(self.mixture_weights() @ vals)
+        label = 1 if agg >= 0 else -1
+        self._last = (x, zs, vals, agg, label)
+        return vals, agg, label
 
-    def update(self, x, y) -> dict:
+    def update(self, x, y) -> RoundRecord:
         y = check_label(y)
         cached = self._last
         if cached is None or not same_example(cached[0], x):
             self.predict(x)
             cached = self._last
-        _, zs, vals = cached
+        _, zs, vals, agg, label = cached
         self._last = None
         self.t += 1
-        eta = self.config.step_size
-        losses = np.empty(len(self.kernels))
-        for i in range(len(self.kernels)):
-            losses[i] = self.config.loss.value(float(vals[i]), y)
-            g = self.config.loss.deriv(float(vals[i]), y)
-            self.theta[i] -= eta * (g * zs[i] + self.config.reg * self.theta[i])
+        loss, eta = self.config.loss, self.config.step_size
+        losses = np.array([loss.value(v, y) for v in vals.tolist()])
+        g = np.array([loss.deriv(v, y) for v in vals.tolist()])
+        self.theta -= eta * (g[:, None] * zs + self.config.reg * self.theta)
         self.log_weights -= eta * losses
         self.cum_loss += losses
-        return {"t": self.t, "losses": losses, "values": vals}
+        return RoundRecord(t=self.t, label=label, truth=int(y), mistake=label != int(y),
+                           aggregate=agg, per_kernel=vals, losses=losses)
 
     def summary(self) -> dict:
         """Report cells of a finished run: the baseline adds none."""

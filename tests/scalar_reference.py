@@ -1,14 +1,17 @@
 """Scalar reference learners for differential tests.
 
 :class:`ScalarHinge` is momd_h written from the module docstring of
-``okselect.hinge_learner``, with none of the learner's machinery: examples
-are kept by id in a list, each iterate is a dict of coefficients, every
-kernel value comes from ``kernel_eval`` and every norm is summed out pair by
-pair. It draws its coins and its reservoir decisions from the same
-generators as the learner, ``SeedSequence(seed).spawn(K + 1)``, so the two
-take the same random decisions on the same stream.
+``okselect.hinge_learner``, and :class:`ScalarSmooth` is momd_s written from
+that of ``okselect.smooth_learner``, both with none of the learners'
+machinery: examples are kept by id in a list, each iterate is a dict of
+coefficients, every kernel value comes from ``kernel_eval`` and every norm
+is summed out pair by pair. Each draws its random decisions from the same
+generators as its learner (``SeedSequence(seed).spawn(K + 1)`` for the
+hinge learner's coins and reservoir, one ``SeedSequence(seed)`` generator
+for the smooth learner's shared coin), so the two take the same random
+decisions on the same stream.
 
-The one place where it follows the learner's arithmetic rather than the
+The one place where they follow the learners' arithmetic rather than the
 plainest formula is the proxy distance, k(x_j, x_j) + k(x, x) - 2 k(x_j, x)
 under the square root, so that an exact duplicate is at the same distance
 (zero) in both.
@@ -29,6 +32,7 @@ import numpy as np
 
 from okselect.hinge_learner import HingeSelectorConfig, allocate_budgets
 from okselect.kernels import kernel_eval
+from okselect.smooth_learner import SmoothSelectorConfig
 
 TIE_TOL = 1e-9
 
@@ -38,34 +42,22 @@ def near(a: float, b: float) -> bool:
     return (a != 0.0 or b != 0.0) and abs(a - b) <= TIE_TOL * max(abs(a), abs(b), 1.0)
 
 
-class ScalarHinge:
-    """momd_h with dict coefficients and scalar kernel evaluations."""
+class ScalarLearner:
+    """What both references share: the examples by id, a dict iterate per
+    kernel, kernel values computed once each, norms, projection and Hedge."""
 
-    def __init__(self, config: HingeSelectorConfig):
+    def __init__(self, config):
         self.config = config
         self.kernels = tuple(config.kernels)
         K = len(self.kernels)
-        self.archive_cap, self.per_kernel_cap = allocate_budgets(config)
         self.radius = config.radius
         self.rate = config.learning_rate()
-        seeds = np.random.SeedSequence(config.seed).spawn(K + 1)
-        self.coin_rngs = [np.random.default_rng(s) for s in seeds[:K]]
-        self.reservoir_rng = np.random.default_rng(seeds[K])
         self.examples: list[tuple[np.ndarray, float]] = []  # id -> (x, y)
         self.coef: list[dict[int, float]] = [{} for _ in range(K)]
-        self.buffers: list[list[int]] = [[] for _ in range(K)]  # ids, oldest first
-        self.sample: list[int] = []
-        self.archive: list[int] = []
-        self.seen = 0
-        self.frozen = False
-        self.gap_sums = [0.0] * K
-        self.cum_loss = [0.0] * K
+        self.cum_loss = [0.0] * K  # Hedge's cumulative losses
         self.second_moment = 0.0
-        self.removals = [0] * K
         self._kernel_values: dict[tuple[int, int, int], float] = {}
         self._pending = None
-
-    # -- scalar primitives -------------------------------------------------
 
     def k(self, i: int, a: int, b: int) -> float:
         """k_i between the examples with ids a and b."""
@@ -73,11 +65,6 @@ class ScalarHinge:
         if key not in self._kernel_values:
             self._kernel_values[key] = kernel_eval(self.kernels[i], self.examples[a][0], self.examples[b][0])
         return self._kernel_values[key]
-
-    def guess_coeffs(self) -> dict[int, float]:
-        """The guess -(1/|V|) sum_{j in V} y_j k(x_j, .) as an id -> coefficient map."""
-        m = len(self.sample)
-        return {j: -self.examples[j][1] / m for j in self.sample}
 
     def value(self, i: int, coeffs: dict[int, float], e: int) -> float:
         return sum(c * self.k(i, s, e) for s, c in coeffs.items())
@@ -99,6 +86,34 @@ class ScalarHinge:
         w = [math.exp(v - top) for v in z]
         total = sum(w)
         return [v / total for v in w]
+
+    def hedge_update(self, p: list[float], losses: list[float]):
+        self.second_moment += sum(pi * c * c for pi, c in zip(p, losses))
+        self.cum_loss = [a + c for a, c in zip(self.cum_loss, losses)]
+
+
+class ScalarHinge(ScalarLearner):
+    """momd_h with dict coefficients and scalar kernel evaluations."""
+
+    def __init__(self, config: HingeSelectorConfig):
+        super().__init__(config)
+        K = len(self.kernels)
+        self.archive_cap, self.per_kernel_cap = allocate_budgets(config)
+        seeds = np.random.SeedSequence(config.seed).spawn(K + 1)
+        self.coin_rngs = [np.random.default_rng(s) for s in seeds[:K]]
+        self.reservoir_rng = np.random.default_rng(seeds[K])
+        self.buffers: list[list[int]] = [[] for _ in range(K)]  # ids, oldest first
+        self.sample: list[int] = []
+        self.archive: list[int] = []
+        self.seen = 0
+        self.frozen = False
+        self.gap_sums = [0.0] * K
+        self.removals = [0] * K
+
+    def guess_coeffs(self) -> dict[int, float]:
+        """The guess -(1/|V|) sum_{j in V} y_j k(x_j, .) as an id -> coefficient map."""
+        m = len(self.sample)
+        return {j: -self.examples[j][1] / m for j in self.sample}
 
     # -- the round -----------------------------------------------------------
 
@@ -179,8 +194,7 @@ class ScalarHinge:
                 self.coef[i][j] = self.coef[i].get(j, 0.0) - self.rate * c
         for i in range(K):
             self.project(i)
-        self.second_moment += sum(pi * c * c for pi, c in zip(p, losses))
-        self.cum_loss = [a + c for a, c in zip(self.cum_loss, losses)]
+        self.hedge_update(p, losses)
         rec["losses"] = losses
         rec["reservoir_accepted"] = self.observe(e)
         return rec
@@ -201,3 +215,85 @@ class ScalarHinge:
         if len(self.archive) >= self.archive_cap:
             self.frozen = True
         return True
+
+
+class ScalarSmooth(ScalarLearner):
+    """momd_s with dict coefficients and scalar kernel evaluations."""
+
+    def __init__(self, config: SmoothSelectorConfig):
+        super().__init__(config)
+        self.loss = config.loss
+        self.rng = np.random.default_rng(np.random.SeedSequence(config.seed))
+        self.buffer: list[int] = []  # ids, oldest first, shared by every kernel
+        self.deriv_sum = 0.0
+        self.removals = 0
+
+    def step_all(self, c: float, e: int):
+        """f_i <- f_i + c k_i(x_e, .) for every kernel, then project each onto the ball."""
+        for i, coef in enumerate(self.coef):
+            coef[e] = coef.get(e, 0.0) + c
+            self.project(i)
+
+    def predict(self, x) -> dict:
+        x = np.asarray(x, dtype=float)
+        e = len(self.examples)
+        self.examples.append((x, 0.0))  # the label is filled in by update
+        per_kernel = [self.value(i, self.coef[i], e) for i in range(len(self.kernels))]
+        p = self.weights()
+        aggregate = sum(pi * v for pi, v in zip(p, per_kernel))
+        self._pending = (e, per_kernel, p, aggregate)
+        terms = [self.k(i, s, e) for i in range(len(self.kernels)) for s in self.coef[i]]
+        tie = abs(aggregate) <= TIE_TOL and any(terms)
+        return {"per_kernel": per_kernel, "aggregate": aggregate, "label": 1 if aggregate >= 0 else -1, "tie": tie}
+
+    def update(self, y: int) -> dict:
+        e, per_kernel, p, aggregate = self._pending
+        self.examples[e] = (self.examples[e][0], float(y))
+        K = len(self.kernels)
+        rec = {"branch": "skip", "coin": -1, "removed": False, "prob": math.nan, "tie": False}
+        d = self.loss.deriv(aggregate, y)
+        ad = abs(d)
+        if ad > 0.0:
+            gamma = math.sqrt(2.0 * math.log(K)) / math.sqrt(1.0 + self.deriv_sum + ad)
+            anchor = None
+            if self.buffer:
+                x = self.examples[e][0]
+                sq = [float((self.examples[j][0] - x) @ (self.examples[j][0] - x)) for j in self.buffer]
+                j = self.buffer[sq.index(min(sq))]  # the oldest of equally near examples
+                dist = max(
+                    math.sqrt(max(self.k(i, j, j) + self.k(i, e, e) - 2.0 * self.k(i, j, e), 0.0)) for i in range(K)
+                )
+                rec["tie"] |= near(dist, gamma)
+                if dist <= gamma:
+                    anchor = j
+            if anchor is not None:
+                rec["branch"] = "proxy"
+                self.step_all(-self.rate * d, anchor)
+            else:
+                rec["branch"] = "sampled"
+                prob = ad / (ad + self.loss.G1)
+                draw = self.rng.random()
+                accepted = draw < prob
+                rec["tie"] |= near(draw, prob)
+                rec["prob"], rec["coin"] = prob, int(accepted)
+                if accepted:
+                    if len(self.buffer) == self.config.budget:
+                        # keep the newest half, or nothing on a restart
+                        h = len(self.buffer) // 2 if self.config.removal == "half" else len(self.buffer)
+                        for coef in self.coef:
+                            for j in self.buffer[:h]:
+                                coef.pop(j, None)
+                        del self.buffer[:h]
+                        for i in range(K):
+                            self.project(i)
+                        self.removals += 1
+                        rec["removed"] = True
+                    self.buffer.append(e)
+                    self.step_all(-self.rate * d / prob, e)
+        # gap to the best: d * (v_i - min v) when d > 0, d * (v_i - max v) when d < 0
+        best = min(per_kernel) if d > 0 else max(per_kernel)
+        losses = [d * (v - best) if d != 0 else 0.0 for v in per_kernel]
+        self.hedge_update(p, losses)
+        self.deriv_sum += ad
+        rec["losses"] = losses
+        return rec

@@ -153,6 +153,18 @@ class TestReportCsv:
             assert len(mantissa) <= 6
 
 
+def test_csv_cells_with_commas_quotes_and_newlines_round_trip(tmp_path):
+    from okselect.bench import Report
+
+    dataset, message = 'a,"b"', "FAILED: ValueError: bad x\nat round 3"
+    out = tmp_path / "report.csv"
+    Report(rows=[{"dataset": dataset, "seed": 1, "config": message}]).to_csv(out)
+    with open(out, newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["seed"] for r in rows] == ["1", "mean", "std"]
+    assert (rows[0]["dataset"], rows[0]["config"]) == (dataset, message)
+
+
 class TestSweep:
     def test_explicit_grid_returns_best_by_mean_amr(self, tmp_path):
         from okselect.bench import sweep

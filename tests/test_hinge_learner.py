@@ -306,6 +306,30 @@ class TestFullRuns:
         assert proxies > 0
 
 
+    def test_proxy_ties_go_to_the_earliest_insertion(self):
+        # a and b are equally near x = 0; the proxy step must land on the older slot
+        learner = HingeKernelSelector(HingeSelectorConfig(
+            kernels=(gaussian(0.5, 0),), dim=2, budget=20, horizon=100, reservoir_size=2,
+            ball_radius=1e6, lambda_scale=1e-6, seed=3,  # no projection, rate 0.22
+        ))
+        a, b, x = np.array([0.25, 0.0]), np.array([-0.25, 0.0]), np.zeros(2)
+        learner.gap_sums[:] = 1e12  # gamma ~ 0: every violated round samples, so a and b are both stored
+        for size, row in ((1, a), (2, b)):
+            for _ in range(50):
+                learner.predict(row)
+                learner.update(row, 1)
+                if len(learner.expansions.buffers[0]) == size:
+                    break
+        older, newer = learner.expansions.buffers[0].tolist()
+        assert learner.store.X[older].tolist() == a.tolist() and learner.store.X[newer].tolist() == b.tolist()
+        learner.gap_sums[:] = 0.0  # gamma = gap / sqrt(1 + gap), above the feature distance 0.48
+        before = learner.expansions.coef.copy()
+        learner.predict(x)
+        rec = learner.update(x, -1)
+        assert rec.branch == ["proxy"]
+        assert np.flatnonzero(learner.expansions.coef[0] != before[0]).tolist() == [older]
+
+
 class TestCoefficientMatrix:
     @settings(max_examples=60, deadline=None)
     @given(

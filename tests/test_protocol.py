@@ -1,4 +1,5 @@
-"""The shared round protocol: input checks of every learner, and the exports."""
+"""The shared round protocol: input checks of every learner, the round record
+every learner returns, and the exports."""
 
 import copy
 import importlib
@@ -9,6 +10,7 @@ import pytest
 
 import okselect
 from okselect import (
+    ExperimentConfig,
     HingeKernelSelector,
     HingeSelectorConfig,
     RakerBaseline,
@@ -16,8 +18,11 @@ from okselect import (
     SmoothKernelSelector,
     SmoothSelectorConfig,
     gaussian,
+    run,
 )
-from okselect.protocol import check_features, same_example
+from okselect.bench import _build_learner, load_dataset
+from okselect.data import permute
+from okselect.protocol import RoundRecord, check_features, same_example
 
 from conftest import blob_stream
 
@@ -97,6 +102,52 @@ def test_bad_label_rejected_before_any_state_changes(name, label):
     learner.predict(X[40])
     assert_rejected(learner, lambda: learner.update(X[40], label))
     learner.update(X[40], y[40])  # the pending prediction still serves the round
+
+
+def outcome(pred):
+    """(label, aggregate) of a pending prediction: raker's predict returns (values, aggregate, label)."""
+    if isinstance(pred, tuple):
+        return pred[2], pred[1]
+    return pred.label, pred.aggregate
+
+
+@pytest.mark.parametrize("name", LEARNERS)
+def test_record_carries_the_pending_prediction(name):
+    X, y = blob_stream(60, D, seed=31)
+    learner = LEARNERS[name]()
+    for t in range(len(y)):
+        pred = learner.predict(X[t])
+        label, aggregate = outcome(pred)
+        rec = learner.update(X[t], y[t])
+        assert isinstance(rec, RoundRecord)
+        assert (rec.t, rec.label, rec.aggregate) == (t + 1, label, aggregate), t
+        assert rec.truth == y[t] and rec.mistake == (label != y[t]), t
+        if name == "raker":
+            loss = learner.config.loss
+            assert rec.per_kernel.tobytes() == pred[0].tobytes(), t
+            assert rec.losses.tolist() == [loss.value(v, int(y[t])) for v in pred[0].tolist()], t
+            assert rec.branch is None and rec.coin is None and rec.removed is None
+
+
+@pytest.mark.parametrize("algorithm, loss", [("momd_h", "hinge"), ("momd_s", "logistic"), ("raker", "hinge")])
+def test_bench_run_matches_a_hand_loop(algorithm, loss):
+    config = ExperimentConfig(
+        dataset={"generator": "lowerbound", "budget": 8, "rounds": 300, "seed": 2},
+        algorithm=algorithm, loss=loss, sigmas=(0.5, 2.0), B=12, M=3, D=32, repeats=1, seed=4,
+    )
+    row = run(config).rows[0]
+    ds = permute(load_dataset(config), config.seed)
+    learner = _build_learner(config, ds, config.seed)
+    loss_fn = config.loss_object()
+    X = ds.dense_features()
+    mistakes, cum = 0, 0.0
+    for t in range(ds.num_examples):
+        label, aggregate = outcome(learner.predict(X[t]))
+        mistakes += label != ds.y[t]
+        cum += loss_fn.value(aggregate, int(ds.y[t]))
+        learner.update(X[t], int(ds.y[t]))
+    assert row["AMR_percent"] == 100.0 * mistakes / ds.num_examples
+    assert row["cum_loss"] == cum
 
 
 def test_check_features():

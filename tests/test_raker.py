@@ -21,7 +21,7 @@ def test_feature_norm_is_exactly_one():
     model = make_model()
     rng = np.random.default_rng(40)
     for _ in range(50):
-        z = model.features(2, rng.normal(size=4))
+        z = model.features(rng.normal(size=4))[2]
         assert z @ z == pytest.approx(1.0, abs=1e-12)
 
 
@@ -29,7 +29,7 @@ def test_feature_inner_product_at_identical_points():
     model = make_model()
     x = np.array([0.4, -0.2, 0.0, 1.0])
     for i in range(len(GRID)):
-        z = model.features(i, x)
+        z = model.features(x)[i]
         assert z @ z == pytest.approx(1.0, abs=1e-12)
 
 
@@ -43,7 +43,7 @@ def test_bochner_monte_carlo():
         model = RakerBaseline(
             RakerConfig(kernels=(spec,), dim=4, num_features=128, step_size=0.1, seed=seed)
         )
-        vals.append(float(model.features(0, x) @ model.features(0, xp)))
+        vals.append(float(model.features(x)[0] @ model.features(xp)[0]))
     vals = np.array(vals)
     se = vals.std(ddof=1) / math.sqrt(len(vals))
     assert abs(vals.mean() - kernel_eval(spec, x, xp)) <= 3 * se
@@ -65,7 +65,7 @@ def test_single_hinge_step_from_zero():
     model = make_model(kernels=(gaussian(1.0, 0),), step_size=0.05)
     x = np.array([1.0, 0.0, 0.5, 0.0])
     model.predict(x)
-    z = model.features(0, x)
+    z = model.features(x)[0]
     model.update(x, 1)
     # theta was 0: prediction 0, margin violated, ridge term vanishes
     assert np.allclose(model.theta[0], 0.05 * 1.0 * z)
@@ -121,8 +121,8 @@ def test_loss_object_is_used():
     x = np.array([1.0, 0.0, 0.0, 0.0])
     model.predict(x)
     out = model.update(x, 1)
-    assert out["losses"].shape == (5,)
-    assert np.all(out["losses"] >= 0)
+    assert out.losses.shape == (5,)
+    assert np.all(out.losses >= 0)
 
 
 @pytest.mark.parametrize(

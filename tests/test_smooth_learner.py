@@ -144,6 +144,28 @@ class TestUpdateBranches:
         rec = learner.update(x, 1)
         assert rec.branch[0] == "proxy"
 
+    def test_proxy_ties_go_to_the_oldest(self):
+        # a and b are equally near x = 0; the proxy step must land on the older slot
+        learner = make_learner(kernels=(gaussian(0.5, 0), gaussian(1.0, 1)), dim=2, budget=4,
+                               ball_radius=1e6, lambda_scale=1e-6, seed=2)  # no projection, rate 0.5
+        a, b, x = np.array([0.25, 0.0]), np.array([-0.25, 0.0]), np.zeros(2)
+        learner.deriv_sum = 1e12  # gamma ~ 0: every round samples, so a and b are both stored
+        for row in (a, b):
+            for _ in range(50):
+                learner.predict(row)
+                learner.update(row, 1)
+                if len(learner.store) and np.array_equal(learner.store.X[learner.buffer[-1]], row):
+                    break
+        older, newer = learner.buffer.tolist()
+        assert learner.store.X[older].tolist() == a.tolist() and learner.store.X[newer].tolist() == b.tolist()
+        learner.deriv_sum = 0.0  # gamma > 0.8, above both feature distances (0.48 and 0.25)
+        before = learner.expansions.coef.copy()
+        learner.predict(x)
+        rec = learner.update(x, -1)
+        assert rec.branch[0] == "proxy"
+        changed = np.flatnonzero((learner.expansions.coef != before).any(axis=0))
+        assert changed.tolist() == [older]
+
     def test_full_buffer_removal_keeps_newest_half(self):
         learner = make_learner(budget=4, seed=3)
         rng = np.random.default_rng(31)
