@@ -4,26 +4,30 @@
 A hypothesis is f_i = sum_s coef[i, s] k_i(x_s, .) where the x_s sit in the
 slots of a fixed-size, reference-counted example store, and the K
 hypotheses of a kernel grid are the rows of one coefficient matrix. Each
-squared norm is tracked incrementally; removing the newer half of a buffer
-recomputes it exactly and frees the slot of any example nothing references
-anymore.
+step adds c k_i(x, .) for a stored x, which changes ||f_i||^2 by
+2 c f_i(x) + c^2 k_i(x, x): the caller passes that closed-form change and
+the step evaluates no kernel. Removing the newer half of a buffer
+recomputes the norm exactly and frees the slot of any example nothing
+references anymore.
 """
 
 import numpy as np
 
 from okselect import ExampleStore, KernelExpansions, gaussian
+from okselect.kernels import self_values
 
 rng = np.random.default_rng(1)
 store = ExampleStore(dim=2)
 ex = KernelExpansions((gaussian(1.0, 0), gaussian(4.0, 1)), store)
 
-print("=== steps with incremental norm tracking, for both kernels ===")
+print("=== steps with closed-form norm changes, for both kernels ===")
 for step in range(6):
     x = rng.normal(size=2)
     slot = store.add(x, rng.choice([-1, 1]), float(x @ x))  # the caller passes the squared norm it has
-    for i in range(2):
-        ex.step(i, [slot], [rng.normal() * 0.8])
-        ex.buffer_append(i, slot)
+    c = rng.normal(size=2) * 0.8  # one coefficient per kernel
+    fx = ex.values_at(slot)  # f_i(x) before the step
+    ex.step(slot, c, 2.0 * c * fx + c * c * self_values(ex.specs, float(x @ x)))
+    ex.buffer_append([0, 1], slot)
     cached = ex.sq_norms.copy()
     ex.recompute_sq_norms()
     recomputed = ex.sq_norms
@@ -63,11 +67,12 @@ print("=== coefficient mass outside the buffer survives a split ===")
 x = rng.normal(size=2)
 outside = store.add(x, 1, float(x @ x))
 store.incref(outside)  # held by an archive, as the hinge learner's guess anchors are
-ex.step(0, [outside], [0.4])
+ex.coef[0, outside] = 0.4  # coefficients may also be written directly, then the norms recomputed
 while len(ex.buffers[0]) % 2 != 0:
     x = rng.normal(size=2)
     slot = store.add(x, 1, float(x @ x))
-    ex.step(0, [slot], [0.1])
+    ex.coef[0, slot] = 0.1
     ex.buffer_append(0, slot)
+ex.recompute_sq_norms()
 ex.split_half(0)
 print(f"after another split, the outside anchor still carries {ex.coef[0, outside]:.2f}")

@@ -202,9 +202,14 @@ def load_dataset(config: ExperimentConfig) -> data_mod.Dataset:
     if isinstance(spec, dict):
         if spec.get("generator") != "lowerbound":
             raise ConfigError(f"unknown generator {spec.get('generator')!r}")
-        return data_mod.gen_lowerbound(
-            budget=int(spec["budget"]), rounds=int(spec["rounds"]), seed=int(spec.get("seed", 0))
-        )
+        args = {"seed": 0, **spec}
+        del args["generator"]
+        if set(args) != {"budget", "rounds", "seed"}:
+            raise ConfigError(f"the lowerbound generator takes budget, rounds and seed, got {sorted(spec)}")
+        for key, value in args.items():
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigError(f"generator spec {key!r} must be an integer, got {value!r}")
+        return data_mod.gen_lowerbound(**args)
     try:
         ds = data_mod.parse_libsvm(spec)
     except OSError as exc:

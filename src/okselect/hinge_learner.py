@@ -29,9 +29,11 @@ feature-space distances, the coin probabilities and the sampled steps.
 A sampled step changes each iterate by a multiple of the guess and of
 k(x_t, .), so its change of squared norm is closed-form in f_i(x_t), the
 guess's value at x_t, its squared norm and <f_i, guess>, which the
-reservoir's label sums give; it evaluates no kernel. Kernel passes happen
-only in ``predict``, in the rare proxy step, when a removal recomputes a
-norm, and when the reservoir's sample changes.
+reservoir's label sums give; it evaluates no kernel. A proxy step adds a
+multiple c of k(x_j, .) for a buffered x_j, so its change is
+2 c f_i(x_j) + c^2 k_i(x_j, x_j), from one pass over the store at x_j.
+Kernel passes happen only in ``predict``, in that rare proxy step, when a
+removal recomputes a norm, and when the reservoir's sample changes.
 
 Within a round the K per-kernel updates depend only on the shared round
 inputs and on per-kernel random streams derived from the master seed, so
@@ -301,8 +303,10 @@ class HingeKernelSelector:
         dists[np.arange(slots.shape[1]) >= sizes[:, None]] = np.inf
         proxy = candidates & (dists.min(axis=1) <= gamma)
         for i in proxy.nonzero()[0].tolist():
-            j = dists[i].argmin()  # ties resolve to the earliest insertion
-            ex.step(i, [slots[i, j]], [self.rate * y])
+            j = slots[i, dists[i].argmin()]  # ties resolve to the earliest insertion
+            c = np.zeros(len(sizes))  # only kernel i steps
+            c[i] = self.rate * y
+            ex.step(j, c, 2.0 * c * ex.values_at(j) + c * c * self._self_k[:, j])
         return proxy
 
     def _sampled_steps(self, sampled, accepted, prob, slot, y, fx, kxx, guess_values, guess_sq):
@@ -327,7 +331,7 @@ class HingeKernelSelector:
         C = np.empty((len(u), m + 1))  # each step's coefficients on the sample, then on x
         C[:, :m] = np.multiply.outer(u, guess)
         C[:, m] = w
-        self.expansions.step_all(np.append(res.sample, slot), C, changes)
+        self.expansions.step(np.append(res.sample, slot), C, changes)
 
     # -- diagnostics -----------------------------------------------------
 

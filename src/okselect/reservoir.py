@@ -124,16 +124,6 @@ class Reservoir:
             return np.zeros(len(self.specs))
         return np.maximum(self._gram_sum, 0.0) / len(self.sample) ** 2
 
-    def optimistic_sq_norm(self, i: int) -> float:
-        """Squared RKHS norm of the guess under kernel ``specs[i]``."""
-        return float(self.optimistic_sq_norms()[i])
-
-    def optimistic_coeffs(self) -> dict[int, float]:
-        """The guess as a slot -> coefficient map: {slot_j: -y_j / |V|}."""
-        m = len(self.sample)
-        labels = self.store.label
-        return {s: -float(labels[s]) / m for s in self.sample.tolist()}
-
     # -- label-sum maintenance ---------------------------------------------
 
     def _sums_update(self):

@@ -8,19 +8,22 @@ memory is fixed by the capacity, not by the stream length.
 
 :class:`KernelExpansions` keeps K kernel expansions
 f_i = sum_s coef[i, s] k_i(x_s, .) over the slots of one store as a
-(K, capacity) coefficient matrix, with each squared RKHS norm maintained
-incrementally (from the kernel block of a step, or from a change the caller
-knows in closed form) and recomputed from the Gram matrix of the support
-whenever half of a buffer is removed. The hinge learner keeps one buffer
-per kernel in it; the smooth learner keeps one buffer for all K kernels
-itself.
+(K, capacity) coefficient matrix, with a cache of each squared RKHS norm.
+A learner changes an iterate only by adding terms whose effect on the norm
+it already knows: c k_i(x_j, .) changes ||f_i||^2 by
+2 c f_i(x_j) + c^2 k_i(x_j, x_j), and the hinge learner's gradient guess
+by terms its reservoir keeps. So a step takes its norm changes from the
+caller, in closed form, and evaluates no kernel; the cache is recomputed
+from the Gram matrix of the support after every removal. The hinge learner keeps one buffer per kernel in
+it; the smooth learner keeps one buffer for all K kernels itself.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .kernels import KernelSpec, kernel_column, kernel_rows, pairwise
+# kernel_column is bound here only because okbench's tracer test patches this lookup site
+from .kernels import KernelSpec, kernel_column, kernel_rows, pairwise  # noqa: F401
 
 __all__ = ["ExampleStore", "KernelExpansions"]
 
@@ -106,7 +109,9 @@ class KernelExpansions:
     """K kernel expansions over the slots of one store, one per kernel.
 
     Kernel i's function is f_i = sum_s coef[i, s] k_i(x_s, .) and
-    ``sq_norms[i]`` caches ||f_i||^2. Coefficients hold no store
+    ``sq_norms[i]`` caches ||f_i||^2: :meth:`step` adds the closed-form
+    changes it is given, :meth:`project` scales it, and a removal
+    recomputes it from the Gram matrix. Coefficients hold no store
     references; whoever steps on a slot keeps it alive. When each kernel
     has a buffer of its own (the hinge learner), kernel i's buffer is
     ``buffer_slots[i, :buffer_sizes[i]]``: the slots charged against its
@@ -140,34 +145,23 @@ class KernelExpansions:
         """
         return kernel_rows(self.specs, *pairwise(self.store.X, self.store.sqnorm, x, x_sqnorm, self._distances))
 
-    def step(self, i: int, slots, cs):
-        """f_i <- f_i + g with g = sum_j cs[j] k_i(x_{slots[j]}, .), over distinct slots.
+    def values_at(self, slot: int) -> np.ndarray:
+        """(K,) values f_i(x_slot) of every expansion at a stored example."""
+        return np.vecdot(self.coef, self.rows(self.store.X[slot], self.store.sqnorm[slot]))
 
-        ||f + g||^2 = ||f||^2 + (2 beta + c)^T K c, where beta and c are the
-        coefficient vectors of f and g over the union of their supports and
-        K is the kernel matrix between that union and ``slots``.
+    def step(self, slots, C, sq_norm_changes):
+        """f_i <- f_i + sum_j C[i, j] k_i(x_{slots[j]}, .) for every kernel i.
+
+        ``slots`` is one slot, with ``C`` its (K,) coefficients or one for
+        every kernel, or an array of distinct slots with a (K, n) ``C``.
+        The caller supplies the (K,) changes of ||f_i||^2, which it knows
+        in closed form, so no kernel is evaluated.
         """
-        if not len(slots):
-            return
-        slots = np.asarray(slots, dtype=np.intp)
-        cs = np.asarray(cs, dtype=float)
-        row = self.coef[i]
-        g = np.zeros_like(row)
-        g[slots] = cs
-        u = np.flatnonzero((row != 0.0) | (g != 0.0))
-        X, sq = self.store.X, self.store.sqnorm
-        block = kernel_column(self.specs[i], X[u], sq[u], X[slots], sq[slots])
-        self.sq_norms[i] += float((2.0 * row[u] + g[u]) @ block @ cs)
-        row[slots] += cs
-
-    def step_all(self, slots, C, sq_norm_changes):
-        """f_i <- f_i + sum_j C[i, j] k_i(x_{slots[j]}, .) for every kernel i, over distinct slots.
-
-        The caller supplies the (K,) changes of ||f_i||^2, which it knows in
-        closed form, so no kernel is evaluated.
-        """
-        # coef is C-contiguous, so reshape gives a view and the flat positions address it
-        self.coef.reshape(-1)[self._row_starts + slots] += C
+        if isinstance(slots, np.ndarray):
+            # coef is C-contiguous, so reshape gives a view and the flat positions address it
+            self.coef.reshape(-1)[self._row_starts + slots] += C
+        else:
+            self.coef[:, slots] += C
         self.sq_norms += sq_norm_changes
 
     def project(self, radius: float):

@@ -13,7 +13,10 @@ derivative d. When no nearby buffered proxy exists, one shared coin with
 success probability |d| / (|d| + G1) decides whether the round's example
 is stepped on (importance-weighted by 1/P) and inserted; a success against
 a full buffer first discards the oldest half (keeping the newest),
-projects, and then steps. The Hedge losses are the gap-to-best form:
+projects, and then steps. A step adds c k_i(x_j, .) to every iterate, so
+each squared norm changes by 2 c f_i(x_j) + c^2 k_i(x_j, x_j), from the
+round's values (a sampled step) or the iterates read at the proxy anchor.
+The Hedge losses are the gap-to-best form:
 d * (v_i - min_j v_j) when d > 0, else d * (v_i - max_j v_j), which is
 non-negative with at least one zero.
 
@@ -154,17 +157,6 @@ class SmoothKernelSelector:
         self._cache = (dots, sqdist, rows)
         return pred
 
-    def _step(self, c: float, slot: int, fx, kjj):
-        """f_i <- f_i + c k_i(x_slot, .) for every kernel, then project onto the ball.
-
-        ||f + c k(x,.)||^2 = ||f||^2 + 2 c f(x) + c^2 k(x, x), with f(x) =
-        ``fx`` evaluated before the step and k(x, x) = ``kjj``.
-        """
-        ex = self.expansions
-        ex.sq_norms += 2.0 * c * fx + c * c * kjj
-        ex.coef[:, slot] += c
-        ex.project(self.radius)
-
     def update(self, x, y) -> RoundRecord:
         y = check_label(y)
         pred = self._last
@@ -209,8 +201,9 @@ class SmoothKernelSelector:
                     anchor = j
             if anchor is not None:
                 branch = "proxy"
-                fx = np.vecdot(ex.coef, ex.rows(store.X[anchor], store.sqnorm[anchor]))
-                self._step(-self.rate * d, anchor, fx, k_jj)
+                c = -self.rate * d
+                ex.step(anchor, c, 2.0 * c * ex.values_at(anchor) + c * c * k_jj)
+                ex.project(self.radius)
             else:
                 branch = "sampled"
                 prob = ad / (ad + self.loss.G1)
@@ -235,7 +228,9 @@ class SmoothKernelSelector:
                     self._order[len(store) - 1] = slot
                     if k_xx is None:
                         k_xx = self_values(self.kernels, pred.x_sqnorm)
-                    self._step(-self.rate * d / prob, slot, fx, k_xx)
+                    c = -self.rate * d / prob
+                    ex.step(slot, c, 2.0 * c * fx + c * c * k_xx)
+                    ex.project(self.radius)
 
         losses = pea_losses(pred.per_kernel, d)
         self.hedge.update(losses)

@@ -3,9 +3,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from okselect import ExampleStore, KernelExpansions
 from okselect.kernels import kernel_eval
+
+
+# A failing property test prints its @reproduce_failure line, so a CI log alone replays it.
+settings.register_profile("okselect", print_blob=True)
+settings.load_profile("okselect")
 
 
 def data_dir() -> Path:
@@ -49,8 +55,9 @@ def random_expansion(spec, store: ExampleStore, n_atoms: int, rng, scale: float 
     ex = KernelExpansions((spec,), store)
     for _ in range(n_atoms):
         slot = store_example(store, rng.normal(size=store.dim), rng.choice([-1, 1]))
-        ex.step(0, [slot], [scale * rng.normal()])
+        ex.coef[0, slot] = scale * rng.normal()
         ex.buffer_append(0, slot)
+    ex.recompute_sq_norms()
     return ex
 
 
@@ -79,10 +86,15 @@ def brute_value(spec, store: ExampleStore, coeffs: dict, x) -> float:
     return sum(c * kernel_eval(spec, store.X[s], x) for s, c in coeffs.items())
 
 
+def guess_coeffs(reservoir) -> dict:
+    """The reservoir's gradient guess as a slot -> coefficient map: {slot_j: -y_j / |V|}."""
+    m = len(reservoir.sample)
+    return {int(s): -float(reservoir.store.label[s]) / m for s in reservoir.sample}
+
+
 def brute_guess_sq_norm(reservoir, spec) -> float:
     """O(M^2) squared norm of the reservoir's gradient guess under ``spec``."""
-    guess = reservoir.optimistic_coeffs()
-    return brute_norm_sq(spec, reservoir.store, guess) if guess else 0.0
+    return brute_norm_sq(spec, reservoir.store, guess_coeffs(reservoir))
 
 
 def column_oracle(spec, X, row_sqnorms, x, x_sqnorm):

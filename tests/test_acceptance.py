@@ -272,8 +272,8 @@ def test_criterion_7_mirror_step_optimality():
 
         f = KernelExpansions((spec,), store)
         beta_f = rng.normal(size=n) * rng.uniform(0.2, 1.5)
-        for e, c in zip(ids, beta_f):
-            f.step(0, [e], [float(c)])
+        f.coef[0, ids] = beta_f
+        f.recompute_sq_norms()
         f.project(radius)  # feasible start
         beta_f = f.coef[0, ids].copy()
 
@@ -281,7 +281,8 @@ def test_criterion_7_mirror_step_optimality():
         grad[rng.integers(n)] = rng.normal()
         grad[rng.integers(n)] += rng.normal()
 
-        f.step(0, ids, -lam * grad)
+        f.coef[0, ids] -= lam * grad
+        f.recompute_sq_norms()
         f.project(radius)
         beta_new = f.coef[0, ids].copy()
 

@@ -289,6 +289,20 @@ class TestCli:
         )
         assert cli_main(["run", "--config", str(cfg_path)]) == 1
 
+    @pytest.mark.parametrize("spec", [
+        {"generator": "lowerbound", "budget": 5},
+        {"generator": "lowerbound", "budget": 5, "rounds": None},
+        {"generator": "lowerbound", "budget": 5, "rounds": 30.5},
+        {"generator": "lowerbound", "budget": "5", "rounds": 30},
+        {"generator": "lowerbound", "budget": 5, "rounds": 30, "seed": [1]},
+        {"generator": "lowerbound", "budget": 5, "rounds": 30, "sead": 1},
+    ])
+    def test_bad_generator_spec_is_config_error(self, tmp_path, capsys, spec):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"dataset": spec, "algorithm": "momd_s", "loss": "logistic"}), encoding="utf-8")
+        assert cli_main(["run", "--config", str(cfg_path)]) == 1
+        assert "config error" in capsys.readouterr().err
+
     def test_unknown_flag_prints_usage_and_exits_one(self, capsys):
         rc = cli_main(["inspect", "--frobnicate", "x"])
         assert rc == 1

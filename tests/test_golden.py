@@ -27,6 +27,13 @@ the last bits of the aggregates (by at most 4e-13 relative), while every
 label, branch, coin, removal and reservoir decision stayed the same, and
 ``tests/test_reference.py`` (the learner against its scalar reference)
 passed on the same change. The four ``momd_s`` digests did not move.
+``momd_h_blob_half`` was recorded again when the proxy step became
+closed-form too: its norm change is 2 c f_i(x_j) + c^2 k_i(x_j, x_j) from
+the iterate's values at the anchor instead of a kernel block over the
+support, which moves the cached norm, and through a projection 12
+aggregates, by at most 2e-15 relative, while every label, branch, coin and
+removal stayed the same and ``tests/test_reference.py`` passed on the
+same change. The other two ``momd_h`` digests did not move.
 Print the current digests with ``PYTHONPATH=src python tests/test_golden.py``.
 """
 
@@ -113,7 +120,7 @@ GOLDEN = {
     "momd_s_blob_restart": "89535456a1de0a1f4eea1b1851ef5648e4290d0deba312311a03611eefffff26",
     "momd_s_mixed_grid": "868bfe6558ea0a90b75a0fa41f4c977e54d191e71b22a9ba79b79e0a3813296c",
     "momd_s_lowerbound_poly1": "e7dabb6961177bf1236945f682fe53af795a29b1b7af624e779e91b361f256d3",
-    "momd_h_blob_half": "53a2c50e8967698d1a839c0daeb426fa0b50214b31f1a1682933987deee6fe27",
+    "momd_h_blob_half": "508b80b63f0e92493d430f2d98573cc30ebb6164bafcc5fb2179c29dea5671fe",
     "momd_h_blob_restart": "f36234fb6d7c09c3ed62144587cb32b96110a5dba23a7faee75361ab4ab32bea",
     "momd_h_lowerbound_poly1": "778d7afb4c2e0d773db067b67c1ad5e07b479368f18788de0fab675cfe3e4195",
 }

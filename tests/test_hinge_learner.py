@@ -16,7 +16,15 @@ from okselect import (
 from okselect.hinge_learner import importance_weighted_coeffs, surrogate_weights
 from okselect.kernels import kernel_eval
 
-from conftest import assert_refcounts_conserved, blob_stream, brute_guess_sq_norm, brute_norm_sq, brute_value, coeffs
+from conftest import (
+    assert_refcounts_conserved,
+    blob_stream,
+    brute_guess_sq_norm,
+    brute_norm_sq,
+    brute_value,
+    coeffs,
+    guess_coeffs,
+)
 
 GRID = tuple(gaussian(s, i) for i, s in enumerate((0.25, 1.0, 4.0, 16.0, 64.0)))
 
@@ -365,7 +373,7 @@ class TestCoefficientMatrix:
         for idx, y in rounds:
             x = pool[idx % len(pool)]
             pred = learner.predict(x)
-            guess = res.optimistic_coeffs()
+            guess = guess_coeffs(res)
             for i, spec in enumerate(grid):
                 g = brute_value(spec, store, guess, x)
                 assert pred.guess_values[i] == pytest.approx(g, rel=1e-9, abs=1e-12)
@@ -378,7 +386,7 @@ class TestCoefficientMatrix:
             for i, spec in enumerate(grid):
                 assert set(np.flatnonzero(ex.coef[i]).tolist()) <= archive | set(ex.buffers[i])
                 assert ex.sq_norms[i] == pytest.approx(brute_norm_sq(spec, store, coeffs(ex, i)), rel=1e-9, abs=1e-12)
-                assert res.optimistic_sq_norm(i) == pytest.approx(brute_guess_sq_norm(res, spec), rel=1e-9, abs=1e-12)
+                assert res.optimistic_sq_norms()[i] == pytest.approx(brute_guess_sq_norm(res, spec), rel=1e-9, abs=1e-12)
                 # the reservoir's label sums at every live slot
                 for s in np.flatnonzero(store.live):
                     want = sum(store.label[j] * kernel_eval(spec, store.X[j], store.X[s]) for j in res.sample)

@@ -6,7 +6,7 @@ import pytest
 from okselect import ExampleStore, Reservoir
 from okselect.kernels import gaussian, kernel_eval, kernel_rows, pairwise
 
-from conftest import brute_guess_sq_norm
+from conftest import brute_guess_sq_norm, brute_value, guess_coeffs
 
 BIG_CAP = 10**9  # effectively uncapped archive for sampling-law tests
 STORE_CAP = 1024  # store slots: room for an uncapped archive over these streams
@@ -103,14 +103,12 @@ def test_optimistic_value_empty_and_single():
     store, r = make_reservoir(capacity=4, seed=6, specs=(spec,))
     x = np.array([0.5, 0.5])
     assert guess(r, spec, x) == 0.0
-    assert r.optimistic_sq_norm(0) == 0.0
-    assert r.optimistic_coeffs() == {}
+    assert r.optimistic_sq_norms()[0] == 0.0
     r.observe([1.0, 0.0], 1)  # t=1: inserted with probability 1
     expect = -kernel_eval(spec, np.array([1.0, 0.0]), x)
     assert guess(r, spec, x) == pytest.approx(expect, abs=1e-12)
-    assert r.optimistic_sq_norm(0) == pytest.approx(1.0, abs=1e-12)
-    eid = r.sample[0]
-    assert r.optimistic_coeffs() == {eid: -1.0}
+    assert r.optimistic_sq_norms()[0] == pytest.approx(1.0, abs=1e-12)
+    assert len(r) == 1 and store.label[r.sample[0]] == 1.0
 
 
 def test_optimistic_value_cancellation():
@@ -119,7 +117,7 @@ def test_optimistic_value_cancellation():
     r.observe([1.0, 0.0], 1)
     r.observe([1.0, 0.0], -1)
     assert guess(r, spec, [0.3, 0.4]) == pytest.approx(0.0, abs=1e-12)
-    assert r.optimistic_sq_norm(0) == pytest.approx(0.0, abs=1e-12)
+    assert r.optimistic_sq_norms()[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_sq_norm_cache_tracks_brute_force_under_swaps():
@@ -131,23 +129,25 @@ def test_sq_norm_cache_tracks_brute_force_under_swaps():
         r.observe(rng.normal(size=3), int(rng.choice([-1, 1])))
         if t % 20 == 0:
             for i, spec in enumerate(specs):
-                assert r.optimistic_sq_norm(i) == pytest.approx(
+                assert r.optimistic_sq_norms()[i] == pytest.approx(
                     brute_guess_sq_norm(r, spec), rel=1e-8, abs=1e-10
                 )
     for i, spec in enumerate(specs):
-        assert r.optimistic_sq_norm(i) == pytest.approx(
+        assert r.optimistic_sq_norms()[i] == pytest.approx(
             brute_guess_sq_norm(r, spec), rel=1e-8, abs=1e-10
         )
 
 
 def test_optimistic_coeffs_values():
-    store, r = make_reservoir(capacity=5, seed=9, dim=1)
+    # the guess is -(1/|V|) sum_{j in V} y_j k(x_j, .): coefficient -y_j / 5 on each of 5 samples
+    spec = gaussian(1.5)
+    store, r = make_reservoir(capacity=5, seed=9, dim=1, specs=(spec,))
     for t in range(5):
         r.observe([float(t)], 1 if t % 2 == 0 else -1)
-    coeffs = r.optimistic_coeffs()
-    assert len(coeffs) == 5
-    for slot, c in coeffs.items():
-        assert c == pytest.approx(-store.label[slot] / 5)
+    assert len(r) == 5
+    for x in ([-1.0], [0.5], [2.0], [4.5]):
+        want = brute_value(spec, store, guess_coeffs(r), np.array(x))
+        assert guess(r, spec, x) == pytest.approx(want, rel=1e-12, abs=1e-15)
 
 
 def test_refcounts_cover_sample_and_archive():

@@ -3,19 +3,36 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from okselect import ExampleStore, KernelExpansions, Reservoir
-from okselect.kernels import gaussian, kernel_eval, polynomial
+from okselect import (
+    ExampleStore,
+    HingeKernelSelector,
+    HingeSelectorConfig,
+    KernelExpansions,
+    Reservoir,
+    SmoothKernelSelector,
+    SmoothSelectorConfig,
+)
+from okselect.kernels import gaussian, kernel_eval, polynomial, self_values
 
 from conftest import (
     assert_refcounts_conserved,
     brute_norm_sq,
     brute_value,
     coeffs,
+    guess_coeffs,
     random_expansion,
     scan_refcounts,
     store_example,
     value,
 )
+
+
+def anchor_step(ex: KernelExpansions, slot: int, c):
+    """Step each f_i by c_i k_i(x_slot, .), as the learners do, with the closed-form
+    norm change 2 c_i f_i(x_slot) + c_i^2 k_i(x_slot, x_slot)."""
+    c = np.broadcast_to(np.asarray(c, dtype=float), ex.sq_norms.shape)
+    k_ss = self_values(ex.specs, ex.store.sqnorm[slot])
+    ex.step(slot, c, 2.0 * c * ex.values_at(slot) + c * c * k_ss)
 
 
 class TestExampleStore:
@@ -72,7 +89,7 @@ class TestEvaluate:
         s = ExampleStore(dim=2)
         ex = KernelExpansions((gaussian(1.0),), s)
         e = store_example(s, [0.3, -0.7], 1)
-        ex.step(0, [e], [1.0])
+        ex.coef[0, e] = 1.0
         assert value(ex, 0, [0.3, -0.7]) == pytest.approx(1.0, abs=1e-12)
 
     def test_against_brute_force(self):
@@ -95,18 +112,31 @@ class TestEvaluate:
             c = rng.normal()
             anchor = rng.choice(ex.buffers[0])
             expected = before + c * kernel_eval(spec, s.X[anchor], z)
-            ex.step(0, [anchor], [c])
+            ex.coef[0, anchor] += c
             assert value(ex, 0, z) == pytest.approx(expected, rel=1e-9, abs=1e-10)
 
 
 class TestNormTracking:
+    def test_step_adds_coefficients_and_the_given_norm_changes(self):
+        s = ExampleStore(dim=2, capacity=8)
+        ex = KernelExpansions((gaussian(1.0), gaussian(2.0, 1), polynomial(2, 2)), s)
+        a, b = (store_example(s, x, 1) for x in ([1.0, 0.0], [0.0, 1.0]))
+        ex.step(a, np.array([1.0, 2.0, 3.0]), np.array([0.5, 0.0, -0.25]))
+        ex.step(b, 4.0, np.zeros(3))  # one coefficient for every kernel
+        C = np.array([[1.0, -1.0], [0.0, 2.0], [3.0, 0.5]])
+        ex.step(np.array([b, a]), C, np.array([1.0, 2.0, 3.0]))
+        assert ex.coef[:, a].tolist() == [0.0, 4.0, 3.5]
+        assert ex.coef[:, b].tolist() == [5.0, 4.0, 7.0]
+        assert np.count_nonzero(ex.coef) == 5  # nothing else moved
+        assert ex.sq_norms.tolist() == [1.5, 2.0, 2.75]  # the caller's changes, summed
+
     def test_single_atom_norm(self):
         s = ExampleStore(dim=2)
         ex = KernelExpansions((gaussian(1.0), gaussian(1.0, 1)), s)
         e = s.add([1.0, 1.0], 1, 2.0)
-        ex.step(0, [e], [1.0])
+        anchor_step(ex, e, [1.0, 0.0])
         assert ex.sq_norms[0] == pytest.approx(1.0, abs=1e-12)
-        ex.step(1, [e], [-0.5])
+        anchor_step(ex, e, [0.0, -0.5])
         assert ex.sq_norms[1] == pytest.approx(0.25, abs=1e-12)
         assert ex.sq_norms[0] == pytest.approx(1.0, abs=1e-12)  # rows are independent
 
@@ -116,8 +146,8 @@ class TestNormTracking:
         ex = random_expansion(gaussian(1.0), s, 8, rng)
         start = ex.sq_norms[0]
         e = ex.buffers[0][0]
-        ex.step(0, [e], [0.7])
-        ex.step(0, [e], [-0.7])
+        anchor_step(ex, e, 0.7)
+        anchor_step(ex, e, -0.7)
         assert ex.sq_norms[0] == pytest.approx(start, abs=1e-10)
 
     @pytest.mark.parametrize("spec", [gaussian(0.8), polynomial(2)])
@@ -126,11 +156,13 @@ class TestNormTracking:
         s = ExampleStore(dim=3)
         ex = random_expansion(spec, s, 20, rng)
         for _ in range(30):
-            ex.step(0, [rng.choice(ex.buffers[0])], [rng.normal()])
+            anchor_step(ex, rng.choice(ex.buffers[0]), rng.normal())
             oracle = brute_norm_sq(spec, s, coeffs(ex))
             assert ex.sq_norms[0] == pytest.approx(oracle, rel=1e-8, abs=1e-10)
 
     def test_add_scaled_many_matches_sequential(self):
+        # a step on several slots at once, with the closed-form change
+        # 2 sum_j c_j f(x_j) + c^T K c, against one anchor step per slot
         rng = np.random.default_rng(7)
         spec = gaussian(1.2)
         s = ExampleStore(dim=3)
@@ -139,11 +171,41 @@ class TestNormTracking:
         updates = {e: rng.normal() for e in list(f.buffers[0][:2]) + extra}
         g = KernelExpansions((spec,), s)
         for e, c in list(coeffs(f).items()) + list(updates.items()):
-            g.step(0, [e], [c])
-        f.step(0, list(updates), list(updates.values()))
+            anchor_step(g, e, c)
+        slots, cs = np.array(list(updates)), np.array(list(updates.values()))
+        block = np.array([[kernel_eval(spec, s.X[a], s.X[b]) for b in slots] for a in slots])
+        f_at = np.array([f.values_at(e)[0] for e in slots])
+        f.step(slots, cs[None, :], 2.0 * cs @ f_at + cs @ block @ cs)
         assert f.sq_norms[0] == pytest.approx(g.sq_norms[0], rel=1e-9, abs=1e-10)
         for e in updates:
             assert f.coef[0, e] == pytest.approx(g.coef[0, e], rel=1e-12)
+
+    @pytest.mark.parametrize("algorithm", ["momd_h", "momd_s"])
+    @pytest.mark.parametrize("removal", ["half", "restart"])
+    def test_learner_norm_caches_match_brute_force(self, algorithm, removal):
+        # Rounds redraw a few rows, so proxies recur, and small budgets force removals.
+        grid = (gaussian(0.7, 0), polynomial(2, 1), gaussian(3.0, 2))
+        rng = np.random.default_rng(21)
+        pool = rng.normal(size=(6, 3)) / 2.0
+        if algorithm == "momd_h":
+            learner = HingeKernelSelector(HingeSelectorConfig(
+                kernels=grid, dim=3, budget=14, horizon=300, reservoir_size=2, removal=removal, seed=4,
+            ))
+        else:
+            learner = SmoothKernelSelector(SmoothSelectorConfig(
+                kernels=grid, dim=3, budget=4, removal=removal, seed=4,
+            ))
+        ex, store = learner.expansions, learner.store
+        proxies = removals = 0
+        for t in range(300):
+            x = pool[rng.integers(len(pool))]
+            rec = learner.update(x, 1 if x.sum() + 0.3 * rng.normal() > 0 else -1)
+            proxies += rec.branch.count("proxy")
+            removals += int(np.count_nonzero(rec.removed))
+            for i, spec in enumerate(grid):
+                want = brute_norm_sq(spec, store, coeffs(ex, i))
+                assert ex.sq_norms[i] == pytest.approx(want, rel=1e-9, abs=1e-10), (t, i)
+        assert proxies > 0 and removals > 0
 
 
 class TestProjection:
@@ -151,7 +213,8 @@ class TestProjection:
         s = ExampleStore(dim=2)
         ex = KernelExpansions((gaussian(1.0),), s)
         e = s.add([1.0, 0.0], 1, 1.0)
-        ex.step(0, [e], [0.5])
+        ex.coef[0, e] = 0.5
+        ex.recompute_sq_norms()
         coef = ex.coef.copy()
         ex.project(1.0)
         assert np.array_equal(ex.coef, coef)
@@ -160,8 +223,8 @@ class TestProjection:
         s = ExampleStore(dim=2)
         ex = KernelExpansions((gaussian(1.0), gaussian(2.0, 1)), s)
         e = s.add([1.0, 0.0], 1, 1.0)
-        ex.step(0, [e], [2.0])
-        ex.step(1, [e], [0.5])
+        ex.coef[:, e] = [2.0, 0.5]
+        ex.recompute_sq_norms()
         ex.project(1.0)
         assert ex.coef[0, e] == pytest.approx(1.0, abs=1e-12)
         assert ex.sq_norms[0] == 1.0
@@ -211,9 +274,10 @@ class TestSplitHalf:
         ids = []
         for p in ([0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]):
             e = store_example(s, p, 1)
-            ex.step(0, [e], [0.5])
+            ex.coef[0, e] = 0.5
             ex.buffer_append(0, e)
             ids.append(e)
+        ex.recompute_sq_norms()
         return s, ex, ids
 
     def test_keep_oldest(self):
@@ -228,7 +292,7 @@ class TestSplitHalf:
         ex = KernelExpansions((gaussian(1.0),), s)
         for p in ([0.0, 0.0], [1.0, 0.0], [0.0, 1.0]):
             e = store_example(s, p, 1)
-            ex.step(0, [e], [1.0])
+            ex.coef[0, e] = 1.0
             ex.buffer_append(0, e)
         with pytest.raises(ValueError):
             ex.split_half(0)
@@ -249,7 +313,7 @@ class TestSplitHalf:
         ex = random_expansion(spec, s, 4, rng)
         outside = store_example(s, rng.normal(size=2), -1)
         s.incref(outside)  # held by an archive, as in the hinge learner
-        ex.step(0, [outside], [0.33])
+        ex.coef[0, outside] = 0.33
         ex.split_half(0)
         assert ex.coef[0, outside] == pytest.approx(0.33)
         assert outside not in ex.buffers[0]
@@ -272,10 +336,10 @@ def test_drift_over_random_interleaving():
         buf = ex.buffers[0]
         if op == 0:
             if rng.random() < 0.5 and len(buf):
-                ex.step(0, [rng.choice(buf)], [rng.normal()])
+                anchor_step(ex, rng.choice(buf), rng.normal())
             else:
                 e = store_example(s, rng.normal(size=3), rng.choice([-1, 1]))
-                ex.step(0, [e], [rng.normal()])
+                anchor_step(ex, e, rng.normal())
                 ex.buffer_append(0, e)
         elif op == 1:
             ex.project(2.0)
@@ -291,7 +355,7 @@ def test_clear_releases_everything():
     s = ExampleStore(dim=2)
     ex = random_expansion(gaussian(1.0), s, 6, rng)
     outside = store_example(s, rng.normal(size=2), 1)
-    ex.step(0, [outside], [1.0])
+    ex.coef[0, outside] = 1.0
     ex.clear(0)
     s.release_if_unreferenced(outside)
     assert ex.sq_norms[0] == 0.0
@@ -339,21 +403,21 @@ def test_random_operations_keep_refcounts_and_rows(n_kernels, ops):
         pool = sorted(set(ex.buffers[i]) | set(res.archive))
         if op == "add":
             h = add(x, y)
-            ex.step(i, [h], [rng.normal()])
+            ex.coef[i, h] += rng.normal()
             ex.buffer_append(i, h)
         elif op == "add_scaled" and pool:
             h = pool[int(rng.integers(len(pool)))]
             # half the time cancel the coefficient exactly
             c = -ex.coef[i, h] if ex.coef[i, h] != 0.0 and rng.random() < 0.5 else rng.normal()
-            ex.step(i, [h], [c])
+            ex.coef[i, h] += c
         elif op == "add_scaled_many":
-            updates = {h: -0.5 * c for h, c in res.optimistic_coeffs().items()}
+            updates = {h: -0.5 * c for h, c in guess_coeffs(res).items()}
             for h in rng.choice(pool, size=min(2, len(pool)), replace=False) if pool else ():
                 updates[int(h)] = updates.get(int(h), 0.0) + rng.normal()
             new = add(x, y) if rng.random() < 0.5 else None
             if new is not None:
                 updates[new] = rng.normal()
-            ex.step(i, list(updates), list(updates.values()))
+            ex.coef[i, list(updates)] += list(updates.values())
             if new is not None:
                 ex.buffer_append(i, new)
         elif op == "project_ball":
