@@ -61,6 +61,29 @@ class ConfigError(ValueError):
     pass
 
 
+# Each kernel kind of a ``kernels`` entry: its constructor and its one parameter.
+_KERNEL_KINDS = {"gaussian": (gaussian, "sigma"), "polynomial": (polynomial, "degree")}
+
+
+def _check_kernel_entries(kernels):
+    """Raise ConfigError unless every ``kernels`` entry is {"kind": kind, param: number > 0}."""
+    if not isinstance(kernels, (list, tuple)):
+        raise ConfigError(f"kernels must be a list of kernel entries, got {kernels!r}")
+    for i, item in enumerate(kernels):
+        if not isinstance(item, dict):
+            raise ConfigError(f"kernels[{i}] must be an object, got {item!r}")
+        kind = item.get("kind")
+        if not isinstance(kind, str) or kind not in _KERNEL_KINDS:
+            raise ConfigError(f"kernels[{i}] has unknown kind {kind!r}; expected one of {sorted(_KERNEL_KINDS)}")
+        param = _KERNEL_KINDS[kind][1]
+        if set(item) != {"kind", param}:
+            raise ConfigError(f"kernels[{i}] of kind {kind!r} takes exactly the keys "
+                              f"'kind' and {param!r}, got {list(item)}")
+        value = item[param]
+        if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 < value < math.inf:
+            raise ConfigError(f"kernels[{i}] {param!r} must be a finite number > 0, got {value!r}")
+
+
 @dataclass
 class ExperimentConfig:
     """Declarative description of one experiment.
@@ -69,7 +92,9 @@ class ExperimentConfig:
     ``{"generator": "lowerbound", "budget": 50, "rounds": 20000, "seed": 1}``.
     ``U`` is either the string ``"sqrt_b"`` or an explicit radius.
     ``kernels`` may override the Gaussian grid with explicit specs, e.g.
-    ``[{"kind": "polynomial", "degree": 1}]``.
+    ``[{"kind": "polynomial", "degree": 1}]``: each entry holds ``kind``
+    and that kind's one parameter (``sigma`` or ``degree``), a finite
+    number > 0, and nothing else, or the config raises ConfigError.
     """
 
     dataset: object
@@ -103,6 +128,8 @@ class ExperimentConfig:
             raise ConfigError("the shared-buffer learner needs a smooth loss (logistic)")
         if self.repeats < 1:
             raise ConfigError("repeats must be >= 1")
+        if self.kernels is not None:
+            _check_kernel_entries(self.kernels)
         if self.U != "sqrt_b" and not (
             isinstance(self.U, (int, float)) and not isinstance(self.U, bool) and math.isfinite(self.U) and self.U > 0
         ):
@@ -122,12 +149,8 @@ class ExperimentConfig:
         if self.kernels:
             specs = []
             for i, item in enumerate(self.kernels):
-                if item.get("kind") == "polynomial":
-                    specs.append(polynomial(item["degree"], index=i))
-                elif item.get("kind") == "gaussian":
-                    specs.append(gaussian(item["sigma"], index=i))
-                else:
-                    raise ConfigError(f"bad kernel spec {item!r}")
+                make, param = _KERNEL_KINDS[item["kind"]]
+                specs.append(make(item[param], index=i))
             return tuple(specs)
         return tuple(gaussian(s, index=i) for i, s in enumerate(self.sigmas))
 

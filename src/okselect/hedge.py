@@ -3,7 +3,8 @@
 Weights are never materialized: only cumulative losses and the running
 second moment are stored, and the distribution is derived from them with
 max-subtraction, so nothing underflows for long streams. It is derived once
-per update and shared by the next round's prediction and update. The
+per update (with one expert it is [1.0] for good) and shared by the next
+round's prediction and update. The
 adaptive rate is eta_t = sqrt(2 ln K) / sqrt(1 + sum_tau sum_i p_{tau,i}
 c_{tau,i}^2), with eta_1 = sqrt(2 ln K).
 """
@@ -48,8 +49,12 @@ class HedgeState:
     def update(self, losses) -> np.ndarray:
         """Charge one round of non-negative losses; returns the p used.
 
-        The second moment accumulates with the distribution held *before*
-        this update.
+        Raises ValueError, before any state changes, on a wrong number of
+        losses or on one that is NaN, infinite or negative. The second
+        moment accumulates with the distribution held *before* this update.
+        With one expert the distribution is exactly [1.0] at every rate, so
+        the read-only array is kept and no softmax runs; the moment,
+        ``cum_loss``, ``round`` and ``rate()`` advance as for any K.
         """
         c = np.asarray(losses, dtype=float)
         if c.shape != (self.num_experts,):
@@ -63,5 +68,6 @@ class HedgeState:
         self.second_moment += moment
         self.cum_loss += c
         self.round += 1
-        self._p = self._softmax()
+        if self.num_experts > 1:
+            self._p = self._softmax()
         return p

@@ -183,7 +183,6 @@ class HingeKernelSelector:
         self._last: Prediction | None = None
         self._rows = None  # kernel rows of the last prediction, over every store slot
         self._fx = None  # the iterates' values f_i(x) at the last prediction, before the guess term
-        self._self_k = np.zeros((k, config.budget + 1))  # k_i(x_s, x_s), written when a round stores x_s
         self._row_starts = np.arange(k)[:, None] * self.store.capacity
 
     def predict(self, x) -> Prediction:
@@ -224,10 +223,9 @@ class HingeKernelSelector:
         self.t += 1
         ex, res = self.expansions, self.reservoir
         # the round's example; freed at the end unless a buffer or the reservoir took it
-        slot = self.store.add(x, y, pred.x_sqnorm)
-        res.track(slot, pred.guess_values)
         kxx = self_values(self.kernels, pred.x_sqnorm)
-        self._self_k[:, slot] = kxx
+        slot = ex.add(x, y, pred.x_sqnorm, kxx)
+        res.track(slot, pred.guess_values)
 
         margins = y * pred.per_kernel
         losses = np.maximum(1.0 - margins, 0.0)
@@ -299,14 +297,14 @@ class HingeKernelSelector:
         sizes = ex.buffer_sizes
         slots = ex.buffer_slots[:, : sizes.max()]
         at = self._row_starts + slots  # flat positions in the (K, capacity) arrays
-        dists = np.sqrt(np.maximum(self._self_k.take(at) + kxx[:, None] - 2.0 * rows.take(at), 0.0))
+        dists = np.sqrt(np.maximum(ex.self_k.take(at) + kxx[:, None] - 2.0 * rows.take(at), 0.0))
         dists[np.arange(slots.shape[1]) >= sizes[:, None]] = np.inf
         proxy = candidates & (dists.min(axis=1) <= gamma)
         for i in proxy.nonzero()[0].tolist():
             j = slots[i, dists[i].argmin()]  # ties resolve to the earliest insertion
             c = np.zeros(len(sizes))  # only kernel i steps
             c[i] = self.rate * y
-            ex.step(j, c, 2.0 * c * ex.values_at(j) + c * c * self._self_k[:, j])
+            ex.step(j, c, 2.0 * c * ex.values_at(j) + c * c * ex.self_k[:, j])
         return proxy
 
     def _sampled_steps(self, sampled, accepted, prob, slot, y, fx, kxx, guess_values, guess_sq):
@@ -370,5 +368,6 @@ class HingeKernelSelector:
             assert len(buf) <= self.per_kernel_cap, "buffer over budget"
             assert set(np.flatnonzero(ex.coef[i]).tolist()) <= archive.union(buf), "coefficient outside buffer and archive"
         assert np.all(np.sqrt(np.maximum(ex.sq_norms, 0.0)) <= self.radius + 1e-8), "iterate escaped the ball"
+        ex.check_self_k()
         assert len(self.reservoir.archive) <= self.archive_cap, "archive over cap"
         assert len(self.reservoir) <= self.config.reservoir_size, "reservoir over capacity"

@@ -14,8 +14,12 @@ it already knows: c k_i(x_j, .) changes ||f_i||^2 by
 2 c f_i(x_j) + c^2 k_i(x_j, x_j), and the hinge learner's gradient guess
 by terms its reservoir keeps. So a step takes its norm changes from the
 caller, in closed form, and evaluates no kernel; the cache is recomputed
-from the Gram matrix of the support after every removal. The hinge learner keeps one buffer per kernel in
-it; the smooth learner keeps one buffer for all K kernels itself.
+from the Gram matrix of the support after every removal. The
+self-similarities k_i(x_s, x_s) that those changes and both learners'
+proxy searches need are cached per slot, written when a learner stores an
+example through :meth:`KernelExpansions.add`. The hinge learner keeps one
+buffer per kernel in it; the smooth learner keeps one buffer for all K
+kernels itself.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 # kernel_column is bound here only because okbench's tracer test patches this lookup site
-from .kernels import KernelSpec, kernel_column, kernel_rows, pairwise  # noqa: F401
+from .kernels import KernelSpec, kernel_column, kernel_rows, pairwise, self_values  # noqa: F401
 
 __all__ = ["ExampleStore", "KernelExpansions"]
 
@@ -121,6 +125,9 @@ class KernelExpansions:
     zero stay in the buffer (budgeting counts membership, not
     nonzero-ness). A learner whose kernels share one buffer (the smooth
     learner) keeps that buffer itself and leaves these empty.
+
+    ``self_k[i, s]`` caches k_i(x_s, x_s) for every live slot s; it is
+    written by :meth:`add`, so a learner stores examples through it.
     """
 
     def __init__(self, specs: tuple[KernelSpec, ...], store: ExampleStore):
@@ -128,6 +135,7 @@ class KernelExpansions:
         self.store = store
         self.coef = np.zeros((len(self.specs), store.capacity))
         self.sq_norms = np.zeros(len(self.specs))
+        self.self_k = np.zeros((len(self.specs), store.capacity))
         self.buffer_slots = np.zeros((len(self.specs), store.capacity), dtype=np.intp)
         self.buffer_sizes = np.zeros(len(self.specs), dtype=np.intp)
         self._row_starts = np.arange(len(self.specs))[:, None] * store.capacity
@@ -137,6 +145,19 @@ class KernelExpansions:
     def buffers(self) -> list[np.ndarray]:
         """Each kernel's buffer as a view of its slots, in insertion order."""
         return [self.buffer_slots[i, :n] for i, n in enumerate(self.buffer_sizes)]
+
+    def add(self, x, y, x_sqnorm: float, kxx) -> int:
+        """Store (x, y) with refcount 0, cache its (K,) self-similarities ``kxx``
+        (``self_values(specs, x_sqnorm)``) and return its slot."""
+        slot = self.store.add(x, y, x_sqnorm)
+        self.self_k[:, slot] = kxx
+        return slot
+
+    def check_self_k(self):
+        """Assert that the self-similarity cache is exact at every live slot (rel 1e-12)."""
+        live = self.store.live
+        want = self_values(self.specs, self.store.sqnorm[live])
+        assert np.all(np.abs(self.self_k[:, live] - want) <= 1e-12 * np.abs(want)), "stale self-similarity cache"
 
     def rows(self, x, x_sqnorm: float) -> np.ndarray:
         """(K, capacity) matrix of k_i(x_s, x), from one pass over the store.

@@ -16,6 +16,8 @@ a full buffer first discards the oldest half (keeping the newest),
 projects, and then steps. A step adds c k_i(x_j, .) to every iterate, so
 each squared norm changes by 2 c f_i(x_j) + c^2 k_i(x_j, x_j), from the
 round's values (a sampled step) or the iterates read at the proxy anchor.
+The proxy test reads k_i(x_j, x_j) from the expansions' self-similarity
+cache and evaluates each kernel once, at the pair (x_j, x_t).
 The Hedge losses are the gap-to-best form:
 d * (v_i - min_j v_j) when d > 0, else d * (v_i - max_j v_j), which is
 non-negative with at least one zero.
@@ -70,6 +72,11 @@ class SmoothSelectorConfig(SelectorConfig):
         return 2.0 * self.radius / (self.loss.G1 * math.sqrt(self.budget))
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 def pea_losses(values: np.ndarray, d: float) -> np.ndarray:
     """Hedge losses from per-kernel values and the aggregate derivative.
 
@@ -116,7 +123,14 @@ class SmoothKernelSelector:
         self.expansions = KernelExpansions(self.kernels, self.store)
         self._order = np.zeros(self.budget, dtype=np.intp)  # buffered slots, oldest first
         self._gaussian = any(spec.kind == "gaussian" for spec in self.kernels)
+        self._sqrt_2lnk = math.sqrt(2.0 * math.log(k))  # the proxy radius's numerator
         self.hedge = HedgeState(k)
+        # A round's record holds one value for every kernel, so the arrays of
+        # a round that draws no coin are built once here and shared, read-only.
+        self._coins = {c: _read_only(np.full(k, c, dtype=int)) for c in (-1, 0, 1)}
+        self._removed = (_read_only(np.zeros(k, dtype=bool)), _read_only(np.ones(k, dtype=bool)))
+        self._zeros = _read_only(np.zeros(k))  # the gaps and guess values: this learner has no guess
+        self._no_prob = _read_only(np.full(k, np.nan))
         self.rng = np.random.default_rng(np.random.SeedSequence(config.seed))
         self.deriv_sum = 0.0  # sum of |l'(f_t(x_t), y_t)| over rounds
         self.cum_loss = 0.0  # sum of l(f_t(x_t), y_t) over rounds
@@ -148,7 +162,7 @@ class SmoothKernelSelector:
             x=x,
             x_sqnorm=xsq,
             per_kernel=vals,
-            guess_values=np.zeros(len(self.kernels)),
+            guess_values=self._zeros,
             weights=p,
             aggregate=agg,
             label=1 if agg >= 0 else -1,
@@ -175,28 +189,31 @@ class SmoothKernelSelector:
         ad = abs(d)
 
         branch = "skip"
-        prob = np.nan
+        prob = self._no_prob
         coin = -1
         did_remove = False
 
         if ad > 0.0:
-            gamma = math.sqrt(2.0 * math.log(k)) / math.sqrt(1.0 + self.deriv_sum + ad)
+            gamma = self._sqrt_2lnk / math.sqrt(1.0 + self.deriv_sum + ad)
             anchor = k_xx = None
             if len(buffer):
                 if sqdist is None:
                     sqdist = sq_distances(dots, store.sqnorm, pred.x_sqnorm)
                 # The Euclidean-nearest buffered example is the nearest in
                 # every Gaussian feature space at once; ties go to the oldest.
-                j = buffer[np.argmin(sqdist[buffer])]
+                j = buffer[sqdist[buffer].argmin()]
                 # Its feature-space distance to x comes from x_j - x itself,
-                # so that an exact duplicate is at distance exactly 0.
+                # so that an exact duplicate is at distance exactly 0. The
+                # kernels see 0-d arrays, not numpy scalars, whose power can
+                # differ in the last bit from the array power predict uses.
                 xj = store.X[j]
-                diff = xj - x
-                k_jx, k_jj, k_xx = kernel_rows(
-                    self.kernels,
-                    np.array([xj @ x, store.sqnorm[j], pred.x_sqnorm]),
-                    np.array([diff @ diff, 0.0, 0.0]),
-                ).T
+                if self._gaussian:
+                    diff = xj - x
+                    k_jx = kernel_rows(self.kernels, np.asarray(xj @ x), np.asarray(diff @ diff))
+                else:
+                    k_jx = kernel_rows(self.kernels, np.asarray(xj @ x))
+                k_jj = ex.self_k[:, j]
+                k_xx = self_values(self.kernels, pred.x_sqnorm)
                 if math.sqrt(max((k_jj + k_xx - 2.0 * k_jx).max(), 0.0)) <= gamma:
                     anchor = j
             if anchor is not None:
@@ -206,8 +223,9 @@ class SmoothKernelSelector:
                 ex.project(self.radius)
             else:
                 branch = "sampled"
-                prob = ad / (ad + self.loss.G1)
-                accepted = bool(self.rng.random() < prob)
+                q = ad / (ad + self.loss.G1)
+                prob = np.full(k, q)
+                accepted = bool(self.rng.random() < q)
                 coin = 1 if accepted else 0
                 if accepted:
                     fx = pred.per_kernel
@@ -223,12 +241,12 @@ class SmoothKernelSelector:
                         fx = np.vecdot(ex.coef, rows)
                         self.removals += 1
                         did_remove = True
-                    slot = store.add(x, y, pred.x_sqnorm)
-                    store.incref(slot)
-                    self._order[len(store) - 1] = slot
                     if k_xx is None:
                         k_xx = self_values(self.kernels, pred.x_sqnorm)
-                    c = -self.rate * d / prob
+                    slot = ex.add(x, y, pred.x_sqnorm, k_xx)
+                    store.incref(slot)
+                    self._order[len(store) - 1] = slot
+                    c = -self.rate * d / q
                     ex.step(slot, c, 2.0 * c * fx + c * c * k_xx)
                     ex.project(self.radius)
 
@@ -246,10 +264,10 @@ class SmoothKernelSelector:
             per_kernel=pred.per_kernel,
             losses=losses,
             branch=[branch] * k,
-            prob=np.full(k, prob),
-            coin=np.full(k, coin, dtype=int),
-            gap_sq=np.zeros(k),
-            removed=np.full(k, did_remove),
+            prob=prob,
+            coin=self._coins[coin],
+            gap_sq=self._zeros,
+            removed=self._removed[did_remove],
             extras={"deriv": d},
         )
 
@@ -282,3 +300,4 @@ class SmoothKernelSelector:
         outside[buffer] = False
         assert not ex.coef[:, outside].any(), "coefficient outside the buffer"
         assert np.all(np.sqrt(np.maximum(ex.sq_norms, 0.0)) <= self.radius + 1e-8), "iterate escaped the ball"
+        ex.check_self_k()

@@ -303,6 +303,34 @@ class TestCli:
         assert cli_main(["run", "--config", str(cfg_path)]) == 1
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kernels", [
+        ["polynomial"],  # an entry that is not an object
+        {"kind": "polynomial", "degree": 1},  # not a list of entries
+        [{"kind": "laplacian", "sigma": 1.0}],
+        [{"degree": 1}],  # no kind
+        [{"kind": "polynomial"}],  # missing parameter
+        [{"kind": "gaussian", "sigma": 1.0}, {"kind": "gaussian"}],
+        [{"kind": "gaussian", "sigma": 1.0, "degree": 2}],  # unknown key
+        [{"kind": "polynomial", "degree": 1, "index": 0}],
+        [{"kind": "polynomial", "degree": True}],
+        [{"kind": "gaussian", "sigma": "1.0"}],
+        [{"kind": "gaussian", "sigma": None}],
+        [{"kind": "gaussian", "sigma": 0}],
+        [{"kind": "polynomial", "degree": -1}],
+        [{"kind": "gaussian", "sigma": float("inf")}],
+    ])
+    def test_bad_kernel_entry_is_config_error(self, tmp_path, capsys, kernels):
+        cfg = {
+            "dataset": {"generator": "lowerbound", "budget": 4, "rounds": 30, "seed": 2},
+            "algorithm": "momd_s", "loss": "logistic", "kernels": kernels, "B": 6, "repeats": 1,
+            "output": str(tmp_path / "report.csv"),
+        }
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+        assert cli_main(["run", "--config", str(cfg_path)]) == 1
+        assert "config error: kernels" in capsys.readouterr().err
+        assert not (tmp_path / "report.csv").exists()
+
     def test_unknown_flag_prints_usage_and_exits_one(self, capsys):
         rc = cli_main(["inspect", "--frobnicate", "x"])
         assert rc == 1

@@ -169,3 +169,27 @@ def test_finite_losses_whose_square_overflows_are_accepted():
     with np.errstate(over="ignore"):
         s.update([1e200, 0.0])
     assert s.second_moment == math.inf
+
+
+def test_one_expert_keeps_its_distribution_and_matches_the_full_softmax():
+    # HedgeState(1) runs no softmax; _FormulaHedge(1) runs one every round.
+    rng = np.random.default_rng(41)
+    lean, ref = HedgeState(1), _FormulaHedge(1)
+    p = lean.distribution()
+    for t in range(3000):
+        c = [rng.choice([0.0, 0.0, 1e-300, 0.3, 1.0, 50.0, 1e6, 1e150]) * rng.uniform(0, 2)]
+        if t % 97 == 0:
+            before = (lean.cum_loss.copy(), lean.second_moment, lean.round)
+            for bad in (math.nan, math.inf, -math.inf, -1.0, -1e-300):
+                with pytest.raises(ValueError, match="finite and non-negative"):
+                    lean.update([bad])
+            assert np.array_equal(lean.cum_loss, before[0]) and (lean.second_moment, lean.round) == before[1:]
+        used = lean.update(c)
+        ref.update(c)
+        assert used is p and lean.distribution() is p
+        assert p.tolist() == [1.0] and ref.p.tolist() == [1.0] and not p.flags.writeable
+        assert lean.second_moment.hex() == ref.second_moment.hex()
+        assert float(lean.cum_loss[0]).hex() == float(ref.cum_loss[0]).hex()
+        assert lean.rate().hex() == ref.rate().hex()
+        assert lean.round == t + 1
+    assert lean.second_moment > 1e300  # the stream reached the large losses

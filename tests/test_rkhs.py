@@ -180,21 +180,24 @@ class TestNormTracking:
         for e in updates:
             assert f.coef[0, e] == pytest.approx(g.coef[0, e], rel=1e-12)
 
+    GRID = (gaussian(0.7, 0), polynomial(2, 1), gaussian(3.0, 2))
+
+    def small_learner(self, algorithm, removal="half"):
+        if algorithm == "momd_h":
+            return HingeKernelSelector(HingeSelectorConfig(
+                kernels=self.GRID, dim=3, budget=14, horizon=300, reservoir_size=2, removal=removal, seed=4,
+            ))
+        return SmoothKernelSelector(SmoothSelectorConfig(
+            kernels=self.GRID, dim=3, budget=4, removal=removal, seed=4,
+        ))
+
     @pytest.mark.parametrize("algorithm", ["momd_h", "momd_s"])
     @pytest.mark.parametrize("removal", ["half", "restart"])
     def test_learner_norm_caches_match_brute_force(self, algorithm, removal):
         # Rounds redraw a few rows, so proxies recur, and small budgets force removals.
-        grid = (gaussian(0.7, 0), polynomial(2, 1), gaussian(3.0, 2))
         rng = np.random.default_rng(21)
         pool = rng.normal(size=(6, 3)) / 2.0
-        if algorithm == "momd_h":
-            learner = HingeKernelSelector(HingeSelectorConfig(
-                kernels=grid, dim=3, budget=14, horizon=300, reservoir_size=2, removal=removal, seed=4,
-            ))
-        else:
-            learner = SmoothKernelSelector(SmoothSelectorConfig(
-                kernels=grid, dim=3, budget=4, removal=removal, seed=4,
-            ))
+        learner = self.small_learner(algorithm, removal)
         ex, store = learner.expansions, learner.store
         proxies = removals = 0
         for t in range(300):
@@ -202,10 +205,28 @@ class TestNormTracking:
             rec = learner.update(x, 1 if x.sum() + 0.3 * rng.normal() > 0 else -1)
             proxies += rec.branch.count("proxy")
             removals += int(np.count_nonzero(rec.removed))
-            for i, spec in enumerate(grid):
+            for i, spec in enumerate(self.GRID):
                 want = brute_norm_sq(spec, store, coeffs(ex, i))
                 assert ex.sq_norms[i] == pytest.approx(want, rel=1e-9, abs=1e-10), (t, i)
+            learner.check_invariants()  # includes the self-similarity cache
         assert proxies > 0 and removals > 0
+
+    @pytest.mark.parametrize("algorithm", ["momd_h", "momd_s"])
+    def test_stale_self_similarity_fails_the_invariants(self, algorithm):
+        rng = np.random.default_rng(22)
+        learner = self.small_learner(algorithm)
+        for _ in range(40):
+            x = rng.normal(size=3)
+            learner.update(x, 1 if x[0] > 0 else -1)
+        ex, store = learner.expansions, learner.store
+        live = np.flatnonzero(store.live)
+        assert len(live) and np.allclose(ex.self_k[:, live], self_values(self.GRID, store.sqnorm[live]), rtol=1e-14, atol=0)
+        slot = live[-1]
+        ex.self_k[1, slot] *= 1.0 + 1e-11  # the polynomial kernel's k(x, x) = ||x||^4
+        with pytest.raises(AssertionError, match="self-similarity"):
+            learner.check_invariants()
+        ex.self_k[1, slot] = self_values(self.GRID[1:2], store.sqnorm[slot])[0] * (1.0 + 1e-13)
+        learner.check_invariants()
 
 
 class TestProjection:

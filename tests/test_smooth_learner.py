@@ -1,5 +1,7 @@
+import copy
 import math
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from okselect import (
     gaussian,
     polynomial,
 )
+from okselect.data import gen_lowerbound
 from okselect.kernels import kernel_eval
 from okselect.smooth_learner import pea_losses
 
@@ -314,6 +317,68 @@ class TestConfig:
                 proxy_rounds += 1
             learner.check_invariants()
         assert proxy_rounds > 0
+
+
+class TestRecords:
+    """A round's record arrays equal the ones np.full builds fresh every round,
+    though rounds that draw no coin share read-only arrays."""
+
+    @staticmethod
+    def stream(name):
+        if name == "lowerbound":
+            ds = gen_lowerbound(budget=4, rounds=800, seed=3)
+            X = ds.dense_features()
+            return X, ds.y, make_learner(kernels=(polynomial(1, 0),), dim=X.shape[1], budget=6, seed=21)
+        # a mixed K=5 grid over a pool of 40 rows, so that duplicates give proxies
+        rng = np.random.default_rng(22)
+        pool = np.round(rng.normal(scale=2.0, size=(40, 4)), 1)
+        idx = rng.integers(0, len(pool), 800)
+        grid = (gaussian(0.5, 0), polynomial(1, 1), gaussian(2.0, 2), polynomial(2, 3), gaussian(8.0, 4))
+        return pool[idx], np.where(idx % 2 == 0, 1, -1), make_learner(kernels=grid, dim=4, budget=6, seed=23)
+
+    @pytest.mark.parametrize("name", ["lowerbound", "mixed"])
+    def test_records_equal_fresh_arrays(self, name):
+        X, y, learner = self.stream(name)
+        k = len(learner.kernels)
+        coins = np.random.default_rng(np.random.SeedSequence(learner.config.seed))  # the learner's coin stream
+        kept, early, seen = [], [], Counter()
+        for t in range(len(y)):
+            pred = learner.predict(X[t])
+            removals = learner.removals
+            rec = learner.update(X[t], y[t])
+            branch = rec.branch[0]
+            assert rec.branch == [branch] * k
+            prob, coin = np.nan, -1
+            if branch == "sampled":
+                d = rec.extras["deriv"]
+                prob = abs(d) / (abs(d) + learner.loss.G1)
+                coin = int(coins.random() < prob)
+            did_remove = learner.removals > removals
+            expect = {
+                "prob": np.full(k, prob),
+                "coin": np.full(k, coin, dtype=int),
+                "gap_sq": np.zeros(k),
+                "removed": np.full(k, did_remove),
+            }
+            for field, want in expect.items():
+                got = getattr(rec, field)
+                assert got.dtype == want.dtype and np.array_equal(got, want, equal_nan=True), (t, field)
+            assert pred.guess_values.dtype == float and np.array_equal(pred.guess_values, np.zeros(k))
+            shared = [rec.coin, rec.gap_sq, rec.removed, pred.guess_values] + ([] if coin >= 0 else [rec.prob])
+            for arr in shared:
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[0] = 7
+            seen[branch] += 1
+            seen["accepted"] += coin == 1
+            seen["removed"] += did_remove
+            kept.append(rec)
+            if t < 100:
+                early.append(copy.deepcopy(rec))
+        assert seen["proxy"] and seen["sampled"] > seen["accepted"] > 0 and seen["removed"], seen
+        for before, after in zip(early, kept):
+            assert before.branch == after.branch
+            for field in ("per_kernel", "losses", "prob", "coin", "gap_sq", "removed"):
+                assert np.array_equal(getattr(before, field), getattr(after, field), equal_nan=True)
 
 
 class TestInputValidation:
