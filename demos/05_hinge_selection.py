@@ -8,7 +8,7 @@ and a few hundred stored examples suffice.
 
 import numpy as np
 
-from okselect import HingeKernelSelector, HingeSelectorConfig, gaussian
+from okselect import HingeKernelSelector, HingeSelectorConfig, gaussian, run_stream
 
 rng = np.random.default_rng(4)
 T, attrs, levels = 4000, 22, 5
@@ -31,18 +31,21 @@ learner = HingeKernelSelector(
 )
 print(f"budget split: archive cap {learner.archive_cap}, per-kernel buffer {learner.per_kernel_cap}")
 
-mistakes = 0
+mistakes_so_far = 0
 branch_mix = {"skip": 0, "proxy": 0, "sampled": 0}
-for t in range(T):
-    pred = learner.predict(X[t])
-    mistakes += pred.label != y[t]
-    rec = learner.update(X[t], int(y[t]))
+
+
+def progress(rec):
+    global mistakes_so_far
+    mistakes_so_far += rec.mistake
     for b in rec.branch:
         branch_mix[b] += 1
-    if t + 1 in (500, 2000, T):
-        print(f"t={t + 1:<5} AMR so far {100 * mistakes / (t + 1):5.2f}%  "
+    if rec.t in (500, 2000, T):
+        print(f"t={rec.t:<5} AMR so far {100 * mistakes_so_far / rec.t:5.2f}%  "
               f"mixture {np.round(learner.hedge.distribution(), 2)}")
 
+
+mistakes, _ = run_stream(learner, X, y, progress)
 learner.check_invariants()
 print()
 print(f"final AMR: {100 * mistakes / T:.2f}%")

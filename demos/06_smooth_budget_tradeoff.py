@@ -10,7 +10,7 @@ import warnings
 
 import numpy as np
 
-from okselect import SmoothKernelSelector, SmoothSelectorConfig, gen_lowerbound, polynomial
+from okselect import SmoothKernelSelector, SmoothSelectorConfig, gen_lowerbound, polynomial, run_stream
 
 stream_support = 25  # the stream replays 3 * 25 = 75 distinct basis vectors
 T = 6000
@@ -28,10 +28,7 @@ for budget in (12, 50, 150):
                     kernels=(polynomial(1, 0),), dim=ds.dim, budget=budget, seed=seed
                 )
             )
-        X = ds.dense_features()
-        for t in range(T):
-            learner.predict(X[t])
-            learner.update(X[t], int(ds.y[t]))
+        run_stream(learner, ds.dense_features(), ds.y)
         learner.check_invariants()
         losses.append(learner.cum_loss / T)
     print(f"buffer budget {budget:>4}: average logistic loss {np.mean(losses):.4f} "

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from okselect import HingeKernelSelector, HingeSelectorConfig, RakerBaseline, RakerConfig, gaussian
+from okselect import HingeKernelSelector, HingeSelectorConfig, RakerBaseline, RakerConfig, gaussian, run_stream
 from okselect.kernels import kernel_eval
 
 rng = np.random.default_rng(5)
@@ -38,19 +38,12 @@ specs = tuple(gaussian(s, i) for i, s in enumerate((0.25, 1.0, 4.0, 16.0, 64.0))
 selector = HingeKernelSelector(
     HingeSelectorConfig(kernels=specs, dim=d, budget=100, horizon=T, seed=1)
 )
-m = 0
-for t in range(T):
-    m += selector.predict(X[t]).label != y[t]
-    selector.update(X[t], int(y[t]))
+m, _ = run_stream(selector, X, y)
 print(f"budgeted selector (100 stored examples): AMR {100 * m / T:.2f}%")
 
 baseline = RakerBaseline(
     RakerConfig(kernels=specs, dim=d, num_features=400, step_size=10 / math.sqrt(T), seed=1)
 )
-m = 0
-for t in range(T):
-    _, _, label = baseline.predict(X[t])
-    m += label != y[t]
-    baseline.update(X[t], int(y[t]))
+m, _ = run_stream(baseline, X, y)
 print(f"random-feature baseline (D=400):       AMR {100 * m / T:.2f}%")
 print(f"baseline mixture weights: {np.round(baseline.mixture_weights(), 3)}")

@@ -26,7 +26,7 @@ from .hinge_learner import (
 )
 from .kernels import KernelSpec, feature_distance, gaussian, kernel_eval, polynomial
 from .losses import HingeLoss, LogisticLoss
-from .protocol import Prediction, RoundRecord, SelectorConfig
+from .protocol import Prediction, RoundRecord, SelectorConfig, run_stream
 from .raker import RakerBaseline, RakerConfig
 from .reservoir import Reservoir
 from .rkhs import ExampleStore, KernelExpansions
@@ -69,4 +69,5 @@ __all__ = [
     "Prediction",
     "RoundRecord",
     "SelectorConfig",
+    "run_stream",
 ]

@@ -23,6 +23,7 @@ from . import data as data_mod
 from .hinge_learner import HingeKernelSelector, HingeSelectorConfig
 from .kernels import KernelSpec, gaussian, polynomial
 from .losses import HingeLoss, LogisticLoss
+from .protocol import run_stream
 from .raker import RakerBaseline, RakerConfig
 from .smooth_learner import SmoothKernelSelector, SmoothSelectorConfig
 
@@ -261,23 +262,6 @@ def _build_learner(config: ExperimentConfig, ds, seed: int):
     return SmoothKernelSelector(SmoothSelectorConfig(**shared, loss=config.loss_object()))
 
 
-def _stream(learner, ds, loss) -> dict:
-    """Predict, then update, on every example of ``ds``; mistakes and loss
-    come from the pre-update label and aggregate in each round's record."""
-    mistakes = 0
-    cum = 0.0
-    t0 = time.perf_counter()
-    X = ds.dense_features()
-    y = ds.y
-    for t in range(ds.num_examples):
-        learner.predict(X[t])
-        rec = learner.update(X[t], int(y[t]))
-        mistakes += rec.mistake
-        cum += loss.value(rec.aggregate, rec.truth)
-    wall = time.perf_counter() - t0
-    return {"mistakes": mistakes, "cum_loss": cum, "wall_time_s": wall}
-
-
 def run(config: ExperimentConfig) -> Report:
     """Execute the configured repeats and assemble the report.
 
@@ -304,11 +288,11 @@ def run(config: ExperimentConfig) -> Report:
         try:
             ds = data_mod.permute(base, seed)
             learner = _build_learner(config, ds, seed)
-            loss = config.loss_object()
-            stats = _stream(learner, ds, loss)
-            row["AMR_percent"] = 100.0 * stats["mistakes"] / ds.num_examples
-            row["cum_loss"] = stats["cum_loss"]
-            row["wall_time_s"] = stats["wall_time_s"]
+            t0 = time.perf_counter()
+            mistakes, cum_loss = run_stream(learner, ds.dense_features(), ds.y)
+            row["wall_time_s"] = time.perf_counter() - t0
+            row["AMR_percent"] = 100.0 * mistakes / ds.num_examples
+            row["cum_loss"] = cum_loss
             row.update(learner.summary())
         except Exception as exc:  # noqa: BLE001 - failure rows are part of the contract
             row.update(dict.fromkeys(_METRIC_COLUMNS, ""))
@@ -356,7 +340,7 @@ def alignment_probe(config: ExperimentConfig) -> dict:
     base = load_dataset(config)
     ds = data_mod.permute(base, config.seed)
     learner = _build_learner(replace(config, B=400, M=30), ds, config.seed)
-    _stream(learner, ds, HingeLoss())
+    run_stream(learner, ds.dense_features(), ds.y)
     proxies = learner.alignment_proxies()
     return {
         "per_kernel": proxies,

@@ -59,7 +59,6 @@ __all__ = [
     "HingeSelectorConfig",
     "HingeKernelSelector",
     "allocate_budgets",
-    "importance_weighted_coeffs",
     "surrogate_weights",
     "BudgetError",
 ]
@@ -117,29 +116,8 @@ def allocate_budgets(config: HingeSelectorConfig) -> tuple[int, int]:
     return archive_cap, per_kernel
 
 
-def importance_weighted_coeffs(
-    grad_coeffs: dict[int, float],
-    guess_coeffs: dict[int, float],
-    prob: float,
-    accepted: bool,
-) -> dict[int, float]:
-    """Coefficients of (grad - guess)/prob * 1[accepted] + guess.
-
-    This is the unbiased surrogate applied by the sampled branch:
-    E[result] equals ``grad_coeffs`` whenever prob matches the acceptance
-    probability.
-    """
-    out = dict(guess_coeffs)
-    if accepted:
-        for s, c in grad_coeffs.items():
-            out[s] = out.get(s, 0.0) + c / prob
-        for s, c in guess_coeffs.items():
-            out[s] = out[s] - c / prob
-    return {s: c for s, c in out.items() if c != 0.0}
-
-
 def surrogate_weights(y: float, prob, accepted) -> tuple[np.ndarray, np.ndarray]:
-    """Array form of :func:`importance_weighted_coeffs` for several kernels at once.
+    """The importance-weighted surrogate gradient of several kernels at once.
 
     With grad = -y k(x, .), each kernel's surrogate
     (grad - guess)/p 1[accepted] + guess is gamma guess + delta k(x, .), where

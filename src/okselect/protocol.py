@@ -3,7 +3,8 @@
 Every learner plays the same round: ``predict(x)`` checks the features and
 returns the pre-update view, then ``update(x, y)`` consumes the label,
 reusing the pending prediction when it was made for the same ``x``, and
-returns the round's :class:`RoundRecord`. The two budgeted selectors share
+returns the round's :class:`RoundRecord`; :func:`run_stream` plays a whole
+stream through that round. The two budgeted selectors share
 the core of their configuration; its ``"scaled"`` rate is
 lambda_i = lambda_scale * U / sqrt(B) (the benchmark rule, with
 lambda_scale in {2, 1, 0.5}) and each selector supplies its ``"theory"`` rate.
@@ -18,7 +19,7 @@ import numpy as np
 
 from .kernels import KernelSpec
 
-__all__ = ["Prediction", "RoundRecord", "SelectorConfig", "check_features", "same_example"]
+__all__ = ["Prediction", "RoundRecord", "SelectorConfig", "check_features", "run_stream", "same_example"]
 
 
 def check_features(x, dim: int) -> tuple[np.ndarray, float]:
@@ -73,6 +74,30 @@ class RoundRecord:
     removed: np.ndarray | None = None  # True where a half-removal (or restart) fired
     reservoir_accepted: bool = False
     extras: dict = field(default_factory=dict)
+
+
+def run_stream(learner, X, y, each_round=None) -> tuple[int, float]:
+    """Play the stream ``(X[t], y[t])`` through ``learner``: predict, then update, every round.
+
+    A round binds ``x = X[t]`` once and passes that object to both calls, so
+    ``update`` reuses the pending prediction by identity. ``y`` is an array
+    of labels. ``each_round``, when given, receives every round's
+    :class:`RoundRecord` in order. Returns (mistakes, cumulative loss), both
+    read off the records: the loss is ``learner.loss`` at the pre-update
+    aggregate.
+    """
+    loss = learner.loss
+    mistakes = 0
+    cum_loss = 0.0
+    for t, label in enumerate(y.tolist()):
+        x = X[t]
+        learner.predict(x)
+        rec = learner.update(x, label)
+        mistakes += rec.mistake
+        cum_loss += loss.value(rec.aggregate, rec.truth)
+        if each_round is not None:
+            each_round(rec)
+    return mistakes, cum_loss
 
 
 @dataclass

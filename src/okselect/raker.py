@@ -61,6 +61,7 @@ class RakerBaseline:
 
     def __init__(self, config: RakerConfig):
         self.config = config
+        self.loss = config.loss
         self.kernels = tuple(config.kernels)
         k = len(self.kernels)
         D = config.num_features
@@ -112,7 +113,7 @@ class RakerBaseline:
         _, zs, vals, agg, label = cached
         self._last = None
         self.t += 1
-        loss, eta = self.config.loss, self.config.step_size
+        loss, eta = self.loss, self.config.step_size
         losses = np.array([loss.value(v, y) for v in vals.tolist()])
         g = np.array([loss.deriv(v, y) for v in vals.tolist()])
         self.theta -= eta * (g[:, None] * zs + self.config.reg * self.theta)

@@ -188,6 +188,8 @@ class KernelExpansions:
     def project(self, radius: float):
         """Project each f_i onto {||f|| <= radius}; idempotent, never grows a norm."""
         r2 = radius * radius
+        if self.sq_norms.max() <= r2:
+            return
         for i in np.flatnonzero(self.sq_norms > r2):
             self.coef[i] *= radius / np.sqrt(self.sq_norms[i])
             self.sq_norms[i] = r2

@@ -16,6 +16,9 @@ plainest formula is the proxy distance, k(x_j, x_j) + k(x, x) - 2 k(x_j, x)
 under the square root, so that an exact duplicate is at the same distance
 (zero) in both.
 
+:func:`importance_weighted_coeffs` is the sampled branch's surrogate over
+dict coefficients, the reference for ``hinge_learner.surrogate_weights``.
+
 Two correct implementations that round differently can still take opposite
 sides of a threshold that a quantity meets exactly in exact arithmetic: a
 linear-kernel margin of exactly 1, say, that one of them computes a few
@@ -40,6 +43,27 @@ TIE_TOL = 1e-9
 def near(a: float, b: float) -> bool:
     """Within rounding of each other, unless both are exactly 0 (an exact duplicate's distance and gamma at a zero gap)."""
     return (a != 0.0 or b != 0.0) and abs(a - b) <= TIE_TOL * max(abs(a), abs(b), 1.0)
+
+
+def importance_weighted_coeffs(
+    grad_coeffs: dict[int, float],
+    guess_coeffs: dict[int, float],
+    prob: float,
+    accepted: bool,
+) -> dict[int, float]:
+    """Coefficients of (grad - guess)/prob * 1[accepted] + guess.
+
+    This is the unbiased surrogate applied by the sampled branch:
+    E[result] equals ``grad_coeffs`` whenever prob matches the acceptance
+    probability.
+    """
+    out = dict(guess_coeffs)
+    if accepted:
+        for s, c in grad_coeffs.items():
+            out[s] = out.get(s, 0.0) + c / prob
+        for s, c in guess_coeffs.items():
+            out[s] = out[s] - c / prob
+    return {s: c for s, c in out.items() if c != 0.0}
 
 
 class ScalarLearner:

@@ -27,11 +27,12 @@ from okselect import (
     gen_lowerbound,
     polynomial,
     run,
+    run_stream,
 )
-from okselect.hinge_learner import importance_weighted_coeffs
 from okselect.kernels import kernel_eval
 
 from conftest import blob_stream, dataset_path, store_example
+from scalar_reference import importance_weighted_coeffs
 
 GRID = tuple(gaussian(s, i) for i, s in enumerate((0.25, 1.0, 4.0, 16.0, 64.0)))
 
@@ -49,12 +50,7 @@ def quiet_smooth(**kw):
 
 def stream_with_checks(learner, X, y):
     """Drive a full run with per-round hard-invariant assertions."""
-    records = []
-    for t in range(len(y)):
-        learner.predict(X[t])
-        records.append(learner.update(X[t], int(y[t])))
-        learner.check_invariants()
-    return records
+    run_stream(learner, X, y, lambda rec: learner.check_invariants())
 
 
 # ---------------------------------------------------------------------------
@@ -367,10 +363,7 @@ def test_criterion_10_budget_tradeoff():
             learner = quiet_smooth(
                 kernels=(polynomial(1, 0),), dim=ds.dim, budget=budget, seed=s
             )
-            X = ds.dense_features()
-            for t in range(ds.num_examples):
-                learner.predict(X[t])
-                learner.update(X[t], int(ds.y[t]))
+            run_stream(learner, ds.dense_features(), ds.y)
             per_seed.append(learner.cum_loss / ds.num_examples)
         means[budget] = float(np.mean(per_seed))
     ok = means[25] >= means[100] >= means[400]

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from okselect import ExperimentConfig, alignment_probe, gaussian, run, serialize_libsvm
+from okselect import ExperimentConfig, alignment_probe, gaussian, run, run_stream, serialize_libsvm
 from okselect.bench import REPORT_COLUMNS, ConfigError
 from okselect.cli import main as cli_main
 from okselect.data import Dataset, gen_lowerbound
@@ -93,12 +93,8 @@ class TestRun:
 
         ds = permute(load_dataset(cfg), cfg.seed)
         learner = _build_learner(cfg, ds, cfg.seed)
-        X = ds.dense_features()
         window = []
-        for t in range(ds.num_examples):
-            pred = learner.predict(X[t])
-            window.append(pred.label != ds.y[t])
-            learner.update(X[t], int(ds.y[t]))
+        run_stream(learner, ds.dense_features(), ds.y, lambda rec: window.append(rec.mistake))
         half = len(window) // 2
         assert sum(window[half:]) <= sum(window[:half])
 

@@ -53,6 +53,7 @@ from okselect import (
     gaussian,
     gen_lowerbound,
     polynomial,
+    run_stream,
 )
 
 from conftest import blob_stream
@@ -134,11 +135,8 @@ def trace(name: str):
         learner, (X, y) = build()
     h = hashlib.sha256()
     reached = set()
-    cum_loss = 0.0
-    for t in range(len(y)):
-        learner.predict(X[t])
-        rec = learner.update(X[t], int(y[t]))
-        cum_loss += learner.loss.value(rec.aggregate, int(y[t]))
+
+    def record(rec):
         line = (
             rec.label,
             float(rec.aggregate).hex(),
@@ -150,6 +148,8 @@ def trace(name: str):
         reached.update(rec.branch)
         if rec.removed.any():
             reached.add("removed")
+
+    _, cum_loss = run_stream(learner, X, y, record)
     removals = np.atleast_1d(learner.removals).tolist()
     h.update(repr((cum_loss.hex(), removals)).encode())
     return h.hexdigest(), reached

@@ -12,8 +12,9 @@ from okselect import (
     allocate_budgets,
     gaussian,
     polynomial,
+    run_stream,
 )
-from okselect.hinge_learner import importance_weighted_coeffs, surrogate_weights
+from okselect.hinge_learner import surrogate_weights
 from okselect.kernels import kernel_eval
 
 from conftest import (
@@ -25,6 +26,7 @@ from conftest import (
     coeffs,
     guess_coeffs,
 )
+from scalar_reference import importance_weighted_coeffs
 
 GRID = tuple(gaussian(s, i) for i, s in enumerate((0.25, 1.0, 4.0, 16.0, 64.0)))
 
@@ -215,21 +217,23 @@ class TestSurrogateGradient:
 
 
 class TestFullRuns:
-    def run_stream(self, learner, X, y, check_every=1):
+    def checked_records(self, learner, X, y, check_every=1):
+        """The stream's records, with the invariants checked every ``check_every`` rounds and at the end."""
         records = []
-        for t in range(len(y)):
-            learner.predict(X[t])
-            rec = learner.update(X[t], y[t])
+
+        def check(rec):
             records.append(rec)
-            if t % check_every == 0:
+            if (rec.t - 1) % check_every == 0:
                 learner.check_invariants()
+
+        run_stream(learner, X, y, check)
         learner.check_invariants()
         return records
 
     def test_budget_and_norm_invariants_hold_every_round(self):
         X, y = blob_stream(600, 4, seed=22)
         learner = HingeKernelSelector(make_config(seed=1, horizon=600))
-        records = self.run_stream(learner, X, y)
+        records = self.checked_records(learner, X, y)
         # a removal leaves the half buffer plus the newly inserted example
         for rec in records:
             for i in range(len(GRID)):
@@ -245,12 +249,11 @@ class TestFullRuns:
         X, y = blob_stream(600, 4, seed=23)
         learner = HingeKernelSelector(make_config(seed=2, horizon=600))
         sizes_after_removal = []
-        for t in range(len(y)):
-            learner.predict(X[t])
-            rec = learner.update(X[t], y[t])
-            for i in range(len(GRID)):
-                if rec.removed[i]:
-                    sizes_after_removal.append(len(learner.expansions.buffers[i]))
+
+        def removal_sizes(rec):
+            sizes_after_removal.extend(len(learner.expansions.buffers[i]) for i in np.flatnonzero(rec.removed))
+
+        run_stream(learner, X, y, removal_sizes)
         assert sizes_after_removal, "no removal was exercised; change the seed"
         assert set(sizes_after_removal) == {learner.per_kernel_cap // 2 + 1}
 
@@ -259,7 +262,7 @@ class TestFullRuns:
         runs = []
         for _ in range(2):
             learner = HingeKernelSelector(make_config(seed=7, horizon=400))
-            recs = self.run_stream(learner, X, y, check_every=100)
+            recs = self.checked_records(learner, X, y, check_every=100)
             runs.append(
                 (
                     [r.mistake for r in recs],
@@ -278,7 +281,7 @@ class TestFullRuns:
     def test_alignment_accumulator_matches_records(self):
         X, y = blob_stream(300, 4, seed=25)
         learner = HingeKernelSelector(make_config(seed=3, horizon=300))
-        records = self.run_stream(learner, X, y, check_every=50)
+        records = self.checked_records(learner, X, y, check_every=50)
         total = np.zeros(len(GRID))
         for rec in records:
             total += rec.gap_sq
@@ -287,14 +290,14 @@ class TestFullRuns:
     def test_removal_count_against_expected_scale(self):
         X, y = blob_stream(800, 4, seed=26)
         learner = HingeKernelSelector(make_config(seed=4, horizon=800))
-        self.run_stream(learner, X, y, check_every=100)
+        self.checked_records(learner, X, y, check_every=100)
         bound = learner.removal_bounds(k1=1.0)
         assert np.all(learner.removals <= 3 * bound)
 
     def test_restart_mode(self):
         X, y = blob_stream(500, 4, seed=27)
         learner = HingeKernelSelector(make_config(seed=5, horizon=500, removal="restart"))
-        self.run_stream(learner, X, y, check_every=50)
+        self.checked_records(learner, X, y, check_every=50)
         assert learner.removals.sum() > 0
 
     def test_proxy_branch_fires_and_keeps_buffer(self):
@@ -404,7 +407,8 @@ class TestCoefficientMatrix:
         runs = []
         for grid in ((gaussian(0.5), gaussian(4.0)), (gaussian(0.5, 0), gaussian(4.0, 1))):
             learner = HingeKernelSelector(HingeSelectorConfig(kernels=grid, dim=3, budget=20, horizon=120, seed=8))
-            recs = [(learner.predict(X[t]), learner.update(X[t], y[t]))[1] for t in range(len(y))]
+            recs = []
+            run_stream(learner, X, y, recs.append)
             runs.append(recs)
         for a, b in zip(*runs):
             assert (a.label, a.aggregate, a.branch, a.reservoir_accepted) == (b.label, b.aggregate, b.branch, b.reservoir_accepted)
@@ -431,9 +435,7 @@ class TestInputValidation:
             return [r.bit_generator.state for r in lr._rngs] + [lr.reservoir.rng.bit_generator.state]
 
         for lr in (learner, untouched):
-            for t in range(40):
-                lr.predict(X[t])
-                lr.update(X[t], y[t])
+            run_stream(lr, X[:40], y[:40])
         with np.errstate(over="ignore"), pytest.raises(ValueError):
             learner.predict(bad)
         with np.errstate(over="ignore"), pytest.raises(ValueError):

@@ -19,6 +19,7 @@ from okselect import (
     SmoothSelectorConfig,
     gaussian,
     run,
+    run_stream,
 )
 from okselect.bench import _build_learner, load_dataset
 from okselect.data import permute
@@ -69,9 +70,7 @@ def played(name, rounds=40):
     """A learner of the given kind after ``rounds`` rounds of a blob stream, and the stream."""
     X, y = blob_stream(60, D, seed=29)
     learner = LEARNERS[name]()
-    for t in range(rounds):
-        learner.predict(X[t])
-        learner.update(X[t], y[t])
+    run_stream(learner, X, y[:rounds])
     return learner, X, y
 
 
@@ -105,10 +104,10 @@ def test_bad_label_rejected_before_any_state_changes(name, label):
 
 
 def outcome(pred):
-    """(label, aggregate) of a pending prediction: raker's predict returns (values, aggregate, label)."""
+    """(label, aggregate, per-kernel values) of a pending prediction: raker's predict returns (values, aggregate, label)."""
     if isinstance(pred, tuple):
-        return pred[2], pred[1]
-    return pred.label, pred.aggregate
+        return pred[2], pred[1], pred[0]
+    return pred.label, pred.aggregate, pred.per_kernel
 
 
 @pytest.mark.parametrize("name", LEARNERS)
@@ -116,11 +115,14 @@ def test_record_carries_the_pending_prediction(name):
     X, y = blob_stream(60, D, seed=31)
     learner = LEARNERS[name]()
     for t in range(len(y)):
-        pred = learner.predict(X[t])
-        label, aggregate = outcome(pred)
-        rec = learner.update(X[t], y[t])
+        x = X[t]
+        pred = learner.predict(x)
+        label, aggregate, per_kernel = outcome(pred)
+        # odd rounds hand update an equal copy, so the pending prediction is matched by value
+        rec = learner.update(x.copy() if t % 2 else x, y[t])
         assert isinstance(rec, RoundRecord)
         assert (rec.t, rec.label, rec.aggregate) == (t + 1, label, aggregate), t
+        assert rec.per_kernel is per_kernel, t  # no second predict ran
         assert rec.truth == y[t] and rec.mistake == (label != y[t]), t
         if name == "raker":
             loss = learner.config.loss
@@ -142,12 +144,63 @@ def test_bench_run_matches_a_hand_loop(algorithm, loss):
     X = ds.dense_features()
     mistakes, cum = 0, 0.0
     for t in range(ds.num_examples):
-        label, aggregate = outcome(learner.predict(X[t]))
+        label, aggregate, _ = outcome(learner.predict(X[t]))
         mistakes += label != ds.y[t]
         cum += loss_fn.value(aggregate, int(ds.y[t]))
         learner.update(X[t], int(ds.y[t]))
     assert row["AMR_percent"] == 100.0 * mistakes / ds.num_examples
     assert row["cum_loss"] == cum
+
+
+@pytest.mark.parametrize("name", LEARNERS)
+def test_run_stream_hands_update_the_object_predict_received(name):
+    X, y = blob_stream(60, D, seed=31)
+    learner = LEARNERS[name]()
+    calls = []
+
+    def spy(method):
+        real = getattr(learner, method)
+
+        def call(x, *rest):
+            calls.append((method, x))
+            return real(x, *rest)
+
+        setattr(learner, method, call)
+
+    spy("predict")
+    spy("update")
+    run_stream(learner, X, y)
+    # a second predict inside update would show up as a third call in its round
+    assert [method for method, _ in calls] == ["predict", "update"] * len(y)
+    for t in range(len(y)):
+        (_, seen_by_predict), (_, seen_by_update) = calls[2 * t : 2 * t + 2]
+        assert seen_by_update is seen_by_predict and np.array_equal(seen_by_predict, X[t]), t
+
+
+@pytest.mark.parametrize("name", LEARNERS)
+def test_run_stream_feeds_every_record_in_order(name):
+    X, y = blob_stream(60, D, seed=31)
+    records = []
+    run_stream(LEARNERS[name](), X, y, records.append)
+    assert all(isinstance(rec, RoundRecord) for rec in records)
+    assert [rec.t for rec in records] == list(range(1, len(y) + 1))
+    assert [rec.truth for rec in records] == y.tolist()
+
+
+@pytest.mark.parametrize("name", LEARNERS)
+def test_run_stream_returns_a_hand_loops_mistakes_and_loss(name):
+    X, y = blob_stream(60, D, seed=32, noise=1.5)
+    got = run_stream(LEARNERS[name](), X, y)
+    learner = LEARNERS[name]()
+    mistakes, cum = 0, 0.0
+    for t in range(len(y)):
+        x = X[t]
+        label, aggregate, _ = outcome(learner.predict(x))
+        mistakes += label != y[t]
+        cum += learner.loss.value(aggregate, int(y[t]))
+        learner.update(x, int(y[t]))
+    assert mistakes > 0
+    assert got == (mistakes, cum)
 
 
 def test_check_features():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from okselect import HingeLoss, RakerBaseline, RakerConfig, gaussian, polynomial
+from okselect import HingeLoss, RakerBaseline, RakerConfig, gaussian, polynomial, run_stream
 from okselect.kernels import kernel_eval
 
 from conftest import blob_stream
@@ -74,25 +74,22 @@ def test_single_hinge_step_from_zero():
 def test_separable_stream_low_mistake_rate():
     X, y = blob_stream(2000, 4, seed=42)
     model = make_model(step_size=1.0 / math.sqrt(2000) * 10, num_features=200, seed=2)
-    mistakes = 0
-    for t in range(2000):
-        _, _, label = model.predict(X[t])
-        mistakes += label != y[t]
-        model.update(X[t], y[t])
+    mistakes, _ = run_stream(model, X, y)
     assert 100.0 * mistakes / 2000 <= 5.0
 
 
 def test_mixture_weights_simplex_and_ordering():
     X, y = blob_stream(500, 4, seed=43)
     model = make_model(seed=3)
-    for t in range(500):
-        model.predict(X[t])
-        model.update(X[t], y[t])
+
+    def check(rec):
         w = model.mixture_weights()
         assert abs(w.sum() - 1.0) <= 1e-12
         assert w.min() >= 0.0
         if len(np.flatnonzero(model.cum_loss == model.cum_loss.min())) == 1:
             assert w.argmax() == model.cum_loss.argmin()
+
+    run_stream(model, X, y, check)
 
 
 def test_seeded_reproducibility():
@@ -101,10 +98,7 @@ def test_seeded_reproducibility():
     for _ in range(2):
         model = make_model(seed=5)
         labels = []
-        for t in range(300):
-            _, _, lab = model.predict(X[t])
-            labels.append(lab)
-            model.update(X[t], y[t])
+        run_stream(model, X, y, lambda rec: labels.append(rec.label))
         outs.append((labels, [t.copy() for t in model.theta]))
     assert outs[0][0] == outs[1][0]
     for a, b in zip(outs[0][1], outs[1][1]):

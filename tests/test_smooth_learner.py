@@ -14,6 +14,7 @@ from okselect import (
     SmoothSelectorConfig,
     gaussian,
     polynomial,
+    run_stream,
 )
 from okselect.data import gen_lowerbound
 from okselect.kernels import kernel_eval
@@ -195,12 +196,13 @@ class TestSharedBufferCoherence:
     def test_norm_and_budget_invariants(self):
         X, y = blob_stream(600, 4, seed=33)
         learner = make_learner(budget=8, seed=5)
-        for t in range(len(y)):
-            learner.predict(X[t])
-            learner.update(X[t], y[t])
+
+        def check(rec):
             assert len(learner.store) <= 8
             assert np.all(np.sqrt(learner.expansions.sq_norms) <= learner.radius + 1e-8)
             learner.check_invariants()
+
+        run_stream(learner, X, y, check)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -256,13 +258,10 @@ class TestSampling:
         outs = []
         for _ in range(2):
             learner = make_learner(budget=10, seed=9)
-            coins = []
-            mistakes = []
-            for t in range(len(y)):
-                learner.predict(X[t])
-                rec = learner.update(X[t], y[t])
-                coins.append(rec.coin[0])
-                mistakes.append(rec.mistake)
+            records = []
+            run_stream(learner, X, y, records.append)
+            coins = [rec.coin[0] for rec in records]
+            mistakes = [rec.mistake for rec in records]
             outs.append((coins, mistakes, learner.cum_loss, learner.removals))
         assert outs[0] == outs[1]
 
@@ -287,21 +286,20 @@ class TestConfig:
     def test_removal_count_scale(self):
         X, y = blob_stream(800, 4, seed=36)
         learner = make_learner(budget=8, seed=10)
-        for t in range(len(y)):
-            learner.predict(X[t])
-            learner.update(X[t], y[t])
+        run_stream(learner, X, y)
         assert learner.removals <= 3 * max(learner.removal_bound(delta=0.01), 1)
 
     def test_restart_mode(self):
         X, y = blob_stream(500, 4, seed=37)
         learner = make_learner(budget=6, seed=11, removal="restart")
-        for t in range(len(y)):
-            learner.predict(X[t])
-            rec = learner.update(X[t], y[t])
+
+        def check(rec):
             if rec.removed[0]:
                 assert len(learner.store) == 1  # cleared, then the new example
-                assert np.array_equal(learner.store.X[learner.buffer[0]], X[t])
+                assert np.array_equal(learner.store.X[learner.buffer[0]], X[rec.t - 1])
             learner.check_invariants()
+
+        run_stream(learner, X, y, check)
 
     def test_polynomial_single_kernel(self):
         # K=1 makes gamma 0: proxies fire only on exact duplicates
@@ -309,14 +307,14 @@ class TestConfig:
         e = np.eye(6)
         pattern = [0, 1, 2, 0, 1, 2, 0, 1, 2]
         labels = [1, -1, 1, 1, -1, 1, 1, -1, 1]
-        proxy_rounds = 0
-        for idx, lab in zip(pattern * 30, labels * 30):
-            learner.predict(e[idx])
-            rec = learner.update(e[idx], lab)
-            if rec.branch[0] == "proxy":
-                proxy_rounds += 1
+        branches = []
+
+        def check(rec):
+            branches.append(rec.branch[0])
             learner.check_invariants()
-        assert proxy_rounds > 0
+
+        run_stream(learner, e[pattern * 30], np.array(labels * 30), check)
+        assert "proxy" in branches
 
 
 class TestRecords:
@@ -396,9 +394,7 @@ class TestInputValidation:
         X, y = blob_stream(60, 4, seed=38)
         learner, untouched = make_learner(budget=6, seed=14), make_learner(budget=6, seed=14)
         for lr in (learner, untouched):
-            for t in range(40):
-                lr.predict(X[t])
-                lr.update(X[t], y[t])
+            run_stream(lr, X[:40], y[:40])
         with np.errstate(over="ignore"), pytest.raises(ValueError):
             learner.predict(bad)
         with np.errstate(over="ignore"), pytest.raises(ValueError):
