@@ -1,14 +1,16 @@
 #!/usr/bin/env python3
-"""Budgeted kernel expansions: steps, projection, and half-removal.
+"""Budgeted kernel expansions: steps, projection, and removal with drop.
 
 A hypothesis is f_i = sum_s coef[i, s] k_i(x_s, .) where the x_s sit in the
 slots of a fixed-size, reference-counted example store, and the K
 hypotheses of a kernel grid are the rows of one coefficient matrix. Each
 step adds c k_i(x, .) for a stored x, which changes ||f_i||^2 by
 2 c f_i(x) + c^2 k_i(x, x): the caller passes that closed-form change and
-the step evaluates no kernel. Removing the newer half of a buffer
-recomputes the norm exactly and frees the slot of any example nothing
-references anymore.
+the step evaluates no kernel. The buffers are the learner's: here, as in
+the hinge learner, one list of slots per kernel, each membership holding
+one store reference. ``drop`` removes slots from some kernels' expansions:
+it zeroes their coefficients, releases one reference per slot (freeing the
+slots nothing else holds, in the order given) and recomputes the norms.
 """
 
 import numpy as np
@@ -19,6 +21,7 @@ from okselect.kernels import self_values
 rng = np.random.default_rng(1)
 store = ExampleStore(dim=2)
 ex = KernelExpansions((gaussian(1.0, 0), gaussian(4.0, 1)), store)
+buffers = [[], []]  # each kernel's slots, oldest first
 
 print("=== steps with closed-form norm changes, for both kernels ===")
 for step in range(6):
@@ -27,11 +30,13 @@ for step in range(6):
     c = rng.normal(size=2) * 0.8  # one coefficient per kernel
     fx = ex.values_at(slot)  # f_i(x) before the step
     ex.step(slot, c, 2.0 * c * fx + c * c * self_values(ex.specs, float(x @ x)))
-    ex.buffer_append([0, 1], slot)
+    store.incref(slot, 2)  # the slot joins both kernels' buffers
+    for buf in buffers:
+        buf.append(slot)
     cached = ex.sq_norms.copy()
     ex.recompute_sq_norms()
     recomputed = ex.sq_norms
-    print(f"step {step}: |buffer|={len(ex.buffers[0])}  cached ||f_i||^2={np.round(cached, 6)}  "
+    print(f"step {step}: |buffer|={len(buffers[0])}  cached ||f_i||^2={np.round(cached, 6)}  "
           f"recomputed={np.round(recomputed, 6)}")
 
 print()
@@ -51,28 +56,33 @@ ex.project(radius)
 print(f"idempotent: second projection leaves ||f_i|| = {np.round(np.sqrt(ex.sq_norms), 4)}")
 
 print()
-print("=== half-removal ===")
-print("kernel 0 buffer (insertion order):", ex.buffers[0])
-removed = ex.split_half(0)
-print("kept oldest half:                 ", ex.buffers[0])
+print("=== half-removal, one kernel at a time ===")
+print("kernel 0 buffer (insertion order):", buffers[0])
+half = len(buffers[0]) // 2
+removed = buffers[0][half:]
+ex.drop(slice(0, 1), removed)
+del buffers[0][half:]
+print("kept oldest half:                 ", buffers[0])
 print("removed slots:                    ", removed)
 print("removed slots are still live, held by kernel 1's buffer:", bool(store.live[removed].all()))
-ex.split_half(1)
-print("after kernel 1's split they are freed:", not store.live[removed].any())
+ex.drop(slice(1, 2), buffers[1][half:])
+del buffers[1][half:]
+print("after kernel 1's removal they are freed:", not store.live[removed].any())
 print(f"live slots: {len(store)} of {store.capacity}")
 print(f"norms recomputed from the survivors: ||f_i||^2 = {np.round(ex.sq_norms, 6)}")
+reused = [store.add(np.zeros(2), 1, 0.0) for _ in range(2)]
+print("the next two examples get the freed slots, last freed first:", reused, "of", removed)
+for slot in reused:
+    store.release_if_unreferenced(slot)  # nothing took them
 
 print()
-print("=== coefficient mass outside the buffer survives a split ===")
+print("=== coefficient mass outside the dropped slots survives ===")
 x = rng.normal(size=2)
 outside = store.add(x, 1, float(x @ x))
 store.incref(outside)  # held by an archive, as the hinge learner's guess anchors are
 ex.coef[0, outside] = 0.4  # coefficients may also be written directly, then the norms recomputed
-while len(ex.buffers[0]) % 2 != 0:
-    x = rng.normal(size=2)
-    slot = store.add(x, 1, float(x @ x))
-    ex.coef[0, slot] = 0.1
-    ex.buffer_append(0, slot)
 ex.recompute_sq_norms()
-ex.split_half(0)
-print(f"after another split, the outside anchor still carries {ex.coef[0, outside]:.2f}")
+ex.drop(slice(0, 1), buffers[0][1:])
+del buffers[0][1:]
+print(f"after another removal, the outside anchor still carries {ex.coef[0, outside]:.2f}")
+

@@ -66,6 +66,11 @@ class ConfigError(ValueError):
 _KERNEL_KINDS = {"gaussian": (gaussian, "sigma"), "polynomial": (polynomial, "degree")}
 
 
+def _is_count(value) -> bool:
+    """True for an int >= 1; a bool is not a count."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+
+
 def _check_kernel_entries(kernels):
     """Raise ConfigError unless every ``kernels`` entry is {"kind": kind, param: number > 0}."""
     if not isinstance(kernels, (list, tuple)):
@@ -91,7 +96,8 @@ class ExperimentConfig:
 
     ``dataset`` is a file path or a generator spec such as
     ``{"generator": "lowerbound", "budget": 50, "rounds": 20000, "seed": 1}``.
-    ``U`` is either the string ``"sqrt_b"`` or an explicit radius.
+    ``U`` is either the string ``"sqrt_b"`` or an explicit radius; ``B`` an
+    integer >= 1; ``horizon`` null (the stream length) or an integer >= 1.
     ``kernels`` may override the Gaussian grid with explicit specs, e.g.
     ``[{"kind": "polynomial", "degree": 1}]``: each entry holds ``kind``
     and that kind's one parameter (``sigma`` or ``degree``), a finite
@@ -127,8 +133,12 @@ class ExperimentConfig:
             raise ConfigError("the per-kernel-buffer learner is defined for the hinge loss")
         if self.algorithm == "momd_s" and self.loss == "hinge":
             raise ConfigError("the shared-buffer learner needs a smooth loss (logistic)")
-        if self.repeats < 1:
-            raise ConfigError("repeats must be >= 1")
+        if not _is_count(self.repeats):
+            raise ConfigError(f"repeats must be an integer >= 1, got {self.repeats!r}")
+        if not _is_count(self.B):
+            raise ConfigError(f"B must be an integer >= 1, got {self.B!r}")
+        if self.horizon is not None and not _is_count(self.horizon):
+            raise ConfigError(f"horizon must be null or an integer >= 1, got {self.horizon!r}")
         if self.kernels is not None:
             _check_kernel_entries(self.kernels)
         if self.U != "sqrt_b" and not (

@@ -17,11 +17,13 @@ the K buffers together hold at most B, and the last slot takes the round's
 example, which is stored when ``update`` starts and freed when it ends
 unless a buffer or the reservoir kept it. A full store raises, so the
 memory budget is enforced by the data structure itself. The K iterates are
-one (K, B + 1) coefficient matrix over the store's slots, and each buffer
-is a row of slots in insertion order. Each round computes the inner
-products and squared distances from x_t to every slot once (in
-``predict``) and derives all K kernel rows from them; the iterates' values,
-the reservoir guesses and the proxy search all read those rows.
+one (K, B + 1) coefficient matrix over the store's slots, and the K
+buffers, which the learner keeps itself, are the rows of a (K, B + 1) slot
+array in insertion order; removals go through ``KernelExpansions.drop``.
+Each round computes the inner products and squared distances from x_t to
+every slot once (in ``predict``) and derives all K kernel rows from them;
+the iterates' values, the reservoir guesses and the proxy search all read
+those rows.
 
 The update runs for all K kernels at once, as (K,) array operations: the
 margin test, the gaps, the proxy search over one (K, n) matrix of
@@ -75,8 +77,9 @@ class HingeSelectorConfig(SelectorConfig):
     ``budget`` is the total number of stored examples (reservoir archive
     plus all per-kernel buffers). ``horizon`` is the stream length, or an
     estimate of it in streaming mode (the archive slice depends on ln T);
-    the estimate used is echoed into run reports by the bench layer. The
-    ``"theory"`` rate is lambda_i = U * sqrt(K) / sqrt(2 B).
+    the estimate used is echoed into run reports by the bench layer. A
+    budget that :func:`allocate_budgets` cannot split raises BudgetError
+    here. The ``"theory"`` rate is lambda_i = U * sqrt(K) / sqrt(2 B).
     """
 
     horizon: int
@@ -88,10 +91,7 @@ class HingeSelectorConfig(SelectorConfig):
             raise ValueError("reservoir size must be >= 1")
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
-        if self.budget < 2 * len(self.kernels) + 2:
-            raise BudgetError(
-                f"budget {self.budget} too small for K={len(self.kernels)} kernels"
-            )
+        allocate_budgets(self)
 
     def theory_rate(self) -> float:
         return self.radius * math.sqrt(len(self.kernels)) / math.sqrt(2.0 * self.budget)
@@ -130,7 +130,12 @@ def surrogate_weights(y: float, prob, accepted) -> tuple[np.ndarray, np.ndarray]
 
 
 class HingeKernelSelector:
-    """Online kernel selection with per-kernel budgets, for the hinge loss."""
+    """Online kernel selection with per-kernel budgets, for the hinge loss.
+
+    Kernel i's buffer is ``buffer_slots[i, :buffer_sizes[i]]``, oldest
+    first. A slot whose coefficient was stepped to exactly zero stays in
+    it: the budget counts membership, not nonzero-ness.
+    """
 
     def __init__(self, config: HingeSelectorConfig):
         self.config = config
@@ -154,6 +159,8 @@ class HingeKernelSelector:
             specs=self.kernels,
         )
         self.expansions = KernelExpansions(self.kernels, self.store)
+        self.buffer_slots = np.zeros((k, self.store.capacity), dtype=np.intp)
+        self.buffer_sizes = np.zeros(k, dtype=np.intp)
         self.hedge = HedgeState(k)
         self.gap_sums = np.zeros(k)  # per-kernel alignment proxy accumulator
         self.removals = np.zeros(k, dtype=int)
@@ -162,6 +169,11 @@ class HingeKernelSelector:
         self._rows = None  # kernel rows of the last prediction, over every store slot
         self._fx = None  # the iterates' values f_i(x) at the last prediction, before the guess term
         self._row_starts = np.arange(k)[:, None] * self.store.capacity
+
+    @property
+    def buffers(self) -> list[np.ndarray]:
+        """Each kernel's buffer as a view of its slots, in insertion order."""
+        return [self.buffer_slots[i, :n] for i, n in enumerate(self.buffer_sizes)]
 
     def predict(self, x) -> Prediction:
         """f_{t,i}(x) = f'_i(x) - lambda_i * guess_i(x); mixture and sign.
@@ -213,7 +225,7 @@ class HingeKernelSelector:
         gap_sq = np.maximum(kxx + 2.0 * y * pred.guess_values + guess_sq, 0.0) * violated
         self.gap_sums += gap_sq
         gamma = gap_sq / np.sqrt(1.0 + self.gap_sums)
-        proxy = violated & (ex.buffer_sizes > 0)
+        proxy = violated & (self.buffer_sizes > 0)
         if np.count_nonzero(proxy):
             proxy = self._proxy_steps(proxy, rows, kxx, gamma, y)
         sampled = violated & ~proxy
@@ -225,20 +237,24 @@ class HingeKernelSelector:
         accepted = np.zeros(len(self.kernels), dtype=bool)
         for i in drawn.nonzero()[0].tolist():
             accepted[i] = self._rngs[i].random() < prob[i]
-        removed = accepted & (ex.buffer_sizes == self.per_kernel_cap)
+        removed = accepted & (self.buffer_sizes == self.per_kernel_cap)
         if np.count_nonzero(removed):
+            kept = self.per_kernel_cap // 2 if self.config.removal == "half" else 0
             for i in removed.nonzero()[0].tolist():
-                if self.config.removal == "half":
-                    ex.split_half(i)
-                else:
-                    ex.clear(i)
+                if not kept:  # a restart also drops the mass on archive anchors
+                    ex.coef[i] = 0.0
+                ex.drop(slice(i, i + 1), self.buffer_slots[i, kept : self.per_kernel_cap])
+            self.buffer_sizes[removed] = kept
             self.removals += removed
             ex.project(self.radius)
             fx[removed] = np.vecdot(ex.coef[removed], rows[removed])
         if np.count_nonzero(sampled):
             self._sampled_steps(sampled, accepted, prob, slot, y, fx, kxx, pred.guess_values, guess_sq)
-            if np.count_nonzero(accepted):
-                ex.buffer_append(accepted.nonzero()[0], slot)
+            joined = np.count_nonzero(accepted)
+            if joined:
+                self.store.incref(slot, joined)
+                self.buffer_slots[accepted, self.buffer_sizes[accepted]] = slot
+                self.buffer_sizes += accepted
         # each kernel's step touched only its own row, so one projection serves all
         ex.project(self.radius)
 
@@ -272,8 +288,8 @@ class HingeKernelSelector:
         step.
         """
         ex = self.expansions
-        sizes = ex.buffer_sizes
-        slots = ex.buffer_slots[:, : sizes.max()]
+        sizes = self.buffer_sizes
+        slots = self.buffer_slots[:, : sizes.max()]
         at = self._row_starts + slots  # flat positions in the (K, capacity) arrays
         dists = np.sqrt(np.maximum(ex.self_k.take(at) + kxx[:, None] - 2.0 * rows.take(at), 0.0))
         dists[np.arange(slots.shape[1]) >= sizes[:, None]] = np.inf
@@ -339,7 +355,7 @@ class HingeKernelSelector:
         """
         ex = self.expansions
         archive = set(self.reservoir.archive)
-        buffers = [buf.tolist() for buf in ex.buffers]
+        buffers = [buf.tolist() for buf in self.buffers]
         held = archive.union(*buffers)
         assert held == set(np.flatnonzero(self.store.live).tolist()), "live slot outside archive and buffers"
         for i, buf in enumerate(buffers):

@@ -13,13 +13,13 @@ A learner changes an iterate only by adding terms whose effect on the norm
 it already knows: c k_i(x_j, .) changes ||f_i||^2 by
 2 c f_i(x_j) + c^2 k_i(x_j, x_j), and the hinge learner's gradient guess
 by terms its reservoir keeps. So a step takes its norm changes from the
-caller, in closed form, and evaluates no kernel; the cache is recomputed
-from the Gram matrix of the support after every removal. The
+caller, in closed form, and evaluates no kernel. The one removal,
+:meth:`KernelExpansions.drop`, recomputes the cache from the Gram matrix
+of what is kept; which slots to drop is the learner's buffer policy, and
+the learner keeps its buffers itself. The
 self-similarities k_i(x_s, x_s) that those changes and both learners'
 proxy searches need are cached per slot, written when a learner stores an
-example through :meth:`KernelExpansions.add`. The hinge learner keeps one
-buffer per kernel in it; the smooth learner keeps one buffer for all K
-kernels itself.
+example through :meth:`KernelExpansions.add`.
 """
 
 from __future__ import annotations
@@ -114,17 +114,12 @@ class KernelExpansions:
 
     Kernel i's function is f_i = sum_s coef[i, s] k_i(x_s, .) and
     ``sq_norms[i]`` caches ||f_i||^2: :meth:`step` adds the closed-form
-    changes it is given, :meth:`project` scales it, and a removal
+    changes it is given, :meth:`project` scales it, and :meth:`drop`
     recomputes it from the Gram matrix. Coefficients hold no store
-    references; whoever steps on a slot keeps it alive. When each kernel
-    has a buffer of its own (the hinge learner), kernel i's buffer is
-    ``buffer_slots[i, :buffer_sizes[i]]``: the slots charged against its
-    budget, in insertion order, each membership holding a store reference.
-    A coefficient may sit on a slot outside the buffer (a gradient-guess
-    anchor in the archive). Slots whose coefficient was stepped to exactly
-    zero stay in the buffer (budgeting counts membership, not
-    nonzero-ness). A learner whose kernels share one buffer (the smooth
-    learner) keeps that buffer itself and leaves these empty.
+    references: a learner keeps every slot it steps on alive through a
+    buffer or archive membership, which owns one reference. :meth:`drop`
+    is the one removal; it releases one reference per dropped slot, so the
+    expansions need not know how the learner buffers its examples.
 
     ``self_k[i, s]`` caches k_i(x_s, x_s) for every live slot s; it is
     written by :meth:`add`, so a learner stores examples through it.
@@ -136,15 +131,8 @@ class KernelExpansions:
         self.coef = np.zeros((len(self.specs), store.capacity))
         self.sq_norms = np.zeros(len(self.specs))
         self.self_k = np.zeros((len(self.specs), store.capacity))
-        self.buffer_slots = np.zeros((len(self.specs), store.capacity), dtype=np.intp)
-        self.buffer_sizes = np.zeros(len(self.specs), dtype=np.intp)
         self._row_starts = np.arange(len(self.specs))[:, None] * store.capacity
         self._distances = any(spec.kind == "gaussian" for spec in self.specs)
-
-    @property
-    def buffers(self) -> list[np.ndarray]:
-        """Each kernel's buffer as a view of its slots, in insertion order."""
-        return [self.buffer_slots[i, :n] for i, n in enumerate(self.buffer_sizes)]
 
     def add(self, x, y, x_sqnorm: float, kxx) -> int:
         """Store (x, y) with refcount 0, cache its (K,) self-similarities ``kxx``
@@ -194,38 +182,20 @@ class KernelExpansions:
             self.coef[i] *= radius / np.sqrt(self.sq_norms[i])
             self.sq_norms[i] = r2
 
-    def buffer_append(self, kernels, slot: int):
-        """Append ``slot`` to the buffer of each kernel in ``kernels`` (an index or an array of distinct indices)."""
-        kernels = np.atleast_1d(kernels)
-        self.store.incref(slot, len(kernels))
-        self.buffer_slots[kernels, self.buffer_sizes[kernels]] = slot
-        self.buffer_sizes[kernels] += 1
+    def drop(self, kernels: slice, slots, keep=None):
+        """Remove ``slots`` from the expansions of the kernels in a slice.
 
-    def split_half(self, i: int) -> np.ndarray:
-        """Drop the newer half of kernel i's buffer and return its slots.
-
-        Coefficients on the dropped slots are zeroed; coefficient mass on
-        slots outside the buffer (archive anchors) stays. The norm cache is
-        recomputed from scratch, which also resets accumulated drift.
+        Their coefficients on ``slots`` are zeroed and one store reference
+        is released from each slot, in the order given, so the slots left
+        unreferenced are freed in that order. Coefficient mass on other
+        slots (the hinge learner's archive anchors) stays. The norms are
+        then recomputed over ``keep``, which must cover what is left of
+        the kernels' support and is by default their joint support; the
+        recomputation also resets accumulated drift.
         """
-        n = int(self.buffer_sizes[i])
-        if n < 2 or n % 2 != 0:
-            raise ValueError(f"buffer size {n} is not an even size >= 2")
-        removed = self.buffer_slots[i, n // 2 : n].copy()
-        self.coef[i, removed] = 0.0
-        self.store.decref(removed)
-        self.buffer_sizes[i] = n // 2
-        self.recompute_sq_norms(slice(i, i + 1))
-        return removed
-
-    def clear(self, i: int) -> np.ndarray:
-        """Restart kernel i: drop its whole buffer and every coefficient."""
-        removed = self.buffer_slots[i, : self.buffer_sizes[i]].copy()
-        self.store.decref(removed)
-        self.coef[i] = 0.0
-        self.sq_norms[i] = 0.0
-        self.buffer_sizes[i] = 0
-        return removed
+        self.coef[kernels, slots] = 0.0
+        self.store.decref(slots)
+        self.recompute_sq_norms(kernels, keep)
 
     def recompute_sq_norms(self, kernels: slice = slice(None), slots=None):
         """O(n^2) ||f_i||^2 for the kernels in a slice, from one pairwise pass over ``slots``.

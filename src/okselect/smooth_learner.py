@@ -4,8 +4,9 @@ All K kernels share a single buffer: every update anchors at the same
 example for every kernel, so the learner stores B examples, not K * B. The
 examples live in an :class:`~okselect.rkhs.ExampleStore` of B slots and
 the K kernel expansions in a :class:`~okselect.rkhs.KernelExpansions`, a
-(K, B) coefficient matrix over those slots; the learner itself keeps only
-the buffer's insertion order. Each round computes the inner products and
+(K, B) coefficient matrix over those slots; the learner itself keeps the
+buffer's insertion order and removes through ``KernelExpansions.drop``,
+for all K kernels at once. Each round computes the inner products and
 squared distances from x_t to the stored rows once and derives every
 kernel's values from them. The per-kernel gradient is the surrogate
 l'(f_t(x_t), y_t) * k_i(x_t, .) built from the *aggregate* prediction's
@@ -232,9 +233,7 @@ class SmoothKernelSelector:
                     if len(buffer) == self.budget:
                         # half-removal drops the oldest half; a restart drops all
                         h = self.budget // 2 if self.config.removal == "half" else self.budget
-                        store.decref(buffer[:h])
-                        ex.coef[:, buffer[:h]] = 0.0
-                        ex.recompute_sq_norms(slots=buffer[h:])
+                        ex.drop(slice(None), buffer[:h], keep=buffer[h:])
                         ex.project(self.radius)
                         self._order[: self.budget - h] = buffer[h:]
                         # f_i(x) over the kept examples, after the projection

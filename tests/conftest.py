@@ -51,14 +51,17 @@ def store_example(store: ExampleStore, x, y) -> int:
 
 
 def random_expansion(spec, store: ExampleStore, n_atoms: int, rng, scale: float = 1.0):
-    """A one-kernel expansion with random coefficients whose atoms are all buffered."""
+    """A one-kernel expansion with random coefficients, and its buffer: the
+    atoms' slots in insertion order, each membership holding one store reference."""
     ex = KernelExpansions((spec,), store)
+    buffer = []
     for _ in range(n_atoms):
         slot = store_example(store, rng.normal(size=store.dim), rng.choice([-1, 1]))
         ex.coef[0, slot] = scale * rng.normal()
-        ex.buffer_append(0, slot)
+        store.incref(slot)
+        buffer.append(slot)
     ex.recompute_sq_norms()
-    return ex
+    return ex, buffer
 
 
 def coeffs(ex: KernelExpansions, i: int = 0) -> dict:
@@ -115,18 +118,18 @@ def gram_oracle(spec, X, row_sqnorms):
     return dots**spec.param
 
 
-def scan_refcounts(store: ExampleStore, expansions=(), buffers=()) -> dict:
-    """Exhaustively recount references: the kernel buffers' memberships,
-    plus memberships of extra buffers. Coefficients hold no references."""
+def scan_refcounts(store: ExampleStore, buffers=()) -> dict:
+    """Exhaustively recount references: one per membership of each buffer
+    (a kernel buffer, a reservoir sample, an archive). Coefficients hold none."""
     counts: dict[int, int] = {}
-    for buf in [b for ex in expansions for b in ex.buffers] + list(buffers):
+    for buf in buffers:
         for slot in buf:
             counts[slot] = counts.get(slot, 0) + 1
     return counts
 
 
-def assert_refcounts_conserved(store: ExampleStore, expansions=(), buffers=()):
-    counts = scan_refcounts(store, expansions, buffers)
+def assert_refcounts_conserved(store: ExampleStore, buffers=()):
+    counts = scan_refcounts(store, buffers)
     for slot in np.flatnonzero(store.live):
         assert store.refs[slot] == counts.get(slot, 0), f"refcount mismatch at slot {slot}"
     for slot, n in counts.items():

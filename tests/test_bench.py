@@ -327,6 +327,22 @@ class TestCli:
         assert "config error: kernels" in capsys.readouterr().err
         assert not (tmp_path / "report.csv").exists()
 
+    @pytest.mark.parametrize("key, value", [
+        ("B", "40"), ("B", -4), ("B", 0), ("B", 2.5), ("B", True),
+        ("horizon", 0), ("horizon", 2.5), ("horizon", -1), ("horizon", "100"), ("horizon", True),
+        ("repeats", "2"), ("repeats", 0),
+    ])
+    def test_bad_budget_or_horizon_is_config_error(self, tmp_path, capsys, key, value):
+        cfg = {
+            "dataset": {"generator": "lowerbound", "budget": 4, "rounds": 30, "seed": 2},
+            "algorithm": "momd_h", "B": 40, "repeats": 1, "output": str(tmp_path / "report.csv"), key: value,
+        }
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+        assert cli_main(["run", "--config", str(cfg_path)]) == 1
+        assert f"config error: {key} must be" in capsys.readouterr().err
+        assert not (tmp_path / "report.csv").exists()
+
     def test_unknown_flag_prints_usage_and_exits_one(self, capsys):
         rc = cli_main(["inspect", "--frobnicate", "x"])
         assert rc == 1

@@ -63,6 +63,11 @@ class TestBudgetAllocation:
         with pytest.raises(BudgetError):
             allocate_budgets(make_config(budget=2 * 5 + 2, horizon=10**6, reservoir_size=100))
 
+    def test_unsplittable_budget_is_rejected_by_the_config(self):
+        # B = 2K + 2, but the archive slice min(100 * 15, B // 2) = 6 leaves 6 < 2K slots for the buffers
+        with pytest.raises(BudgetError, match="per-kernel buffers"):
+            HingeSelectorConfig(kernels=GRID, dim=4, budget=12, horizon=10**6, reservoir_size=100)
+
     def test_per_kernel_budget_is_even(self):
         for budget in (30, 44, 61, 87, 123):
             try:
@@ -113,7 +118,7 @@ class TestFirstRound:
         assert np.allclose(rec.prob, 1.0)
         assert np.all(rec.coin == 1)
         ex = learner.expansions
-        for i, buf in enumerate(ex.buffers):
+        for i, buf in enumerate(learner.buffers):
             assert len(buf) == 1
             expect = min(1.0, learner.radius / learner.rate) * learner.rate * 1.0
             assert ex.coef[i, buf[0]] == pytest.approx(expect, rel=1e-12)
@@ -234,15 +239,13 @@ class TestFullRuns:
         X, y = blob_stream(600, 4, seed=22)
         learner = HingeKernelSelector(make_config(seed=1, horizon=600))
         records = self.checked_records(learner, X, y)
-        # a removal leaves the half buffer plus the newly inserted example
+        # a removal fires only on an accepted coin
+        assert any(rec.removed.any() for rec in records), "no removal was exercised; change the seed"
         for rec in records:
-            for i in range(len(GRID)):
-                if rec.removed[i]:
-                    assert learner.per_kernel_cap // 2 + 1 <= learner.per_kernel_cap
+            assert np.all(rec.coin[rec.removed] == 1), rec.t
         assert_refcounts_conserved(
             learner.store,
-            expansions=[learner.expansions],
-            buffers=[learner.reservoir.sample, learner.reservoir.archive],
+            buffers=[*learner.buffers, learner.reservoir.sample, learner.reservoir.archive],
         )
 
     def test_removal_leaves_half_plus_one(self):
@@ -251,7 +254,7 @@ class TestFullRuns:
         sizes_after_removal = []
 
         def removal_sizes(rec):
-            sizes_after_removal.extend(len(learner.expansions.buffers[i]) for i in np.flatnonzero(rec.removed))
+            sizes_after_removal.extend(len(learner.buffers[i]) for i in np.flatnonzero(rec.removed))
 
         run_stream(learner, X, y, removal_sizes)
         assert sizes_after_removal, "no removal was exercised; change the seed"
@@ -300,6 +303,23 @@ class TestFullRuns:
         self.checked_records(learner, X, y, check_every=50)
         assert learner.removals.sum() > 0
 
+    def test_restart_drops_the_archive_anchors_mass(self):
+        # a restart zeroes the kernel's whole row before it steps, so the mass on
+        # archive slots outside the round's guess sample goes, not only the buffer's
+        X, y = blob_stream(500, 4, seed=27)
+        learner = HingeKernelSelector(make_config(seed=5, horizon=500, removal="restart"))
+        ex, res = learner.expansions, learner.reservoir
+        restarts_with_anchor_mass = 0
+        for t in range(len(y)):
+            learner.predict(X[t])
+            outside = sorted(set(res.archive) - set(res.sample.tolist()))
+            before = ex.coef[:, outside].copy()
+            rec = learner.update(X[t], y[t])
+            for i in np.flatnonzero(rec.removed):
+                restarts_with_anchor_mass += bool(before[i].any())
+                assert not ex.coef[i, outside].any(), (t, i)
+        assert restarts_with_anchor_mass > 0
+
     def test_proxy_branch_fires_and_keeps_buffer(self):
         X, y = blob_stream(800, 3, seed=28, noise=0.3)
         learner = HingeKernelSelector(
@@ -308,12 +328,12 @@ class TestFullRuns:
         proxies = 0
         for t in range(len(y)):
             learner.predict(X[t])
-            before = [len(buf) for buf in learner.expansions.buffers]
+            before = [len(buf) for buf in learner.buffers]
             rec = learner.update(X[t], y[t])
             for i in range(len(GRID)):
                 if rec.branch[i] == "proxy":
                     proxies += 1
-                    assert len(learner.expansions.buffers[i]) == before[i]
+                    assert len(learner.buffers[i]) == before[i]
         assert proxies > 0
 
 
@@ -329,9 +349,9 @@ class TestFullRuns:
             for _ in range(50):
                 learner.predict(row)
                 learner.update(row, 1)
-                if len(learner.expansions.buffers[0]) == size:
+                if len(learner.buffers[0]) == size:
                     break
-        older, newer = learner.expansions.buffers[0].tolist()
+        older, newer = learner.buffers[0].tolist()
         assert learner.store.X[older].tolist() == a.tolist() and learner.store.X[newer].tolist() == b.tolist()
         learner.gap_sums[:] = 0.0  # gamma = gap / sqrt(1 + gap), above the feature distance 0.48
         before = learner.expansions.coef.copy()
@@ -387,7 +407,7 @@ class TestCoefficientMatrix:
             archive = set(res.archive)
             assert not ex.coef[:, ~store.live].any()
             for i, spec in enumerate(grid):
-                assert set(np.flatnonzero(ex.coef[i]).tolist()) <= archive | set(ex.buffers[i])
+                assert set(np.flatnonzero(ex.coef[i]).tolist()) <= archive | set(learner.buffers[i])
                 assert ex.sq_norms[i] == pytest.approx(brute_norm_sq(spec, store, coeffs(ex, i)), rel=1e-9, abs=1e-12)
                 assert res.optimistic_sq_norms()[i] == pytest.approx(brute_guess_sq_norm(res, spec), rel=1e-9, abs=1e-12)
                 # the reservoir's label sums at every live slot
@@ -399,7 +419,7 @@ class TestCoefficientMatrix:
                     del insertions[i][len(insertions[i]) // 2 if removal == "half" else 0 :]
                 if rec.coin[i] == 1:
                     insertions[i].append(added[-1])
-                assert ex.buffers[i].tolist() == insertions[i]
+                assert learner.buffers[i].tolist() == insertions[i]
 
     def test_default_kernel_indices_change_nothing(self):
         # gaussian() defaults to index 0; each kernel must still get its own guess-norm cache

@@ -96,7 +96,7 @@ class TestEvaluate:
         rng = np.random.default_rng(3)
         s = ExampleStore(dim=3)
         spec = gaussian(0.9)
-        ex = random_expansion(spec, s, 20, rng)
+        ex, _ = random_expansion(spec, s, 20, rng)
         for _ in range(20):
             x = rng.normal(size=3)
             assert value(ex, 0, x) == pytest.approx(brute_value(spec, s, coeffs(ex), x), rel=1e-10, abs=1e-12)
@@ -105,12 +105,12 @@ class TestEvaluate:
         rng = np.random.default_rng(4)
         s = ExampleStore(dim=3)
         spec = gaussian(1.5)
-        ex = random_expansion(spec, s, 10, rng)
+        ex, buf = random_expansion(spec, s, 10, rng)
         for _ in range(50):
             z = rng.normal(size=3)
             before = value(ex, 0, z)
             c = rng.normal()
-            anchor = rng.choice(ex.buffers[0])
+            anchor = rng.choice(buf)
             expected = before + c * kernel_eval(spec, s.X[anchor], z)
             ex.coef[0, anchor] += c
             assert value(ex, 0, z) == pytest.approx(expected, rel=1e-9, abs=1e-10)
@@ -143,9 +143,9 @@ class TestNormTracking:
     def test_add_then_subtract_returns_to_start(self):
         rng = np.random.default_rng(5)
         s = ExampleStore(dim=3)
-        ex = random_expansion(gaussian(1.0), s, 8, rng)
+        ex, buf = random_expansion(gaussian(1.0), s, 8, rng)
         start = ex.sq_norms[0]
-        e = ex.buffers[0][0]
+        e = buf[0]
         anchor_step(ex, e, 0.7)
         anchor_step(ex, e, -0.7)
         assert ex.sq_norms[0] == pytest.approx(start, abs=1e-10)
@@ -154,9 +154,9 @@ class TestNormTracking:
     def test_incremental_matches_gram(self, spec):
         rng = np.random.default_rng(6)
         s = ExampleStore(dim=3)
-        ex = random_expansion(spec, s, 20, rng)
+        ex, buf = random_expansion(spec, s, 20, rng)
         for _ in range(30):
-            anchor_step(ex, rng.choice(ex.buffers[0]), rng.normal())
+            anchor_step(ex, rng.choice(buf), rng.normal())
             oracle = brute_norm_sq(spec, s, coeffs(ex))
             assert ex.sq_norms[0] == pytest.approx(oracle, rel=1e-8, abs=1e-10)
 
@@ -166,9 +166,9 @@ class TestNormTracking:
         rng = np.random.default_rng(7)
         spec = gaussian(1.2)
         s = ExampleStore(dim=3)
-        f = random_expansion(spec, s, 6, rng)
+        f, buf = random_expansion(spec, s, 6, rng)
         extra = [store_example(s, rng.normal(size=3), 1) for _ in range(3)]
-        updates = {e: rng.normal() for e in list(f.buffers[0][:2]) + extra}
+        updates = {e: rng.normal() for e in buf[:2] + extra}
         g = KernelExpansions((spec,), s)
         for e, c in list(coeffs(f).items()) + list(updates.items()):
             anchor_step(g, e, c)
@@ -254,7 +254,7 @@ class TestProjection:
     def test_projection_norm_exact_and_idempotent(self):
         rng = np.random.default_rng(8)
         s = ExampleStore(dim=3)
-        ex = random_expansion(gaussian(1.0), s, 15, rng, scale=3.0)
+        ex, _ = random_expansion(gaussian(1.0), s, 15, rng, scale=3.0)
         assert ex.sq_norms[0] > 1.0
         ex.project(1.0)
         ex.recompute_sq_norms()
@@ -269,7 +269,7 @@ class TestProjection:
         rng = np.random.default_rng(9)
         spec = gaussian(1.0)
         s = ExampleStore(dim=3)
-        ex = random_expansion(spec, s, 10, rng, scale=2.0)
+        ex, _ = random_expansion(spec, s, 10, rng, scale=2.0)
         ids = list(coeffs(ex))
         beta_pre = ex.coef[0, ids].copy()
         X = s.X[ids]
@@ -288,6 +288,8 @@ class TestProjection:
 
 
 class TestSplitHalf:
+    """The hinge learner's half-removal: drop the newer half of one kernel's buffer."""
+
     def _four_atom(self, spec=None):
         spec = spec or gaussian(1.0)
         s = ExampleStore(dim=2)
@@ -296,34 +298,24 @@ class TestSplitHalf:
         for p in ([0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]):
             e = store_example(s, p, 1)
             ex.coef[0, e] = 0.5
-            ex.buffer_append(0, e)
+            s.incref(e)
             ids.append(e)
         ex.recompute_sq_norms()
         return s, ex, ids
 
     def test_keep_oldest(self):
         s, ex, ids = self._four_atom()
-        removed = ex.split_half(0)
-        assert ex.buffers[0].tolist() == ids[:2]
-        assert removed.tolist() == ids[2:]
-        assert np.all(ex.coef[0, removed] == 0.0)
-
-    def test_odd_buffer_rejected(self):
-        s = ExampleStore(dim=2)
-        ex = KernelExpansions((gaussian(1.0),), s)
-        for p in ([0.0, 0.0], [1.0, 0.0], [0.0, 1.0]):
-            e = store_example(s, p, 1)
-            ex.coef[0, e] = 1.0
-            ex.buffer_append(0, e)
-        with pytest.raises(ValueError):
-            ex.split_half(0)
+        ex.drop(slice(0, 1), ids[2:])
+        assert np.flatnonzero(ex.coef[0]).tolist() == sorted(ids[:2])
+        assert np.all(ex.coef[0, ids[2:]] == 0.0)
+        assert s.live[ids[:2]].all() and not s.live[ids[2:]].any()
 
     def test_norm_recomputed(self):
         rng = np.random.default_rng(10)
         spec = gaussian(0.8)
         s = ExampleStore(dim=3)
-        ex = random_expansion(spec, s, 12, rng)
-        ex.split_half(0)
+        ex, buf = random_expansion(spec, s, 12, rng)
+        ex.drop(slice(0, 1), buf[6:])
         assert ex.sq_norms[0] == pytest.approx(brute_norm_sq(spec, s, coeffs(ex)), rel=1e-8, abs=1e-12)
 
     def test_archive_supported_mass_is_kept(self):
@@ -331,61 +323,101 @@ class TestSplitHalf:
         rng = np.random.default_rng(11)
         spec = gaussian(1.0)
         s = ExampleStore(dim=2)
-        ex = random_expansion(spec, s, 4, rng)
+        ex, buf = random_expansion(spec, s, 4, rng)
         outside = store_example(s, rng.normal(size=2), -1)
         s.incref(outside)  # held by an archive, as in the hinge learner
         ex.coef[0, outside] = 0.33
-        ex.split_half(0)
+        ex.drop(slice(0, 1), buf[2:])
         assert ex.coef[0, outside] == pytest.approx(0.33)
-        assert outside not in ex.buffers[0]
+        assert ex.sq_norms[0] == pytest.approx(brute_norm_sq(spec, s, coeffs(ex)), rel=1e-8, abs=1e-12)
 
     def test_refcounts_released(self):
         s, ex, ids = self._four_atom()
-        removed = ex.split_half(0)
-        for e in removed:
+        ex.drop(slice(0, 1), ids[2:])
+        for e in ids[2:]:
             assert not s.live[e]  # reclaimed: no references remain
-        assert_refcounts_conserved(s, expansions=[ex])
+        assert_refcounts_conserved(s, buffers=[ids[:2]])
+
+
+class TestDrop:
+    def test_frees_slots_in_the_order_given(self):
+        # the freed slots are handed out again last-freed first, so the order
+        # given decides which slot each later example gets
+        s = ExampleStore(dim=1, capacity=6)
+        ex = KernelExpansions((gaussian(1.0),), s)
+        ids = [store_example(s, [float(i)], 1) for i in range(5)]
+        for e in ids:
+            ex.coef[0, e] = 1.0
+            s.incref(e)
+        s.incref(ids[3])  # a second membership: dropping one leaves it live
+        order = [ids[2], ids[0], ids[3], ids[4]]
+        ex.drop(slice(0, 1), np.array(order))
+        assert s.live[ids[3]] and s.refs[ids[3]] == 1
+        reused = [store_example(s, [9.0], 1) for _ in range(4)]
+        assert reused[:3] == [ids[4], ids[0], ids[2]]  # last freed is reused first
+        assert reused[3] not in ids  # then the never-used slot
+
+    def test_keeps_mass_outside_the_dropped_slots(self):
+        # the smooth learner's removal: every kernel at once, norms over the kept slots
+        rng = np.random.default_rng(14)
+        specs = (gaussian(0.7, 0), polynomial(2, 1))
+        s = ExampleStore(dim=3)
+        ex = KernelExpansions(specs, s)
+        buffer = [store_example(s, rng.normal(size=3), 1) for _ in range(6)]
+        for e in buffer:
+            s.incref(e)
+            ex.coef[:, e] = rng.normal(size=2)
+        ex.recompute_sq_norms()
+        kept = ex.coef[:, buffer[3:]].copy()
+        ex.drop(slice(None), np.array(buffer[:3]), keep=np.array(buffer[3:]))
+        assert not ex.coef[:, buffer[:3]].any()
+        assert np.array_equal(ex.coef[:, buffer[3:]], kept)
+        for i, spec in enumerate(specs):
+            assert ex.sq_norms[i] == pytest.approx(brute_norm_sq(spec, s, coeffs(ex, i)), rel=1e-9, abs=1e-12)
+        assert_refcounts_conserved(s, buffers=[buffer[3:]])
 
 
 def test_drift_over_random_interleaving():
     rng = np.random.default_rng(12)
     spec = gaussian(1.1)
     s = ExampleStore(dim=3)
-    ex = random_expansion(spec, s, 6, rng)
+    ex, buf = random_expansion(spec, s, 6, rng)
     for _ in range(1000):
         op = rng.integers(3)
-        buf = ex.buffers[0]
         if op == 0:
             if rng.random() < 0.5 and len(buf):
                 anchor_step(ex, rng.choice(buf), rng.normal())
             else:
                 e = store_example(s, rng.normal(size=3), rng.choice([-1, 1]))
                 anchor_step(ex, e, rng.normal())
-                ex.buffer_append(0, e)
+                s.incref(e)
+                buf.append(e)
         elif op == 1:
             ex.project(2.0)
         elif op == 2 and len(buf) >= 2 and len(buf) % 2 == 0:
-            ex.split_half(0)
+            ex.drop(slice(0, 1), buf[len(buf) // 2 :])
+            del buf[len(buf) // 2 :]
     oracle = brute_norm_sq(spec, s, coeffs(ex))
     assert ex.sq_norms[0] == pytest.approx(oracle, rel=1e-6, abs=1e-9)
-    assert_refcounts_conserved(s, expansions=[ex])
+    assert_refcounts_conserved(s, buffers=[buf])
 
 
 def test_clear_releases_everything():
+    # the hinge learner's restart: the row is zeroed first, then the whole buffer dropped
     rng = np.random.default_rng(13)
     s = ExampleStore(dim=2)
-    ex = random_expansion(gaussian(1.0), s, 6, rng)
+    ex, buf = random_expansion(gaussian(1.0), s, 6, rng)
     outside = store_example(s, rng.normal(size=2), 1)
     ex.coef[0, outside] = 1.0
-    ex.clear(0)
+    ex.coef[0] = 0.0
+    ex.drop(slice(0, 1), buf)
     s.release_if_unreferenced(outside)
     assert ex.sq_norms[0] == 0.0
     assert not ex.coef.any()
-    assert len(ex.buffers[0]) == 0
     assert len(s) == 0
 
 
-_OPS = ("add", "add_scaled", "add_scaled_many", "project_ball", "split_half", "clear", "observe")
+_OPS = ("add", "add_scaled", "add_scaled_many", "project_ball", "drop_half", "restart", "observe")
 
 
 @settings(max_examples=80, deadline=None)
@@ -405,10 +437,15 @@ def test_random_operations_keep_refcounts_and_rows(n_kernels, ops):
     spec = gaussian(1.0)
     ex = KernelExpansions(tuple(gaussian(0.5 + i, i) for i in range(n_kernels)), store)
     res = Reservoir(store, capacity=3, archive_cap=6, rng=np.random.default_rng(0), specs=(spec,))
+    buffers = [[] for _ in range(n_kernels)]  # each kernel's slots, oldest first, one reference each
     given_rows = {}  # handle -> (x, y) passed to add
 
     def held():
-        return scan_refcounts(store, expansions=[ex], buffers=[res.sample, res.archive])
+        return scan_refcounts(store, buffers=[*buffers, res.sample, res.archive])
+
+    def join(i, h):
+        store.incref(h)
+        buffers[i].append(h)
 
     def add(x, y):
         before = held()
@@ -421,11 +458,11 @@ def test_random_operations_keep_refcounts_and_rows(n_kernels, ops):
         rng = np.random.default_rng(seed)
         i = which % n_kernels
         x, y = rng.normal(size=2), int(rng.choice([-1, 1]))
-        pool = sorted(set(ex.buffers[i]) | set(res.archive))
+        pool = sorted(set(buffers[i]) | set(res.archive))
         if op == "add":
             h = add(x, y)
             ex.coef[i, h] += rng.normal()
-            ex.buffer_append(i, h)
+            join(i, h)
         elif op == "add_scaled" and pool:
             h = pool[int(rng.integers(len(pool)))]
             # half the time cancel the coefficient exactly
@@ -440,13 +477,17 @@ def test_random_operations_keep_refcounts_and_rows(n_kernels, ops):
                 updates[new] = rng.normal()
             ex.coef[i, list(updates)] += list(updates.values())
             if new is not None:
-                ex.buffer_append(i, new)
+                join(i, new)
         elif op == "project_ball":
             ex.project(0.5)
-        elif op == "split_half" and len(ex.buffers[i]) >= 2 and len(ex.buffers[i]) % 2 == 0:
-            ex.split_half(i)
-        elif op == "clear":
-            ex.clear(i)
+        elif op == "drop_half" and len(buffers[i]) >= 2 and len(buffers[i]) % 2 == 0:
+            n = len(buffers[i]) // 2
+            ex.drop(slice(i, i + 1), buffers[i][n:])
+            del buffers[i][n:]
+        elif op == "restart":
+            ex.coef[i] = 0.0
+            ex.drop(slice(i, i + 1), buffers[i])
+            buffers[i].clear()
         elif op == "observe":
             if which == 0:  # the learner's path: the round's example is stored first
                 h = add(x, y)
@@ -460,13 +501,13 @@ def test_random_operations_keep_refcounts_and_rows(n_kernels, ops):
                     given_rows[h] = (x, float(y))
 
         counts = held()
-        assert_refcounts_conserved(store, expansions=[ex], buffers=[res.sample, res.archive])
+        assert_refcounts_conserved(store, buffers=[*buffers, res.sample, res.archive])
         assert len(store) == len(counts)
         for h in counts:
             gx, gy = given_rows[h]
             assert np.array_equal(store.X[h], gx)
             assert store.label[h] == gy
         # every coefficient sits on the kernel's own buffer or the archive
-        for k, buf in enumerate(ex.buffers):
+        for k, buf in enumerate(buffers):
             assert set(np.flatnonzero(ex.coef[k]).tolist()) <= set(buf) | set(res.archive)
         assert not ex.coef[:, ~store.live].any()
