@@ -71,6 +71,11 @@ def _is_count(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and value >= 1
 
 
+def _is_finite(value) -> bool:
+    """True for a finite int or float; a bool is not a number."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
 def _check_kernel_entries(kernels):
     """Raise ConfigError unless every ``kernels`` entry is {"kind": kind, param: number > 0}."""
     if not isinstance(kernels, (list, tuple)):
@@ -86,7 +91,7 @@ def _check_kernel_entries(kernels):
             raise ConfigError(f"kernels[{i}] of kind {kind!r} takes exactly the keys "
                               f"'kind' and {param!r}, got {list(item)}")
         value = item[param]
-        if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 < value < math.inf:
+        if not (_is_finite(value) and value > 0):
             raise ConfigError(f"kernels[{i}] {param!r} must be a finite number > 0, got {value!r}")
 
 
@@ -96,8 +101,12 @@ class ExperimentConfig:
 
     ``dataset`` is a file path or a generator spec such as
     ``{"generator": "lowerbound", "budget": 50, "rounds": 20000, "seed": 1}``.
-    ``U`` is either the string ``"sqrt_b"`` or an explicit radius; ``B`` an
-    integer >= 1; ``horizon`` null (the stream length) or an integer >= 1.
+    ``U`` is either the string ``"sqrt_b"`` or an explicit radius; ``B``,
+    ``M``, ``D`` and ``repeats`` integers >= 1; ``horizon`` null (the
+    stream length) or an integer >= 1; ``lambda_scale`` and every entry of
+    ``sigmas`` finite numbers > 0; ``eta`` null (1/sqrt(T)) or a finite
+    number >= 0 and ``reg`` a finite number >= 0. Any other value raises
+    ConfigError, before a dataset is read.
     ``kernels`` may override the Gaussian grid with explicit specs, e.g.
     ``[{"kind": "polynomial", "degree": 1}]``: each entry holds ``kind``
     and that kind's one parameter (``sigma`` or ``degree``), a finite
@@ -135,15 +144,27 @@ class ExperimentConfig:
             raise ConfigError("the shared-buffer learner needs a smooth loss (logistic)")
         if not _is_count(self.repeats):
             raise ConfigError(f"repeats must be an integer >= 1, got {self.repeats!r}")
-        if not _is_count(self.B):
-            raise ConfigError(f"B must be an integer >= 1, got {self.B!r}")
+        for name in ("B", "M", "D"):
+            if not _is_count(getattr(self, name)):
+                raise ConfigError(f"{name} must be an integer >= 1, got {getattr(self, name)!r}")
+        if not (_is_finite(self.lambda_scale) and self.lambda_scale > 0):
+            raise ConfigError(f"lambda_scale must be a finite number > 0, got {self.lambda_scale!r}")
+        if self.lambda_rule not in ("scaled", "theory"):
+            raise ConfigError(f"lambda_rule must be 'scaled' or 'theory', got {self.lambda_rule!r}")
+        if self.removal not in ("half", "restart"):
+            raise ConfigError(f"removal must be 'half' or 'restart', got {self.removal!r}")
+        if self.eta is not None and not (_is_finite(self.eta) and self.eta >= 0):
+            raise ConfigError(f"eta must be null or a finite number >= 0, got {self.eta!r}")
+        if not (_is_finite(self.reg) and self.reg >= 0):
+            raise ConfigError(f"reg must be a finite number >= 0, got {self.reg!r}")
+        if not (isinstance(self.sigmas, (list, tuple)) and self.sigmas
+                and all(_is_finite(s) and s > 0 for s in self.sigmas)):
+            raise ConfigError(f"sigmas must be a non-empty list of finite numbers > 0, got {self.sigmas!r}")
         if self.horizon is not None and not _is_count(self.horizon):
             raise ConfigError(f"horizon must be null or an integer >= 1, got {self.horizon!r}")
         if self.kernels is not None:
             _check_kernel_entries(self.kernels)
-        if self.U != "sqrt_b" and not (
-            isinstance(self.U, (int, float)) and not isinstance(self.U, bool) and math.isfinite(self.U) and self.U > 0
-        ):
+        if self.U != "sqrt_b" and not (_is_finite(self.U) and self.U > 0):
             raise ConfigError(f"U must be 'sqrt_b' or a finite positive radius, got {self.U!r}")
 
     @classmethod

@@ -46,9 +46,13 @@ class Dataset:
         return self.X.shape[1]
 
     def dense_features(self) -> np.ndarray:
-        """Dense view of the features, cached (dimensions here are small)."""
+        """The features as one C-contiguous float64 (T, d) array, built once and cached.
+
+        ``toarray`` already returns a fresh array, so only a non-float64
+        matrix pays for a second, converting copy.
+        """
         if self._dense is None:
-            self._dense = self.X.toarray().astype(float)
+            self._dense = self.X.toarray().astype(float, copy=False)
         return self._dense
 
     def __len__(self) -> int:

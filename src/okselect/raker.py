@@ -82,8 +82,8 @@ class RakerBaseline:
         k, D = self.theta.shape[0], self.config.num_features
         proj = (self.freqs @ x).reshape(k, D)
         z = np.empty((k, 2 * D))
-        z[:, 0::2] = np.sin(proj)
-        z[:, 1::2] = np.cos(proj)
+        np.sin(proj, out=z[:, 0::2])
+        np.cos(proj, out=z[:, 1::2])
         z /= math.sqrt(D)
         return z
 
@@ -116,7 +116,11 @@ class RakerBaseline:
         loss, eta = self.loss, self.config.step_size
         losses = np.array([loss.value(v, y) for v in vals.tolist()])
         g = np.array([loss.deriv(v, y) for v in vals.tolist()])
-        self.theta -= eta * (g[:, None] * zs + self.config.reg * self.theta)
+        # theta -= eta * (g zs + reg theta), built in one scratch array with the same roundings
+        step = g[:, None] * zs
+        step += self.config.reg * self.theta
+        step *= eta
+        self.theta -= step
         self.log_weights -= eta * losses
         self.cum_loss += losses
         return RoundRecord(t=self.t, label=label, truth=int(y), mistake=label != int(y),

@@ -333,9 +333,22 @@ class TestCli:
         ("repeats", "2"), ("repeats", 0),
     ])
     def test_bad_budget_or_horizon_is_config_error(self, tmp_path, capsys, key, value):
+        self.assert_rejected_setting(tmp_path, capsys, "momd_h", key, value)
+
+    @pytest.mark.parametrize("algorithm, key, value", [
+        ("momd_h", "M", "10"), ("momd_h", "M", 0), ("momd_h", "lambda_scale", "2"), ("momd_h", "sigmas", [0]),
+        ("momd_h", "removal", "halve"), ("momd_h", "lambda_rule", "theroy"),
+        ("raker", "D", 0), ("raker", "eta", -1), ("raker", "reg", "x"),
+    ])
+    def test_bad_learner_setting_is_config_error(self, tmp_path, capsys, algorithm, key, value):
+        self.assert_rejected_setting(tmp_path, capsys, algorithm, key, value)
+
+    @staticmethod
+    def assert_rejected_setting(tmp_path, capsys, algorithm, key, value):
+        """A 30-round run with ``key: value`` exits 1 with a config error naming ``key`` and writes no report."""
         cfg = {
             "dataset": {"generator": "lowerbound", "budget": 4, "rounds": 30, "seed": 2},
-            "algorithm": "momd_h", "B": 40, "repeats": 1, "output": str(tmp_path / "report.csv"), key: value,
+            "algorithm": algorithm, "B": 40, "repeats": 1, "output": str(tmp_path / "report.csv"), key: value,
         }
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg), encoding="utf-8")

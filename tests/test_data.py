@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from okselect import gen_lowerbound, normalize_minmax, parse_libsvm, permute, serialize_libsvm
-from okselect.data import LibsvmFormatError
+from okselect.data import Dataset, LibsvmFormatError
 
 
 def write(tmp_path, text, name="ds.txt"):
@@ -173,3 +175,26 @@ class TestLowerboundGenerator:
         assert ds2.num_examples == 12
         assert ds2.dim == 6
         assert np.array_equal(ds2.dense_features(), ds.dense_features())
+
+
+class TestDenseFeatures:
+    def test_built_once_without_a_second_copy(self):
+        ds = gen_lowerbound(budget=50, rounds=20_000, seed=1)
+        tracemalloc.start()
+        try:
+            dense = ds.dense_features()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.05 * dense.nbytes
+
+    def test_int_matrix_becomes_float64(self):
+        X = sp.csr_matrix(np.array([[0, 3, 0], [-2, 0, 7]], dtype=np.int32))
+        dense = Dataset(name="ints", X=X, y=np.array([1, -1])).dense_features()
+        assert dense.dtype == np.float64
+        assert dense.flags.c_contiguous and dense.flags.owndata
+        assert np.array_equal(dense, X.toarray())
+
+    def test_second_call_returns_the_cached_array(self):
+        ds = gen_lowerbound(budget=2, rounds=12, seed=0)
+        assert ds.dense_features() is ds.dense_features()

@@ -34,12 +34,16 @@ support, which moves the cached norm, and through a projection 12
 aggregates, by at most 2e-15 relative, while every label, branch, coin and
 removal stayed the same and ``tests/test_reference.py`` passed on the
 same change. The other two ``momd_h`` digests did not move.
+The ``raker`` cases hash, per round, the exact bits of the random-feature
+baseline's aggregate, and at the end its weights ``theta``; they pin the
+feature map and the gradient step to the bit.
 Print the current digests with ``PYTHONPATH=src python tests/test_golden.py``.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 import warnings
 
 import numpy as np
@@ -48,6 +52,8 @@ import pytest
 from okselect import (
     HingeKernelSelector,
     HingeSelectorConfig,
+    RakerBaseline,
+    RakerConfig,
     SmoothKernelSelector,
     SmoothSelectorConfig,
     gaussian,
@@ -71,6 +77,16 @@ def pooled_blobs(T: int, pool: int, seed: int):
 def lowerbound(budget: int, rounds: int, seed: int):
     ds = gen_lowerbound(budget=budget, rounds=rounds, seed=seed)
     return ds.dense_features(), ds.y
+
+
+def ternary(T: int, d: int, seed: int, flip: float = 0.05):
+    """Features from {0, 0.5, 1} labelled by a random linear rule, a share ``flip`` of labels flipped."""
+    rng = np.random.default_rng(seed)
+    X = rng.integers(0, 3, size=(T, d)) / 2.0
+    y = np.where((X - 0.5) @ rng.normal(size=d) >= 0.0, 1, -1)
+    flipped = rng.choice(T, size=round(flip * T), replace=False)
+    y[flipped] = -y[flipped]
+    return X, y
 
 
 def smooth(stream, **kw):
@@ -116,6 +132,16 @@ CASES = {
     ),
 }
 
+# name -> (stream, RakerConfig fields beyond the kernels and dim). With D=64
+# the 1/sqrt(D) feature scale is a power of two and scales exactly; D=100 is
+# not, so the second case also pins how the features are scaled.
+RAKER_CASES = {
+    "raker_dense": (
+        ternary(300, 68, seed=48), dict(num_features=64, step_size=1 / math.sqrt(300), reg=0.0, seed=8),
+    ),
+    "raker_dense_reg": (ternary(300, 68, seed=49), dict(num_features=100, step_size=0.2, reg=0.05, seed=9)),
+}
+
 GOLDEN = {
     "momd_s_blob_half": "427b1f22204957ec80f64f8c443c96299cbfd7c21577da9b3633b53037f9ed1b",
     "momd_s_blob_restart": "89535456a1de0a1f4eea1b1851ef5648e4290d0deba312311a03611eefffff26",
@@ -124,6 +150,8 @@ GOLDEN = {
     "momd_h_blob_half": "508b80b63f0e92493d430f2d98573cc30ebb6164bafcc5fb2179c29dea5671fe",
     "momd_h_blob_restart": "f36234fb6d7c09c3ed62144587cb32b96110a5dba23a7faee75361ab4ab32bea",
     "momd_h_lowerbound_poly1": "778d7afb4c2e0d773db067b67c1ad5e07b479368f18788de0fab675cfe3e4195",
+    "raker_dense": "7af884ab01f81bf2ab425d639143cf94bb2d24a2e0a2a1dbf5754ba0b33d4b34",
+    "raker_dense_reg": "1c4e38adab04a4f44478b2d5c719710d33b4fee8cf91b9c562d6cdf5f5b33fb5",
 }
 
 
@@ -155,6 +183,17 @@ def trace(name: str):
     return h.hexdigest(), reached
 
 
+def raker_trace(name: str) -> str:
+    """sha256 over every round's aggregate bits and the final ``theta`` bytes."""
+    (X, y), kw = RAKER_CASES[name]
+    learner = RakerBaseline(RakerConfig(kernels=GRID, dim=X.shape[1], **kw))
+    h = hashlib.sha256()
+    _, cum_loss = run_stream(learner, X, y, lambda rec: h.update(float(rec.aggregate).hex().encode()))
+    h.update(cum_loss.hex().encode())
+    h.update(learner.theta.tobytes())
+    return h.hexdigest()
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_trace(name):
     digest, reached = trace(name)
@@ -162,7 +201,14 @@ def test_golden_trace(name):
     assert digest == GOLDEN[name]
 
 
+@pytest.mark.parametrize("name", sorted(RAKER_CASES))
+def test_raker_golden_trace(name):
+    assert raker_trace(name) == GOLDEN[name]
+
+
 if __name__ == "__main__":
     for case in CASES:
         digest, reached = trace(case)
         print(f'    "{case}": "{digest}",  # reaches {sorted(reached)}')
+    for case in RAKER_CASES:
+        print(f'    "{case}": "{raker_trace(case)}",')
