@@ -14,6 +14,16 @@ from okselect.kernels import kernel_eval, kernel_rows, pairwise
 
 rng = np.random.default_rng(2)
 
+
+def offer(r, x, y):
+    """Store (x, y), offer its slot to the reservoir, and free the slot unless it was kept."""
+    x = np.asarray(x, dtype=float)
+    slot = r.store.add(x, y, float(x @ x))
+    kept = r.observe(slot)
+    r.store.release_if_unreferenced(slot)
+    return kept
+
+
 print("=== uniformity over the stream ===")
 M, T, runs = 5, 200, 4000
 counts = np.zeros(T)
@@ -22,7 +32,7 @@ for _ in range(runs):
     r = Reservoir(store, M, 10**9, rng)
     round_of = {}
     for t in range(T):
-        if r.observe([float(t)], 1):
+        if offer(r, [float(t)], 1):
             round_of[r.archive[-1]] = t
     for slot in r.sample:
         counts[round_of[slot]] += 1
@@ -50,6 +60,6 @@ for t in range(2000):
     if history:
         errors.append(abs(guess - exact))
     history.append((x, y))
-    r.observe(x, y)
+    offer(r, x, y)
 print(f"mean absolute gap to the full average over the run: {np.mean(errors):.4f}")
 print(f"memory held: {len(r.archive)} archived examples vs {len(history)} seen")

@@ -14,6 +14,7 @@ import csv
 import itertools
 import json
 import math
+import os
 import time
 from dataclasses import dataclass, field, asdict, replace
 
@@ -111,6 +112,9 @@ class ExperimentConfig:
     ``[{"kind": "polynomial", "degree": 1}]``: each entry holds ``kind``
     and that kind's one parameter (``sigma`` or ``degree``), a finite
     number > 0, and nothing else, or the config raises ConfigError.
+    Settings that pass these checks but from which the learner cannot be
+    built (a budget too small for the kernels, a raker over non-Gaussian
+    kernels) raise ConfigError in :func:`run`, before the first repeat.
     """
 
     dataset: object
@@ -134,6 +138,8 @@ class ExperimentConfig:
     output: str | None = None
 
     def __post_init__(self):
+        if not isinstance(self.dataset, (str, os.PathLike, dict)):
+            raise ConfigError(f"dataset must be a file path or a generator spec, got {self.dataset!r}")
         if self.algorithm not in ("momd_h", "momd_s", "raker"):
             raise ConfigError(f"unknown algorithm {self.algorithm!r}")
         if self.loss not in ("hinge", "logistic"):
@@ -274,32 +280,45 @@ def load_dataset(config: ExperimentConfig) -> data_mod.Dataset:
     return ds
 
 
-def _build_learner(config: ExperimentConfig, ds, seed: int):
+_LEARNERS = {"momd_h": HingeKernelSelector, "momd_s": SmoothKernelSelector, "raker": RakerBaseline}
+
+
+def _learner_config(config: ExperimentConfig, ds, seed: int):
+    """The configured learner's own config for ``ds``; ConfigError when it cannot be built."""
     specs = config.kernel_specs()
-    if config.algorithm == "raker":
-        eta = config.eta if config.eta is not None else 1.0 / math.sqrt(ds.num_examples)
-        return RakerBaseline(RakerConfig(
-            kernels=specs, dim=ds.dim, num_features=config.D, step_size=eta, reg=config.reg,
-            loss=config.loss_object(), seed=seed,
-        ))
-    shared = dict(
-        kernels=specs, dim=ds.dim, budget=config.B, ball_radius=config.radius(),
-        lambda_scale=config.lambda_scale, lambda_rule=config.lambda_rule, removal=config.removal, seed=seed,
-    )
-    if config.algorithm == "momd_h":
-        return HingeKernelSelector(HingeSelectorConfig(
-            **shared, horizon=config.horizon or ds.num_examples, reservoir_size=config.M,
-        ))
-    return SmoothKernelSelector(SmoothSelectorConfig(**shared, loss=config.loss_object()))
+    try:
+        if config.algorithm == "raker":
+            eta = config.eta if config.eta is not None else 1.0 / math.sqrt(ds.num_examples)
+            return RakerConfig(
+                kernels=specs, dim=ds.dim, num_features=config.D, step_size=eta, reg=config.reg,
+                loss=config.loss_object(), seed=seed,
+            )
+        shared = dict(
+            kernels=specs, dim=ds.dim, budget=config.B, ball_radius=config.radius(),
+            lambda_scale=config.lambda_scale, lambda_rule=config.lambda_rule, removal=config.removal, seed=seed,
+        )
+        if config.algorithm == "momd_h":
+            return HingeSelectorConfig(**shared, horizon=config.horizon or ds.num_examples, reservoir_size=config.M)
+        return SmoothSelectorConfig(**shared, loss=config.loss_object())
+    except ValueError as exc:
+        raise ConfigError(f"cannot build {config.algorithm}: {exc}") from exc
+
+
+def _build_learner(config: ExperimentConfig, ds, seed: int):
+    return _LEARNERS[config.algorithm](_learner_config(config, ds, seed))
 
 
 def run(config: ExperimentConfig) -> Report:
     """Execute the configured repeats and assemble the report.
 
-    A repeat that raises records a failure row (empty metric cells and the
-    error in the config echo) instead of aborting the whole report.
+    The learner's config is built once, before the first repeat, so
+    settings it rejects raise ConfigError. A repeat that raises records a
+    failure row (empty metric cells and the error in the config echo)
+    instead of aborting the whole report.
     """
     base = load_dataset(config)
+    # the dataset's size and dimension are what the learner's config reads, and permuting keeps both
+    learner_config = _learner_config(config, base, config.seed)
     report = Report(config=asdict(config))
     echo = json.dumps(asdict(config), default=str, sort_keys=True)
     for r in range(config.repeats):
@@ -318,7 +337,7 @@ def run(config: ExperimentConfig) -> Report:
         }
         try:
             ds = data_mod.permute(base, seed)
-            learner = _build_learner(config, ds, seed)
+            learner = _LEARNERS[config.algorithm](replace(learner_config, seed=seed))
             t0 = time.perf_counter()
             mistakes, cum_loss = run_stream(learner, ds.dense_features(), ds.y)
             row["wall_time_s"] = time.perf_counter() - t0

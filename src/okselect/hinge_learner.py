@@ -52,8 +52,8 @@ import numpy as np
 
 from .hedge import HedgeState
 from .kernels import self_values
-from .losses import HingeLoss, check_label
-from .protocol import Prediction, RoundRecord, SelectorConfig, check_features, same_example
+from .losses import HingeLoss
+from .protocol import Prediction, RoundRecord, SelectorConfig, check_features, mix, pending
 from .reservoir import Reservoir
 from .rkhs import ExampleStore, KernelExpansions
 
@@ -165,10 +165,7 @@ class HingeKernelSelector:
         self.gap_sums = np.zeros(k)  # per-kernel alignment proxy accumulator
         self.removals = np.zeros(k, dtype=int)
         self.t = 0
-        self._last: Prediction | None = None
-        self._rows = None  # kernel rows of the last prediction, over every store slot
-        self._fx = None  # the iterates' values f_i(x) at the last prediction, before the guess term
-        self._row_starts = np.arange(k)[:, None] * self.store.capacity
+        self._last: Prediction | None = None  # its cache: (kernel rows over every slot, f_i(x) before the guess)
 
     @property
     def buffers(self) -> list[np.ndarray]:
@@ -185,36 +182,17 @@ class HingeKernelSelector:
         rows = self.expansions.rows(x, xsq)
         guesses = self.reservoir.optimistic_value_many(rows)
         fx = np.vecdot(self.expansions.coef, rows)
-        vals = fx - self.rate * guesses
-        p = self.hedge.distribution()
-        agg = float(p @ vals)
-        pred = Prediction(
-            x=x,
-            x_sqnorm=xsq,
-            per_kernel=vals,
-            guess_values=guesses,
-            weights=p,
-            aggregate=agg,
-            label=1 if agg >= 0 else -1,
-        )
-        self._last = pred
-        self._rows, self._fx = rows, fx
+        self._last = pred = mix(x, xsq, fx - self.rate * guesses, self.hedge.distribution(), guesses, (rows, fx))
         return pred
 
     def update(self, x, y) -> RoundRecord:
         """Consume the round's true label; one call per round, after predict."""
-        y = check_label(y)
-        pred = self._last
-        if pred is None or not same_example(pred.x, x):
-            pred = self.predict(x)
-        x = pred.x
-        rows, fx = self._rows, self._fx
-        self._last = self._rows = self._fx = None
-        self.t += 1
+        y, pred = pending(self, x, y)
+        rows, fx = pred.cache
         ex, res = self.expansions, self.reservoir
         # the round's example; freed at the end unless a buffer or the reservoir took it
         kxx = self_values(self.kernels, pred.x_sqnorm)
-        slot = ex.add(x, y, pred.x_sqnorm, kxx)
+        slot = ex.add(pred.x, y, pred.x_sqnorm, kxx)
         res.track(slot, pred.guess_values)
 
         margins = y * pred.per_kernel
@@ -259,17 +237,14 @@ class HingeKernelSelector:
         ex.project(self.radius)
 
         self.hedge.update(losses)
-        accepted_by_reservoir = res.observe(x, y, slot=slot)
+        accepted_by_reservoir = res.observe(slot)
         self.store.release_if_unreferenced(slot)
 
-        return RoundRecord(
-            t=self.t,
-            label=pred.label,
-            truth=int(y),
-            mistake=pred.label != int(y),
-            aggregate=pred.aggregate,
-            per_kernel=pred.per_kernel,
-            losses=losses,
+        return RoundRecord.of(
+            self.t,
+            pred,
+            y,
+            losses,
             branch=[("proxy" if p else "sampled") if v else "skip" for v, p in zip(violated.tolist(), proxy.tolist())],
             prob=prob,
             coin=np.where(sampled, accepted, -1),
@@ -290,7 +265,7 @@ class HingeKernelSelector:
         ex = self.expansions
         sizes = self.buffer_sizes
         slots = self.buffer_slots[:, : sizes.max()]
-        at = self._row_starts + slots  # flat positions in the (K, capacity) arrays
+        at = ex.row_starts + slots  # flat positions in the (K, capacity) arrays
         dists = np.sqrt(np.maximum(ex.self_k.take(at) + kxx[:, None] - 2.0 * rows.take(at), 0.0))
         dists[np.arange(slots.shape[1]) >= sizes[:, None]] = np.inf
         proxy = candidates & (dists.min(axis=1) <= gamma)

@@ -1,10 +1,11 @@
 """The round protocol the learners share.
 
-Every learner plays the same round: ``predict(x)`` checks the features and
-returns the pre-update view, then ``update(x, y)`` consumes the label,
-reusing the pending prediction when it was made for the same ``x``, and
-returns the round's :class:`RoundRecord`; :func:`run_stream` plays a whole
-stream through that round. The two budgeted selectors share
+Every learner plays the same round: ``predict(x)`` checks the features,
+computes the K per-kernel values and returns :func:`mix` of them, a
+:class:`Prediction`; then ``update(x, y)`` opens with :func:`pending`, which
+checks the label and reuses the pending prediction when it was made for the
+same ``x``, and closes with :meth:`RoundRecord.of`. :func:`run_stream`
+plays a whole stream through that round. The two budgeted selectors share
 the core of their configuration; its ``"scaled"`` rate is
 lambda_i = lambda_scale * U / sqrt(B) (the benchmark rule, with
 lambda_scale in {2, 1, 0.5}) and each selector supplies its ``"theory"`` rate.
@@ -14,12 +15,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .kernels import KernelSpec
+from .losses import check_label
 
-__all__ = ["Prediction", "RoundRecord", "SelectorConfig", "check_features", "run_stream", "same_example"]
+__all__ = ["Prediction", "RoundRecord", "SelectorConfig", "check_features", "mix", "pending", "run_stream",
+           "same_example"]
 
 
 def check_features(x, dim: int) -> tuple[np.ndarray, float]:
@@ -42,17 +46,42 @@ def same_example(pending: np.ndarray, x) -> bool:
     return pending is x or np.array_equal(pending, np.asarray(x, dtype=float))
 
 
-@dataclass
-class Prediction:
-    """Pre-update view of one round."""
+class Prediction(NamedTuple):
+    """Pre-update view of one round, built by :func:`mix`."""
 
-    x: np.ndarray
-    x_sqnorm: float
+    # The first three fields are fixed in this order, the raker's old bare
+    # tuple, because the benchmark harness reads pred[2] and pred[1].
     per_kernel: np.ndarray  # f_{t,i}(x_t)
-    guess_values: np.ndarray  # guess gradient evaluated at x_t, per kernel
-    weights: np.ndarray  # Hedge distribution p_t
     aggregate: float
     label: int
+    x: np.ndarray
+    x_sqnorm: float
+    weights: np.ndarray  # mixture distribution p_t
+    guess_values: np.ndarray | None = None  # guess gradient evaluated at x_t, per kernel
+    cache: object = None  # the learner's own intermediates of the round, for its update
+
+
+def mix(x, x_sqnorm: float, per_kernel, weights, guess_values=None, cache=None) -> Prediction:
+    """The round's prediction: the ``weights`` mixture of ``per_kernel`` and its sign (sign(0) is +1)."""
+    agg = float(weights @ per_kernel)
+    return Prediction(per_kernel, agg, 1 if agg >= 0 else -1, x, x_sqnorm, weights, guess_values, cache)
+
+
+def pending(learner, x, y) -> tuple[float, Prediction]:
+    """Open ``learner``'s update of a round: the checked label and the round's prediction.
+
+    The prediction is ``learner._last`` when it was made for ``x`` (the same
+    object or the same values); otherwise ``learner.predict(x)`` makes it.
+    A bad label or ``x`` raises ValueError before any state changes. Then
+    the pending prediction is cleared and ``learner.t`` advances.
+    """
+    y = check_label(y)
+    pred = learner._last
+    if pred is None or not same_example(pred.x, x):
+        pred = learner.predict(x)
+    learner._last = None
+    learner.t += 1
+    return y, pred
 
 
 @dataclass
@@ -74,6 +103,13 @@ class RoundRecord:
     removed: np.ndarray | None = None  # True where a half-removal (or restart) fired
     reservoir_accepted: bool = False
     extras: dict = field(default_factory=dict)
+
+    @classmethod
+    def of(cls, t: int, pred: Prediction, y, losses, **selector_fields) -> "RoundRecord":
+        """Round ``t``'s record: the common fields from its prediction, its label ``y`` and the per-kernel ``losses``."""
+        truth = int(y)
+        return cls(t, pred.label, truth, pred.label != truth, pred.aggregate, pred.per_kernel, losses,
+                   **selector_fields)
 
 
 def run_stream(learner, X, y, each_round=None) -> tuple[int, float]:

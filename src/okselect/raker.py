@@ -9,7 +9,8 @@ predictions are mixed by multiplicative weights on their task losses.
 
 Each per-kernel quantity is one array with a row per kernel (kernel i owns
 frequency rows iD to (i+1)D - 1), so a round is one matrix-vector product,
-one ``sin``, one ``cos`` and array steps. ``update`` returns the shared
+one ``sin``, one ``cos`` and array steps. ``predict`` returns the shared
+:class:`~okselect.protocol.Prediction` and ``update`` the shared
 :class:`~okselect.protocol.RoundRecord`, selector-only fields left unset.
 
 The baseline reconstructs the comparison setup at the level of structure
@@ -25,8 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import KernelSpec
-from .losses import HingeLoss, check_label
-from .protocol import RoundRecord, check_features, same_example
+from .losses import HingeLoss
+from .protocol import Prediction, RoundRecord, check_features, mix, pending
 
 __all__ = ["RakerConfig", "RakerBaseline"]
 
@@ -74,7 +75,7 @@ class RakerBaseline:
         self.log_weights = np.zeros(k)
         self.cum_loss = np.zeros(k)
         self.t = 0
-        self._last = None
+        self._last: Prediction | None = None
 
     def features(self, x) -> np.ndarray:
         """Row i is z_i(x) = (1/sqrt(D)) [sin(w_1.x), cos(w_1.x), ...] of kernel i; ||z_i||^2 = 1."""
@@ -92,27 +93,19 @@ class RakerBaseline:
         w = np.exp(z)
         return w / w.sum()
 
-    def predict(self, x):
-        """(per-kernel values, their mixture, its sign); ValueError on a bad ``x`` before any state changes."""
-        x, _ = check_features(x, self.config.dim)
+    def predict(self, x) -> Prediction:
+        """Per-kernel values, their mixture and its sign; ValueError on a bad ``x`` before any state changes."""
+        x, xsq = check_features(x, self.config.dim)
         zs = self.features(x)
         vals = np.vecdot(self.theta, zs)
         if not np.all(np.isfinite(vals)):
             raise FloatingPointError("baseline weights diverged")
-        agg = float(self.mixture_weights() @ vals)
-        label = 1 if agg >= 0 else -1
-        self._last = (x, zs, vals, agg, label)
-        return vals, agg, label
+        self._last = pred = mix(x, xsq, vals, self.mixture_weights(), cache=zs)
+        return pred
 
     def update(self, x, y) -> RoundRecord:
-        y = check_label(y)
-        cached = self._last
-        if cached is None or not same_example(cached[0], x):
-            self.predict(x)
-            cached = self._last
-        _, zs, vals, agg, label = cached
-        self._last = None
-        self.t += 1
+        y, pred = pending(self, x, y)
+        zs, vals = pred.cache, pred.per_kernel
         loss, eta = self.loss, self.config.step_size
         losses = np.array([loss.value(v, y) for v in vals.tolist()])
         g = np.array([loss.deriv(v, y) for v in vals.tolist()])
@@ -123,8 +116,7 @@ class RakerBaseline:
         self.theta -= step
         self.log_weights -= eta * losses
         self.cum_loss += losses
-        return RoundRecord(t=self.t, label=label, truth=int(y), mistake=label != int(y),
-                           aggregate=agg, per_kernel=vals, losses=losses)
+        return RoundRecord.of(self.t, pred, y, losses)
 
     def summary(self) -> dict:
         """Report cells of a finished run: the baseline adds none."""

@@ -66,11 +66,10 @@ class Reservoir:
 
     # -- stream ingestion ------------------------------------------------
 
-    def observe(self, x, y, slot: int | None = None) -> bool:
-        """Offer the round's example; returns True if it entered the sample.
+    def observe(self, slot: int) -> bool:
+        """Offer the round's example, already stored in ``slot``; returns True if it entered the sample.
 
-        ``slot`` names the example when the caller has already stored it;
-        otherwise (x, y) is stored only if it is inserted. Insertion happens
+        The caller frees the slot if nothing kept it. Insertion happens
         with probability min(1, M/t) where t counts observe calls; on
         insertion into a full sample a uniformly chosen element is evicted
         (it stays in the archive). No-op once frozen, though ``seen`` keeps
@@ -82,9 +81,6 @@ class Reservoir:
         p = min(1.0, self.capacity / self.seen)
         if self.rng.random() >= p:
             return False
-        if slot is None:
-            x = np.asarray(x, dtype=float)
-            slot = self.store.add(x, y, float(x @ x))
         if len(self.sample) == self.capacity:
             k = int(self.rng.integers(self.capacity))
             self.store.decref(self.sample[k])  # the evicted example stays in the archive

@@ -131,8 +131,8 @@ class KernelExpansions:
         self.coef = np.zeros((len(self.specs), store.capacity))
         self.sq_norms = np.zeros(len(self.specs))
         self.self_k = np.zeros((len(self.specs), store.capacity))
-        self._row_starts = np.arange(len(self.specs))[:, None] * store.capacity
-        self._distances = any(spec.kind == "gaussian" for spec in self.specs)
+        self.row_starts = np.arange(len(self.specs))[:, None] * store.capacity  # flat offset of each row
+        self.distances = any(spec.kind == "gaussian" for spec in self.specs)  # only Gaussian kernels read distances
 
     def add(self, x, y, x_sqnorm: float, kxx) -> int:
         """Store (x, y) with refcount 0, cache its (K,) self-similarities ``kxx``
@@ -152,7 +152,7 @@ class KernelExpansions:
 
         Free slots hold stale rows; their coefficients are zero.
         """
-        return kernel_rows(self.specs, *pairwise(self.store.X, self.store.sqnorm, x, x_sqnorm, self._distances))
+        return kernel_rows(self.specs, *pairwise(self.store.X, self.store.sqnorm, x, x_sqnorm, self.distances))
 
     def values_at(self, slot: int) -> np.ndarray:
         """(K,) values f_i(x_slot) of every expansion at a stored example."""
@@ -168,7 +168,7 @@ class KernelExpansions:
         """
         if isinstance(slots, np.ndarray):
             # coef is C-contiguous, so reshape gives a view and the flat positions address it
-            self.coef.reshape(-1)[self._row_starts + slots] += C
+            self.coef.reshape(-1)[self.row_starts + slots] += C
         else:
             self.coef[:, slots] += C
         self.sq_norms += sq_norm_changes
@@ -207,8 +207,8 @@ class KernelExpansions:
         if slots is None:
             slots = np.flatnonzero(coef.any(axis=0))
         X = self.store.X.take(slots, axis=0)
-        sq = self.store.sqnorm.take(slots) if self._distances else None
-        grams = kernel_rows(self.specs[kernels], *pairwise(X, sq, X, sq, self._distances))
+        sq = self.store.sqnorm.take(slots) if self.distances else None
+        grams = kernel_rows(self.specs[kernels], *pairwise(X, sq, X, sq, self.distances))
         for j, gram in enumerate(grams):
             beta = coef[j].take(slots)
             norms[j] = float(beta @ gram @ beta)

@@ -37,8 +37,8 @@ import numpy as np
 
 from .hedge import HedgeState
 from .kernels import kernel_rows, pairwise, self_values, sq_distances
-from .losses import LogisticLoss, check_label
-from .protocol import Prediction, RoundRecord, SelectorConfig, check_features, same_example
+from .losses import LogisticLoss
+from .protocol import Prediction, RoundRecord, SelectorConfig, check_features, mix, pending
 from .rkhs import ExampleStore, KernelExpansions
 
 __all__ = ["SmoothSelectorConfig", "SmoothKernelSelector", "pea_losses"]
@@ -123,7 +123,6 @@ class SmoothKernelSelector:
         self.store = ExampleStore(config.dim, capacity=self.budget)
         self.expansions = KernelExpansions(self.kernels, self.store)
         self._order = np.zeros(self.budget, dtype=np.intp)  # buffered slots, oldest first
-        self._gaussian = any(spec.kind == "gaussian" for spec in self.kernels)
         self._sqrt_2lnk = math.sqrt(2.0 * math.log(k))  # the proxy radius's numerator
         self.hedge = HedgeState(k)
         # A round's record holds one value for every kernel, so the arrays of
@@ -137,8 +136,7 @@ class SmoothKernelSelector:
         self.cum_loss = 0.0  # sum of l(f_t(x_t), y_t) over rounds
         self.removals = 0
         self.t = 0
-        self._last: Prediction | None = None
-        self._cache = None  # (dots, sqdist, rows) of the last prediction, over every store slot
+        self._last: Prediction | None = None  # its cache: (dots, sqdist, rows) over every store slot
 
     @property
     def buffer(self) -> np.ndarray:
@@ -152,35 +150,19 @@ class SmoothKernelSelector:
         state changes.
         """
         x, xsq = check_features(x, self.config.dim)
+        ex = self.expansions
         # The distances feed only Gaussian kernels and the proxy search, so a
         # polynomial grid computes them in update, when a proxy is looked for.
-        dots, sqdist = pairwise(self.store.X, self.store.sqnorm, x, xsq, self._gaussian)
+        dots, sqdist = pairwise(self.store.X, self.store.sqnorm, x, xsq, ex.distances)
         rows = kernel_rows(self.kernels, dots, sqdist)
-        vals = np.vecdot(self.expansions.coef, rows)
-        p = self.hedge.distribution()
-        agg = float(p @ vals)
-        pred = Prediction(
-            x=x,
-            x_sqnorm=xsq,
-            per_kernel=vals,
-            guess_values=self._zeros,
-            weights=p,
-            aggregate=agg,
-            label=1 if agg >= 0 else -1,
-        )
-        self._last = pred
-        self._cache = (dots, sqdist, rows)
+        vals = np.vecdot(ex.coef, rows)
+        self._last = pred = mix(x, xsq, vals, self.hedge.distribution(), self._zeros, (dots, sqdist, rows))
         return pred
 
     def update(self, x, y) -> RoundRecord:
-        y = check_label(y)
-        pred = self._last
-        if pred is None or not same_example(pred.x, x):
-            pred = self.predict(x)
+        y, pred = pending(self, x, y)
         x = pred.x
-        dots, sqdist, rows = self._cache
-        self._last = self._cache = None
-        self.t += 1
+        dots, sqdist, rows = pred.cache
         k = len(self.kernels)
         store, ex, buffer = self.store, self.expansions, self.buffer
 
@@ -208,7 +190,7 @@ class SmoothKernelSelector:
                 # kernels see 0-d arrays, not numpy scalars, whose power can
                 # differ in the last bit from the array power predict uses.
                 xj = store.X[j]
-                if self._gaussian:
+                if ex.distances:
                     diff = xj - x
                     k_jx = kernel_rows(self.kernels, np.asarray(xj @ x), np.asarray(diff @ diff))
                 else:
@@ -254,14 +236,11 @@ class SmoothKernelSelector:
         self.deriv_sum += ad
         self.cum_loss += self.loss.value(pred.aggregate, y)
 
-        return RoundRecord(
-            t=self.t,
-            label=pred.label,
-            truth=int(y),
-            mistake=pred.label != int(y),
-            aggregate=pred.aggregate,
-            per_kernel=pred.per_kernel,
-            losses=losses,
+        return RoundRecord.of(
+            self.t,
+            pred,
+            y,
+            losses,
             branch=[branch] * k,
             prob=prob,
             coin=self._coins[coin],

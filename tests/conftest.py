@@ -50,6 +50,15 @@ def store_example(store: ExampleStore, x, y) -> int:
     return store.add(x, y, float(x @ x))
 
 
+def offer(reservoir, x, y) -> bool:
+    """Offer (x, y) to ``reservoir`` as the hinge learner does: store it, observe
+    its slot, and free the slot unless the reservoir kept it. True if it was kept."""
+    slot = store_example(reservoir.store, x, y)
+    kept = reservoir.observe(slot)
+    reservoir.store.release_if_unreferenced(slot)
+    return kept
+
+
 def random_expansion(spec, store: ExampleStore, n_atoms: int, rng, scale: float = 1.0):
     """A one-kernel expansion with random coefficients, and its buffer: the
     atoms' slots in insertion order, each membership holding one store reference."""

@@ -31,7 +31,7 @@ from okselect import (
 )
 from okselect.kernels import kernel_eval
 
-from conftest import blob_stream, dataset_path, store_example
+from conftest import blob_stream, dataset_path, offer, store_example
 from scalar_reference import importance_weighted_coeffs
 
 GRID = tuple(gaussian(s, i) for i, s in enumerate((0.25, 1.0, 4.0, 16.0, 64.0)))
@@ -337,7 +337,7 @@ def test_criterion_9_reservoir_uniformity():
         r = Reservoir(store, M, 10**9, rng)
         round_of = {}
         for t in range(T):
-            if r.observe(x, 1):
+            if offer(r, x, 1):
                 round_of[r.archive[-1]] = t
         for eid in r.sample:
             counts[round_of[eid]] += 1

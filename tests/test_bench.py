@@ -1,10 +1,15 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import okselect
 from okselect import ExperimentConfig, alignment_probe, gaussian, run, run_stream, serialize_libsvm
 from okselect.bench import REPORT_COLUMNS, ConfigError
 from okselect.cli import main as cli_main
@@ -109,11 +114,12 @@ class TestRun:
         assert strip_timing(r1.formatted_rows()) == strip_timing(r2.formatted_rows())
 
     def test_failure_rows_recorded(self, tmp_path):
-        # budget too small for K=5: every repeat fails but the report survives
-        cfg = small_config(tmp_path, B=11)
-        report = run(cfg)
+        # a step size so large that the raker's weights overflow: every repeat fails but the report survives
+        cfg = small_config(tmp_path, algorithm="raker", eta=1e300)
+        with np.errstate(over="ignore", invalid="ignore"):
+            report = run(cfg)
         assert len(report.rows) == 2
-        assert all(str(r["config"]).startswith("FAILED") for r in report.rows)
+        assert all(str(r["config"]).startswith("FAILED: FloatingPointError") for r in report.rows)
 
     def test_smooth_and_raker_paths(self, tmp_path):
         for algo, loss in (("momd_s", "logistic"), ("raker", "hinge")):
@@ -176,9 +182,9 @@ class TestSweep:
     def test_all_failures_raise(self, tmp_path):
         from okselect.bench import sweep
 
-        cfg = small_config(tmp_path, B=11)  # too small for K=5: every repeat fails
-        with pytest.raises(ConfigError):
-            sweep(cfg, {"lambda_scale": [1.0]})
+        cfg = small_config(tmp_path, algorithm="raker", eta=1e300)  # the weights overflow: every repeat fails
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ConfigError, match="every sweep combination failed"):
+            sweep(cfg, {"reg": [0.005]})
 
 
 def test_wall_time_monotone_in_stream_length(tmp_path):
@@ -354,6 +360,40 @@ class TestCli:
         cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
         assert cli_main(["run", "--config", str(cfg_path)]) == 1
         assert f"config error: {key} must be" in capsys.readouterr().err
+        assert not (tmp_path / "report.csv").exists()
+
+    @pytest.mark.parametrize("algorithm, settings, reason", [
+        ("momd_h", {"B": 11}, "leaves per-kernel buffers of size 0"),  # K=5
+        ("momd_s", {"loss": "logistic", "B": 1}, "budget must be >= 2"),
+        ("raker", {"kernels": [{"kind": "polynomial", "degree": 1}]}, "random Fourier features require Gaussian kernels"),
+    ], ids=["momd_h-B11", "momd_s-B1", "raker-polynomial"])
+    def test_unbuildable_learner_is_config_error(self, tmp_path, capsys, algorithm, settings, reason):
+        """Settings the learner's own config rejects exit 1 before the first repeat, not 2 with a FAILED row per repeat."""
+        cfg = {
+            "dataset": {"generator": "lowerbound", "budget": 4, "rounds": 30, "seed": 2},
+            "algorithm": algorithm, "repeats": 2, "output": str(tmp_path / "report.csv"), **settings,
+        }
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+        assert cli_main(["run", "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: cannot build") and reason in err
+        assert not (tmp_path / "report.csv").exists()
+
+    @pytest.mark.parametrize("dataset", [0, 2, True, [1], None], ids=["0", "2", "true", "list", "null"])
+    def test_dataset_neither_path_nor_generator_is_config_error(self, tmp_path, dataset):
+        # In a child process: an integer taken for a path is a file descriptor, which
+        # would read this process's stdin or close its stderr.
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"dataset": dataset, "algorithm": "momd_h"}), encoding="utf-8")
+        src = str(Path(okselect.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-m", "okselect", "run", "--config", str(cfg_path)],
+            cwd=tmp_path, env=env, stdin=subprocess.DEVNULL, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr.startswith("config error: dataset")
         assert not (tmp_path / "report.csv").exists()
 
     def test_unknown_flag_prints_usage_and_exits_one(self, capsys):

@@ -25,6 +25,7 @@ from conftest import (
     brute_value,
     coeffs,
     guess_coeffs,
+    offer,
 )
 from scalar_reference import importance_weighted_coeffs
 
@@ -89,7 +90,7 @@ class TestPredict:
     def test_single_reservoir_entry_shifts_prediction(self):
         learner = HingeKernelSelector(make_config())
         x1 = np.array([1.0, 0.0, 0.0, 0.0])
-        learner.reservoir.observe(x1, 1)  # t=1: accepted with probability 1
+        offer(learner.reservoir, x1, 1)  # t=1: accepted with probability 1
         x = np.array([0.2, 0.1, 0.0, 0.0])
         pred = learner.predict(x)
         for i, spec in enumerate(GRID):
@@ -101,7 +102,7 @@ class TestPredict:
         # force the Hedge mass onto kernel 2
         for _ in range(20):
             learner.hedge.update([50.0, 50.0, 0.0, 50.0, 50.0])
-        learner.reservoir.observe(np.array([1.0, 1.0, 0.0, 0.0]), -1)
+        offer(learner.reservoir, np.array([1.0, 1.0, 0.0, 0.0]), -1)
         x = np.array([0.5, 0.5, 0.0, 0.0])
         pred = learner.predict(x)
         assert pred.weights[2] > 0.999
@@ -138,7 +139,7 @@ class TestSamplingProbability:
         # makes ||grad - guess||^2 = ||guess||^2 for the sigma=1 kernel
         learner = HingeKernelSelector(make_config())
         x0 = np.zeros(4)
-        learner.reservoir.observe(x0, 1)
+        offer(learner.reservoir, x0, 1)
         x = np.array([math.sqrt(2.0 * math.log(2.0)), 0.0, 0.0, 0.0])
         learner.predict(x)
         rec = learner.update(x, 1)
@@ -152,7 +153,7 @@ class TestSamplingProbability:
         learner = HingeKernelSelector(make_config(seed=5))
         rng = np.random.default_rng(50)
         for t in range(6):
-            learner.reservoir.observe(rng.normal(size=4), int(rng.choice([-1, 1])))
+            offer(learner.reservoir, rng.normal(size=4), int(rng.choice([-1, 1])))
         x = rng.normal(size=4)
         y = 1
         # snapshot the guess sample before update() observes the round's example

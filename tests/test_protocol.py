@@ -23,7 +23,7 @@ from okselect import (
 )
 from okselect.bench import _build_learner, load_dataset
 from okselect.data import permute
-from okselect.protocol import RoundRecord, check_features, same_example
+from okselect.protocol import Prediction, RoundRecord, check_features, mix, same_example
 
 from conftest import blob_stream
 
@@ -103,11 +103,16 @@ def test_bad_label_rejected_before_any_state_changes(name, label):
     learner.update(X[40], y[40])  # the pending prediction still serves the round
 
 
-def outcome(pred):
-    """(label, aggregate, per-kernel values) of a pending prediction: raker's predict returns (values, aggregate, label)."""
-    if isinstance(pred, tuple):
-        return pred[2], pred[1], pred[0]
-    return pred.label, pred.aggregate, pred.per_kernel
+@pytest.mark.parametrize("name", LEARNERS)
+def test_prediction_opens_with_values_aggregate_label(name):
+    # the benchmark harness indexes a prediction: pred[2] is the label, pred[1] the aggregate
+    learner, X, _ = played(name)
+    pred = learner.predict(X[40])
+    assert isinstance(pred, Prediction)
+    per_kernel, aggregate, label = pred[:3]
+    assert per_kernel is pred.per_kernel and per_kernel.shape == (len(GRID),)
+    assert type(aggregate) is float and aggregate == pred.aggregate
+    assert label == pred.label == (1 if aggregate >= 0 else -1)
 
 
 @pytest.mark.parametrize("name", LEARNERS)
@@ -117,17 +122,15 @@ def test_record_carries_the_pending_prediction(name):
     for t in range(len(y)):
         x = X[t]
         pred = learner.predict(x)
-        label, aggregate, per_kernel = outcome(pred)
         # odd rounds hand update an equal copy, so the pending prediction is matched by value
         rec = learner.update(x.copy() if t % 2 else x, y[t])
         assert isinstance(rec, RoundRecord)
-        assert (rec.t, rec.label, rec.aggregate) == (t + 1, label, aggregate), t
-        assert rec.per_kernel is per_kernel, t  # no second predict ran
-        assert rec.truth == y[t] and rec.mistake == (label != y[t]), t
+        assert (rec.t, rec.label, rec.aggregate) == (t + 1, pred.label, pred.aggregate), t
+        assert rec.per_kernel is pred.per_kernel, t  # no second predict ran
+        assert rec.truth == y[t] and rec.mistake == (pred.label != y[t]), t
         if name == "raker":
             loss = learner.config.loss
-            assert rec.per_kernel.tobytes() == pred[0].tobytes(), t
-            assert rec.losses.tolist() == [loss.value(v, int(y[t])) for v in pred[0].tolist()], t
+            assert rec.losses.tolist() == [loss.value(v, int(y[t])) for v in pred.per_kernel.tolist()], t
             assert rec.branch is None and rec.coin is None and rec.removed is None
 
 
@@ -144,9 +147,9 @@ def test_bench_run_matches_a_hand_loop(algorithm, loss):
     X = ds.dense_features()
     mistakes, cum = 0, 0.0
     for t in range(ds.num_examples):
-        label, aggregate, _ = outcome(learner.predict(X[t]))
-        mistakes += label != ds.y[t]
-        cum += loss_fn.value(aggregate, int(ds.y[t]))
+        pred = learner.predict(X[t])
+        mistakes += pred.label != ds.y[t]
+        cum += loss_fn.value(pred.aggregate, int(ds.y[t]))
         learner.update(X[t], int(ds.y[t]))
     assert row["AMR_percent"] == 100.0 * mistakes / ds.num_examples
     assert row["cum_loss"] == cum
@@ -195,12 +198,21 @@ def test_run_stream_returns_a_hand_loops_mistakes_and_loss(name):
     mistakes, cum = 0, 0.0
     for t in range(len(y)):
         x = X[t]
-        label, aggregate, _ = outcome(learner.predict(x))
-        mistakes += label != y[t]
-        cum += learner.loss.value(aggregate, int(y[t]))
+        pred = learner.predict(x)
+        mistakes += pred.label != y[t]
+        cum += learner.loss.value(pred.aggregate, int(y[t]))
         learner.update(x, int(y[t]))
     assert mistakes > 0
     assert got == (mistakes, cum)
+
+
+def test_mix_signs_the_mixture_and_the_record_copies_the_prediction():
+    pred = mix(np.zeros(2), 0.0, np.array([1.0, -3.0]), np.array([0.75, 0.25]))
+    assert (pred.aggregate, pred.label) == (0.0, 1)  # sign(0) is +1
+    assert pred.guess_values is None and pred.cache is None
+    rec = RoundRecord.of(3, pred, -1.0, np.zeros(2), branch=["skip", "skip"])
+    assert (rec.t, rec.label, rec.truth, rec.mistake, rec.aggregate) == (3, 1, -1, True, 0.0)
+    assert type(rec.truth) is int and rec.per_kernel is pred.per_kernel and rec.branch == ["skip", "skip"]
 
 
 def test_check_features():

@@ -6,7 +6,7 @@ import pytest
 from okselect import ExampleStore, Reservoir
 from okselect.kernels import gaussian, kernel_eval, kernel_rows, pairwise
 
-from conftest import brute_guess_sq_norm, brute_value, guess_coeffs
+from conftest import brute_guess_sq_norm, brute_value, guess_coeffs, offer
 
 BIG_CAP = 10**9  # effectively uncapped archive for sampling-law tests
 STORE_CAP = 1024  # store slots: room for an uncapped archive over these streams
@@ -28,7 +28,7 @@ def guess(r, spec, x):
 def test_always_inserts_until_full():
     store, r = make_reservoir(capacity=5, seed=1)
     for t in range(5):
-        assert r.observe([float(t), 0.0], 1) is True
+        assert offer(r, [float(t), 0.0], 1) is True
     assert len(r) == 5
     assert r.archive == r.sample.tolist()
 
@@ -43,8 +43,8 @@ def test_acceptance_rate_at_twice_capacity():
     for _ in range(trials):
         r = Reservoir(store, M, BIG_CAP, rng)
         for t in range(2 * M - 1):
-            r.observe([float(t)], 1)
-        if r.observe([99.0], 1):
+            offer(r, [float(t)], 1)
+        if offer(r, [99.0], 1):
             hits += 1
         for eid in list(r.sample):
             pass
@@ -60,7 +60,7 @@ def test_sample_never_exceeds_capacity_and_archive_superset():
     store, r = make_reservoir(capacity=7, seed=3, dim=1)
     seen_samples = []
     for t in range(100_000):
-        r.observe([float(t % 50)], 1 if t % 2 else -1)
+        offer(r, [float(t % 50)], 1 if t % 2 else -1)
         assert len(r) <= 7
         if t % 5000 == 0:
             seen_samples.append(list(r.sample))
@@ -78,7 +78,7 @@ def test_expected_archive_growth():
     for _ in range(runs):
         r = Reservoir(store, M, BIG_CAP, rng)
         for t in range(T):
-            r.observe([0.0], 1)
+            offer(r, [0.0], 1)
         sizes.append(len(r.archive))
         for eid in r.archive:
             store.decref(eid)
@@ -92,7 +92,7 @@ def test_expected_archive_growth():
 def test_freeze_at_archive_cap():
     store, r = make_reservoir(capacity=3, archive_cap=4, seed=5, dim=1)
     for t in range(100):
-        r.observe([float(t)], 1)
+        offer(r, [float(t)], 1)
     assert r.frozen
     assert len(r.archive) == 4
     assert r.seen == 100  # the round counter keeps going
@@ -104,7 +104,7 @@ def test_optimistic_value_empty_and_single():
     x = np.array([0.5, 0.5])
     assert guess(r, spec, x) == 0.0
     assert r.optimistic_sq_norms()[0] == 0.0
-    r.observe([1.0, 0.0], 1)  # t=1: inserted with probability 1
+    offer(r, [1.0, 0.0], 1)  # t=1: inserted with probability 1
     expect = -kernel_eval(spec, np.array([1.0, 0.0]), x)
     assert guess(r, spec, x) == pytest.approx(expect, abs=1e-12)
     assert r.optimistic_sq_norms()[0] == pytest.approx(1.0, abs=1e-12)
@@ -114,8 +114,8 @@ def test_optimistic_value_empty_and_single():
 def test_optimistic_value_cancellation():
     spec = gaussian(1.0)
     store, r = make_reservoir(capacity=4, seed=7, specs=(spec,))
-    r.observe([1.0, 0.0], 1)
-    r.observe([1.0, 0.0], -1)
+    offer(r, [1.0, 0.0], 1)
+    offer(r, [1.0, 0.0], -1)
     assert guess(r, spec, [0.3, 0.4]) == pytest.approx(0.0, abs=1e-12)
     assert r.optimistic_sq_norms()[0] == pytest.approx(0.0, abs=1e-12)
 
@@ -126,7 +126,7 @@ def test_sq_norm_cache_tracks_brute_force_under_swaps():
     store, r = make_reservoir(capacity=10, seed=8, specs=specs, dim=3)
     rng = np.random.default_rng(80)
     for t in range(400):
-        r.observe(rng.normal(size=3), int(rng.choice([-1, 1])))
+        offer(r, rng.normal(size=3), int(rng.choice([-1, 1])))
         if t % 20 == 0:
             for i, spec in enumerate(specs):
                 assert r.optimistic_sq_norms()[i] == pytest.approx(
@@ -143,7 +143,7 @@ def test_optimistic_coeffs_values():
     spec = gaussian(1.5)
     store, r = make_reservoir(capacity=5, seed=9, dim=1, specs=(spec,))
     for t in range(5):
-        r.observe([float(t)], 1 if t % 2 == 0 else -1)
+        offer(r, [float(t)], 1 if t % 2 == 0 else -1)
     assert len(r) == 5
     for x in ([-1.0], [0.5], [2.0], [4.5]):
         want = brute_value(spec, store, guess_coeffs(r), np.array(x))
@@ -153,7 +153,7 @@ def test_optimistic_coeffs_values():
 def test_refcounts_cover_sample_and_archive():
     store, r = make_reservoir(capacity=3, seed=10, dim=1)
     for t in range(50):
-        r.observe([float(t)], 1)
+        offer(r, [float(t)], 1)
     for slot in r.archive:
         expected = 1 + r.sample.tolist().count(slot)
         assert store.refs[slot] == expected

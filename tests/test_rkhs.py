@@ -20,6 +20,7 @@ from conftest import (
     brute_value,
     coeffs,
     guess_coeffs,
+    offer,
     random_expansion,
     scan_refcounts,
     store_example,
@@ -491,11 +492,11 @@ def test_random_operations_keep_refcounts_and_rows(n_kernels, ops):
         elif op == "observe":
             if which == 0:  # the learner's path: the round's example is stored first
                 h = add(x, y)
-                res.observe(x, y, slot=h)
+                res.observe(h)
                 store.release_if_unreferenced(h)
-            else:
+            else:  # the same path through the tests' helper; the slot it stores in must have been free
                 before = held()
-                if res.observe(x, y):
+                if offer(res, x, y):
                     h = res.archive[-1]
                     assert h not in before, "a held example's storage was handed out again"
                     given_rows[h] = (x, float(y))
