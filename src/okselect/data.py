@@ -137,17 +137,21 @@ def serialize_libsvm(ds: Dataset, path):
 
 
 def normalize_minmax(ds: Dataset) -> Dataset:
-    """Affine per-feature map onto [0, 1]; constant features map to 0."""
-    dense = ds.dense_features()
+    """Affine per-feature map onto [0, 1]; constant features map to 0.
+
+    The map runs in place on one fresh dense copy of the features, which
+    the result keeps as its ``dense_features()``; the input caches nothing.
+    """
+    dense = ds.X.toarray().astype(float, copy=False)
     lo = dense.min(axis=0)
-    hi = dense.max(axis=0)
-    span = hi - lo
-    out = np.zeros_like(dense)
+    span = dense.max(axis=0) - lo
     nz = span > 0
-    out[:, nz] = (dense[:, nz] - lo[nz]) / span[nz]
+    dense -= lo
+    dense /= np.where(nz, span, 1.0)
+    dense[:, ~nz] = 0.0
     prov = dict(ds.provenance)
     prov["normalized"] = "minmax[0,1]"
-    return Dataset(name=ds.name, X=sp.csr_matrix(out), y=ds.y.copy(), provenance=prov)
+    return Dataset(name=ds.name, X=sp.csr_matrix(dense), y=ds.y.copy(), provenance=prov, _dense=dense)
 
 
 def permute(ds: Dataset, seed: int) -> Dataset:

@@ -36,7 +36,7 @@ class HedgeState:
 
     def _softmax(self) -> np.ndarray:
         p = -self.rate() * self.cum_loss
-        p -= p.max()
+        p -= max(p.tolist())  # exact, and faster than numpy's max on K entries
         np.exp(p, out=p)
         p /= p.sum()
         p.flags.writeable = False  # shared by every caller until the next update
@@ -61,8 +61,9 @@ class HedgeState:
             raise ValueError(f"expected {self.num_experts} losses, got shape {c.shape}")
         p = self._p
         moment = float(p @ (c * c))
-        # Cheap test first: NaN fails the comparison and an infinite loss gives a non-finite moment.
-        if not (c.min() >= 0.0 and math.isfinite(moment)):
+        # Cheap test first, on Python floats: a negative loss gives a negative minimum, and a
+        # NaN or infinite one a non-finite moment (even at p_i == 0), wherever min puts a NaN.
+        if not (min(c.tolist()) >= 0.0 and math.isfinite(moment)):
             if not np.all(np.isfinite(c)) or np.any(c < 0):
                 raise ValueError("losses must be finite and non-negative")
         self.second_moment += moment

@@ -51,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hedge import HedgeState
-from .kernels import self_values
+from .kernels import KernelGrid, self_values
 from .losses import HingeLoss
 from .protocol import Prediction, RoundRecord, SelectorConfig, check_features, mix, pending
 from .reservoir import Reservoir
@@ -139,7 +139,7 @@ class HingeKernelSelector:
 
     def __init__(self, config: HingeSelectorConfig):
         self.config = config
-        self.kernels = tuple(config.kernels)
+        self.kernels = KernelGrid(config.kernels)  # shared with the reservoir and the expansions
         k = len(self.kernels)
         self.archive_cap, self.per_kernel_cap = allocate_budgets(config)
         self.radius = config.radius

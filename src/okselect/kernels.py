@@ -7,6 +7,14 @@ distances, so batched queries against a matrix of stored examples reduce
 to one matrix product plus cached row norms: :func:`pairwise` gives the
 inner products and distances, and :func:`kernel_rows` derives every
 kernel of a grid from that one pass.
+
+A learner evaluates the same grid every round, so a :class:`KernelGrid`
+(an immutable tuple of specs) computes once what each call would
+otherwise rebuild: the Gaussian divisors 2 sigma^2, the polynomial
+degrees, whether any kernel reads distances, and, for an all-Gaussian
+grid, the shared self-similarity vector. :func:`kernel_rows` and
+:func:`self_values` accept a grid or a plain sequence of specs, which they
+turn into a grid for that call.
 """
 
 from __future__ import annotations
@@ -17,6 +25,7 @@ import numpy as np
 
 __all__ = [
     "KernelSpec",
+    "KernelGrid",
     "gaussian",
     "polynomial",
     "kernel_eval",
@@ -50,6 +59,46 @@ class KernelSpec:
             raise ValueError(f"unknown kernel kind: {self.kind!r}")
         if not self.param > 0:
             raise ValueError("kernel parameter must be positive")
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+class KernelGrid(tuple):
+    """An immutable tuple of kernel specs with its per-call constants.
+
+    ``neg_two_var`` is the read-only (K,) vector of -2 sigma^2 (-1.0 at a
+    polynomial kernel) that the squared distances are divided by, ``poly``
+    the (position, degree) pairs of the polynomial kernels, ``gaussian``
+    whether any kernel is Gaussian (only those read distances), and
+    ``self_ones`` the read-only (K,) vector of ones that
+    :func:`self_values` returns for a scalar squared norm when every kernel
+    is Gaussian (None otherwise). A slice of a grid is a grid built from
+    its specs; a slice holding every spec is the grid itself.
+    """
+
+    def __new__(cls, specs):
+        grid = super().__new__(cls, specs)
+        # exp(sqdist / -2 sigma^2) is bit for bit exp(-sqdist / 2 sigma^2): IEEE division is sign-symmetric
+        neg_two_var = [-2.0 * spec.param**2 if spec.kind == "gaussian" else -1.0 for spec in grid]
+        grid.neg_two_var = _read_only(np.array(neg_two_var, dtype=float))
+        grid.poly = tuple((i, spec.param) for i, spec in enumerate(grid) if spec.kind == "polynomial")
+        grid.gaussian = len(grid.poly) < len(grid)
+        grid.self_ones = None if grid.poly else _read_only(np.ones(len(grid)))
+        return grid
+
+    @classmethod
+    def of(cls, specs) -> KernelGrid:
+        """``specs`` itself if it is a grid, else a grid of its specs."""
+        return specs if type(specs) is cls else cls(specs)
+
+    def __getitem__(self, key):
+        if not isinstance(key, slice):
+            return tuple.__getitem__(self, key)
+        sub = tuple.__getitem__(self, key)
+        return self if sub == self else KernelGrid(sub)
 
 
 def gaussian(sigma: float, index: int = 0) -> KernelSpec:
@@ -94,7 +143,8 @@ def pairwise(X, row_sqnorms, z, z_sqnorms, distances: bool = True):
 
 
 def kernel_rows(specs, dots, sqdist=None):
-    """k_i for every kernel i of ``specs``, from inner products and distances.
+    """k_i for every kernel i of ``specs`` (a grid or a sequence of specs),
+    from inner products and distances.
 
     ``dots`` and ``sqdist`` are arrays of one shape holding <x_j, z_j> and
     ||x_j - z_j||^2 (clipped at zero) for the same pairs, as
@@ -103,16 +153,16 @@ def kernel_rows(specs, dots, sqdist=None):
     kernels only ``dots``, so ``sqdist`` may be None for a grid of
     polynomial kernels.
     """
+    grid = KernelGrid.of(specs)
     if sqdist is None:
-        out = np.empty((len(specs),) + dots.shape)
-    else:
-        two_var = np.array([2.0 * spec.param**2 if spec.kind == "gaussian" else 1.0 for spec in specs])
-        out = np.exp(-sqdist / two_var.reshape((-1,) + (1,) * dots.ndim))
-    for i, spec in enumerate(specs):
-        if spec.kind == "polynomial":
-            out[i] = dots**spec.param
-        elif sqdist is None:
+        if grid.gaussian:
             raise ValueError("Gaussian kernels need the squared distances")
+        out = np.empty((len(grid),) + dots.shape)
+    else:
+        out = np.divide(sqdist, grid.neg_two_var.reshape((-1,) + (1,) * dots.ndim))
+        np.exp(out, out=out)
+    for i, degree in grid.poly:
+        out[i] = dots**degree
     return out
 
 
@@ -126,15 +176,19 @@ def kernel_column(spec, X, row_sqnorms, z, z_sqnorms):
 
 
 def self_values(specs, sqnorms):
-    """k_i(z, z) for every kernel i and every z with squared norm in ``sqnorms``.
+    """k_i(z, z) for every kernel i of ``specs`` (a grid or a sequence of
+    specs) and every z with squared norm in ``sqnorms``.
 
-    Exactly 1 for Gaussian kernels.
+    Exactly 1 for Gaussian kernels. For an all-Gaussian grid and a scalar
+    ``sqnorms`` the result is the grid's shared, read-only ``self_ones``.
     """
+    grid = KernelGrid.of(specs)
+    if grid.self_ones is not None and isinstance(sqnorms, float):
+        return grid.self_ones
     sqnorms = np.asarray(sqnorms, dtype=float)
-    out = np.ones((len(specs),) + sqnorms.shape)
-    for i, spec in enumerate(specs):
-        if spec.kind == "polynomial":
-            out[i] = sqnorms**spec.param
+    out = np.ones((len(grid),) + sqnorms.shape)
+    for i, degree in grid.poly:
+        out[i] = sqnorms**degree
     return out
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .kernels import KernelSpec, kernel_rows, pairwise
+from .kernels import KernelGrid, KernelSpec, kernel_rows, pairwise
 from .rkhs import ExampleStore
 
 __all__ = ["Reservoir"]
@@ -30,8 +30,9 @@ __all__ = ["Reservoir"]
 class Reservoir:
     """Capacity-M uniform sample with archive and optimistic-gradient views.
 
-    ``specs`` are the kernels whose label sums are kept; a kernel is named
-    by its position in ``specs``. ``label_sums[i, s]`` is
+    ``specs`` are the kernels whose label sums are kept, as a
+    :class:`~okselect.kernels.KernelGrid` (a grid passed in is shared); a
+    kernel is named by its position in ``specs``. ``label_sums[i, s]`` is
     sum_{j in V} y_j k_i(x_j, x_s), valid at every live slot that entered
     through :meth:`observe` or was registered with :meth:`track`.
     """
@@ -52,7 +53,7 @@ class Reservoir:
         self.capacity = capacity
         self.archive_cap = archive_cap
         self.rng = rng
-        self.specs = tuple(specs)
+        self.specs = KernelGrid.of(specs)
         self.sample = np.zeros(0, dtype=np.intp)  # slots of the current uniform sample V
         self.archive: list[int] = []  # slots of every example ever sampled
         self.seen = 0
@@ -127,6 +128,6 @@ class Reservoir:
         if not self.specs:
             return
         st, v = self.store, self.sample
-        rows = kernel_rows(self.specs, *pairwise(st.X, st.sqnorm, st.X[v], st.sqnorm[v]))
+        rows = kernel_rows(self.specs, *pairwise(st.X, st.sqnorm, st.X[v], st.sqnorm[v], self.specs.gaussian))
         self.label_sums = rows @ st.label[v]
         self._gram_sum = np.vecdot(self.label_sums[:, v], st.label[v])

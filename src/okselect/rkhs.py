@@ -27,7 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 # kernel_column is bound here only because okbench's tracer test patches this lookup site
-from .kernels import KernelSpec, kernel_column, kernel_rows, pairwise, self_values  # noqa: F401
+from .kernels import KernelGrid, KernelSpec, kernel_column, kernel_rows, pairwise, self_values  # noqa: F401
 
 __all__ = ["ExampleStore", "KernelExpansions"]
 
@@ -123,16 +123,17 @@ class KernelExpansions:
 
     ``self_k[i, s]`` caches k_i(x_s, x_s) for every live slot s; it is
     written by :meth:`add`, so a learner stores examples through it.
+    ``specs`` is kept as a :class:`~okselect.kernels.KernelGrid`; a grid
+    passed in is shared, not copied.
     """
 
     def __init__(self, specs: tuple[KernelSpec, ...], store: ExampleStore):
-        self.specs = tuple(specs)
+        self.specs = KernelGrid.of(specs)
         self.store = store
         self.coef = np.zeros((len(self.specs), store.capacity))
         self.sq_norms = np.zeros(len(self.specs))
         self.self_k = np.zeros((len(self.specs), store.capacity))
         self.row_starts = np.arange(len(self.specs))[:, None] * store.capacity  # flat offset of each row
-        self.distances = any(spec.kind == "gaussian" for spec in self.specs)  # only Gaussian kernels read distances
 
     def add(self, x, y, x_sqnorm: float, kxx) -> int:
         """Store (x, y) with refcount 0, cache its (K,) self-similarities ``kxx``
@@ -152,7 +153,7 @@ class KernelExpansions:
 
         Free slots hold stale rows; their coefficients are zero.
         """
-        return kernel_rows(self.specs, *pairwise(self.store.X, self.store.sqnorm, x, x_sqnorm, self.distances))
+        return kernel_rows(self.specs, *pairwise(self.store.X, self.store.sqnorm, x, x_sqnorm, self.specs.gaussian))
 
     def values_at(self, slot: int) -> np.ndarray:
         """(K,) values f_i(x_slot) of every expansion at a stored example."""
@@ -176,7 +177,7 @@ class KernelExpansions:
     def project(self, radius: float):
         """Project each f_i onto {||f|| <= radius}; idempotent, never grows a norm."""
         r2 = radius * radius
-        if self.sq_norms.max() <= r2:
+        if max(self.sq_norms.tolist()) <= r2:
             return
         for i in np.flatnonzero(self.sq_norms > r2):
             self.coef[i] *= radius / np.sqrt(self.sq_norms[i])
@@ -206,9 +207,10 @@ class KernelExpansions:
         coef, norms = self.coef[kernels], self.sq_norms[kernels]
         if slots is None:
             slots = np.flatnonzero(coef.any(axis=0))
+        grid = self.specs[kernels]
         X = self.store.X.take(slots, axis=0)
-        sq = self.store.sqnorm.take(slots) if self.distances else None
-        grams = kernel_rows(self.specs[kernels], *pairwise(X, sq, X, sq, self.distances))
+        sq = self.store.sqnorm.take(slots) if grid.gaussian else None
+        grams = kernel_rows(grid, *pairwise(X, sq, X, sq, grid.gaussian))
         for j, gram in enumerate(grams):
             beta = coef[j].take(slots)
             norms[j] = float(beta @ gram @ beta)

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hedge import HedgeState
-from .kernels import kernel_rows, pairwise, self_values, sq_distances
+from .kernels import KernelGrid, kernel_rows, pairwise, self_values, sq_distances
 from .losses import LogisticLoss
 from .protocol import Prediction, RoundRecord, SelectorConfig, check_features, mix, pending
 from .rkhs import ExampleStore, KernelExpansions
@@ -85,10 +85,11 @@ def pea_losses(values: np.ndarray, d: float) -> np.ndarray:
     to the largest; every entry is >= 0 and at least one is exactly 0.
     """
     values = np.asarray(values, dtype=float)
+    # the builtins read a K-vector's extreme faster than numpy, and exactly
     if d > 0:
-        return d * (values - values.min())
+        return d * (values - min(values.tolist()))
     if d < 0:
-        return d * (values - values.max())
+        return d * (values - max(values.tolist()))
     return np.zeros_like(values)
 
 
@@ -97,7 +98,7 @@ class SmoothKernelSelector:
 
     def __init__(self, config: SmoothSelectorConfig):
         self.config = config
-        self.kernels = tuple(config.kernels)
+        self.kernels = KernelGrid(config.kernels)  # shared with the expansions
         self.loss = config.loss
         self.radius = config.radius
         self.rate = config.learning_rate()
@@ -153,7 +154,7 @@ class SmoothKernelSelector:
         ex = self.expansions
         # The distances feed only Gaussian kernels and the proxy search, so a
         # polynomial grid computes them in update, when a proxy is looked for.
-        dots, sqdist = pairwise(self.store.X, self.store.sqnorm, x, xsq, ex.distances)
+        dots, sqdist = pairwise(self.store.X, self.store.sqnorm, x, xsq, self.kernels.gaussian)
         rows = kernel_rows(self.kernels, dots, sqdist)
         vals = np.vecdot(ex.coef, rows)
         self._last = pred = mix(x, xsq, vals, self.hedge.distribution(), self._zeros, (dots, sqdist, rows))
@@ -190,7 +191,7 @@ class SmoothKernelSelector:
                 # kernels see 0-d arrays, not numpy scalars, whose power can
                 # differ in the last bit from the array power predict uses.
                 xj = store.X[j]
-                if ex.distances:
+                if self.kernels.gaussian:
                     diff = xj - x
                     k_jx = kernel_rows(self.kernels, np.asarray(xj @ x), np.asarray(diff @ diff))
                 else:

@@ -100,6 +100,37 @@ class TestNormalize:
         again = normalize_minmax(nd).dense_features()
         assert np.allclose(again, dense, atol=1e-12)
 
+    def test_matches_the_per_column_formula_bit_for_bit(self):
+        rng = np.random.default_rng(53)
+        raw = rng.normal(size=(40, 6)) * rng.uniform(0.1, 30.0, size=6)
+        raw[:, 2] = 3.7  # a constant column
+        raw[:, 4] = 0.0  # an empty one
+        lo, hi = raw.min(axis=0), raw.max(axis=0)
+        span = hi - lo
+        nz = span > 0
+        want = np.zeros_like(raw)
+        want[:, nz] = (raw[:, nz] - lo[nz]) / span[nz]
+        nd = normalize_minmax(Dataset(name="cols", X=sp.csr_matrix(raw), y=np.ones(40, dtype=int)))
+        assert nd.dense_features().tobytes() == want.tobytes()
+        assert (nd.X != sp.csr_matrix(want)).nnz == 0
+
+    def test_one_dense_copy_handed_to_the_result(self):
+        # a phishing-shaped ternary stream: 11055 x 68, two thirds nonzero
+        rng = np.random.default_rng(54)
+        X = sp.csr_matrix(rng.integers(-1, 2, size=(11055, 68)).astype(float))
+        ds = Dataset(name="ternary", X=X, y=np.ones(11055, dtype=int))
+        tracemalloc.start()
+        try:
+            nd = normalize_minmax(ds)
+            dense = nd.dense_features()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.8 * dense.nbytes
+        assert ds._dense is None  # the input caches no dense copy
+        assert dense.flags.c_contiguous and dense.flags.owndata
+        assert np.array_equal(nd.X.toarray(), dense)
+
 
 class TestPermute:
     def _toy(self):

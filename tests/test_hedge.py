@@ -163,6 +163,20 @@ def test_every_bad_loss_rejected_before_any_state_changes(K, bad):
     assert np.array_equal(s.distribution(), before[3])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_bad_loss_of_an_expert_with_zero_weight_rejected(bad):
+    # p_1 underflows to exactly 0, and 0 * inf and 0 * nan still give a non-finite moment
+    s = HedgeState(2)
+    for _ in range(1000):
+        s.update([0.0, 1e6])
+    assert s.distribution()[1] == 0.0
+    before = (s.cum_loss.copy(), s.second_moment, s.round)
+    for c in ([0.5, bad], [bad, 0.5], [bad, -1.0]):
+        with pytest.raises(ValueError, match="finite and non-negative"), np.errstate(invalid="ignore"):
+            s.update(c)
+    assert np.array_equal(s.cum_loss, before[0]) and (s.second_moment, s.round) == before[1:]
+
+
 def test_finite_losses_whose_square_overflows_are_accepted():
     # only the cheap check fails; the full scan finds nothing wrong
     s = HedgeState(2)

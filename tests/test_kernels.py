@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from okselect.kernels import (
+    KernelGrid,
     KernelSpec,
     feature_distance,
     gaussian,
@@ -138,3 +139,96 @@ def test_gram_and_cross_match_scalar():
             for b in range(5):
                 assert C[a, b] == pytest.approx(kernel_eval(spec, X[a], Z[b]), rel=1e-10, abs=1e-12)
         assert np.allclose(G, G.T)
+
+
+GRIDS = {
+    "gaussian": (gaussian(0.5, 0), gaussian(2.0, 1), gaussian(8.0, 2)),
+    "polynomial": (polynomial(1, 0), polynomial(2, 1), polynomial(3, 2)),
+    "mixed": (gaussian(0.5, 0), polynomial(1, 1), gaussian(4.0, 2), polynomial(3, 3)),
+}
+SLICES = (slice(None), slice(1, 2), slice(1, None), slice(None, None, 2), slice(2, 0, -1), slice(0, 0))
+
+
+def spec_rows(specs, dots, sqdist):
+    """kernel_rows written out once per spec, from the definitions."""
+    return np.array([np.exp(-sqdist / (2.0 * s.param**2)) if s.kind == "gaussian" else dots**s.param for s in specs])
+
+
+def spec_self(specs, sqnorms):
+    sqnorms = np.asarray(sqnorms, dtype=float)
+    return np.array([np.ones(sqnorms.shape) if s.kind == "gaussian" else sqnorms**s.param for s in specs])
+
+
+def pair_inputs():
+    """(dots, sqdist) for 0-d, (n,), (n, m) and (2, n, m) pairs."""
+    rng = np.random.default_rng(13)
+    X, Z = rng.normal(size=(7, 3)), rng.normal(size=(4, 3))
+    sqx, sqz = np.einsum("ij,ij->i", X, X), np.einsum("ij,ij->i", Z, Z)
+    diff = X[0] - Z[0]
+    d2, s2 = pairwise(X, sqx, Z, sqz)
+    return [
+        (np.asarray(X[0] @ Z[0]), np.asarray(diff @ diff)),
+        pairwise(X, sqx, Z[0], sqz[0]),
+        (d2, s2),
+        (np.stack([d2, 2.0 * d2]), np.stack([s2, 0.5 * s2])),
+    ]
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("name", GRIDS)
+def test_grid_and_tuple_give_the_same_bits(name):
+    specs = GRIDS[name]
+    grid = KernelGrid(specs)
+    assert grid == specs and KernelGrid.of(grid) is grid and grid[:] is grid
+    sqnorm_inputs = (2.5, np.float64(0.75), np.asarray(1.5), np.array([0.0, 0.5, 3.0]), np.ones((2, 3)) * 1.25)
+    for key in SLICES:
+        sub, plain = grid[key], specs[key]
+        assert type(sub) is KernelGrid and sub == plain
+        for dots, sqdist in pair_inputs():
+            want = spec_rows(plain, dots, sqdist).reshape((len(plain),) + dots.shape)
+            assert same_bits(kernel_rows(sub, dots, sqdist), want)
+            assert same_bits(kernel_rows(plain, dots, sqdist), want)
+            assert same_bits(kernel_rows(list(plain), dots, sqdist), want)
+        for sq in sqnorm_inputs:
+            want = spec_self(plain, sq).reshape((len(plain),) + np.shape(sq))
+            assert same_bits(self_values(sub, sq), want)
+            assert same_bits(self_values(plain, sq), want)
+
+
+def test_a_slice_is_the_grid_only_when_it_holds_every_spec():
+    grid = KernelGrid(GRIDS["mixed"])
+    assert grid[0:4] is grid and grid[::1] is grid
+    rev = grid[::-1]
+    assert rev is not grid and rev == GRIDS["mixed"][::-1]
+    assert same_bits(rev.neg_two_var, grid.neg_two_var[::-1].copy())
+    assert rev.poly == ((0, 3.0), (2, 1.0)) and rev.gaussian and rev.self_ones is None
+    assert not rev.neg_two_var.flags.writeable
+
+
+def test_all_gaussian_self_values_are_shared_and_read_only():
+    grid = KernelGrid(GRIDS["gaussian"])
+    ones = self_values(grid, 2.5)
+    assert ones is grid.self_ones and self_values(grid, np.float64(7.0)) is ones
+    assert ones.tolist() == [1.0, 1.0, 1.0] and not ones.flags.writeable
+    with pytest.raises(ValueError):
+        ones[0] = 2.0
+    assert not self_values(GRIDS["gaussian"], 2.5).flags.writeable
+    # an array of norms, or a grid with a polynomial kernel, gets a fresh array
+    assert self_values(grid, np.array([2.5])).flags.writeable
+    assert KernelGrid(GRIDS["mixed"]).self_ones is None
+    assert self_values(GRIDS["mixed"], 2.5).flags.writeable
+
+
+def test_gaussian_grid_without_distances_raises():
+    dots = np.arange(3.0)
+    for name in ("gaussian", "mixed"):
+        for specs in (GRIDS[name], KernelGrid(GRIDS[name])):
+            with pytest.raises(ValueError, match="squared distances"):
+                kernel_rows(specs, dots)
+    # a polynomial grid, or a polynomial slice of a mixed one, reads no distances
+    assert KernelGrid(GRIDS["mixed"])[1:2].gaussian is False
+    assert same_bits(kernel_rows(KernelGrid(GRIDS["mixed"])[1:2], dots), np.array([dots**1.0]))
+    assert same_bits(kernel_rows(GRIDS["polynomial"], dots), spec_rows(GRIDS["polynomial"], dots, None))

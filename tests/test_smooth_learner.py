@@ -69,6 +69,14 @@ class TestPeaLosses:
             if d != 0:
                 assert c.min() == pytest.approx(0.0, abs=1e-15)
 
+    def test_bit_identical_to_the_numpy_reductions(self):
+        rng = np.random.default_rng(31)
+        for _ in range(500):
+            v = rng.normal(size=5) * rng.choice([1e-12, 1.0, 1e6])
+            d = rng.normal()
+            want = d * (v - (v.min() if d > 0 else v.max()))
+            assert pea_losses(v, d).tobytes() == want.tobytes()
+
 
 class TestPredict:
     def test_fresh_learner(self):
@@ -132,6 +140,20 @@ class TestUpdateBranches:
         assert np.all(learner.expansions.coef == 0.0)
         assert learner.cum_loss == pytest.approx(0.3)
         assert learner.deriv_sum == 0.0
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_nan_gap_is_not_a_proxy(self, seed):
+        # k_2(x, x) = 34.67**200 ~ 9.8e307, so k_jj + k_xx and 2 k_jx both
+        # overflow and the polynomial gap is inf - inf = NaN, while the
+        # Gaussian gap before it is 0. A NaN gap must fail the proxy test
+        # wherever it sits in the vector.
+        learner = make_learner(kernels=(gaussian(1.0, 0), polynomial(200.0, 1)), dim=1, budget=4, seed=seed)
+        x = np.array([math.sqrt(34.67)])
+        with np.errstate(all="ignore"):
+            for t in range(3):
+                learner.predict(x)
+                rec = learner.update(x, 1.0 if t % 2 == 0 else -1.0)
+                assert rec.branch[0] != "proxy"
 
     def test_duplicate_example_triggers_proxy(self):
         # gamma > 0 and an exact duplicate in the buffer has distance 0
