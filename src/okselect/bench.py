@@ -206,7 +206,6 @@ class Report:
     """Per-repeat rows plus mean/std aggregates over the numeric columns."""
 
     rows: list = field(default_factory=list)
-    config: dict = field(default_factory=dict)
 
     NUMERIC = ["AMR_percent", "cum_loss", "alignment_proxy_min", "archive_size", "wall_time_s"]
 
@@ -304,10 +303,6 @@ def _learner_config(config: ExperimentConfig, ds, seed: int):
         raise ConfigError(f"cannot build {config.algorithm}: {exc}") from exc
 
 
-def _build_learner(config: ExperimentConfig, ds, seed: int):
-    return _LEARNERS[config.algorithm](_learner_config(config, ds, seed))
-
-
 def run(config: ExperimentConfig) -> Report:
     """Execute the configured repeats and assemble the report.
 
@@ -319,7 +314,7 @@ def run(config: ExperimentConfig) -> Report:
     base = load_dataset(config)
     # the dataset's size and dimension are what the learner's config reads, and permuting keeps both
     learner_config = _learner_config(config, base, config.seed)
-    report = Report(config=asdict(config))
+    report = Report()
     echo = json.dumps(asdict(config), default=str, sort_keys=True)
     for r in range(config.repeats):
         seed = config.seed + r
@@ -389,7 +384,7 @@ def alignment_probe(config: ExperimentConfig) -> dict:
         raise ConfigError("the alignment probe is defined for the hinge learner")
     base = load_dataset(config)
     ds = data_mod.permute(base, config.seed)
-    learner = _build_learner(replace(config, B=400, M=30), ds, config.seed)
+    learner = HingeKernelSelector(_learner_config(replace(config, B=400, M=30), ds, config.seed))
     run_stream(learner, ds.dense_features(), ds.y)
     proxies = learner.alignment_proxies()
     return {

@@ -19,7 +19,7 @@ import json
 import sys
 
 from . import bench
-from .data import LibsvmFormatError, gen_lowerbound, parse_libsvm, serialize_libsvm
+from .data import gen_lowerbound, parse_libsvm, serialize_libsvm
 
 
 class _UsageError(Exception):
@@ -56,15 +56,11 @@ def _cmd_run(args) -> int:
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except OSError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    try:
-        config = bench.ExperimentConfig.from_dict(raw)
-        report = bench.run(config)
-    except (bench.ConfigError, LibsvmFormatError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
+    config = bench.ExperimentConfig.from_dict(raw)
+    report = bench.run(config)
     failures = [r for r in report.rows if str(r.get("config", "")).startswith("FAILED")]
     mean_row, std_row = report.aggregates()
     out = config.output
@@ -115,7 +111,7 @@ def main(argv=None) -> int:
         if args.command == "inspect":
             try:
                 return _cmd_inspect(args)
-            except (OSError, LibsvmFormatError) as exc:
+            except OSError as exc:
                 print(f"config error: {exc}", file=sys.stderr)
                 return 1
     except ValueError as exc:

@@ -1,7 +1,7 @@
 """Dataset ingestion and synthetic stream generation.
 
-Datasets are immutable after construction: a sparse feature matrix, a
-vector of +/-1 labels, and a provenance block that every run report echoes.
+Datasets are immutable after construction: a name, a sparse feature matrix
+and a vector of +/-1 labels; a run report echoes the name and the config.
 The text format is one example per line, ``label index:value ...`` with
 1-based ascending indices (empty feature lists are valid all-zero rows).
 """
@@ -34,7 +34,6 @@ class Dataset:
     name: str
     X: sp.csr_matrix
     y: np.ndarray
-    provenance: dict = field(default_factory=dict)
     _dense: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @property
@@ -118,7 +117,6 @@ def parse_libsvm(path, name: str | None = None) -> Dataset:
         name=dsname,
         X=X,
         y=y,
-        provenance={"source": str(path), "label_map": {repr(distinct[1]): 1, repr(distinct[0]): -1}},
     )
 
 
@@ -149,18 +147,14 @@ def normalize_minmax(ds: Dataset) -> Dataset:
     dense -= lo
     dense /= np.where(nz, span, 1.0)
     dense[:, ~nz] = 0.0
-    prov = dict(ds.provenance)
-    prov["normalized"] = "minmax[0,1]"
-    return Dataset(name=ds.name, X=sp.csr_matrix(dense), y=ds.y.copy(), provenance=prov, _dense=dense)
+    return Dataset(name=ds.name, X=sp.csr_matrix(dense), y=ds.y.copy(), _dense=dense)
 
 
 def permute(ds: Dataset, seed: int) -> Dataset:
     """Seeded uniform shuffle; the multiset of examples is preserved."""
     rng = np.random.default_rng(seed)
     order = rng.permutation(ds.num_examples)
-    prov = dict(ds.provenance)
-    prov["permutation_seed"] = int(seed)
-    return Dataset(name=ds.name, X=ds.X[order], y=ds.y[order], provenance=prov)
+    return Dataset(name=ds.name, X=ds.X[order], y=ds.y[order])
 
 
 def gen_lowerbound(budget: int, rounds: int, seed: int) -> Dataset:
@@ -188,5 +182,4 @@ def gen_lowerbound(budget: int, rounds: int, seed: int) -> Dataset:
         name=f"lowerbound(B={budget},T={rounds})",
         X=X,
         y=y,
-        provenance={"generator": "lowerbound", "budget": budget, "rounds": rounds, "seed": seed},
     )

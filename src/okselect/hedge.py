@@ -50,8 +50,9 @@ class HedgeState:
         """Charge one round of non-negative losses; returns the p used.
 
         Raises ValueError, before any state changes, on a wrong number of
-        losses or on one that is NaN, infinite or negative. The second
-        moment accumulates with the distribution held *before* this update.
+        losses, on a NaN, infinite or negative one, on one above sqrt(max/2)
+        ~ 9.48e153, or when the second moment would overflow. The moment
+        accumulates with the distribution held *before* this update.
         With one expert the distribution is exactly [1.0] at every rate, so
         the read-only array is kept and no softmax runs; the moment,
         ``cum_loss``, ``round`` and ``rate()`` advance as for any K.
@@ -59,14 +60,18 @@ class HedgeState:
         c = np.asarray(losses, dtype=float)
         if c.shape != (self.num_experts,):
             raise ValueError(f"expected {self.num_experts} losses, got shape {c.shape}")
+        # Checked as Python floats before any arithmetic can warn: min catches a negative loss,
+        # and twice the square of max an infinite one or one whose moment could overflow (p sums
+        # to 1 only up to rounding). A NaN, which min and max may pass over, makes the moment NaN.
+        cl = c.tolist()
+        top = max(cl)
+        if not (min(cl) >= 0.0 and math.isfinite(2.0 * top * top)):
+            raise ValueError("losses must be finite and non-negative, and at most about 9.48e153")
         p = self._p
-        moment = float(p @ (c * c))
-        # Cheap test first, on Python floats: a negative loss gives a negative minimum, and a
-        # NaN or infinite one a non-finite moment (even at p_i == 0), wherever min puts a NaN.
-        if not (min(c.tolist()) >= 0.0 and math.isfinite(moment)):
-            if not np.all(np.isfinite(c)) or np.any(c < 0):
-                raise ValueError("losses must be finite and non-negative")
-        self.second_moment += moment
+        second_moment = self.second_moment + float(p @ (c * c))
+        if not second_moment < math.inf:
+            raise ValueError("losses must be finite and non-negative, and keep the second moment finite")
+        self.second_moment = second_moment
         self.cum_loss += c
         self.round += 1
         if self.num_experts > 1:

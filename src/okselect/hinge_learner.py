@@ -165,7 +165,7 @@ class HingeKernelSelector:
         self.gap_sums = np.zeros(k)  # per-kernel alignment proxy accumulator
         self.removals = np.zeros(k, dtype=int)
         self.t = 0
-        self._last: Prediction | None = None  # its cache: (kernel rows over every slot, f_i(x) before the guess)
+        self._last: Prediction | None = None  # its cache: (kernel rows over every slot, f_i(x) before the guess, guesses)
 
     @property
     def buffers(self) -> list[np.ndarray]:
@@ -182,25 +182,25 @@ class HingeKernelSelector:
         rows = self.expansions.rows(x, xsq)
         guesses = self.reservoir.optimistic_value_many(rows)
         fx = np.vecdot(self.expansions.coef, rows)
-        self._last = pred = mix(x, xsq, fx - self.rate * guesses, self.hedge.distribution(), guesses, (rows, fx))
+        self._last = pred = mix(x, xsq, fx - self.rate * guesses, self.hedge.distribution(), (rows, fx, guesses))
         return pred
 
     def update(self, x, y) -> RoundRecord:
         """Consume the round's true label; one call per round, after predict."""
         y, pred = pending(self, x, y)
-        rows, fx = pred.cache
+        rows, fx, guesses = pred.cache
         ex, res = self.expansions, self.reservoir
         # the round's example; freed at the end unless a buffer or the reservoir took it
         kxx = self_values(self.kernels, pred.x_sqnorm)
         slot = ex.add(pred.x, y, pred.x_sqnorm, kxx)
-        res.track(slot, pred.guess_values)
+        res.track(slot, guesses)
 
         margins = y * pred.per_kernel
         losses = np.maximum(1.0 - margins, 0.0)
         violated = margins < 1.0
         # where the margin is violated, grad = -y k(x_t, .)
         guess_sq = res.optimistic_sq_norms()
-        gap_sq = np.maximum(kxx + 2.0 * y * pred.guess_values + guess_sq, 0.0) * violated
+        gap_sq = np.maximum(kxx + 2.0 * y * guesses + guess_sq, 0.0) * violated
         self.gap_sums += gap_sq
         gamma = gap_sq / np.sqrt(1.0 + self.gap_sums)
         proxy = violated & (self.buffer_sizes > 0)
@@ -227,7 +227,7 @@ class HingeKernelSelector:
             ex.project(self.radius)
             fx[removed] = np.vecdot(ex.coef[removed], rows[removed])
         if np.count_nonzero(sampled):
-            self._sampled_steps(sampled, accepted, prob, slot, y, fx, kxx, pred.guess_values, guess_sq)
+            self._sampled_steps(sampled, accepted, prob, slot, y, fx, kxx, guesses, guess_sq)
             joined = np.count_nonzero(accepted)
             if joined:
                 self.store.incref(slot, joined)

@@ -3,8 +3,8 @@
 Every learner plays the same round: ``predict(x)`` checks the features,
 computes the K per-kernel values and returns :func:`mix` of them, a
 :class:`Prediction`; then ``update(x, y)`` opens with :func:`pending`, which
-checks the label and reuses the pending prediction when it was made for the
-same ``x``, and closes with :meth:`RoundRecord.of`. :func:`run_stream`
+checks the label and reuses the pending prediction when it was made for this
+very ``x`` object, and closes with :meth:`RoundRecord.of`. :func:`run_stream`
 plays a whole stream through that round. The two budgeted selectors share
 the core of their configuration; its ``"scaled"`` rate is
 lambda_i = lambda_scale * U / sqrt(B) (the benchmark rule, with
@@ -22,8 +22,7 @@ import numpy as np
 from .kernels import KernelSpec
 from .losses import check_label
 
-__all__ = ["Prediction", "RoundRecord", "SelectorConfig", "check_features", "mix", "pending", "run_stream",
-           "same_example"]
+__all__ = ["Prediction", "RoundRecord", "SelectorConfig", "check_features", "mix", "pending", "run_stream"]
 
 
 def check_features(x, dim: int) -> tuple[np.ndarray, float]:
@@ -35,15 +34,13 @@ def check_features(x, dim: int) -> tuple[np.ndarray, float]:
     x = np.asarray(x, dtype=float)
     if x.shape != (dim,):
         raise ValueError(f"expected a ({dim},) feature vector, got shape {x.shape}")
-    xsq = float(x @ x)
+    try:
+        xsq = float(x @ x)
+    except RuntimeWarning:  # numpy's overflow warning, when warnings are errors
+        xsq = math.inf
     if not math.isfinite(xsq):
         raise ValueError("feature vector is not finite or its squared norm overflows")
     return x, xsq
-
-
-def same_example(pending: np.ndarray, x) -> bool:
-    """True when ``x`` is the checked ``pending`` example: the same object, or the same shape and values."""
-    return pending is x or np.array_equal(pending, np.asarray(x, dtype=float))
 
 
 class Prediction(NamedTuple):
@@ -57,27 +54,27 @@ class Prediction(NamedTuple):
     x: np.ndarray
     x_sqnorm: float
     weights: np.ndarray  # mixture distribution p_t
-    guess_values: np.ndarray | None = None  # guess gradient evaluated at x_t, per kernel
     cache: object = None  # the learner's own intermediates of the round, for its update
 
 
-def mix(x, x_sqnorm: float, per_kernel, weights, guess_values=None, cache=None) -> Prediction:
+def mix(x, x_sqnorm: float, per_kernel, weights, cache=None) -> Prediction:
     """The round's prediction: the ``weights`` mixture of ``per_kernel`` and its sign (sign(0) is +1)."""
     agg = float(weights @ per_kernel)
-    return Prediction(per_kernel, agg, 1 if agg >= 0 else -1, x, x_sqnorm, weights, guess_values, cache)
+    return Prediction(per_kernel, agg, 1 if agg >= 0 else -1, x, x_sqnorm, weights, cache)
 
 
 def pending(learner, x, y) -> tuple[float, Prediction]:
     """Open ``learner``'s update of a round: the checked label and the round's prediction.
 
-    The prediction is ``learner._last`` when it was made for ``x`` (the same
-    object or the same values); otherwise ``learner.predict(x)`` makes it.
+    The prediction is ``learner._last`` when it was made for this very ``x``
+    object; otherwise ``learner.predict(x)`` makes it. ``predict`` writes
+    nothing but ``_last``, so for an equal copy of ``x`` it makes the same bits.
     A bad label or ``x`` raises ValueError before any state changes. Then
     the pending prediction is cleared and ``learner.t`` advances.
     """
     y = check_label(y)
     pred = learner._last
-    if pred is None or not same_example(pred.x, x):
+    if pred is None or pred.x is not x:
         pred = learner.predict(x)
     learner._last = None
     learner.t += 1

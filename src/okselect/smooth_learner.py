@@ -130,7 +130,7 @@ class SmoothKernelSelector:
         # a round that draws no coin are built once here and shared, read-only.
         self._coins = {c: _read_only(np.full(k, c, dtype=int)) for c in (-1, 0, 1)}
         self._removed = (_read_only(np.zeros(k, dtype=bool)), _read_only(np.ones(k, dtype=bool)))
-        self._zeros = _read_only(np.zeros(k))  # the gaps and guess values: this learner has no guess
+        self._zeros = _read_only(np.zeros(k))  # the gaps: this learner has no guess
         self._no_prob = _read_only(np.full(k, np.nan))
         self.rng = np.random.default_rng(np.random.SeedSequence(config.seed))
         self.deriv_sum = 0.0  # sum of |l'(f_t(x_t), y_t)| over rounds
@@ -157,7 +157,7 @@ class SmoothKernelSelector:
         dots, sqdist = pairwise(self.store.X, self.store.sqnorm, x, xsq, self.kernels.gaussian)
         rows = kernel_rows(self.kernels, dots, sqdist)
         vals = np.vecdot(ex.coef, rows)
-        self._last = pred = mix(x, xsq, vals, self.hedge.distribution(), self._zeros, (dots, sqdist, rows))
+        self._last = pred = mix(x, xsq, vals, self.hedge.distribution(), (dots, sqdist, rows))
         return pred
 
     def update(self, x, y) -> RoundRecord:

@@ -44,16 +44,23 @@ def blob_stream(T: int, d: int, seed: int, sep: float = 1.2, noise: float = 0.7)
     return X[perm], y[perm]
 
 
-def store_example(store: ExampleStore, x, y) -> int:
-    """Store (x, y), passing the squared norm that the store takes from its caller."""
-    x = np.asarray(x, dtype=float)
-    return store.add(x, y, float(x @ x))
+def store_example(store: ExampleStore, x, y, x_sqnorm=None) -> int:
+    """Store (x, y), passing the squared norm that the store takes from its caller.
+
+    A caller that offers one ``x`` many times builds it once as a float array
+    and passes its ``x_sqnorm``; otherwise both are computed here.
+    """
+    if x_sqnorm is None:
+        x = np.asarray(x, dtype=float)
+        x_sqnorm = float(x @ x)
+    return store.add(x, y, x_sqnorm)
 
 
-def offer(reservoir, x, y) -> bool:
+def offer(reservoir, x, y, x_sqnorm=None) -> bool:
     """Offer (x, y) to ``reservoir`` as the hinge learner does: store it, observe
-    its slot, and free the slot unless the reservoir kept it. True if it was kept."""
-    slot = store_example(reservoir.store, x, y)
+    its slot, and free the slot unless the reservoir kept it. True if it was kept.
+    ``x_sqnorm`` is as for :func:`store_example`."""
+    slot = store_example(reservoir.store, x, y, x_sqnorm)
     kept = reservoir.observe(slot)
     reservoir.store.release_if_unreferenced(slot)
     return kept

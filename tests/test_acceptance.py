@@ -331,13 +331,13 @@ def test_criterion_9_reservoir_uniformity():
     M, T, runs = 10, 1000, 10_000
     rng = np.random.default_rng(65)
     counts = np.zeros(T, dtype=np.int64)
-    x = [0.0]
+    x, x_sqnorm = np.zeros(1), 0.0  # built once for the 10^7 offers
     for _ in range(runs):
         store = ExampleStore(dim=1, capacity=128)
         r = Reservoir(store, M, 10**9, rng)
         round_of = {}
         for t in range(T):
-            if offer(r, x, 1):
+            if offer(r, x, 1, x_sqnorm):
                 round_of[r.archive[-1]] = t
         for eid in r.sample:
             counts[round_of[eid]] += 1

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import okselect
-from okselect import ExperimentConfig, alignment_probe, gaussian, run, run_stream, serialize_libsvm
+from okselect import ExperimentConfig, HingeKernelSelector, alignment_probe, gaussian, run, run_stream, serialize_libsvm
 from okselect.bench import REPORT_COLUMNS, ConfigError
 from okselect.cli import main as cli_main
 from okselect.data import Dataset, gen_lowerbound
@@ -93,11 +93,11 @@ class TestRun:
 
     def test_windowed_mistakes_non_increasing_on_separable_stream(self, tmp_path):
         cfg = small_config(tmp_path, repeats=1, B=60)
-        from okselect.bench import load_dataset, _build_learner
+        from okselect.bench import load_dataset, _learner_config
         from okselect.data import permute
 
         ds = permute(load_dataset(cfg), cfg.seed)
-        learner = _build_learner(cfg, ds, cfg.seed)
+        learner = HingeKernelSelector(_learner_config(cfg, ds, cfg.seed))
         window = []
         run_stream(learner, ds.dense_features(), ds.y, lambda rec: window.append(rec.mistake))
         half = len(window) // 2
@@ -405,6 +405,14 @@ class TestCli:
         cfg_path = tmp_path / "bad.json"
         cfg_path.write_text("{not json", encoding="utf-8")
         assert cli_main(["run", "--config", str(cfg_path)]) == 1
+
+    @pytest.mark.parametrize("content", [None, "1 1:0.5\n+1 2:x\n"], ids=["missing", "malformed"])
+    def test_unreadable_inspect_dataset_is_config_error(self, tmp_path, capsys, content):
+        path = tmp_path / "ds.txt"
+        if content is not None:
+            path.write_text(content, encoding="utf-8")
+        assert cli_main(["inspect", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("config error: ")
 
 
 @pytest.mark.dataset

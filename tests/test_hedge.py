@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -163,26 +164,46 @@ def test_every_bad_loss_rejected_before_any_state_changes(K, bad):
     assert np.array_equal(s.distribution(), before[3])
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_bad_loss_of_an_expert_with_zero_weight_rejected(bad):
-    # p_1 underflows to exactly 0, and 0 * inf and 0 * nan still give a non-finite moment
+    # p_1 underflows to exactly 0: a bad loss there is still rejected, with no numpy warning first
     s = HedgeState(2)
     for _ in range(1000):
         s.update([0.0, 1e6])
     assert s.distribution()[1] == 0.0
     before = (s.cum_loss.copy(), s.second_moment, s.round)
     for c in ([0.5, bad], [bad, 0.5], [bad, -1.0]):
-        with pytest.raises(ValueError, match="finite and non-negative"), np.errstate(invalid="ignore"):
+        with pytest.raises(ValueError, match="finite and non-negative"):
             s.update(c)
     assert np.array_equal(s.cum_loss, before[0]) and (s.second_moment, s.round) == before[1:]
 
 
-def test_finite_losses_whose_square_overflows_are_accepted():
-    # only the cheap check fails; the full scan finds nothing wrong
-    s = HedgeState(2)
-    with np.errstate(over="ignore"):
-        s.update([1e200, 0.0])
-    assert s.second_moment == math.inf
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_finite_losses_whose_square_overflows_are_rejected():
+    # Accepted, such a loss would leave the second moment inf and rate() 0, so every later
+    # distribution uniform. The largest accepted loss is sqrt(max / 2), about 9.48e153.
+    largest = math.sqrt(sys.float_info.max / 2)
+    for K in (1, 2, 5):
+        s = HedgeState(K)
+        s.update(np.linspace(0.1, 1.0, K))
+        before = (s.cum_loss.copy(), s.second_moment, s.round, s.distribution().copy())
+        for bad in (1e200, 1.35e154, math.nextafter(largest, math.inf)):
+            for where in range(K):
+                c = np.full(K, 0.5)
+                c[where] = bad
+                with pytest.raises(ValueError, match="finite and non-negative"):
+                    s.update(c)
+        assert np.array_equal(s.cum_loss, before[0]) and (s.second_moment, s.round) == before[1:3]
+        assert np.array_equal(s.distribution(), before[3])
+        # Each round at the largest loss adds about max / 2 to the moment: the third would overflow it.
+        s.update(np.full(K, largest))
+        s.update(np.full(K, largest))
+        assert math.isfinite(s.second_moment) and (K == 1 or s.rate() > 0)  # one expert has rate 0
+        before = (s.cum_loss.copy(), s.second_moment, s.round)
+        with pytest.raises(ValueError, match="second moment"):
+            s.update(np.full(K, largest))
+        assert np.array_equal(s.cum_loss, before[0]) and (s.second_moment, s.round) == before[1:]
 
 
 def test_one_expert_keeps_its_distribution_and_matches_the_full_softmax():

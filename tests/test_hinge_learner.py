@@ -397,10 +397,11 @@ class TestCoefficientMatrix:
         for idx, y in rounds:
             x = pool[idx % len(pool)]
             pred = learner.predict(x)
+            guesses = pred.cache[2]  # the guess values at x, kept for update
             guess = guess_coeffs(res)
             for i, spec in enumerate(grid):
                 g = brute_value(spec, store, guess, x)
-                assert pred.guess_values[i] == pytest.approx(g, rel=1e-9, abs=1e-12)
+                assert guesses[i] == pytest.approx(g, rel=1e-9, abs=1e-12)
                 fi = brute_value(spec, store, coeffs(ex, i), x)
                 assert pred.per_kernel[i] == pytest.approx(fi - learner.rate * g, rel=1e-9, abs=1e-12)
             rec = learner.update(x, y)

@@ -21,9 +21,9 @@ from okselect import (
     run,
     run_stream,
 )
-from okselect.bench import _build_learner, load_dataset
+from okselect.bench import _LEARNERS, _learner_config, load_dataset
 from okselect.data import permute
-from okselect.protocol import Prediction, RoundRecord, check_features, mix, same_example
+from okselect.protocol import Prediction, RoundRecord, check_features, mix
 
 from conftest import blob_stream
 
@@ -122,11 +122,12 @@ def test_record_carries_the_pending_prediction(name):
     for t in range(len(y)):
         x = X[t]
         pred = learner.predict(x)
-        # odd rounds hand update an equal copy, so the pending prediction is matched by value
+        # odd rounds hand update an equal copy: a second predict runs, and it makes the same bits
         rec = learner.update(x.copy() if t % 2 else x, y[t])
         assert isinstance(rec, RoundRecord)
         assert (rec.t, rec.label, rec.aggregate) == (t + 1, pred.label, pred.aggregate), t
-        assert rec.per_kernel is pred.per_kernel, t  # no second predict ran
+        assert rec.per_kernel.tobytes() == pred.per_kernel.tobytes(), t
+        assert (rec.per_kernel is pred.per_kernel) == (t % 2 == 0), t  # the pending prediction, by identity
         assert rec.truth == y[t] and rec.mistake == (pred.label != y[t]), t
         if name == "raker":
             loss = learner.config.loss
@@ -142,7 +143,7 @@ def test_bench_run_matches_a_hand_loop(algorithm, loss):
     )
     row = run(config).rows[0]
     ds = permute(load_dataset(config), config.seed)
-    learner = _build_learner(config, ds, config.seed)
+    learner = _LEARNERS[algorithm](_learner_config(config, ds, config.seed))
     loss_fn = config.loss_object()
     X = ds.dense_features()
     mistakes, cum = 0, 0.0
@@ -209,25 +210,28 @@ def test_run_stream_returns_a_hand_loops_mistakes_and_loss(name):
 def test_mix_signs_the_mixture_and_the_record_copies_the_prediction():
     pred = mix(np.zeros(2), 0.0, np.array([1.0, -3.0]), np.array([0.75, 0.25]))
     assert (pred.aggregate, pred.label) == (0.0, 1)  # sign(0) is +1
-    assert pred.guess_values is None and pred.cache is None
+    assert pred.cache is None
     rec = RoundRecord.of(3, pred, -1.0, np.zeros(2), branch=["skip", "skip"])
     assert (rec.t, rec.label, rec.truth, rec.mistake, rec.aggregate) == (3, 1, -1, True, 0.0)
     assert type(rec.truth) is int and rec.per_kernel is pred.per_kernel and rec.branch == ["skip", "skip"]
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_check_features():
     x, xsq = check_features([3, 4], 2)
     assert x.dtype == float and x.shape == (2,) and xsq == 25.0
     with pytest.raises(ValueError, match="shape"):
         check_features([[3, 4]], 2)
+    # x @ x overflows: numpy's warning, raised as an error, must not escape in place of ValueError
+    with pytest.raises(ValueError, match="overflows"):
+        check_features([1e200, 1e200], 2)
 
 
-def test_same_example_is_identity_or_equal_values():
-    x = np.array([1.0, 2.0])
-    assert same_example(x, x) and same_example(x, [1, 2])
-    assert not same_example(x, [1.0, 2.5]) and not same_example(x, x[:, None])
-    nan = np.array([np.nan])
-    assert same_example(nan, nan) and not same_example(nan, nan.copy())
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("name", LEARNERS)
+def test_overflowing_features_raise_value_error_when_warnings_are_errors(name):
+    with pytest.raises(ValueError, match="overflows"):
+        LEARNERS[name]().predict(BAD_X["overflow"])
 
 
 def _modules():

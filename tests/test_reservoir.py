@@ -75,10 +75,11 @@ def test_expected_archive_growth():
     sizes = []
     store = ExampleStore(dim=1, capacity=STORE_CAP)
     rng = np.random.default_rng(4)
+    x, x_sqnorm = np.zeros(1), 0.0  # built once for the 2 * 10^6 offers
     for _ in range(runs):
         r = Reservoir(store, M, BIG_CAP, rng)
         for t in range(T):
-            offer(r, [0.0], 1)
+            offer(r, x, 1, x_sqnorm)
         sizes.append(len(r.archive))
         for eid in r.archive:
             store.decref(eid)
