@@ -101,13 +101,13 @@ class ExperimentConfig:
     """Declarative description of one experiment.
 
     ``dataset`` is a file path or a generator spec such as
-    ``{"generator": "lowerbound", "budget": 50, "rounds": 20000, "seed": 1}``.
+    ``{"generator": "lowerbound", "budget": 50, "rounds": 20000, "seed": 1}``;
+    a file's features are min-max normalized onto [0, 1].
     ``U`` is either the string ``"sqrt_b"`` or an explicit radius; ``B``,
-    ``M``, ``D`` and ``repeats`` integers >= 1; ``horizon`` null (the
-    stream length) or an integer >= 1; ``lambda_scale`` and every entry of
-    ``sigmas`` finite numbers > 0; ``eta`` null (1/sqrt(T)) or a finite
-    number >= 0 and ``reg`` a finite number >= 0. Any other value raises
-    ConfigError, before a dataset is read.
+    ``M``, ``D`` and ``repeats`` integers >= 1; ``lambda_scale`` and every
+    entry of ``sigmas`` finite numbers > 0; ``eta`` null (1/sqrt(T)) or a
+    finite number >= 0 and ``reg`` a finite number >= 0. Any other value
+    raises ConfigError, before a dataset is read.
     ``kernels`` may override the Gaussian grid with explicit specs, e.g.
     ``[{"kind": "polynomial", "degree": 1}]``: each entry holds ``kind``
     and that kind's one parameter (``sigma`` or ``degree``), a finite
@@ -125,15 +125,12 @@ class ExperimentConfig:
     M: int = 10
     U: object = "sqrt_b"
     lambda_scale: float = 1.0
-    lambda_rule: str = "scaled"
     D: int = 400
     eta: float | None = None  # raker step size; defaults to 1/sqrt(T)
     reg: float = 0.005
     repeats: int = 10
     seed: int = 0
     removal: str = "half"
-    normalize: bool = True
-    horizon: int | None = None
     kernels: object = None
     output: str | None = None
 
@@ -155,8 +152,6 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be an integer >= 1, got {getattr(self, name)!r}")
         if not (_is_finite(self.lambda_scale) and self.lambda_scale > 0):
             raise ConfigError(f"lambda_scale must be a finite number > 0, got {self.lambda_scale!r}")
-        if self.lambda_rule not in ("scaled", "theory"):
-            raise ConfigError(f"lambda_rule must be 'scaled' or 'theory', got {self.lambda_rule!r}")
         if self.removal not in ("half", "restart"):
             raise ConfigError(f"removal must be 'half' or 'restart', got {self.removal!r}")
         if self.eta is not None and not (_is_finite(self.eta) and self.eta >= 0):
@@ -166,8 +161,6 @@ class ExperimentConfig:
         if not (isinstance(self.sigmas, (list, tuple)) and self.sigmas
                 and all(_is_finite(s) and s > 0 for s in self.sigmas)):
             raise ConfigError(f"sigmas must be a non-empty list of finite numbers > 0, got {self.sigmas!r}")
-        if self.horizon is not None and not _is_count(self.horizon):
-            raise ConfigError(f"horizon must be null or an integer >= 1, got {self.horizon!r}")
         if self.kernels is not None:
             _check_kernel_entries(self.kernels)
         if self.U != "sqrt_b" and not (_is_finite(self.U) and self.U > 0):
@@ -274,9 +267,7 @@ def load_dataset(config: ExperimentConfig) -> data_mod.Dataset:
         ds = data_mod.parse_libsvm(spec)
     except OSError as exc:
         raise ConfigError(f"cannot read dataset {spec!r}: {exc}") from exc
-    if config.normalize:
-        ds = data_mod.normalize_minmax(ds)
-    return ds
+    return data_mod.normalize_minmax(ds)
 
 
 _LEARNERS = {"momd_h": HingeKernelSelector, "momd_s": SmoothKernelSelector, "raker": RakerBaseline}
@@ -294,10 +285,10 @@ def _learner_config(config: ExperimentConfig, ds, seed: int):
             )
         shared = dict(
             kernels=specs, dim=ds.dim, budget=config.B, ball_radius=config.radius(),
-            lambda_scale=config.lambda_scale, lambda_rule=config.lambda_rule, removal=config.removal, seed=seed,
+            lambda_scale=config.lambda_scale, removal=config.removal, seed=seed,
         )
         if config.algorithm == "momd_h":
-            return HingeSelectorConfig(**shared, horizon=config.horizon or ds.num_examples, reservoir_size=config.M)
+            return HingeSelectorConfig(**shared, horizon=ds.num_examples, reservoir_size=config.M)
         return SmoothSelectorConfig(**shared, loss=config.loss_object())
     except ValueError as exc:
         raise ConfigError(f"cannot build {config.algorithm}: {exc}") from exc
@@ -323,9 +314,9 @@ def run(config: ExperimentConfig) -> Report:
             "T": base.num_examples,
             "algorithm": config.algorithm,
             "loss": config.loss,
-            "B": config.B,
+            "B": config.B if config.algorithm == "raker" else learner_config.budget,  # as the learner runs it
             "M": config.M if config.algorithm == "momd_h" else "",
-            "U": "" if config.algorithm == "raker" else _fmt(config.radius() or math.sqrt(config.B)),
+            "U": "" if config.algorithm == "raker" else _fmt(learner_config.radius),
             "lambda_scale": config.lambda_scale,
             "seed": seed,
             "config": echo,

@@ -77,9 +77,9 @@ class HingeSelectorConfig(SelectorConfig):
     ``budget`` is the total number of stored examples (reservoir archive
     plus all per-kernel buffers). ``horizon`` is the stream length, or an
     estimate of it in streaming mode (the archive slice depends on ln T);
-    the estimate used is echoed into run reports by the bench layer. A
-    budget that :func:`allocate_budgets` cannot split raises BudgetError
-    here. The ``"theory"`` rate is lambda_i = U * sqrt(K) / sqrt(2 B).
+    bench passes the dataset's length. A budget that :func:`allocate_budgets`
+    cannot split raises BudgetError here. The theorem's rate
+    lambda_i = U * sqrt(K) / sqrt(2 B) is ``lambda_scale`` = sqrt(K / 2).
     """
 
     horizon: int
@@ -92,9 +92,6 @@ class HingeSelectorConfig(SelectorConfig):
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
         allocate_budgets(self)
-
-    def theory_rate(self) -> float:
-        return self.radius * math.sqrt(len(self.kernels)) / math.sqrt(2.0 * self.budget)
 
 
 def allocate_budgets(config: HingeSelectorConfig) -> tuple[int, int]:

@@ -6,9 +6,9 @@ computes the K per-kernel values and returns :func:`mix` of them, a
 checks the label and reuses the pending prediction when it was made for this
 very ``x`` object, and closes with :meth:`RoundRecord.of`. :func:`run_stream`
 plays a whole stream through that round. The two budgeted selectors share
-the core of their configuration; its ``"scaled"`` rate is
-lambda_i = lambda_scale * U / sqrt(B) (the benchmark rule, with
-lambda_scale in {2, 1, 0.5}) and each selector supplies its ``"theory"`` rate.
+the core of their configuration and its one rate, lambda_i =
+lambda_scale * U / sqrt(B) (the benchmark rule, with lambda_scale in
+{2, 1, 0.5}); each selector names the lambda_scale of its theorem's rate.
 """
 
 from __future__ import annotations
@@ -136,14 +136,13 @@ def run_stream(learner, X, y, each_round=None) -> tuple[int, float]:
 @dataclass
 class SelectorConfig:
     """The fields both budgeted selectors share; a subclass adds its own
-    fields, its checks (after these) and its ``theory_rate``."""
+    fields and its checks (after these)."""
 
     kernels: tuple[KernelSpec, ...]
     dim: int
     budget: int
     ball_radius: float | None = None  # default sqrt(budget)
     lambda_scale: float = 1.0
-    lambda_rule: str = "scaled"  # or "theory"
     removal: str = "half"  # or "restart"
     seed: int = 0
 
@@ -152,8 +151,6 @@ class SelectorConfig:
             raise ValueError("need at least one kernel")
         if self.removal not in ("half", "restart"):
             raise ValueError("removal must be 'half' or 'restart'")
-        if self.lambda_rule not in ("scaled", "theory"):
-            raise ValueError("lambda_rule must be 'scaled' or 'theory'")
         for name, value in (("ball_radius", self.ball_radius), ("lambda_scale", self.lambda_scale)):
             if value is not None and not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and > 0, got {value!r}")
@@ -163,9 +160,4 @@ class SelectorConfig:
         return float(self.ball_radius) if self.ball_radius is not None else math.sqrt(self.budget)
 
     def learning_rate(self) -> float:
-        if self.lambda_rule == "theory":
-            return self.theory_rate()
         return self.lambda_scale * self.radius / math.sqrt(self.budget)
-
-    def theory_rate(self) -> float:
-        raise NotImplementedError

@@ -50,7 +50,7 @@ class SmoothSelectorConfig(SelectorConfig):
 
     ``budget`` is the shared buffer size; odd values are floored to the
     next even value (half-removal needs an even buffer) with a warning.
-    The ``"theory"`` rate is lambda_i = 2 U / (G1 sqrt(B)).
+    The theorem's rate lambda_i = 2 U / (G1 sqrt(B)) is ``lambda_scale`` = 2 / G1.
     """
 
     loss: object = None  # smooth loss with value/deriv and G1/G2; default logistic
@@ -68,9 +68,6 @@ class SmoothSelectorConfig(SelectorConfig):
             self.budget -= 1
         if self.loss is None:
             self.loss = LogisticLoss()
-
-    def theory_rate(self) -> float:
-        return 2.0 * self.radius / (self.loss.G1 * math.sqrt(self.budget))
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:

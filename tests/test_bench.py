@@ -28,6 +28,14 @@ def blob_file(tmp_path, T=300, d=4, seed=50, name="blobs.txt"):
     return p
 
 
+def lowerbound_config_file(tmp_path, **settings):
+    """A one-repeat config file for a 30-round lowerbound stream with ``settings``; returns its path."""
+    cfg = {"dataset": {"generator": "lowerbound", "budget": 4, "rounds": 30, "seed": 2}, "repeats": 1, **settings}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+    return cfg_path
+
+
 def small_config(tmp_path, **kw):
     base = dict(
         dataset=str(blob_file(tmp_path)),
@@ -66,6 +74,11 @@ class TestConfigValidation:
         for U, shown in (("sqrt_b", math.sqrt(40)), (2.5, 2.5), (3, 3.0)):
             report = run(small_config(tmp_path, U=U, repeats=1))
             assert float(report.rows[0]["U"]) == pytest.approx(shown, rel=1e-5)
+        # the smooth learner floors an odd budget; its row shows the budget and radius it ran with
+        with pytest.warns(UserWarning, match="buffer budget 25 is odd"):
+            report = run(small_config(tmp_path, algorithm="momd_s", loss="logistic", B=25, repeats=1))
+        row = report.formatted_rows()[0]
+        assert row["B"] == "24" and float(row["U"]) == pytest.approx(math.sqrt(24), rel=1e-5)
 
     def test_generator_spec(self):
         cfg = ExperimentConfig(
@@ -220,7 +233,6 @@ class TestAlignmentProbe:
             repeats=1,
             seed=0,
             lambda_scale=2.0,
-            normalize=False,
         )
         probe = alignment_probe(cfg)
         # the lone negative example adds at most a few gap terms; the
@@ -335,7 +347,6 @@ class TestCli:
 
     @pytest.mark.parametrize("key, value", [
         ("B", "40"), ("B", -4), ("B", 0), ("B", 2.5), ("B", True),
-        ("horizon", 0), ("horizon", 2.5), ("horizon", -1), ("horizon", "100"), ("horizon", True),
         ("repeats", "2"), ("repeats", 0),
     ])
     def test_bad_budget_or_horizon_is_config_error(self, tmp_path, capsys, key, value):
@@ -343,24 +354,28 @@ class TestCli:
 
     @pytest.mark.parametrize("algorithm, key, value", [
         ("momd_h", "M", "10"), ("momd_h", "M", 0), ("momd_h", "lambda_scale", "2"), ("momd_h", "sigmas", [0]),
-        ("momd_h", "removal", "halve"), ("momd_h", "lambda_rule", "theroy"),
+        ("momd_h", "removal", "halve"),
         ("raker", "D", 0), ("raker", "eta", -1), ("raker", "reg", "x"),
     ])
     def test_bad_learner_setting_is_config_error(self, tmp_path, capsys, algorithm, key, value):
         self.assert_rejected_setting(tmp_path, capsys, algorithm, key, value)
 
     @staticmethod
-    def assert_rejected_setting(tmp_path, capsys, algorithm, key, value):
-        """A 30-round run with ``key: value`` exits 1 with a config error naming ``key`` and writes no report."""
-        cfg = {
-            "dataset": {"generator": "lowerbound", "budget": 4, "rounds": 30, "seed": 2},
-            "algorithm": algorithm, "B": 40, "repeats": 1, "output": str(tmp_path / "report.csv"), key: value,
-        }
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
-        assert cli_main(["run", "--config", str(cfg_path)]) == 1
-        assert f"config error: {key} must be" in capsys.readouterr().err
+    def assert_rejected_setting(tmp_path, capsys, algorithm, key, value, error=None):
+        """A 30-round run with ``key: value`` exits 1 with ``config error: <error>`` and writes no report.
+
+        ``error`` defaults to ``<key> must be``.
+        """
+        settings = {"algorithm": algorithm, "B": 40, "output": str(tmp_path / "report.csv"), key: value}
+        assert cli_main(["run", "--config", str(lowerbound_config_file(tmp_path, **settings))]) == 1
+        assert f"config error: {error or f'{key} must be'}" in capsys.readouterr().err
         assert not (tmp_path / "report.csv").exists()
+
+    @pytest.mark.parametrize("key, value", [("lambda_rule", "theory"), ("horizon", 100), ("normalize", False)],
+                             ids=["lambda_rule", "horizon", "normalize"])
+    def test_removed_key_is_config_error(self, tmp_path, capsys, key, value):
+        """A config written for a key that the runner no longer has stops before any repeat."""
+        self.assert_rejected_setting(tmp_path, capsys, "momd_h", key, value, f"unknown config keys: ['{key}']")
 
     @pytest.mark.parametrize("algorithm, settings, reason", [
         ("momd_h", {"B": 11}, "leaves per-kernel buffers of size 0"),  # K=5
@@ -400,6 +415,32 @@ class TestCli:
         rc = cli_main(["inspect", "--frobnicate", "x"])
         assert rc == 1
         assert "usage" in capsys.readouterr().err.lower()
+
+    def test_unreadable_config_file_is_config_error(self, tmp_path, capsys):
+        assert cli_main(["run", "--config", str(tmp_path / "missing.json")]) == 1
+        assert capsys.readouterr().err.startswith("config error: ")
+
+    def test_failed_repeat_exits_two_and_still_writes_the_report(self, tmp_path, capsys):
+        out = tmp_path / "report.csv"
+        cfg_path = lowerbound_config_file(tmp_path, algorithm="raker", eta=1e300, output=str(out))
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert cli_main(["run", "--config", str(cfg_path)]) == 2
+        assert "1 repeat(s) failed" in capsys.readouterr().err
+        with open(out, newline="", encoding="utf-8") as fh:
+            assert next(csv.DictReader(fh))["config"].startswith("FAILED: FloatingPointError")
+
+    def test_config_without_output_writes_report_csv_in_the_working_directory(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cfg_path = lowerbound_config_file(tmp_path, algorithm="momd_h", B=40)
+        assert cli_main(["run", "--config", str(cfg_path)]) == 0
+        assert "-> report.csv" in capsys.readouterr().out
+        with open(tmp_path / "report.csv", newline="", encoding="utf-8") as fh:
+            assert [r["seed"] for r in csv.DictReader(fh)] == ["0", "mean", "std"]
+
+    def test_output_that_cannot_be_written_is_runtime_failure(self, tmp_path, capsys):
+        cfg_path = lowerbound_config_file(tmp_path, algorithm="momd_h", B=40, output=str(tmp_path))
+        assert cli_main(["run", "--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().err.startswith("runtime failure: ")
 
     def test_bad_json_is_config_error(self, tmp_path):
         cfg_path = tmp_path / "bad.json"
