@@ -38,8 +38,8 @@ class HedgeState:
         p = -self.rate() * self.cum_loss
         p -= max(p.tolist())  # exact, and faster than numpy's max on K entries
         np.exp(p, out=p)
-        p /= p.sum()
-        p.flags.writeable = False  # shared by every caller until the next update
+        p /= np.add.reduce(p)
+        p.setflags(write=False)  # shared by every caller until the next update
         return p
 
     def distribution(self) -> np.ndarray:

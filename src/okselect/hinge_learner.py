@@ -25,9 +25,18 @@ every slot once (in ``predict``) and derives all K kernel rows from them;
 the iterates' values, the reservoir guesses and the proxy search all read
 those rows.
 
-The update runs for all K kernels at once, as (K,) array operations: the
-margin test, the gaps, the proxy search over one (K, n) matrix of
-feature-space distances, the coin probabilities and the sampled steps.
+The update charges Hedge first, so losses it rejects change no state. Its
+per-kernel bookkeeping runs on Python floats, kernel by kernel: the
+margins, losses, gaps, proxy thresholds, coin probabilities and draws, the
+removal mask, the surrogate weights, the closed-form norm changes and the
+buffer joins. K is small, so a numpy call on a (K,) vector would cost more
+than its arithmetic. numpy does the work over store slots: the kernel rows
+and their dot products, the proxy search's (K, n) matrix of squared
+feature-space distances, the coefficient steps and the removals. Each
+scalar takes the operations and association that the (K,) array
+expression would, down to the bool factors that give the kernels outside
+a branch signed-zero terms, so the results are the same to the bit.
+
 A sampled step changes each iterate by a multiple of the guess and of
 k(x_t, .), so its change of squared norm is closed-form in f_i(x_t), the
 guess's value at x_t, its squared norm and <f_i, guess>, which the
@@ -113,16 +122,15 @@ def allocate_budgets(config: HingeSelectorConfig) -> tuple[int, int]:
     return archive_cap, per_kernel
 
 
-def surrogate_weights(y: float, prob, accepted) -> tuple[np.ndarray, np.ndarray]:
-    """The importance-weighted surrogate gradient of several kernels at once.
+def surrogate_weights(y: float, prob: float, accepted: bool) -> tuple[float, float]:
+    """One kernel's importance-weighted surrogate gradient.
 
-    With grad = -y k(x, .), each kernel's surrogate
-    (grad - guess)/p 1[accepted] + guess is gamma guess + delta k(x, .), where
-    gamma = 1 - a/p and delta = -y a/p (a = 1 if the coin was accepted,
-    else 0). Returns the (n,) arrays gamma and delta; ``prob`` is read only
-    where the coin was accepted.
+    With grad = -y k(x, .), the surrogate (grad - guess)/p 1[accepted] + guess
+    is gamma guess + delta k(x, .), where gamma = 1 - a/p and delta = -y a/p
+    (a = 1 if the coin was accepted, else 0). Returns (gamma, delta);
+    ``prob`` is read only when the coin was accepted.
     """
-    ratio = accepted / np.where(accepted, prob, 1.0)
+    ratio = 1.0 / prob if accepted else 0.0
     return 1.0 - ratio, -y * ratio
 
 
@@ -183,57 +191,82 @@ class HingeKernelSelector:
         return pred
 
     def update(self, x, y) -> RoundRecord:
-        """Consume the round's true label; one call per round, after predict."""
+        """Consume the round's true label; one call per round, after predict.
+
+        Hedge is charged first, so losses it rejects raise ValueError before
+        the round changes anything but ``t``, which counts the round.
+        """
         y, pred = pending(self, x, y)
         rows, fx, guesses = pred.cache
         ex, res = self.expansions, self.reservoir
-        # the round's example; freed at the end unless a buffer or the reservoir took it
         kxx = self_values(self.kernels, pred.x_sqnorm)
+        # Every per-kernel scalar is a Python float from here on; numpy works only over store slots.
+        kxx_, guesses_, guess_sq = kxx.tolist(), guesses.tolist(), res.optimistic_sq_norms().tolist()
+        sizes = self.buffer_sizes.tolist()
+        sums = self.gap_sums.tolist()
+        losses, violated, gap_sq, gamma, candidates = [], [], [], [], []
+        for i, (f, k_ii, g, g_sq) in enumerate(zip(pred.per_kernel.tolist(), kxx_, guesses_, guess_sq)):
+            m = y * f
+            v = m < 1.0  # where the margin is violated, grad = -y k(x_t, .)
+            d = k_ii + 2.0 * y * g + g_sq
+            gap = (0.0 if d <= 0.0 else d) * v  # np.maximum(d, 0.0): NaN stays, -0.0 becomes 0.0
+            sums[i] += gap
+            losses.append(0.0 if m >= 1.0 else 1.0 - m)  # a NaN margin gives a NaN loss
+            violated.append(v)
+            gap_sq.append(gap)
+            gamma.append(gap / math.sqrt(1.0 + sums[i]))
+            if v and sizes[i]:
+                candidates.append(i)
+        losses = np.array(losses)
+        # charged before the round changes any state, so losses it rejects leave the learner as it was
+        self.hedge.update(losses)
+        # the round's example; freed at the end unless a buffer or the reservoir took it
         slot = ex.add(pred.x, y, pred.x_sqnorm, kxx)
         res.track(slot, guesses)
+        self.gap_sums[:] = sums
+        proxy = self._proxy_steps(candidates, sizes, rows, kxx, gamma, y) if candidates else ()
 
-        margins = y * pred.per_kernel
-        losses = np.maximum(1.0 - margins, 0.0)
-        violated = margins < 1.0
-        # where the margin is violated, grad = -y k(x_t, .)
-        guess_sq = res.optimistic_sq_norms()
-        gap_sq = np.maximum(kxx + 2.0 * y * guesses + guess_sq, 0.0) * violated
-        self.gap_sums += gap_sq
-        gamma = gap_sq / np.sqrt(1.0 + self.gap_sums)
-        proxy = violated & (self.buffer_sizes > 0)
-        if np.count_nonzero(proxy):
-            proxy = self._proxy_steps(proxy, rows, kxx, gamma, y)
-        sampled = violated & ~proxy
-
-        # a zero gap means grad coincides with the guess: an exact step, no coin
-        drawn = sampled & (gap_sq > 0.0)
-        prob = np.where(sampled, 0.0, np.nan)
-        np.divide(gap_sq, gap_sq + guess_sq, out=prob, where=drawn)
-        accepted = np.zeros(len(self.kernels), dtype=bool)
-        for i in drawn.nonzero()[0].tolist():
-            accepted[i] = self._rngs[i].random() < prob[i]
-        removed = accepted & (self.buffer_sizes == self.per_kernel_cap)
-        if np.count_nonzero(removed):
-            kept = self.per_kernel_cap // 2 if self.config.removal == "half" else 0
-            for i in removed.nonzero()[0].tolist():
+        full = self.per_kernel_cap
+        sampled, prob, accepted, removed, branch, coin = [], [], [], [], [], []
+        for i, (v, gap, g_sq) in enumerate(zip(violated, gap_sq, guess_sq)):
+            s = v and i not in proxy
+            a = False
+            if not s:
+                p = math.nan
+            elif gap > 0.0:
+                p = gap / (gap + g_sq)
+                a = self._rngs[i].random() < p
+            else:  # a zero gap means grad coincides with the guess: an exact step, no coin
+                p = 0.0
+            sampled.append(s)
+            prob.append(p)
+            accepted.append(a)
+            removed.append(a and sizes[i] == full)
+            branch.append(("sampled" if s else "proxy") if v else "skip")
+            coin.append(int(a) if s else -1)
+        if any(removed):
+            kept = full // 2 if self.config.removal == "half" else 0
+            for i in [i for i, r in enumerate(removed) if r]:
                 if not kept:  # a restart also drops the mass on archive anchors
                     ex.coef[i] = 0.0
-                ex.drop(slice(i, i + 1), self.buffer_slots[i, kept : self.per_kernel_cap])
-            self.buffer_sizes[removed] = kept
-            self.removals += removed
+                ex.drop(slice(i, i + 1), self.buffer_slots[i, kept:full])
+                sizes[i] = kept
+                self.removals[i] += 1
             ex.project(self.radius)
-            fx[removed] = np.vecdot(ex.coef[removed], rows[removed])
-        if np.count_nonzero(sampled):
-            self._sampled_steps(sampled, accepted, prob, slot, y, fx, kxx, guesses, guess_sq)
-            joined = np.count_nonzero(accepted)
+            mask = np.array(removed)
+            fx[mask] = np.vecdot(ex.coef[mask], rows[mask])
+        if any(sampled):
+            self._sampled_steps(sampled, accepted, prob, slot, y, fx.tolist(), kxx_, guesses_, guess_sq)
+            joined = [i for i, a in enumerate(accepted) if a]
             if joined:
-                self.store.incref(slot, joined)
-                self.buffer_slots[accepted, self.buffer_sizes[accepted]] = slot
-                self.buffer_sizes += accepted
+                self.store.incref(slot, len(joined))
+                for i in joined:
+                    self.buffer_slots[i, sizes[i]] = slot
+                    sizes[i] += 1
+        self.buffer_sizes[:] = sizes
         # each kernel's step touched only its own row, so one projection serves all
         ex.project(self.radius)
 
-        self.hedge.update(losses)
         accepted_by_reservoir = res.observe(slot)
         self.store.release_if_unreferenced(slot)
 
@@ -242,32 +275,35 @@ class HingeKernelSelector:
             pred,
             y,
             losses,
-            branch=[("proxy" if p else "sampled") if v else "skip" for v, p in zip(violated.tolist(), proxy.tolist())],
-            prob=prob,
-            coin=np.where(sampled, accepted, -1),
-            gap_sq=gap_sq,
-            removed=removed,
+            branch=branch,
+            prob=np.array(prob),
+            coin=np.array(coin),
+            gap_sq=np.array(gap_sq),
+            removed=np.array(removed),
             reservoir_accepted=accepted_by_reservoir,
         )
 
-    def _proxy_steps(self, candidates, rows, kxx, gamma, y) -> np.ndarray:
+    def _proxy_steps(self, candidates, sizes, rows, kxx, gamma, y) -> list[int]:
         """Step each candidate kernel whose nearest buffered example lies within gamma.
 
-        One (K, n) matrix holds the feature-space distances from x to every
-        buffered example of every kernel, from the round's kernel rows and
-        the examples' cached self-similarities, read through the buffers'
-        slot arrays. Returns the (K,) mask of kernels that took the proxy
-        step.
+        One (K, n) matrix holds the squared feature-space distances from x
+        to every buffered example of every kernel, from the round's kernel
+        rows and the examples' cached self-similarities, read through the
+        buffers' slot arrays; kernel i reads the first ``sizes[i]`` entries
+        of its row. Returns the kernels that took the proxy step.
         """
         ex = self.expansions
-        sizes = self.buffer_sizes
-        slots = self.buffer_slots[:, : sizes.max()]
+        slots = self.buffer_slots[:, : max(sizes)]
         at = ex.row_starts + slots  # flat positions in the (K, capacity) arrays
-        dists = np.sqrt(np.maximum(ex.self_k.take(at) + kxx[:, None] - 2.0 * rows.take(at), 0.0))
-        dists[np.arange(slots.shape[1]) >= sizes[:, None]] = np.inf
-        proxy = candidates & (dists.min(axis=1) <= gamma)
-        for i in proxy.nonzero()[0].tolist():
-            j = slots[i, dists[i].argmin()]  # ties resolve to the earliest insertion
+        rad = ex.self_k.take(at) + kxx[:, None] - 2.0 * rows.take(at)
+        proxy = []
+        for i in candidates:
+            r = rad[i, : sizes[i]].min()  # sqrt is monotone, so the nearest is the one of least radicand
+            if math.sqrt(0.0 if r <= 0.0 else r) <= gamma[i]:
+                proxy.append(i)
+        for i in proxy:
+            # the argmin runs over the distances themselves, so ties resolve to the earliest insertion
+            j = slots[i, np.sqrt(np.maximum(rad[i, : sizes[i]], 0.0)).argmin()]
             c = np.zeros(len(sizes))  # only kernel i steps
             c[i] = self.rate * y
             ex.step(j, c, 2.0 * c * ex.values_at(j) + c * c * ex.self_k[:, j])
@@ -282,20 +318,21 @@ class HingeKernelSelector:
         u_i (2 <f_i, g> + u_i ||g||^2 + 2 w_i g(x)) + w_i (2 f_i(x) + w_i k_i(x, x)),
         where <f_i, g> comes from the reservoir's label sums, f_i(x) and g(x)
         from predict, and ||g||^2 from the reservoir's cache. No kernel is
-        evaluated. The other kernels get a zero step.
+        evaluated. The other kernels get a step of signed zeros.
         """
         res = self.reservoir
         m = len(res)
-        gamma, delta = surrogate_weights(y, prob, accepted)
-        scale = -self.rate * sampled
-        u, w = scale * gamma, scale * delta
-        f_dot_g = -np.vecdot(self.expansions.coef, res.label_sums) / m if m else 0.0
-        changes = u * (2.0 * f_dot_g + u * guess_sq + 2.0 * w * guess_values) + w * (2.0 * fx + w * kxx)
-        guess = -res.store.label[res.sample] / m if m else np.zeros(0)  # g's coefficients on the sample
-        C = np.empty((len(u), m + 1))  # each step's coefficients on the sample, then on x
-        C[:, :m] = np.multiply.outer(u, guess)
-        C[:, m] = w
-        self.expansions.step(np.append(res.sample, slot), C, changes)
+        f_dot_g = (-np.vecdot(self.expansions.coef, res.label_sums) / m).tolist() if m else [0.0] * len(sampled)
+        neg_rate = -self.rate
+        u, w, changes = [], [], []
+        for s, a, p, fg, f, k_ii, g, g_sq in zip(sampled, accepted, prob, f_dot_g, fx, kxx, guess_values, guess_sq):
+            gamma, delta = surrogate_weights(y, p, a)
+            scale = neg_rate * s
+            u_i, w_i = scale * gamma, scale * delta
+            u.append(u_i)
+            w.append(w_i)
+            changes.append(u_i * (2.0 * fg + u_i * g_sq + 2.0 * w_i * g) + w_i * (2.0 * f + w_i * k_ii))
+        self.expansions.step(slot, w, changes, res.sample, np.multiply.outer(u, res.guess_coef))
 
     # -- diagnostics -----------------------------------------------------
 

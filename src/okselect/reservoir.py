@@ -35,6 +35,8 @@ class Reservoir:
     kernel is named by its position in ``specs``. ``label_sums[i, s]`` is
     sum_{j in V} y_j k_i(x_j, x_s), valid at every live slot that entered
     through :meth:`observe` or was registered with :meth:`track`.
+    Each sample change also caches the sample's labels, ``labels``, and the
+    guess's coefficients on the sample, ``guess_coef`` = -labels / |V|.
     """
 
     def __init__(
@@ -55,6 +57,8 @@ class Reservoir:
         self.rng = rng
         self.specs = KernelGrid.of(specs)
         self.sample = np.zeros(0, dtype=np.intp)  # slots of the current uniform sample V
+        self.labels = np.zeros(0)  # the sample's labels y_j
+        self.guess_coef = np.zeros(0)  # the guess's coefficients -y_j / |V| on the sample
         self.archive: list[int] = []  # slots of every example ever sampled
         self.seen = 0
         self.frozen = False
@@ -113,7 +117,7 @@ class Reservoir:
         """
         if not len(self.sample):
             return np.zeros(len(rows))
-        return -np.vecdot(rows[:, self.sample], self.store.label[self.sample]) / len(self.sample)
+        return -np.vecdot(rows[:, self.sample], self.labels) / len(self.sample)
 
     def optimistic_sq_norms(self) -> np.ndarray:
         """Squared RKHS norm of the guess under each kernel of ``specs``."""
@@ -125,9 +129,11 @@ class Reservoir:
 
     def _sums_update(self):
         # One pass over the store against the new sample, so the sums carry no drift.
+        st, v = self.store, self.sample
+        self.labels = st.label[v]
+        self.guess_coef = -self.labels / len(v)
         if not self.specs:
             return
-        st, v = self.store, self.sample
         rows = kernel_rows(self.specs, *pairwise(st.X, st.sqnorm, st.X[v], st.sqnorm[v], self.specs.gaussian))
-        self.label_sums = rows @ st.label[v]
-        self._gram_sum = np.vecdot(self.label_sums[:, v], st.label[v])
+        self.label_sums = rows @ self.labels
+        self._gram_sum = np.vecdot(self.label_sums[:, v], self.labels)

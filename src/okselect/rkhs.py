@@ -159,19 +159,19 @@ class KernelExpansions:
         """(K,) values f_i(x_slot) of every expansion at a stored example."""
         return np.vecdot(self.coef, self.rows(self.store.X[slot], self.store.sqnorm[slot]))
 
-    def step(self, slots, C, sq_norm_changes):
-        """f_i <- f_i + sum_j C[i, j] k_i(x_{slots[j]}, .) for every kernel i.
+    def step(self, slot, c, sq_norm_changes, slots=None, C=None):
+        """f_i <- f_i + c_i k_i(x_slot, .) + sum_j C[i, j] k_i(x_{slots[j]}, .) for every kernel i.
 
-        ``slots`` is one slot, with ``C`` its (K,) coefficients or one for
-        every kernel, or an array of distinct slots with a (K, n) ``C``.
-        The caller supplies the (K,) changes of ||f_i||^2, which it knows
-        in closed form, so no kernel is evaluated.
+        ``c`` holds each kernel's coefficient on ``slot``, or one for every
+        kernel. ``slots``, when given, is an array of distinct slots other
+        than ``slot``, with ``C`` their (K, n) coefficients. The caller
+        supplies the (K,) changes of ||f_i||^2, which it knows in closed
+        form, so no kernel is evaluated.
         """
-        if isinstance(slots, np.ndarray):
+        if slots is not None:
             # coef is C-contiguous, so reshape gives a view and the flat positions address it
             self.coef.reshape(-1)[self.row_starts + slots] += C
-        else:
-            self.coef[:, slots] += C
+        self.coef[:, slot] += c
         self.sq_norms += sq_norm_changes
 
     def project(self, radius: float):

@@ -34,6 +34,16 @@ support, which moves the cached norm, and through a projection 12
 aggregates, by at most 2e-15 relative, while every label, branch, coin and
 removal stayed the same and ``tests/test_reference.py`` passed on the
 same change. The other two ``momd_h`` digests did not move.
+The ``momd_h`` full-state cases (``FULL_STATE``) replay two of those
+streams and hash much more: per round the bits of every per-kernel value,
+loss, coin probability (NaN included) and gap, the coins with their dtype,
+the removal flags and the reservoir's decision, and at the end the
+coefficient matrix's bytes, the cached norms, the gap sums, Hedge's state,
+the buffers and the reservoir. They pin what the label-level digests above
+would miss, such as a NaN probability turned into 0.0 or a flipped signed
+zero in a coefficient. They were recorded before the hinge update moved
+its per-kernel scalars from (K,) arrays to Python floats, and that change
+left them, and every digest above, as they were.
 The ``raker`` cases hash, per round, the exact bits of the random-feature
 baseline's aggregate, and at the end its weights ``theta``; they pin the
 feature map and the gradient step to the bit.
@@ -142,6 +152,12 @@ RAKER_CASES = {
     "raker_dense_reg": (ternary(300, 68, seed=49), dict(num_features=100, step_size=0.2, reg=0.05, seed=9)),
 }
 
+# the momd_h cases whose whole state is hashed, every round and at the end
+FULL_STATE = {
+    "momd_h_blob_half": "45a2ea9d42c205f50fc8128296acdc58889910f496890e21fb309bcc5b9c56ee",
+    "momd_h_blob_restart": "932da88f260eefc9e40b0728c91e539eaf4d45bef0658b116005af06b751e51f",
+}
+
 GOLDEN = {
     "momd_s_blob_half": "427b1f22204957ec80f64f8c443c96299cbfd7c21577da9b3633b53037f9ed1b",
     "momd_s_blob_restart": "89535456a1de0a1f4eea1b1851ef5648e4290d0deba312311a03611eefffff26",
@@ -183,6 +199,48 @@ def trace(name: str):
     return h.hexdigest(), reached
 
 
+def hexes(values) -> tuple:
+    return tuple(float(v).hex() for v in np.asarray(values, dtype=float).ravel().tolist())
+
+
+def full_state_trace(name: str) -> str:
+    """sha256 over every round's record fields in exact bits and the learner's final state."""
+    build, _ = CASES[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        learner, (X, y) = build()
+    h = hashlib.sha256()
+
+    def record(rec):
+        line = (
+            hexes(rec.per_kernel),
+            hexes(rec.losses),
+            hexes(rec.prob),
+            hexes(rec.gap_sq),
+            str(rec.coin.dtype),
+            rec.coin.tolist(),
+            np.asarray(rec.removed, dtype=bool).tolist(),
+            bool(rec.reservoir_accepted),
+        )
+        h.update(repr(line).encode())
+
+    run_stream(learner, X, y, record)
+    ex, res = learner.expansions, learner.reservoir
+    h.update(ex.coef.tobytes())
+    end = (
+        hexes(ex.sq_norms),
+        hexes(learner.gap_sums),
+        hexes(learner.hedge.cum_loss),
+        float(learner.hedge.second_moment).hex(),
+        [buf.tolist() for buf in learner.buffers],
+        learner.buffer_sizes.tolist(),
+        res.sample.tolist(),
+        list(res.archive),
+    )
+    h.update(repr(end).encode())
+    return h.hexdigest()
+
+
 def raker_trace(name: str) -> str:
     """sha256 over every round's aggregate bits and the final ``theta`` bytes."""
     (X, y), kw = RAKER_CASES[name]
@@ -201,6 +259,11 @@ def test_golden_trace(name):
     assert digest == GOLDEN[name]
 
 
+@pytest.mark.parametrize("name", sorted(FULL_STATE))
+def test_hinge_full_state_trace(name):
+    assert full_state_trace(name) == FULL_STATE[name]
+
+
 @pytest.mark.parametrize("name", sorted(RAKER_CASES))
 def test_raker_golden_trace(name):
     assert raker_trace(name) == GOLDEN[name]
@@ -210,5 +273,7 @@ if __name__ == "__main__":
     for case in CASES:
         digest, reached = trace(case)
         print(f'    "{case}": "{digest}",  # reaches {sorted(reached)}')
+    for case in FULL_STATE:
+        print(f'    "{case}": "{full_state_trace(case)}",  # full state')
     for case in RAKER_CASES:
         print(f'    "{case}": "{raker_trace(case)}",')

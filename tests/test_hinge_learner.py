@@ -206,18 +206,17 @@ class TestSurrogateGradient:
     @pytest.mark.parametrize("guess", [{3: -0.25, 8: 0.25, 5: -0.25, 1: 0.25}, {}], ids=["sample", "empty sample"])
     @pytest.mark.parametrize("y", [-1.0, 1.0])
     def test_array_form_matches_dict_reference(self, guess, y):
-        # one kernel per case: accepted, rejected, p = 1, a zero gap (no coin), accepted at a small p
-        prob = np.array([0.3, 0.3, 1.0, 0.0, 0.02])
-        accepted = np.array([True, False, True, False, True])
-        gamma, delta = surrogate_weights(y, prob, accepted)
+        # accepted, rejected, p = 1, a zero gap (no coin), accepted at a small p
+        cases = [(0.3, True), (0.3, False), (1.0, True), (0.0, False), (0.02, True)]
         x_slot = 100  # the round's example, never in the sample
-        for i in range(len(prob)):
-            want = importance_weighted_coeffs({x_slot: -y} if accepted[i] else {}, guess, prob[i], accepted[i])
-            got = {s: gamma[i] * c for s, c in guess.items()} | {x_slot: delta[i]}
-            scale = 1.0 / prob[i] if accepted[i] else 1.0
+        for i, (prob, accepted) in enumerate(cases):
+            gamma, delta = surrogate_weights(y, prob, accepted)
+            want = importance_weighted_coeffs({x_slot: -y} if accepted else {}, guess, prob, accepted)
+            got = {s: gamma * c for s, c in guess.items()} | {x_slot: delta}
+            scale = 1.0 / prob if accepted else 1.0
             for s, c in got.items():
                 if s not in want:
-                    assert c == 0.0, (i, s)  # dropped exactly where the array form is exactly zero
+                    assert c == 0.0, (i, s)  # dropped exactly where the closed form is exactly zero
                 else:
                     assert c == pytest.approx(want[s], rel=0, abs=4e-16 * scale), (i, s)
 
@@ -472,6 +471,36 @@ class TestInputValidation:
             recs = [lr.update(X[t], y[t]) for lr in (learner, untouched)]
             assert recs[0].aggregate == recs[1].aggregate
             assert np.array_equal(recs[0].coin, recs[1].coin)
+
+    def test_loss_rejected_by_hedge_changes_no_state(self):
+        # k_2(x, x) = 34.67^200 ~ 9.8e307: after one round the reservoir's guess puts the
+        # polynomial kernel's value near 9.8e307, a loss far above the ~9.48e153 Hedge accepts
+        def build():
+            return HingeKernelSelector(HingeSelectorConfig(
+                kernels=(gaussian(1.0, 0), polynomial(200.0, 1)), dim=1, budget=12, horizon=20,
+                reservoir_size=1, seed=0,
+            ))
+
+        x = np.array([math.sqrt(34.67)])
+        learner, untouched = build(), build()
+        for lr in (learner, untouched):
+            lr.update(x, 1)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="losses must be finite"):
+            learner.update(x, -1)
+
+        def state(lr):
+            st, ex, res, hedge = lr.store, lr.expansions, lr.reservoir, lr.hedge
+            arrays = [st.X, st.sqnorm, st.label, st.refs, st.live, ex.coef, ex.sq_norms, ex.self_k,
+                      lr.buffer_slots, lr.buffer_sizes, lr.removals, lr.gap_sums, res.sample, res.label_sums,
+                      res.labels, res.guess_coef, hedge.cum_loss, hedge.distribution()]
+            rngs = [r.bit_generator.state for r in (*lr._rngs, res.rng)]
+            return arrays, (st._free, res.archive, res.seen, res.frozen, hedge.second_moment, hedge.round, rngs)
+
+        got, want = state(learner), state(untouched)
+        assert all(np.array_equal(a, b) for a, b in zip(got[0], want[0]))
+        assert got[1] == want[1]
+        learner.check_invariants()
+        assert learner.t == untouched.t + 1  # the rejected round still counts
 
     @pytest.mark.parametrize(
         "field, value",
