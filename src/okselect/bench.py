@@ -79,8 +79,8 @@ def _is_finite(value) -> bool:
 
 def _check_kernel_entries(kernels):
     """Raise ConfigError unless every ``kernels`` entry is {"kind": kind, param: number > 0}."""
-    if not isinstance(kernels, (list, tuple)):
-        raise ConfigError(f"kernels must be a list of kernel entries, got {kernels!r}")
+    if not (isinstance(kernels, (list, tuple)) and kernels):
+        raise ConfigError(f"kernels must be a non-empty list of kernel entries, got {kernels!r}")
     for i, item in enumerate(kernels):
         if not isinstance(item, dict):
             raise ConfigError(f"kernels[{i}] must be an object, got {item!r}")
@@ -104,11 +104,12 @@ class ExperimentConfig:
     ``{"generator": "lowerbound", "budget": 50, "rounds": 20000, "seed": 1}``;
     a file's features are min-max normalized onto [0, 1].
     ``U`` is either the string ``"sqrt_b"`` or an explicit radius; ``B``,
-    ``M``, ``D`` and ``repeats`` integers >= 1; ``lambda_scale`` and every
-    entry of ``sigmas`` finite numbers > 0; ``eta`` null (1/sqrt(T)) or a
-    finite number >= 0 and ``reg`` a finite number >= 0. Any other value
-    raises ConfigError, before a dataset is read.
-    ``kernels`` may override the Gaussian grid with explicit specs, e.g.
+    ``M``, ``D`` and ``repeats`` integers >= 1; ``lambda_scale`` a finite
+    number > 0; ``eta`` null (1/sqrt(T)) or a finite number >= 0 and
+    ``reg`` a finite number >= 0. Any other value raises ConfigError,
+    before a dataset is read.
+    ``kernels`` is the kernel grid, by default the Gaussian grid with the
+    widths ``DEFAULT_SIGMAS``. It is a non-empty list of specs, e.g.
     ``[{"kind": "polynomial", "degree": 1}]``: each entry holds ``kind``
     and that kind's one parameter (``sigma`` or ``degree``), a finite
     number > 0, and nothing else, or the config raises ConfigError.
@@ -120,7 +121,6 @@ class ExperimentConfig:
     dataset: object
     algorithm: str  # momd_h | momd_s | raker
     loss: str = "hinge"
-    sigmas: tuple = DEFAULT_SIGMAS
     B: int = 400
     M: int = 10
     U: object = "sqrt_b"
@@ -158,9 +158,6 @@ class ExperimentConfig:
             raise ConfigError(f"eta must be null or a finite number >= 0, got {self.eta!r}")
         if not (_is_finite(self.reg) and self.reg >= 0):
             raise ConfigError(f"reg must be a finite number >= 0, got {self.reg!r}")
-        if not (isinstance(self.sigmas, (list, tuple)) and self.sigmas
-                and all(_is_finite(s) and s > 0 for s in self.sigmas)):
-            raise ConfigError(f"sigmas must be a non-empty list of finite numbers > 0, got {self.sigmas!r}")
         if self.kernels is not None:
             _check_kernel_entries(self.kernels)
         if self.U != "sqrt_b" and not (_is_finite(self.U) and self.U > 0):
@@ -168,6 +165,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
+        if not isinstance(raw, dict):
+            raise ConfigError(f"a config must be a JSON object, got {raw!r}")
         known = {f for f in cls.__dataclass_fields__}
         unknown = set(raw) - known
         if unknown:
@@ -177,13 +176,13 @@ class ExperimentConfig:
         return cls(**raw)
 
     def kernel_specs(self) -> tuple[KernelSpec, ...]:
-        if self.kernels:
-            specs = []
-            for i, item in enumerate(self.kernels):
-                make, param = _KERNEL_KINDS[item["kind"]]
-                specs.append(make(item[param], index=i))
-            return tuple(specs)
-        return tuple(gaussian(s, index=i) for i, s in enumerate(self.sigmas))
+        if self.kernels is None:
+            return tuple(gaussian(s, index=i) for i, s in enumerate(DEFAULT_SIGMAS))
+        specs = []
+        for i, item in enumerate(self.kernels):
+            make, param = _KERNEL_KINDS[item["kind"]]
+            specs.append(make(item[param], index=i))
+        return tuple(specs)
 
     def radius(self) -> float | None:
         if self.U == "sqrt_b":
@@ -246,7 +245,7 @@ def _format_row(row: dict) -> dict:
     out = {}
     for c in REPORT_COLUMNS:
         v = row.get(c, "")
-        out[c] = _fmt(v) if isinstance(v, float) else str(v)
+        out[c] = _fmt(v)
     return out
 
 

@@ -54,9 +54,6 @@ class Dataset:
             self._dense = self.X.toarray().astype(float, copy=False)
         return self._dense
 
-    def __len__(self) -> int:
-        return self.num_examples
-
 
 def parse_libsvm(path, name: str | None = None) -> Dataset:
     """Parse a sparse text dataset.

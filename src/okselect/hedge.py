@@ -27,7 +27,6 @@ class HedgeState:
         self.num_experts = num_experts
         self.cum_loss = np.zeros(num_experts)
         self.second_moment = 0.0
-        self.round = 0
         self._eta1 = float(np.sqrt(2.0 * np.log(num_experts)))  # sqrt(2 ln K), the first round's rate
         self._p = self._softmax()
 
@@ -55,7 +54,7 @@ class HedgeState:
         accumulates with the distribution held *before* this update.
         With one expert the distribution is exactly [1.0] at every rate, so
         the read-only array is kept and no softmax runs; the moment,
-        ``cum_loss``, ``round`` and ``rate()`` advance as for any K.
+        ``cum_loss`` and ``rate()`` advance as for any K.
         """
         c = np.asarray(losses, dtype=float)
         if c.shape != (self.num_experts,):
@@ -73,7 +72,6 @@ class HedgeState:
             raise ValueError("losses must be finite and non-negative, and keep the second moment finite")
         self.second_moment = second_moment
         self.cum_loss += c
-        self.round += 1
         if self.num_experts > 1:
             self._p = self._softmax()
         return p

@@ -340,10 +340,10 @@ class HingeKernelSelector:
         """Per-kernel accumulated ||grad - guess||^2 over violated rounds."""
         return self.gap_sums.copy()
 
-    def removal_bounds(self, k1: float = 1.0) -> np.ndarray:
-        """ceil(4 K A_i / (B k1)) per kernel: the expected-removals scale."""
+    def removal_bounds(self) -> np.ndarray:
+        """ceil(4 K A_i / (B k1)) per kernel, with k1 = 1: the expected-removals scale."""
         k = len(self.kernels)
-        return np.ceil(4.0 * k * self.gap_sums / (self.config.budget * k1))
+        return np.ceil(4.0 * k * self.gap_sums / self.config.budget)
 
     def summary(self) -> dict:
         """Report cells of a finished run, after checking the invariants."""
@@ -370,7 +370,6 @@ class HingeKernelSelector:
         for i, buf in enumerate(buffers):
             assert len(buf) <= self.per_kernel_cap, "buffer over budget"
             assert set(np.flatnonzero(ex.coef[i]).tolist()) <= archive.union(buf), "coefficient outside buffer and archive"
-        assert np.all(np.sqrt(np.maximum(ex.sq_norms, 0.0)) <= self.radius + 1e-8), "iterate escaped the ball"
-        ex.check_self_k()
+        ex.check_invariants(self.radius)
         assert len(self.reservoir.archive) <= self.archive_cap, "archive over cap"
         assert len(self.reservoir) <= self.config.reservoir_size, "reservoir over capacity"

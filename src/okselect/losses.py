@@ -24,8 +24,6 @@ class HingeLoss:
     """max(0, 1 - y*u). The subgradient at the kink y*u == 1 is 0 (the
     update condition is the strict inequality y*u < 1)."""
 
-    name = "hinge"
-
     def value(self, u: float, y) -> float:
         y = check_label(y)
         return max(0.0, 1.0 - y * u)
@@ -39,7 +37,6 @@ class LogisticLoss:
     """ln(1 + exp(-y*u)), evaluated through the branch that only ever
     exponentiates non-positive arguments."""
 
-    name = "logistic"
     G1 = 1.0
     G2 = 1.0
 

@@ -14,7 +14,7 @@ lambda_scale * U / sqrt(B) (the benchmark rule, with lambda_scale in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -99,7 +99,6 @@ class RoundRecord:
     gap_sq: np.ndarray | None = None  # ||grad - guess||^2 (0 when the margin held)
     removed: np.ndarray | None = None  # True where a half-removal (or restart) fired
     reservoir_accepted: bool = False
-    extras: dict = field(default_factory=dict)
 
     @classmethod
     def of(cls, t: int, pred: Prediction, y, losses, **selector_fields) -> "RoundRecord":

@@ -14,7 +14,8 @@ they are rare: about a hundred on a stream of thousands.
 The sample and the archive hold store slots. The archive (every example
 that ever entered the reservoir) is capped: once ``archive_cap`` examples
 have been archived, insertion freezes. This turns the expected-size budget
-accounting into a hard memory bound.
+accounting into a hard memory bound. Each archived slot holds one store
+reference; the sample, always a subset of the archive, holds none.
 """
 
 from __future__ import annotations
@@ -77,8 +78,9 @@ class Reservoir:
         The caller frees the slot if nothing kept it. Insertion happens
         with probability min(1, M/t) where t counts observe calls; on
         insertion into a full sample a uniformly chosen element is evicted
-        (it stays in the archive). No-op once frozen, though ``seen`` keeps
-        counting.
+        (it stays in the archive, so its slot stays live). An inserted
+        example takes one store reference, the archive's. No-op once
+        frozen, though ``seen`` keeps counting.
         """
         self.seen += 1
         if self.frozen:
@@ -88,12 +90,11 @@ class Reservoir:
             return False
         if len(self.sample) == self.capacity:
             k = int(self.rng.integers(self.capacity))
-            self.store.decref(self.sample[k])  # the evicted example stays in the archive
             self.sample[k] = slot
         else:
             self.sample = np.append(self.sample, slot)
         self.archive.append(slot)
-        self.store.incref(slot, 2)  # one reference for the sample, one for the archive
+        self.store.incref(slot)
         self._sums_update()
         if len(self.archive) >= self.archive_cap:
             self.frozen = True

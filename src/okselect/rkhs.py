@@ -38,8 +38,8 @@ class ExampleStore:
     A stored example is known only by its slot: its row in ``X``,
     ``sqnorm``, ``label`` and ``refs``. ``live`` marks the slots in use,
     including one added this round that nothing references yet. Every
-    buffer membership, reservoir entry and archive entry owns one
-    reference; a slot whose count drops back to zero is freed
+    buffer membership and archive entry owns one reference; a slot whose
+    count drops back to zero is freed
     for the next ``add``. The arrays are allocated once and never grow, so
     ``add`` on a full store raises.
     """
@@ -142,8 +142,10 @@ class KernelExpansions:
         self.self_k[:, slot] = kxx
         return slot
 
-    def check_self_k(self):
-        """Assert that the self-similarity cache is exact at every live slot (rel 1e-12)."""
+    def check_invariants(self, radius: float):
+        """Assert that every iterate lies in the ball of ``radius`` (up to 1e-8)
+        and that the self-similarity cache is exact at every live slot (rel 1e-12)."""
+        assert np.all(np.sqrt(np.maximum(self.sq_norms, 0.0)) <= radius + 1e-8), "iterate escaped the ball"
         live = self.store.live
         want = self_values(self.specs, self.store.sqnorm[live])
         assert np.all(np.abs(self.self_k[:, live] - want) <= 1e-12 * np.abs(want)), "stale self-similarity cache"

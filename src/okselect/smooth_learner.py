@@ -36,12 +36,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hedge import HedgeState
-from .kernels import KernelGrid, kernel_rows, pairwise, self_values, sq_distances
+from .kernels import KernelGrid, _read_only, kernel_rows, pairwise, self_values, sq_distances
 from .losses import LogisticLoss
 from .protocol import Prediction, RoundRecord, SelectorConfig, check_features, mix, pending
 from .rkhs import ExampleStore, KernelExpansions
 
 __all__ = ["SmoothSelectorConfig", "SmoothKernelSelector", "pea_losses"]
+
+# ln(1/delta) at the analysis's confidence delta = 0.01, in the radius cap and the removal bound
+_LN_INV_DELTA = math.log(100.0)
 
 
 @dataclass(kw_only=True)
@@ -68,11 +71,6 @@ class SmoothSelectorConfig(SelectorConfig):
             self.budget -= 1
         if self.loss is None:
             self.loss = LogisticLoss()
-
-
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
 
 
 def pea_losses(values: np.ndarray, d: float) -> np.ndarray:
@@ -107,7 +105,7 @@ class SmoothKernelSelector:
                 "reduction behind the shared buffer assumes K <= d",
                 stacklevel=2,
             )
-        theory_cap = math.sqrt(max(self.budget - (4.0 / 3.0) * math.log(100.0), 0.0)) / (
+        theory_cap = math.sqrt(max(self.budget - (4.0 / 3.0) * _LN_INV_DELTA, 0.0)) / (
             8.0 * self.loss.G2
         )
         if self.radius > theory_cap:
@@ -244,14 +242,13 @@ class SmoothKernelSelector:
             coin=self._coins[coin],
             gap_sq=self._zeros,
             removed=self._removed[did_remove],
-            extras={"deriv": d},
         )
 
     # -- diagnostics -----------------------------------------------------
 
-    def removal_bound(self, delta: float = 0.01) -> float:
-        """ceil(4 G2 L / ((B - (4/3) ln(1/delta)) G1)): the removals scale."""
-        denom = (self.budget - (4.0 / 3.0) * math.log(1.0 / delta)) * self.loss.G1
+    def removal_bound(self) -> float:
+        """ceil(4 G2 L / ((B - (4/3) ln(1/delta)) G1)) at delta = 0.01: the removals scale."""
+        denom = (self.budget - (4.0 / 3.0) * _LN_INV_DELTA) * self.loss.G1
         if denom <= 0:
             return math.inf
         return math.ceil(4.0 * self.loss.G2 * self.cum_loss / denom)
@@ -275,5 +272,4 @@ class SmoothKernelSelector:
         outside = np.ones(store.capacity, dtype=bool)
         outside[buffer] = False
         assert not ex.coef[:, outside].any(), "coefficient outside the buffer"
-        assert np.all(np.sqrt(np.maximum(ex.sq_norms, 0.0)) <= self.radius + 1e-8), "iterate escaped the ball"
-        ex.check_self_k()
+        ex.check_invariants(self.radius)

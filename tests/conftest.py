@@ -136,7 +136,7 @@ def gram_oracle(spec, X, row_sqnorms):
 
 def scan_refcounts(store: ExampleStore, buffers=()) -> dict:
     """Exhaustively recount references: one per membership of each buffer
-    (a kernel buffer, a reservoir sample, an archive). Coefficients hold none."""
+    (a kernel buffer or the reservoir's archive). Coefficients hold none."""
     counts: dict[int, int] = {}
     for buf in buffers:
         for slot in buf:

@@ -136,20 +136,20 @@ def test_criterion_4_removal_diagnostics():
         HingeSelectorConfig(kernels=GRID, dim=4, budget=60, horizon=2500, seed=1)
     )
     stream_with_checks(hinge, X, y)
-    hinge_bound = 3 * hinge.removal_bounds(k1=1.0)
+    hinge_bound = 3 * hinge.removal_bounds()
     details.append(f"hinge J={hinge.removals.tolist()} cap={hinge_bound.astype(int).tolist()}")
     ok_h = bool(np.all(hinge.removals <= hinge_bound))
 
     smooth = quiet_smooth(kernels=GRID, dim=4, budget=24, seed=1)
     stream_with_checks(smooth, X, y)
-    smooth_cap = 3 * smooth.removal_bound(delta=0.01)
+    smooth_cap = 3 * smooth.removal_bound()
     details.append(f"smooth J={smooth.removals} cap={smooth_cap:.0f}")
     ok_s = smooth.removals <= smooth_cap
 
     ds = gen_lowerbound(budget=20, rounds=3000, seed=2)
     lb = quiet_smooth(kernels=(polynomial(1, 0),), dim=ds.dim, budget=30, seed=2)
     stream_with_checks(lb, ds.dense_features(), ds.y)
-    lb_cap = 3 * lb.removal_bound(delta=0.01)
+    lb_cap = 3 * lb.removal_bound()
     details.append(f"lowerbound J={lb.removals} cap={lb_cap:.0f}")
     ok_lb = lb.removals <= lb_cap
 

@@ -91,6 +91,12 @@ class TestConfigValidation:
         ds = load_dataset(cfg)
         assert ds.num_examples == 10 and ds.dim == 6
 
+    def test_readme_example_config_is_valid(self):
+        """The README's example config builds, so every key it names still exists."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("```json\n", 1)[1].split("```", 1)[0]
+        assert len(ExperimentConfig.from_dict(json.loads(block)).kernel_specs()) == 5
+
 
 class TestRun:
     def test_near_constant_label_stream_is_learnable(self, tmp_path):
@@ -356,7 +362,7 @@ class TestCli:
         self.assert_rejected_setting(tmp_path, capsys, "momd_h", key, value, error)
 
     @pytest.mark.parametrize("algorithm, key, value", [
-        ("momd_h", "M", "10"), ("momd_h", "M", 0), ("momd_h", "lambda_scale", "2"), ("momd_h", "sigmas", [0]),
+        ("momd_h", "M", "10"), ("momd_h", "M", 0), ("momd_h", "lambda_scale", "2"), ("momd_h", "kernels", []),
         ("momd_h", "removal", "halve"),
         ("raker", "D", 0), ("raker", "eta", -1), ("raker", "reg", "x"),
     ])
@@ -374,8 +380,9 @@ class TestCli:
         assert f"config error: {error or f'{key} must be'}" in capsys.readouterr().err
         assert not (tmp_path / "report.csv").exists()
 
-    @pytest.mark.parametrize("key, value", [("lambda_rule", "theory"), ("horizon", 100), ("normalize", False)],
-                             ids=["lambda_rule", "horizon", "normalize"])
+    @pytest.mark.parametrize("key, value", [("lambda_rule", "theory"), ("horizon", 100), ("normalize", False),
+                                            ("sigmas", [0.5, 2.0])],
+                             ids=["lambda_rule", "horizon", "normalize", "sigmas"])
     def test_removed_key_is_config_error(self, tmp_path, capsys, key, value):
         """A config written for a key that the runner no longer has stops before any repeat."""
         self.assert_rejected_setting(tmp_path, capsys, "momd_h", key, value, f"unknown config keys: ['{key}']")
@@ -444,6 +451,16 @@ class TestCli:
         cfg_path = lowerbound_config_file(tmp_path, algorithm="momd_h", B=40, output=str(tmp_path))
         assert cli_main(["run", "--config", str(cfg_path)]) == 2
         assert capsys.readouterr().err.startswith("runtime failure: ")
+
+    @pytest.mark.parametrize("raw", ["5", "null", '[["dataset", "a"]]', '"x"', "[]"],
+                             ids=["number", "null", "pairs", "string", "empty-list"])
+    def test_config_that_is_not_an_object_is_config_error(self, tmp_path, capsys, monkeypatch, raw):
+        monkeypatch.chdir(tmp_path)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(raw, encoding="utf-8")
+        assert cli_main(["run", "--config", str(cfg_path)]) == 1
+        assert capsys.readouterr().err.startswith("config error: a config must be a JSON object")
+        assert not (tmp_path / "report.csv").exists()
 
     def test_bad_json_is_config_error(self, tmp_path):
         cfg_path = tmp_path / "bad.json"

@@ -154,14 +154,14 @@ def test_lean_update_is_bit_identical_to_the_formulas(K):
 def test_every_bad_loss_rejected_before_any_state_changes(K, bad):
     s = HedgeState(K)
     s.update(np.linspace(0.1, 1.0, K))
-    before = (s.cum_loss.copy(), s.second_moment, s.round, s.distribution().copy())
+    before = (s.cum_loss.copy(), s.second_moment, s.distribution().copy())
     for where in range(K):
         c = np.full(K, 0.5)
         c[where] = bad
         with pytest.raises(ValueError, match="finite and non-negative"):
             s.update(c)
-    assert np.array_equal(s.cum_loss, before[0]) and s.second_moment == before[1] and s.round == before[2]
-    assert np.array_equal(s.distribution(), before[3])
+    assert np.array_equal(s.cum_loss, before[0]) and s.second_moment == before[1]
+    assert np.array_equal(s.distribution(), before[2])
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -172,11 +172,11 @@ def test_bad_loss_of_an_expert_with_zero_weight_rejected(bad):
     for _ in range(1000):
         s.update([0.0, 1e6])
     assert s.distribution()[1] == 0.0
-    before = (s.cum_loss.copy(), s.second_moment, s.round)
+    before = (s.cum_loss.copy(), s.second_moment)
     for c in ([0.5, bad], [bad, 0.5], [bad, -1.0]):
         with pytest.raises(ValueError, match="finite and non-negative"):
             s.update(c)
-    assert np.array_equal(s.cum_loss, before[0]) and (s.second_moment, s.round) == before[1:]
+    assert np.array_equal(s.cum_loss, before[0]) and s.second_moment == before[1]
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -187,23 +187,23 @@ def test_finite_losses_whose_square_overflows_are_rejected():
     for K in (1, 2, 5):
         s = HedgeState(K)
         s.update(np.linspace(0.1, 1.0, K))
-        before = (s.cum_loss.copy(), s.second_moment, s.round, s.distribution().copy())
+        before = (s.cum_loss.copy(), s.second_moment, s.distribution().copy())
         for bad in (1e200, 1.35e154, math.nextafter(largest, math.inf)):
             for where in range(K):
                 c = np.full(K, 0.5)
                 c[where] = bad
                 with pytest.raises(ValueError, match="finite and non-negative"):
                     s.update(c)
-        assert np.array_equal(s.cum_loss, before[0]) and (s.second_moment, s.round) == before[1:3]
-        assert np.array_equal(s.distribution(), before[3])
+        assert np.array_equal(s.cum_loss, before[0]) and s.second_moment == before[1]
+        assert np.array_equal(s.distribution(), before[2])
         # Each round at the largest loss adds about max / 2 to the moment: the third would overflow it.
         s.update(np.full(K, largest))
         s.update(np.full(K, largest))
         assert math.isfinite(s.second_moment) and (K == 1 or s.rate() > 0)  # one expert has rate 0
-        before = (s.cum_loss.copy(), s.second_moment, s.round)
+        before = (s.cum_loss.copy(), s.second_moment)
         with pytest.raises(ValueError, match="second moment"):
             s.update(np.full(K, largest))
-        assert np.array_equal(s.cum_loss, before[0]) and (s.second_moment, s.round) == before[1:]
+        assert np.array_equal(s.cum_loss, before[0]) and s.second_moment == before[1]
 
 
 def test_one_expert_keeps_its_distribution_and_matches_the_full_softmax():
@@ -214,11 +214,11 @@ def test_one_expert_keeps_its_distribution_and_matches_the_full_softmax():
     for t in range(3000):
         c = [rng.choice([0.0, 0.0, 1e-300, 0.3, 1.0, 50.0, 1e6, 1e150]) * rng.uniform(0, 2)]
         if t % 97 == 0:
-            before = (lean.cum_loss.copy(), lean.second_moment, lean.round)
+            before = (lean.cum_loss.copy(), lean.second_moment)
             for bad in (math.nan, math.inf, -math.inf, -1.0, -1e-300):
                 with pytest.raises(ValueError, match="finite and non-negative"):
                     lean.update([bad])
-            assert np.array_equal(lean.cum_loss, before[0]) and (lean.second_moment, lean.round) == before[1:]
+            assert np.array_equal(lean.cum_loss, before[0]) and lean.second_moment == before[1]
         used = lean.update(c)
         ref.update(c)
         assert used is p and lean.distribution() is p
@@ -226,5 +226,4 @@ def test_one_expert_keeps_its_distribution_and_matches_the_full_softmax():
         assert lean.second_moment.hex() == ref.second_moment.hex()
         assert float(lean.cum_loss[0]).hex() == float(ref.cum_loss[0]).hex()
         assert lean.rate().hex() == ref.rate().hex()
-        assert lean.round == t + 1
     assert lean.second_moment > 1e300  # the stream reached the large losses

@@ -245,7 +245,7 @@ class TestFullRuns:
             assert np.all(rec.coin[rec.removed] == 1), rec.t
         assert_refcounts_conserved(
             learner.store,
-            buffers=[*learner.buffers, learner.reservoir.sample, learner.reservoir.archive],
+            buffers=[*learner.buffers, learner.reservoir.archive],
         )
 
     def test_removal_leaves_half_plus_one(self):
@@ -294,7 +294,7 @@ class TestFullRuns:
         X, y = blob_stream(800, 4, seed=26)
         learner = HingeKernelSelector(make_config(seed=4, horizon=800))
         self.checked_records(learner, X, y, check_every=100)
-        bound = learner.removal_bounds(k1=1.0)
+        bound = learner.removal_bounds()
         assert np.all(learner.removals <= 3 * bound)
 
     def test_restart_mode(self):
@@ -494,7 +494,7 @@ class TestInputValidation:
                       lr.buffer_slots, lr.buffer_sizes, lr.removals, lr.gap_sums, res.sample, res.label_sums,
                       res.labels, res.guess_coef, hedge.cum_loss, hedge.distribution()]
             rngs = [r.bit_generator.state for r in (*lr._rngs, res.rng)]
-            return arrays, (st._free, res.archive, res.seen, res.frozen, hedge.second_moment, hedge.round, rngs)
+            return arrays, (st._free, res.archive, res.seen, res.frozen, hedge.second_moment, rngs)
 
         got, want = state(learner), state(untouched)
         assert all(np.array_equal(a, b) for a, b in zip(got[0], want[0]))

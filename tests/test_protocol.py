@@ -139,7 +139,8 @@ def test_record_carries_the_pending_prediction(name):
 def test_bench_run_matches_a_hand_loop(algorithm, loss):
     config = ExperimentConfig(
         dataset={"generator": "lowerbound", "budget": 8, "rounds": 300, "seed": 2},
-        algorithm=algorithm, loss=loss, sigmas=(0.5, 2.0), B=12, M=3, D=32, repeats=1, seed=4,
+        algorithm=algorithm, loss=loss, B=12, M=3, D=32, repeats=1, seed=4,
+        kernels=[{"kind": "gaussian", "sigma": 0.5}, {"kind": "gaussian", "sigma": 2.0}],
     )
     row = run(config).rows[0]
     ds = permute(load_dataset(config), config.seed)

@@ -442,7 +442,7 @@ def test_random_operations_keep_refcounts_and_rows(n_kernels, ops):
     given_rows = {}  # handle -> (x, y) passed to add
 
     def held():
-        return scan_refcounts(store, buffers=[*buffers, res.sample, res.archive])
+        return scan_refcounts(store, buffers=[*buffers, res.archive])
 
     def join(i, h):
         store.incref(h)
@@ -502,7 +502,7 @@ def test_random_operations_keep_refcounts_and_rows(n_kernels, ops):
                     given_rows[h] = (x, float(y))
 
         counts = held()
-        assert_refcounts_conserved(store, buffers=[*buffers, res.sample, res.archive])
+        assert_refcounts_conserved(store, buffers=[*buffers, res.archive])
         assert len(store) == len(counts)
         for h in counts:
             gx, gy = given_rows[h]

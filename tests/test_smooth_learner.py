@@ -116,7 +116,7 @@ class TestUpdateBranches:
         learner.predict(x)
         rec = learner.update(x, 1)
         # f_t(x) = 0, logistic derivative -1/2, so P = 0.5/(0.5+1) = 1/3
-        assert rec.extras["deriv"] == pytest.approx(-0.5)
+        assert learner.loss.deriv(rec.aggregate, rec.truth) == pytest.approx(-0.5)
         assert rec.prob[0] == pytest.approx(1.0 / 3.0, abs=1e-12)
 
     def test_zero_derivative_skips_everything(self):
@@ -309,7 +309,7 @@ class TestConfig:
         X, y = blob_stream(800, 4, seed=36)
         learner = make_learner(budget=8, seed=10)
         run_stream(learner, X, y)
-        assert learner.removals <= 3 * max(learner.removal_bound(delta=0.01), 1)
+        assert learner.removals <= 3 * max(learner.removal_bound(), 1)
 
     def test_restart_mode(self):
         X, y = blob_stream(500, 4, seed=37)
@@ -370,7 +370,7 @@ class TestRecords:
             assert rec.branch == [branch] * k
             prob, coin = np.nan, -1
             if branch == "sampled":
-                d = rec.extras["deriv"]
+                d = learner.loss.deriv(rec.aggregate, rec.truth)
                 prob = abs(d) / (abs(d) + learner.loss.G1)
                 coin = int(coins.random() < prob)
             did_remove = learner.removals > removals
