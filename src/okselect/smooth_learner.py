@@ -165,6 +165,9 @@ class SmoothKernelSelector:
         d = self.loss.deriv(pred.aggregate, y)
         if not math.isfinite(d):
             raise FloatingPointError(f"non-finite loss derivative at round {self.t}")
+        # Hedge is charged first: when it rejects the losses, no iterate has moved.
+        losses = pea_losses(pred.per_kernel, d)
+        self.hedge.update(losses)
         ad = abs(d)
 
         branch = "skip"
@@ -227,8 +230,6 @@ class SmoothKernelSelector:
                     ex.step(slot, c, 2.0 * c * fx + c * c * k_xx)
                     ex.project(self.radius)
 
-        losses = pea_losses(pred.per_kernel, d)
-        self.hedge.update(losses)
         self.deriv_sum += ad
         self.cum_loss += self.loss.value(pred.aggregate, y)
 

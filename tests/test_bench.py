@@ -91,6 +91,14 @@ class TestConfigValidation:
         ds = load_dataset(cfg)
         assert ds.num_examples == 10 and ds.dim == 6
 
+    @pytest.mark.parametrize("key, value", [("seed", -5), ("seed", 1.5), ("seed", "1"), ("seed", True),
+                                            ("output", 7)])
+    def test_bad_seed_or_output_is_config_error(self, monkeypatch, key, value):
+        """Checked before the dataset is read; an int ``output`` would be opened as a file descriptor."""
+        monkeypatch.setattr(okselect.bench, "load_dataset", lambda config: pytest.fail("the dataset was read"))
+        with pytest.raises(ConfigError, match=f"{key} must be"):
+            run(ExperimentConfig.from_dict({"dataset": "x", "algorithm": "momd_h", key: value}))
+
     def test_readme_example_config_is_valid(self):
         """The README's example config builds, so every key it names still exists."""
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")

@@ -46,7 +46,15 @@ its per-kernel scalars from (K,) arrays to Python floats, and that change
 left them, and every digest above, as they were.
 The ``raker`` cases hash, per round, the exact bits of the random-feature
 baseline's aggregate, and at the end its weights ``theta``; they pin the
-feature map and the gradient step to the bit.
+feature map and the gradient step to the bit. They were recorded again when
+the feature map moved from numpy's ``sin`` and ``cos`` to one ``tan`` of the
+half angle: each feature moved by at most 1 ulp of 1.0, and on both streams
+every label stayed the same (``tests/test_raker.py`` holds the sin/cos
+reference and compares the two). The cases now pin the tan-based map.
+numpy dispatches float64 ``tan`` by CPU (an AVX-512 loop where the CPU has
+it, a scalar baseline elsewhere), so like the selectors' digests, which rest
+on numpy's CPU-dispatched ``exp``, they are exact on one numpy build and CPU
+family.
 Print the current digests with ``PYTHONPATH=src python tests/test_golden.py``.
 """
 
@@ -166,8 +174,8 @@ GOLDEN = {
     "momd_h_blob_half": "508b80b63f0e92493d430f2d98573cc30ebb6164bafcc5fb2179c29dea5671fe",
     "momd_h_blob_restart": "f36234fb6d7c09c3ed62144587cb32b96110a5dba23a7faee75361ab4ab32bea",
     "momd_h_lowerbound_poly1": "778d7afb4c2e0d773db067b67c1ad5e07b479368f18788de0fab675cfe3e4195",
-    "raker_dense": "7af884ab01f81bf2ab425d639143cf94bb2d24a2e0a2a1dbf5754ba0b33d4b34",
-    "raker_dense_reg": "1c4e38adab04a4f44478b2d5c719710d33b4fee8cf91b9c562d6cdf5f5b33fb5",
+    "raker_dense": "e740435168301603eac6ee33352c103ea5e46cb94a416d29c7d6779ccc0dd7a5",
+    "raker_dense_reg": "155ef11db9bb5061b493dd34afdddc7ffba6e2a158370757c10139595bd971df",
 }
 
 

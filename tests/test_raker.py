@@ -7,8 +7,34 @@ from okselect import HingeLoss, RakerBaseline, RakerConfig, gaussian, polynomial
 from okselect.kernels import kernel_eval
 
 from conftest import blob_stream
+from test_golden import GRID, RAKER_CASES
 
-GRID = tuple(gaussian(s, i) for i, s in enumerate((0.25, 1.0, 4.0, 16.0, 64.0)))
+
+def sin_cos_features(model, x) -> np.ndarray:
+    """The feature map from numpy's ``sin`` and ``cos``: the reference for ``RakerBaseline.features``."""
+    k, D = model.theta.shape[0], model.config.num_features
+    proj = (model.freqs @ np.asarray(x, dtype=float)).reshape(k, D)
+    z = np.empty((k, 2 * D))
+    np.sin(proj, out=z[:, 0::2])
+    np.cos(proj, out=z[:, 1::2])
+    z /= math.sqrt(D)
+    return z
+
+
+class SinCosRaker(RakerBaseline):
+    def features(self, x):
+        return sin_cos_features(self, x)
+
+
+def hard_arguments() -> np.ndarray:
+    """Projections from 0 to 1e300 in magnitude, both signed zeros and the neighbours of k pi/2."""
+    quarter = np.arange(1, 2001) * (math.pi / 2)
+    pos = np.concatenate([
+        np.logspace(-300, 300, 6001),
+        quarter, np.nextafter(quarter, 0.0), np.nextafter(quarter, np.inf),
+        [1e15, 2.0**52, 2.0**53, 1e20, 1e100],
+    ])
+    return np.concatenate([[0.0, -0.0], pos, -pos])
 
 
 def make_model(**kw):
@@ -22,7 +48,34 @@ def test_feature_norm_is_exactly_one():
     rng = np.random.default_rng(40)
     for _ in range(50):
         z = model.features(rng.normal(size=4))[2]
-        assert z @ z == pytest.approx(1.0, abs=1e-12)
+        assert z @ z == pytest.approx(1.0, abs=1e-15)
+
+
+@pytest.mark.parametrize("D", [1, 100])
+def test_features_match_sin_cos(D):
+    # every projection w.x is set directly: one input coordinate of 1.0 and the arguments as frequencies
+    theta = hard_arguments()
+    K = len(theta) // D
+    model = RakerBaseline(RakerConfig(kernels=tuple(gaussian(1.0, i) for i in range(K)), dim=1, num_features=D))
+    model.freqs = theta[: K * D, None]
+    x = np.array([1.0])
+    z, ref = model.features(x), sin_cos_features(model, x)
+    assert np.abs(z - ref).max() <= 4.5e-16
+
+
+@pytest.mark.parametrize("name", sorted(RAKER_CASES))
+def test_same_labels_as_sin_cos_features(name):
+    (X, y), kw = RAKER_CASES[name]
+    runs = []
+    for cls in (RakerBaseline, SinCosRaker):
+        model = cls(RakerConfig(kernels=GRID, dim=X.shape[1], **kw))
+        labels, aggregates = [], []
+        run_stream(model, X, y, lambda rec: (labels.append(rec.label), aggregates.append(rec.aggregate)))
+        runs.append((labels, np.array(aggregates), model.theta))
+    (labels, agg, theta), (ref_labels, ref_agg, ref_theta) = runs
+    assert labels == ref_labels
+    assert np.abs(agg - ref_agg).max() <= 1e-12
+    assert np.abs(theta - ref_theta).max() <= 1e-12
 
 
 def test_feature_inner_product_at_identical_points():
@@ -30,7 +83,7 @@ def test_feature_inner_product_at_identical_points():
     x = np.array([0.4, -0.2, 0.0, 1.0])
     for i in range(len(GRID)):
         z = model.features(x)[i]
-        assert z @ z == pytest.approx(1.0, abs=1e-12)
+        assert z @ z == pytest.approx(1.0, abs=1e-15)
 
 
 def test_bochner_monte_carlo():

@@ -401,6 +401,33 @@ class TestRecords:
 
 
 class TestInputValidation:
+    def test_loss_rejected_by_hedge_changes_no_state(self):
+        # k_2(x, x) = x^80 = 1e306: on round 2 the polynomial kernel's value is ~1e154, a loss
+        # above the ~9.48e153 Hedge accepts, after a round whose coin stored x
+        def build():
+            return make_learner(kernels=(gaussian(1.0, 0), polynomial(40.0, 1)), dim=1, budget=100, seed=2)
+
+        x = np.array([10.0 ** (306 / 80)])
+        learner, untouched = build(), build()
+        for lr in (learner, untouched):
+            assert lr.update(x, 1).coin[0] == 1
+        with pytest.raises(ValueError, match="losses must be finite"):
+            learner.update(x, -1)
+
+        def state(lr):
+            st, ex, hedge = lr.store, lr.expansions, lr.hedge
+            arrays = [st.X, st.sqnorm, st.label, st.refs, st.live, ex.coef, ex.sq_norms, ex.self_k,
+                      lr.buffer, hedge.cum_loss, hedge.distribution()]
+            scalars = (st._free, len(st), lr.deriv_sum, lr.cum_loss, lr.removals, hedge.second_moment,
+                       lr.rng.bit_generator.state)
+            return arrays, scalars
+
+        got, want = state(learner), state(untouched)
+        assert all(np.array_equal(a, b) for a, b in zip(got[0], want[0]))
+        assert got[1] == want[1]
+        learner.check_invariants()
+        assert learner.t == untouched.t + 1  # the rejected round still counts
+
     @pytest.mark.parametrize(
         "bad",
         [
