@@ -30,7 +30,7 @@ for step in range(6):
     c = rng.normal(size=2) * 0.8  # one coefficient per kernel
     fx = ex.values_at(slot)  # f_i(x) before the step
     ex.step(slot, c, 2.0 * c * fx + c * c * self_values(ex.specs, float(x @ x)))
-    store.incref(slot, 2)  # the slot joins both kernels' buffers
+    store.incref(slot)  # it joins both kernels' buffers: add's reference and this one
     for buf in buffers:
         buf.append(slot)
     cached = ex.sq_norms.copy()
@@ -64,22 +64,21 @@ ex.drop(slice(0, 1), removed)
 del buffers[0][half:]
 print("kept oldest half:                 ", buffers[0])
 print("removed slots:                    ", removed)
-print("removed slots are still live, held by kernel 1's buffer:", bool(store.live[removed].all()))
+print("removed slots are still live, held by kernel 1's buffer:", bool(store.refs[removed].all()))
 ex.drop(slice(1, 2), buffers[1][half:])
 del buffers[1][half:]
-print("after kernel 1's removal they are freed:", not store.live[removed].any())
+print("after kernel 1's removal they are freed:", not store.refs[removed].any())
 print(f"live slots: {len(store)} of {store.capacity}")
 print(f"norms recomputed from the survivors: ||f_i||^2 = {np.round(ex.sq_norms, 6)}")
 reused = [store.add(np.zeros(2), 1, 0.0) for _ in range(2)]
 print("the next two examples get the freed slots, last freed first:", reused, "of", removed)
 for slot in reused:
-    store.release_if_unreferenced(slot)  # nothing took them
+    store.release(slot)  # nothing else took them, so the last reference frees them
 
 print()
 print("=== coefficient mass outside the dropped slots survives ===")
 x = rng.normal(size=2)
-outside = store.add(x, 1, float(x @ x))
-store.incref(outside)  # held by an archive, as the hinge learner's guess anchors are
+outside = store.add(x, 1, float(x @ x))  # held by an archive, as the hinge learner's guess anchors are
 ex.coef[0, outside] = 0.4  # coefficients may also be written directly, then the norms recomputed
 ex.recompute_sq_norms()
 ex.drop(slice(0, 1), buffers[0][1:])

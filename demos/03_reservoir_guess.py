@@ -16,11 +16,12 @@ rng = np.random.default_rng(2)
 
 
 def offer(r, x, y):
-    """Store (x, y), offer its slot to the reservoir, and free the slot unless it was kept."""
+    """Store (x, y), offer its slot to the reservoir, and release the store's
+    reference, which frees the slot unless the reservoir kept it."""
     x = np.asarray(x, dtype=float)
     slot = r.store.add(x, y, float(x @ x))
     kept = r.observe(slot)
-    r.store.release_if_unreferenced(slot)
+    r.store.release(slot)
     return kept
 
 

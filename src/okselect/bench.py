@@ -103,7 +103,8 @@ class ExperimentConfig:
     ``dataset`` is a file path or a generator spec such as
     ``{"generator": "lowerbound", "budget": 50, "rounds": 20000, "seed": 1}``;
     a file's features are min-max normalized onto [0, 1].
-    ``U`` is either the string ``"sqrt_b"`` or an explicit radius; ``B``,
+    ``U`` is either the string ``"sqrt_b"`` or an explicit radius, with a
+    finite learning rate lambda_scale * U / sqrt(B); ``B``,
     ``M``, ``D`` and ``repeats`` integers >= 1; ``lambda_scale`` a finite
     number > 0; ``eta`` null (1/sqrt(T)) or a finite number >= 0;
     ``reg`` a finite number >= 0; ``seed`` an integer >= 0 and ``output``
@@ -167,6 +168,8 @@ class ExperimentConfig:
             _check_kernel_entries(self.kernels)
         if self.U != "sqrt_b" and not (_is_finite(self.U) and self.U > 0):
             raise ConfigError(f"U must be 'sqrt_b' or a finite positive radius, got {self.U!r}")
+        if self.U != "sqrt_b" and not math.isfinite(self.lambda_scale * self.U / math.sqrt(self.B)):
+            raise ConfigError(f"lambda_scale * U / sqrt(B) overflows: {self.lambda_scale!r} * {self.U!r} / sqrt({self.B})")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":

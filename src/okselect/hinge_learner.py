@@ -14,12 +14,13 @@ distribution over the per-kernel hinge losses.
 
 All examples live in one store of B + 1 slots: the reservoir archive and
 the K buffers together hold at most B, and the last slot takes the round's
-example, which is stored when ``update`` starts and freed when it ends
-unless a buffer or the reservoir kept it. A full store raises, so the
-memory budget is enforced by the data structure itself. The K iterates are
-one (K, B + 1) coefficient matrix over the store's slots, and the K
-buffers, which the learner keeps itself, are the rows of a (K, B + 1) slot
-array in insertion order; removals go through ``KernelExpansions.drop``.
+example. ``update`` stores it holding the round's own reference and
+releases that at the end, which frees the slot unless a buffer or the
+reservoir took it. A full store raises, so the memory budget is enforced
+by the data structure itself. The K iterates are one (K, B + 1)
+coefficient matrix over the store's slots, and the K buffers, which the
+learner keeps itself, are the rows of a (K, B + 1) slot array in insertion
+order; removals go through ``KernelExpansions.drop``.
 Each round computes the inner products and squared distances from x_t to
 every slot once (in ``predict``) and derives all K kernel rows from them;
 the iterates' values, the reservoir guesses and the proxy search all read
@@ -220,7 +221,7 @@ class HingeKernelSelector:
         losses = np.array(losses)
         # charged before the round changes any state, so losses it rejects leave the learner as it was
         self.hedge.update(losses)
-        # the round's example; freed at the end unless a buffer or the reservoir took it
+        # the round's example, holding the round's reference until the end
         slot = ex.add(pred.x, y, pred.x_sqnorm, kxx)
         res.track(slot, guesses)
         self.gap_sums[:] = sums
@@ -268,7 +269,7 @@ class HingeKernelSelector:
         ex.project(self.radius)
 
         accepted_by_reservoir = res.observe(slot)
-        self.store.release_if_unreferenced(slot)
+        self.store.release(slot)  # freed unless a buffer or the reservoir took it
 
         return RoundRecord.of(
             self.t,
@@ -357,16 +358,16 @@ class HingeKernelSelector:
     def check_invariants(self):
         """Hard budget/norm invariants; raises AssertionError on violation.
 
-        Between rounds every live store slot is in the archive or in a
-        kernel buffer, so the caps below bound the store by B. Each
-        kernel's coefficients are zero outside its buffer and the archive,
-        so those memberships alone keep every slot an iterate needs alive.
+        Between rounds each slot's reference count is its number of archive and
+        buffer memberships, so the caps below bound the store by B. Each
+        kernel's coefficients are zero outside its buffer and the archive, so
+        those memberships alone keep every slot an iterate needs alive.
         """
-        ex = self.expansions
+        ex, store = self.expansions, self.store
         archive = set(self.reservoir.archive)
         buffers = [buf.tolist() for buf in self.buffers]
-        held = archive.union(*buffers)
-        assert held == set(np.flatnonzero(self.store.live).tolist()), "live slot outside archive and buffers"
+        members = np.bincount(self.reservoir.archive + sum(buffers, []), minlength=store.capacity)
+        assert np.array_equal(members, store.refs), "reference count differs from archive and buffer memberships"
         for i, buf in enumerate(buffers):
             assert len(buf) <= self.per_kernel_cap, "buffer over budget"
             assert set(np.flatnonzero(ex.coef[i]).tolist()) <= archive.union(buf), "coefficient outside buffer and archive"

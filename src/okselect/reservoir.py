@@ -12,8 +12,8 @@ when the sample changes. Sample changes stop when the archive freezes, so
 they are rare: about a hundred on a stream of thousands.
 
 The sample and the archive hold store slots. The archive (every example
-that ever entered the reservoir) is capped: once ``archive_cap`` examples
-have been archived, insertion freezes. This turns the expected-size budget
+that ever entered the reservoir) is capped: insertion freezes once it
+holds ``archive_cap`` examples. This turns the expected-size budget
 accounting into a hard memory bound. Each archived slot holds one store
 reference; the sample, always a subset of the archive, holds none.
 """
@@ -62,7 +62,6 @@ class Reservoir:
         self.guess_coef = np.zeros(0)  # the guess's coefficients -y_j / |V| on the sample
         self.archive: list[int] = []  # slots of every example ever sampled
         self.seen = 0
-        self.frozen = False
         self.label_sums = np.zeros((len(self.specs), store.capacity))
         # sum_{j,k in V} y_j y_k k_i(x_j, x_k) for each kernel i, unnormalized
         self._gram_sum = np.zeros(len(self.specs))
@@ -75,15 +74,15 @@ class Reservoir:
     def observe(self, slot: int) -> bool:
         """Offer the round's example, already stored in ``slot``; returns True if it entered the sample.
 
-        The caller frees the slot if nothing kept it. Insertion happens
-        with probability min(1, M/t) where t counts observe calls; on
-        insertion into a full sample a uniformly chosen element is evicted
-        (it stays in the archive, so its slot stays live). An inserted
-        example takes one store reference, the archive's. No-op once
-        frozen, though ``seen`` keeps counting.
+        The caller then releases its reference, freeing the slot unless the
+        reservoir kept it. Insertion happens with probability min(1, M/t) where
+        t counts observe calls; on insertion into a full sample a uniformly
+        chosen element is evicted (it stays in the archive, so its slot stays
+        live). An inserted example takes one store reference, the archive's.
+        No-op once the archive is full, though ``seen`` keeps counting.
         """
         self.seen += 1
-        if self.frozen:
+        if len(self.archive) >= self.archive_cap:
             return False
         p = min(1.0, self.capacity / self.seen)
         if self.rng.random() >= p:
@@ -96,8 +95,6 @@ class Reservoir:
         self.archive.append(slot)
         self.store.incref(slot)
         self._sums_update()
-        if len(self.archive) >= self.archive_cap:
-            self.frozen = True
         return True
 
     def track(self, slot: int, guess_values):

@@ -3,8 +3,9 @@
 The store and the expansions serve both learners. An :class:`ExampleStore`
 holds, in preallocated arrays of a fixed number of slots, the examples that
 a buffer or the reservoir still references. The slot is an example's only
-handle; reference counting frees a slot as soon as nothing holds it, so
-memory is fixed by the capacity, not by the stream length.
+handle, and it is live exactly while something references it: reference
+counting frees a slot as soon as nothing holds it, so memory is fixed by
+the capacity, not by the stream length.
 
 :class:`KernelExpansions` keeps K kernel expansions
 f_i = sum_s coef[i, s] k_i(x_s, .) over the slots of one store as a
@@ -36,12 +37,12 @@ class ExampleStore:
     """Fixed-capacity, reference-counted pool of stored examples.
 
     A stored example is known only by its slot: its row in ``X``,
-    ``sqnorm``, ``label`` and ``refs``. ``live`` marks the slots in use,
-    including one added this round that nothing references yet. Every
-    buffer membership and archive entry owns one reference; a slot whose
-    count drops back to zero is freed
-    for the next ``add``. The arrays are allocated once and never grow, so
-    ``add`` on a full store raises.
+    ``sqnorm``, ``label`` and ``refs``. A slot is live exactly while
+    ``refs`` counts a reference to it: :meth:`add` hands the new slot out
+    holding one, the caller's, and every further holder (a buffer
+    membership, an archive entry) takes one with :meth:`incref`. A slot
+    whose count drops to zero is freed for the next ``add``. The arrays are
+    allocated once and never grow, so ``add`` on a full store raises.
     """
 
     def __init__(self, dim: int, capacity: int = 64):
@@ -55,14 +56,13 @@ class ExampleStore:
         self.sqnorm = np.zeros(capacity)
         self.label = np.zeros(capacity)
         self.refs = np.zeros(capacity, dtype=np.int64)
-        self.live = np.zeros(capacity, dtype=bool)
         self._free = list(range(capacity - 1, -1, -1))
 
     def __len__(self) -> int:
         return self.capacity - len(self._free)
 
     def add(self, x, y, x_sqnorm: float) -> int:
-        """Store (x, y) with refcount 0 and return its slot.
+        """Store (x, y) and return its slot, which holds one reference: the caller's.
 
         ``x_sqnorm`` is x @ x, which every caller has already computed.
         """
@@ -75,37 +75,36 @@ class ExampleStore:
         self.X[slot] = x
         self.sqnorm[slot] = x_sqnorm
         self.label[slot] = float(y)
-        self.live[slot] = True
+        self.refs[slot] = 1
         return slot
 
     def incref(self, slot: int, n: int = 1):
         """Add ``n`` references to a live slot."""
-        if not self.live[slot]:
+        if not self.refs[slot]:
             raise KeyError(f"slot {slot} holds no example")
         self.refs[slot] += n
 
     def decref(self, slots):
-        """Drop one reference from a slot, or from each of an array of distinct slots.
+        """Drop one reference from a live slot, or from each of an array of distinct live slots.
 
         Slots left unreferenced are freed in the order given.
         """
         slots = np.asarray(slots, dtype=np.intp).ravel()
         refs = self.refs[slots]
-        if np.count_nonzero(refs) < refs.size:  # only live slots hold references
-            slot = slots[refs == 0][0]
-            if not self.live[slot]:
-                raise KeyError(f"slot {slot} holds no example")
-            raise RuntimeError(f"refcount of slot {slot} went negative")
+        if np.count_nonzero(refs) < refs.size:
+            raise KeyError(f"slot {slots[refs == 0][0]} holds no example")
         refs -= 1
         self.refs[slots] = refs
         freed = slots[refs == 0] if np.count_nonzero(refs) else slots  # often all of them
-        self.live[freed] = False
         self._free.extend(freed.tolist())
 
-    def release_if_unreferenced(self, slot: int):
-        """Free a slot that was added this round but never referenced."""
-        if self.live[slot] and self.refs[slot] == 0:
-            self.live[slot] = False
+    def release(self, slot: int):
+        """Drop one reference from a live slot and free it at zero: :meth:`decref` for one slot, without arrays."""
+        refs = self.refs[slot]
+        if not refs:
+            raise KeyError(f"slot {slot} holds no example")
+        self.refs[slot] = refs - 1
+        if refs == 1:
             self._free.append(slot)
 
 
@@ -136,8 +135,8 @@ class KernelExpansions:
         self.row_starts = np.arange(len(self.specs))[:, None] * store.capacity  # flat offset of each row
 
     def add(self, x, y, x_sqnorm: float, kxx) -> int:
-        """Store (x, y) with refcount 0, cache its (K,) self-similarities ``kxx``
-        (``self_values(specs, x_sqnorm)``) and return its slot."""
+        """Store (x, y) holding the caller's reference, cache its (K,) self-similarities
+        ``kxx`` (``self_values(specs, x_sqnorm)``) and return its slot."""
         slot = self.store.add(x, y, x_sqnorm)
         self.self_k[:, slot] = kxx
         return slot
@@ -146,7 +145,7 @@ class KernelExpansions:
         """Assert that every iterate lies in the ball of ``radius`` (up to 1e-8)
         and that the self-similarity cache is exact at every live slot (rel 1e-12)."""
         assert np.all(np.sqrt(np.maximum(self.sq_norms, 0.0)) <= radius + 1e-8), "iterate escaped the ball"
-        live = self.store.live
+        live = self.store.refs > 0
         want = self_values(self.specs, self.store.sqnorm[live])
         assert np.all(np.abs(self.self_k[:, live] - want) <= 1e-12 * np.abs(want)), "stale self-similarity cache"
 

@@ -223,8 +223,7 @@ class SmoothKernelSelector:
                         did_remove = True
                     if k_xx is None:
                         k_xx = self_values(self.kernels, pred.x_sqnorm)
-                    slot = ex.add(x, y, pred.x_sqnorm, k_xx)
-                    store.incref(slot)
+                    slot = ex.add(x, y, pred.x_sqnorm, k_xx)  # its reference is the buffer's
                     self._order[len(store) - 1] = slot
                     c = -self.rate * d / q
                     ex.step(slot, c, 2.0 * c * fx + c * c * k_xx)
@@ -268,8 +267,7 @@ class SmoothKernelSelector:
         """
         store, ex, buffer = self.store, self.expansions, self.buffer
         assert len(store) <= self.budget, "buffer over budget"
-        assert sorted(buffer.tolist()) == np.flatnonzero(store.live).tolist(), "live slots are not the buffer"
-        assert np.all(store.refs[buffer] == 1), "buffered slot not held exactly once"
+        assert np.array_equal(np.bincount(buffer, minlength=store.capacity), store.refs), "refcounts are not one per buffered slot"
         outside = np.ones(store.capacity, dtype=bool)
         outside[buffer] = False
         assert not ex.coef[:, outside].any(), "coefficient outside the buffer"

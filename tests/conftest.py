@@ -1,3 +1,4 @@
+import hashlib
 import os
 from pathlib import Path
 
@@ -58,23 +59,23 @@ def store_example(store: ExampleStore, x, y, x_sqnorm=None) -> int:
 
 def offer(reservoir, x, y, x_sqnorm=None) -> bool:
     """Offer (x, y) to ``reservoir`` as the hinge learner does: store it, observe
-    its slot, and free the slot unless the reservoir kept it. True if it was kept.
-    ``x_sqnorm`` is as for :func:`store_example`."""
+    its slot, and release the store's reference, which frees the slot unless the
+    reservoir kept it. True if it was kept. ``x_sqnorm`` is as for :func:`store_example`."""
     slot = store_example(reservoir.store, x, y, x_sqnorm)
     kept = reservoir.observe(slot)
-    reservoir.store.release_if_unreferenced(slot)
+    reservoir.store.release(slot)
     return kept
 
 
 def random_expansion(spec, store: ExampleStore, n_atoms: int, rng, scale: float = 1.0):
     """A one-kernel expansion with random coefficients, and its buffer: the
-    atoms' slots in insertion order, each membership holding one store reference."""
+    atoms' slots in insertion order, each membership holding the store reference
+    that ``add`` handed out."""
     ex = KernelExpansions((spec,), store)
     buffer = []
     for _ in range(n_atoms):
         slot = store_example(store, rng.normal(size=store.dim), rng.choice([-1, 1]))
         ex.coef[0, slot] = scale * rng.normal()
-        store.incref(slot)
         buffer.append(slot)
     ex.recompute_sq_norms()
     return ex, buffer
@@ -146,7 +147,44 @@ def scan_refcounts(store: ExampleStore, buffers=()) -> dict:
 
 def assert_refcounts_conserved(store: ExampleStore, buffers=()):
     counts = scan_refcounts(store, buffers)
-    for slot in np.flatnonzero(store.live):
+    for slot in np.flatnonzero(store.refs):
         assert store.refs[slot] == counts.get(slot, 0), f"refcount mismatch at slot {slot}"
     for slot, n in counts.items():
-        assert store.live[slot] and store.refs[slot] == n
+        assert store.refs[slot] == n
+    assert len(store) == len(counts), "the free list disagrees with the reference counts"
+
+
+def state_digest(learner) -> str:
+    """sha256 over a learner's whole state, for checking that a call changed nothing.
+
+    Walks the learner's attributes recursively, so it covers every learner:
+    arrays by dtype, shape and bytes, random generators by their bit-generator
+    state, other objects by their attributes and plain values by ``repr``,
+    which is exact for floats. The round counter ``t`` and the pending
+    prediction ``_last`` are left out: a rejected round still counts, and
+    ``predict`` sets the prediction.
+    """
+    h = hashlib.sha256()
+
+    def walk(obj):
+        if isinstance(obj, np.ndarray):
+            h.update(repr((obj.dtype.str, obj.shape)).encode())
+            h.update(np.ascontiguousarray(obj).tobytes())
+        elif isinstance(obj, np.random.Generator):
+            h.update(repr(obj.bit_generator.state).encode())
+        elif isinstance(obj, (list, tuple)):
+            h.update(f"{type(obj).__name__}[{len(obj)}]".encode())
+            for item in obj:
+                walk(item)
+        elif isinstance(obj, dict):
+            for key, item in obj.items():
+                h.update(repr(key).encode())
+                walk(item)
+        elif hasattr(obj, "__dict__"):
+            h.update(type(obj).__name__.encode())
+            walk(vars(obj))
+        else:
+            h.update(repr(obj).encode())
+
+    walk({key: item for key, item in vars(learner).items() if key not in ("t", "_last")})
+    return h.hexdigest()

@@ -130,7 +130,6 @@ class ScalarHinge(ScalarLearner):
         self.sample: list[int] = []
         self.archive: list[int] = []
         self.seen = 0
-        self.frozen = False
         self.gap_sums = [0.0] * K
         self.removals = [0] * K
 
@@ -226,7 +225,7 @@ class ScalarHinge(ScalarLearner):
     def observe(self, e: int) -> bool:
         """Uniform reservoir sampling with probability min(1, M/t), into a capped archive."""
         self.seen += 1
-        if self.frozen:
+        if len(self.archive) >= self.archive_cap:
             return False
         M = self.config.reservoir_size
         if self.reservoir_rng.random() >= min(1.0, M / self.seen):
@@ -236,8 +235,6 @@ class ScalarHinge(ScalarLearner):
         else:
             self.sample.append(e)
         self.archive.append(e)
-        if len(self.archive) >= self.archive_cap:
-            self.frozen = True
         return True
 
 

@@ -99,6 +99,15 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=f"{key} must be"):
             run(ExperimentConfig.from_dict({"dataset": "x", "algorithm": "momd_h", key: value}))
 
+    @pytest.mark.parametrize("algorithm, loss", [("momd_h", "hinge"), ("momd_s", "logistic")])
+    def test_overflowing_learning_rate_is_config_error(self, monkeypatch, algorithm, loss):
+        """lambda_scale * U / sqrt(B) = inf is caught before the dataset is read, not in every repeat."""
+        monkeypatch.setattr(okselect.bench, "load_dataset", lambda config: pytest.fail("the dataset was read"))
+        raw = {"dataset": "x", "algorithm": algorithm, "loss": loss, "U": 1e308}
+        with pytest.raises(ConfigError, match=r"lambda_scale \* U / sqrt\(B\) overflows"):
+            run(ExperimentConfig.from_dict({**raw, "lambda_scale": 1e308}))
+        assert ExperimentConfig.from_dict({**raw, "lambda_scale": 1.0}).radius() == 1e308  # a finite rate passes
+
     def test_readme_example_config_is_valid(self):
         """The README's example config builds, so every key it names still exists."""
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")

@@ -88,9 +88,11 @@ def test_freeze_at_archive_cap():
     store, r = make_reservoir(capacity=3, archive_cap=4, seed=5, dim=1)
     for t in range(100):
         offer(r, [float(t)], 1)
-    assert r.frozen
     assert len(r.archive) == 4
     assert r.seen == 100  # the round counter keeps going
+    state = r.rng.bit_generator.state
+    assert offer(r, [0.0], 1) is False
+    assert r.rng.bit_generator.state == state  # frozen: no coin is drawn
 
 
 def test_optimistic_value_empty_and_single():
@@ -153,4 +155,4 @@ def test_refcounts_cover_sample_and_archive():
     assert set(r.sample.tolist()) <= set(r.archive)
     for slot in r.archive:
         assert store.refs[slot] == 1
-    assert np.flatnonzero(store.live).tolist() == sorted(r.archive)
+    assert np.flatnonzero(store.refs).tolist() == sorted(r.archive)

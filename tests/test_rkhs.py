@@ -40,13 +40,11 @@ class TestExampleStore:
     def test_freed_slot_is_reused_and_full_store_raises(self):
         s = ExampleStore(dim=2, capacity=2)
         a = s.add([1.0, 0.0], 1, 1.0)
-        s.incref(a)
         b = s.add([0.0, 1.0], -1, 1.0)
-        s.incref(b)
         with pytest.raises(RuntimeError):
             s.add([2.0, 2.0], 1, 8.0)  # the store never grows
-        s.decref(a)  # slot freed
-        assert not s.live[a]
+        s.decref(a)  # its one reference dropped: slot freed
+        assert s.refs[a] == 0
         c = s.add([2.0, 2.0], 1, 8.0)
         assert c == a and len(s) == 2
         assert np.array_equal(s.X[c], [2.0, 2.0]) and np.array_equal(s.X[b], [0.0, 1.0])
@@ -55,7 +53,6 @@ class TestExampleStore:
         s = ExampleStore(dim=1, capacity=4)
         for i in range(100):
             e = s.add([float(i)], 1, float(i * i))
-            s.incref(e)
             s.decref(e)
         assert len(s) == 0
         assert s.X.shape[0] == 4  # never grew
@@ -63,16 +60,50 @@ class TestExampleStore:
     def test_negative_refcount_rejected(self):
         s = ExampleStore(dim=1)
         e = s.add([1.0], 1, 1.0)
-        s.incref(e)
         s.decref(e)
         with pytest.raises(KeyError):
             s.decref(e)  # already reclaimed
 
+    def test_add_hands_out_one_reference(self):
+        s = ExampleStore(dim=1, capacity=3)
+        e = s.add([1.0], 1, 1.0)
+        assert s.refs.tolist() == [1, 0, 0] and len(s) == 1  # the caller's reference
+        s.incref(e, 2)
+        s.release(e)
+        s.decref(e)
+        assert s.refs[e] == 1 and len(s) == 1  # live while any reference is left
+        s.release(e)
+        assert s.refs[e] == 0 and len(s) == 0
+
+    def test_release_frees_in_the_order_of_decref(self):
+        # the last release frees a slot, and freed slots are handed out again
+        # last-freed first, as after one decref of the same slots in that order
+        stores = [ExampleStore(dim=1, capacity=5) for _ in range(2)]
+        for s in stores:
+            ids = [s.add([float(i)], 1, float(i * i)) for i in range(4)]
+            s.incref(ids[1])  # a second holder: its first release leaves it live
+        order = [2, 0, 1, 3]
+        for e in order:
+            stores[0].release(e)
+        stores[1].decref(np.array(order))
+        for s in stores:
+            assert s.refs.tolist() == [0, 1, 0, 0, 0] and len(s) == 1
+        reused = [[s.add([9.0], 1, 81.0) for _ in range(4)] for s in stores]
+        assert reused[0] == reused[1] == [3, 0, 2, 4]  # last freed first, then the never-used slot
+
+    @pytest.mark.parametrize("op", ["incref", "decref", "release"])
+    def test_free_slot_holds_no_example(self, op):
+        s = ExampleStore(dim=1, capacity=3)
+        e = s.add([1.0], 1, 1.0)
+        s.release(e)
+        for slot in (e, 2):  # freed, and never handed out
+            with pytest.raises(KeyError, match=f"slot {slot} holds no example"):
+                getattr(s, op)(slot)
+        assert s.refs.tolist() == [0, 0, 0] and len(s) == 0
+
     def test_batch_rows(self):
         s = ExampleStore(dim=2)
         ids = [s.add([float(i), -float(i)], (-1) ** i, 2.0 * i * i) for i in range(5)]
-        for e in ids:
-            s.incref(e)
         batch = ids[1:4]
         assert np.allclose(s.X[batch, 0], [1.0, 2.0, 3.0])
         assert np.allclose(s.sqnorm[batch], [2.0, 8.0, 18.0])
@@ -220,7 +251,7 @@ class TestNormTracking:
             x = rng.normal(size=3)
             learner.update(x, 1 if x[0] > 0 else -1)
         ex, store = learner.expansions, learner.store
-        live = np.flatnonzero(store.live)
+        live = np.flatnonzero(store.refs)
         assert len(live) and np.allclose(ex.self_k[:, live], self_values(self.GRID, store.sqnorm[live]), rtol=1e-14, atol=0)
         slot = live[-1]
         ex.self_k[1, slot] *= 1.0 + 1e-11  # the polynomial kernel's k(x, x) = ||x||^4
@@ -297,9 +328,8 @@ class TestSplitHalf:
         ex = KernelExpansions((spec,), s)
         ids = []
         for p in ([0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]):
-            e = store_example(s, p, 1)
+            e = store_example(s, p, 1)  # its reference is the buffer membership's
             ex.coef[0, e] = 0.5
-            s.incref(e)
             ids.append(e)
         ex.recompute_sq_norms()
         return s, ex, ids
@@ -309,7 +339,7 @@ class TestSplitHalf:
         ex.drop(slice(0, 1), ids[2:])
         assert np.flatnonzero(ex.coef[0]).tolist() == sorted(ids[:2])
         assert np.all(ex.coef[0, ids[2:]] == 0.0)
-        assert s.live[ids[:2]].all() and not s.live[ids[2:]].any()
+        assert s.refs[ids[:2]].all() and not s.refs[ids[2:]].any()
 
     def test_norm_recomputed(self):
         rng = np.random.default_rng(10)
@@ -325,8 +355,7 @@ class TestSplitHalf:
         spec = gaussian(1.0)
         s = ExampleStore(dim=2)
         ex, buf = random_expansion(spec, s, 4, rng)
-        outside = store_example(s, rng.normal(size=2), -1)
-        s.incref(outside)  # held by an archive, as in the hinge learner
+        outside = store_example(s, rng.normal(size=2), -1)  # held by an archive, as in the hinge learner
         ex.coef[0, outside] = 0.33
         ex.drop(slice(0, 1), buf[2:])
         assert ex.coef[0, outside] == pytest.approx(0.33)
@@ -336,7 +365,7 @@ class TestSplitHalf:
         s, ex, ids = self._four_atom()
         ex.drop(slice(0, 1), ids[2:])
         for e in ids[2:]:
-            assert not s.live[e]  # reclaimed: no references remain
+            assert s.refs[e] == 0  # reclaimed: no references remain
         assert_refcounts_conserved(s, buffers=[ids[:2]])
 
 
@@ -349,11 +378,10 @@ class TestDrop:
         ids = [store_example(s, [float(i)], 1) for i in range(5)]
         for e in ids:
             ex.coef[0, e] = 1.0
-            s.incref(e)
         s.incref(ids[3])  # a second membership: dropping one leaves it live
         order = [ids[2], ids[0], ids[3], ids[4]]
         ex.drop(slice(0, 1), np.array(order))
-        assert s.live[ids[3]] and s.refs[ids[3]] == 1
+        assert s.refs[ids[3]] == 1
         reused = [store_example(s, [9.0], 1) for _ in range(4)]
         assert reused[:3] == [ids[4], ids[0], ids[2]]  # last freed is reused first
         assert reused[3] not in ids  # then the never-used slot
@@ -366,7 +394,6 @@ class TestDrop:
         ex = KernelExpansions(specs, s)
         buffer = [store_example(s, rng.normal(size=3), 1) for _ in range(6)]
         for e in buffer:
-            s.incref(e)
             ex.coef[:, e] = rng.normal(size=2)
         ex.recompute_sq_norms()
         kept = ex.coef[:, buffer[3:]].copy()
@@ -391,7 +418,6 @@ def test_drift_over_random_interleaving():
             else:
                 e = store_example(s, rng.normal(size=3), rng.choice([-1, 1]))
                 anchor_step(ex, e, rng.normal())
-                s.incref(e)
                 buf.append(e)
         elif op == 1:
             ex.project(2.0)
@@ -408,11 +434,11 @@ def test_clear_releases_everything():
     rng = np.random.default_rng(13)
     s = ExampleStore(dim=2)
     ex, buf = random_expansion(gaussian(1.0), s, 6, rng)
-    outside = store_example(s, rng.normal(size=2), 1)
+    outside = store_example(s, rng.normal(size=2), 1)  # the round's example, in no buffer
     ex.coef[0, outside] = 1.0
     ex.coef[0] = 0.0
     ex.drop(slice(0, 1), buf)
-    s.release_if_unreferenced(outside)
+    s.release(outside)  # the round's own reference
     assert ex.sq_norms[0] == 0.0
     assert not ex.coef.any()
     assert len(s) == 0
@@ -445,8 +471,7 @@ def test_random_operations_keep_refcounts_and_rows(n_kernels, ops):
         return scan_refcounts(store, buffers=[*buffers, res.archive])
 
     def join(i, h):
-        store.incref(h)
-        buffers[i].append(h)
+        buffers[i].append(h)  # a new example: the reference add handed out becomes the membership's
 
     def add(x, y):
         before = held()
@@ -493,7 +518,7 @@ def test_random_operations_keep_refcounts_and_rows(n_kernels, ops):
             if which == 0:  # the learner's path: the round's example is stored first
                 h = add(x, y)
                 res.observe(h)
-                store.release_if_unreferenced(h)
+                store.release(h)
             else:  # the same path through the tests' helper; the slot it stores in must have been free
                 before = held()
                 if offer(res, x, y):
@@ -511,4 +536,4 @@ def test_random_operations_keep_refcounts_and_rows(n_kernels, ops):
         # every coefficient sits on the kernel's own buffer or the archive
         for k, buf in enumerate(buffers):
             assert set(np.flatnonzero(ex.coef[k]).tolist()) <= set(buf) | set(res.archive)
-        assert not ex.coef[:, ~store.live].any()
+        assert not ex.coef[:, store.refs == 0].any()
