@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import os
 from pathlib import Path
@@ -154,6 +155,13 @@ def assert_refcounts_conserved(store: ExampleStore, buffers=()):
     assert len(store) == len(counts), "the free list disagrees with the reference counts"
 
 
+def handout_order(store: ExampleStore) -> list:
+    """The slots that adds to ``store`` would hand out until it is full, in order (on a copy)."""
+    store = copy.deepcopy(store)
+    x = np.zeros(store.dim)
+    return [store.add(x, 1, 0.0) for _ in range(store.capacity - len(store))]
+
+
 def state_digest(learner) -> str:
     """sha256 over a learner's whole state, for checking that a call changed nothing.
 
@@ -162,12 +170,16 @@ def state_digest(learner) -> str:
     state, other objects by their attributes and plain values by ``repr``,
     which is exact for floats. The round counter ``t`` and the pending
     prediction ``_last`` are left out: a rejected round still counts, and
-    ``predict`` sets the prediction.
+    ``predict`` sets the prediction. An :class:`ExampleStore` is hashed by
+    what it holds and by the slots that its next adds would hand out, in
+    order, not by how it keeps track of its free slots.
     """
     h = hashlib.sha256()
 
     def walk(obj):
-        if isinstance(obj, np.ndarray):
+        if isinstance(obj, ExampleStore):
+            walk((obj.dim, obj.capacity, obj.X, obj.sqnorm, obj.label, obj.refs, handout_order(obj)))
+        elif isinstance(obj, np.ndarray):
             h.update(repr((obj.dtype.str, obj.shape)).encode())
             h.update(np.ascontiguousarray(obj).tobytes())
         elif isinstance(obj, np.random.Generator):

@@ -44,6 +44,14 @@ would miss, such as a NaN probability turned into 0.0 or a flipped signed
 zero in a coefficient. They were recorded before the hinge update moved
 its per-kernel scalars from (K,) arrays to Python floats, and that change
 left them, and every digest above, as they were.
+The ``RECORD_STATE`` cases do the same for two ``momd_s`` streams and one
+raker stream, with nothing chosen by hand: every field of every round's
+record in exact bits, then the learner's whole final state through
+``conftest.state_digest``, which hashes the store by what it holds and the
+order in which it would hand out its free slots. The smooth learner's
+proxy step reads the expansions' kernel rows at a stored example, so these
+cases pin that pass in ``momd_s`` too. They were recorded before the
+expansions' kernel rows came to skip the store slots never handed out.
 The ``raker`` cases hash, per round, the exact bits of the random-feature
 baseline's aggregate, and at the end its weights ``theta``; they pin the
 feature map and the gradient step to the bit. They were recorded again when
@@ -60,6 +68,7 @@ Print the current digests with ``PYTHONPATH=src python tests/test_golden.py``.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import math
 import warnings
@@ -80,7 +89,7 @@ from okselect import (
     run_stream,
 )
 
-from conftest import blob_stream
+from conftest import blob_stream, state_digest
 
 GRID = tuple(gaussian(s, i) for i, s in enumerate((0.25, 1.0, 4.0, 16.0, 64.0)))
 
@@ -166,6 +175,14 @@ FULL_STATE = {
     "momd_h_blob_restart": "932da88f260eefc9e40b0728c91e539eaf4d45bef0658b116005af06b751e51f",
 }
 
+# momd_s and raker cases hashed as fully: every field of every round's record
+# in exact bits, then the learner's whole final state (``state_digest``)
+RECORD_STATE = {
+    "momd_s_blob_half": "47bfc699aa9cab3ef1010717edabf7440c7a0704ed65b221bef2080ed3021b31",
+    "momd_s_mixed_grid": "94c466272bac049e26a92aee87a34c4295b608ec98f68b0b011516c6cd8e6b12",
+    "raker_dense_reg": "f4d7f35bb79131bb88cbf9d9fbcdfbd12beb5200e7d20a99dd9e359e674510b9",
+}
+
 GOLDEN = {
     "momd_s_blob_half": "427b1f22204957ec80f64f8c443c96299cbfd7c21577da9b3633b53037f9ed1b",
     "momd_s_blob_restart": "89535456a1de0a1f4eea1b1851ef5648e4290d0deba312311a03611eefffff26",
@@ -249,6 +266,40 @@ def full_state_trace(name: str) -> str:
     return h.hexdigest()
 
 
+def build_case(name: str):
+    """(learner, (X, y)) of a selector or raker case."""
+    if name in RAKER_CASES:
+        (X, y), kw = RAKER_CASES[name]
+        return RakerBaseline(RakerConfig(kernels=GRID, dim=X.shape[1], **kw)), (X, y)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return CASES[name][0]()
+
+
+def record_state_trace(name: str) -> str:
+    """sha256 over every field of every round's record and the learner's final ``state_digest``.
+
+    Arrays are hashed by dtype, shape and bytes and floats by ``float.hex``,
+    so a flipped signed zero or a NaN turned into a number moves the digest.
+    """
+    learner, (X, y) = build_case(name)
+    h = hashlib.sha256()
+
+    def record(rec):
+        for field in dataclasses.fields(rec):
+            v = getattr(rec, field.name)
+            if isinstance(v, np.ndarray):
+                h.update(repr((field.name, v.dtype.str, v.shape)).encode())
+                h.update(np.ascontiguousarray(v).tobytes())
+            else:
+                h.update(repr((field.name, v.hex() if isinstance(v, float) else v)).encode())
+
+    _, cum_loss = run_stream(learner, X, y, record)
+    h.update(cum_loss.hex().encode())
+    h.update(state_digest(learner).encode())
+    return h.hexdigest()
+
+
 def raker_trace(name: str) -> str:
     """sha256 over every round's aggregate bits and the final ``theta`` bytes."""
     (X, y), kw = RAKER_CASES[name]
@@ -272,6 +323,11 @@ def test_hinge_full_state_trace(name):
     assert full_state_trace(name) == FULL_STATE[name]
 
 
+@pytest.mark.parametrize("name", sorted(RECORD_STATE))
+def test_record_state_trace(name):
+    assert record_state_trace(name) == RECORD_STATE[name]
+
+
 @pytest.mark.parametrize("name", sorted(RAKER_CASES))
 def test_raker_golden_trace(name):
     assert raker_trace(name) == GOLDEN[name]
@@ -285,3 +341,5 @@ if __name__ == "__main__":
         print(f'    "{case}": "{full_state_trace(case)}",  # full state')
     for case in RAKER_CASES:
         print(f'    "{case}": "{raker_trace(case)}",')
+    for case in RECORD_STATE:
+        print(f'    "{case}": "{record_state_trace(case)}",  # records and state')
