@@ -73,8 +73,13 @@ def _is_count(value) -> bool:
 
 
 def _is_finite(value) -> bool:
-    """True for a finite int or float; a bool is not a number."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+    """True for a finite int or float; a bool is not a number, nor an int past the float range."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def _check_kernel_entries(kernels):
@@ -168,8 +173,13 @@ class ExperimentConfig:
             _check_kernel_entries(self.kernels)
         if self.U != "sqrt_b" and not (_is_finite(self.U) and self.U > 0):
             raise ConfigError(f"U must be 'sqrt_b' or a finite positive radius, got {self.U!r}")
-        if self.U != "sqrt_b" and not math.isfinite(self.lambda_scale * self.U / math.sqrt(self.B)):
-            raise ConfigError(f"lambda_scale * U / sqrt(B) overflows: {self.lambda_scale!r} * {self.U!r} / sqrt({self.B})")
+        if self.U != "sqrt_b":
+            try:  # an int operand past the float range overflows in the conversion
+                rate = self.lambda_scale * self.U / math.sqrt(self.B)
+            except OverflowError:
+                rate = math.inf
+            if not math.isfinite(rate):
+                raise ConfigError(f"lambda_scale * U / sqrt(B) overflows: {self.lambda_scale!r} * {self.U!r} / sqrt({self.B})")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":

@@ -22,9 +22,10 @@ coefficient matrix over the store's slots, and the K buffers, which the
 learner keeps itself, are the rows of a (K, B + 1) slot array in insertion
 order; removals go through ``KernelExpansions.drop``.
 Each round computes the inner products and squared distances from x_t to
-every slot once (in ``predict``) and derives all K kernel rows from them;
-the iterates' values, the reservoir guesses and the proxy search all read
-those rows.
+every slot the store has ever handed out once (in ``predict``) and derives
+all K kernel rows from them; the iterates' values, the reservoir guesses
+and the proxy search all read those rows. The slots never handed out carry
+no coefficient, so their columns are zero and cost no kernel evaluation.
 
 The update charges Hedge first, so losses it rejects change no state. Its
 per-kernel bookkeeping runs on Python floats, kernel by kernel: the
@@ -171,7 +172,7 @@ class HingeKernelSelector:
         self.gap_sums = np.zeros(k)  # per-kernel alignment proxy accumulator
         self.removals = np.zeros(k, dtype=int)
         self.t = 0
-        self._last: Prediction | None = None  # its cache: (kernel rows over every slot, f_i(x) before the guess, guesses)
+        self._last: Prediction | None = None  # its cache: (kernel rows over the store's slots, f_i(x) before the guess, guesses)
 
     @property
     def buffers(self) -> list[np.ndarray]:

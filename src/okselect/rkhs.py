@@ -5,7 +5,9 @@ holds, in preallocated arrays of a fixed number of slots, the examples that
 a buffer or the reservoir still references. The slot is an example's only
 handle, and it is live exactly while something references it: reference
 counting frees a slot as soon as nothing holds it, so memory is fixed by
-the capacity, not by the stream length.
+the capacity, not by the stream length. A freed slot is reused before an
+untouched one, so the slots ever handed out are a prefix of the store, as
+long as its peak occupancy.
 
 :class:`KernelExpansions` keeps K kernel expansions
 f_i = sum_s coef[i, s] k_i(x_s, .) over the slots of one store as a
@@ -17,7 +19,9 @@ by terms its reservoir keeps. So a step takes its norm changes from the
 caller, in closed form, and evaluates no kernel. The one removal,
 :meth:`KernelExpansions.drop`, recomputes the cache from the Gram matrix
 of what is kept; which slots to drop is the learner's buffer policy, and
-the learner keeps its buffers itself. The
+the learner keeps its buffers itself. The kernel rows at a point, which
+both learners read for values at a stored example and the hinge learner
+for its predictions, come from one pass over that prefix only. The
 self-similarities k_i(x_s, x_s) that those changes and both learners'
 proxy searches need are cached per slot, written when a learner stores an
 example through :meth:`KernelExpansions.add`.
@@ -32,6 +36,12 @@ from .kernels import KernelGrid, KernelSpec, kernel_column, kernel_rows, pairwis
 
 __all__ = ["ExampleStore", "KernelExpansions"]
 
+# A BLAS matrix-vector product may sum a row's inner product differently
+# depending on the row's place in a block of rows (OpenBLAS's dgemv works in
+# blocks of four). Passes over a prefix of the store's rows that is a whole
+# number of such blocks give every row the bits of a pass over all of them.
+ROW_BLOCK = 8
+
 
 class ExampleStore:
     """Fixed-capacity, reference-counted pool of stored examples.
@@ -43,6 +53,9 @@ class ExampleStore:
     membership, an archive entry) takes one with :meth:`incref`. A slot
     whose count drops to zero is freed for the next ``add``. The arrays are
     allocated once and never grow, so ``add`` on a full store raises.
+    ``high_water`` counts the slots ever handed out: ``add`` reuses the last
+    freed slot before an untouched one, so it is the peak of ``len(store)``
+    and the slots from it on are untouched, with zero rows.
     """
 
     def __init__(self, dim: int, capacity: int = 64):
@@ -56,10 +69,11 @@ class ExampleStore:
         self.sqnorm = np.zeros(capacity)
         self.label = np.zeros(capacity)
         self.refs = np.zeros(capacity, dtype=np.int64)
-        self._free = list(range(capacity - 1, -1, -1))
+        self.high_water = 0
+        self._free: list[int] = []  # freed slots, the last freed handed out first
 
     def __len__(self) -> int:
-        return self.capacity - len(self._free)
+        return self.high_water - len(self._free)
 
     def add(self, x, y, x_sqnorm: float) -> int:
         """Store (x, y) and return its slot, which holds one reference: the caller's.
@@ -69,9 +83,13 @@ class ExampleStore:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.dim,):
             raise ValueError(f"expected a ({self.dim},) vector, got {x.shape}")
-        if not self._free:
+        if self._free:
+            slot = self._free.pop()
+        elif self.high_water < self.capacity:
+            slot = self.high_water
+            self.high_water += 1
+        else:
             raise RuntimeError(f"example store is full: all {self.capacity} slots are live")
-        slot = self._free.pop()
         self.X[slot] = x
         self.sqnorm[slot] = x_sqnorm
         self.label[slot] = float(y)
@@ -79,7 +97,9 @@ class ExampleStore:
         return slot
 
     def incref(self, slot: int, n: int = 1):
-        """Add ``n`` references to a live slot."""
+        """Add ``n`` >= 1 references to a live slot."""
+        if n < 1:
+            raise ValueError(f"reference count to add must be >= 1, got {n}")
         if not self.refs[slot]:
             raise KeyError(f"slot {slot} holds no example")
         self.refs[slot] += n
@@ -142,19 +162,34 @@ class KernelExpansions:
         return slot
 
     def check_invariants(self, radius: float):
-        """Assert that every iterate lies in the ball of ``radius`` (up to 1e-8)
-        and that the self-similarity cache is exact at every live slot (rel 1e-12)."""
+        """Assert that every iterate lies in the ball of ``radius`` (up to 1e-8),
+        that the self-similarity cache is exact at every live slot (rel 1e-12),
+        and that no slot at or above the store's high-water mark is referenced
+        or carries a coefficient or a cached self-similarity."""
         assert np.all(np.sqrt(np.maximum(self.sq_norms, 0.0)) <= radius + 1e-8), "iterate escaped the ball"
+        untouched = slice(self.store.high_water, None)
+        assert not self.store.refs[untouched].any(), "slot above the high-water mark is referenced"
+        assert not self.coef[:, untouched].any(), "coefficient above the high-water mark"
+        assert not self.self_k[:, untouched].any(), "self-similarity cached above the high-water mark"
         live = self.store.refs > 0
         want = self_values(self.specs, self.store.sqnorm[live])
         assert np.all(np.abs(self.self_k[:, live] - want) <= 1e-12 * np.abs(want)), "stale self-similarity cache"
 
     def rows(self, x, x_sqnorm: float) -> np.ndarray:
-        """(K, capacity) matrix of k_i(x_s, x), from one pass over the store.
+        """(K, capacity) matrix of k_i(x_s, x), from one pass over the slots the store has handed out.
 
-        Free slots hold stale rows; their coefficients are zero.
+        The pass covers the slots below the store's high-water mark, rounded
+        up to a whole block of :data:`ROW_BLOCK` rows; the columns after it
+        are zero, as every coefficient there is. Free slots below the mark
+        hold stale rows; their coefficients are zero too.
         """
-        return kernel_rows(self.specs, *pairwise(self.store.X, self.store.sqnorm, x, x_sqnorm, self.specs.gaussian))
+        st, grid = self.store, self.specs
+        n = -(-st.high_water // ROW_BLOCK) * ROW_BLOCK
+        if n >= st.capacity:
+            return kernel_rows(grid, *pairwise(st.X, st.sqnorm, x, x_sqnorm, grid.gaussian))
+        out = np.zeros((len(grid), st.capacity))
+        out[:, :n] = kernel_rows(grid, *pairwise(st.X[:n], st.sqnorm[:n], x, x_sqnorm, grid.gaussian))
+        return out
 
     def values_at(self, slot: int) -> np.ndarray:
         """(K,) values f_i(x_slot) of every expansion at a stored example."""

@@ -108,6 +108,20 @@ class TestConfigValidation:
             run(ExperimentConfig.from_dict({**raw, "lambda_scale": 1e308}))
         assert ExperimentConfig.from_dict({**raw, "lambda_scale": 1.0}).radius() == 1e308  # a finite rate passes
 
+    @pytest.mark.parametrize("key, value, match", [
+        ("U", 10**400, "U must be"),
+        ("lambda_scale", 10**400, "lambda_scale must be"),
+        ("eta", 10**400, "eta must be"),
+        ("kernels", [{"kind": "gaussian", "sigma": 10**400}], r"kernels\[0\] 'sigma' must be"),
+        ("B", 10**400, r"lambda_scale \* U / sqrt\(B\) overflows"),
+    ], ids=["U", "lambda_scale", "eta", "sigma", "B"])
+    def test_int_past_the_float_range_is_config_error(self, monkeypatch, key, value, match):
+        """A JSON integer too large for a float is a config error before the dataset is read, not an OverflowError."""
+        monkeypatch.setattr(okselect.bench, "load_dataset", lambda config: pytest.fail("the dataset was read"))
+        raw = {"dataset": "x", "algorithm": "raker" if key == "eta" else "momd_h", "U": 2.0, key: value}
+        with pytest.raises(ConfigError, match=match):
+            run(ExperimentConfig.from_dict(raw))
+
     def test_readme_example_config_is_valid(self):
         """The README's example config builds, so every key it names still exists."""
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")

@@ -196,12 +196,19 @@ GOLDEN = {
 }
 
 
-def trace(name: str):
-    """(sha256 of the case's trace, the branches and removal it reached)."""
-    build, _ = CASES[name]
+def build_case(name: str):
+    """(learner, (X, y)) of a selector or raker case."""
+    if name in RAKER_CASES:
+        (X, y), kw = RAKER_CASES[name]
+        return RakerBaseline(RakerConfig(kernels=GRID, dim=X.shape[1], **kw)), (X, y)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        learner, (X, y) = build()
+        return CASES[name][0]()
+
+
+def trace(name: str):
+    """(sha256 of the case's trace, the branches and removal it reached)."""
+    learner, (X, y) = build_case(name)
     h = hashlib.sha256()
     reached = set()
 
@@ -230,10 +237,7 @@ def hexes(values) -> tuple:
 
 def full_state_trace(name: str) -> str:
     """sha256 over every round's record fields in exact bits and the learner's final state."""
-    build, _ = CASES[name]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        learner, (X, y) = build()
+    learner, (X, y) = build_case(name)
     h = hashlib.sha256()
 
     def record(rec):
@@ -266,16 +270,6 @@ def full_state_trace(name: str) -> str:
     return h.hexdigest()
 
 
-def build_case(name: str):
-    """(learner, (X, y)) of a selector or raker case."""
-    if name in RAKER_CASES:
-        (X, y), kw = RAKER_CASES[name]
-        return RakerBaseline(RakerConfig(kernels=GRID, dim=X.shape[1], **kw)), (X, y)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return CASES[name][0]()
-
-
 def record_state_trace(name: str) -> str:
     """sha256 over every field of every round's record and the learner's final ``state_digest``.
 
@@ -302,8 +296,7 @@ def record_state_trace(name: str) -> str:
 
 def raker_trace(name: str) -> str:
     """sha256 over every round's aggregate bits and the final ``theta`` bytes."""
-    (X, y), kw = RAKER_CASES[name]
-    learner = RakerBaseline(RakerConfig(kernels=GRID, dim=X.shape[1], **kw))
+    learner, (X, y) = build_case(name)
     h = hashlib.sha256()
     _, cum_loss = run_stream(learner, X, y, lambda rec: h.update(float(rec.aggregate).hex().encode()))
     h.update(cum_loss.hex().encode())

@@ -12,7 +12,8 @@ from okselect import (
     SmoothKernelSelector,
     SmoothSelectorConfig,
 )
-from okselect.kernels import gaussian, kernel_eval, polynomial, self_values
+from okselect.kernels import gaussian, kernel_eval, kernel_rows, pairwise, polynomial, self_values
+from okselect.rkhs import ROW_BLOCK
 
 from conftest import (
     assert_refcounts_conserved,
@@ -100,6 +101,25 @@ class TestExampleStore:
             with pytest.raises(KeyError, match=f"slot {slot} holds no example"):
                 getattr(s, op)(slot)
         assert s.refs.tolist() == [0, 0, 0] and len(s) == 0
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_incref_below_one_is_rejected(self, n):
+        s = ExampleStore(dim=1, capacity=2)
+        e = s.add([1.0], 1, 1.0)
+        with pytest.raises(ValueError, match="must be >= 1"):
+            s.incref(e, n)
+        assert s.refs.tolist() == [1, 0] and len(s) == 1  # nothing changed
+        assert s.add([2.0], 1, 4.0) == 1
+
+    def test_high_water_mark_is_peak_occupancy(self):
+        s = ExampleStore(dim=1, capacity=6)
+        a, b, c = (s.add([float(i)], 1, float(i * i)) for i in range(3))
+        assert (a, b, c) == (0, 1, 2) and s.high_water == 3
+        s.release(b)
+        s.release(a)
+        assert s.high_water == 3 and len(s) == 1
+        assert [s.add([5.0], 1, 25.0) for _ in range(3)] == [a, b, 3]  # freed slots first, then untouched
+        assert s.high_water == 4 and not s.X[4:].any()
 
     def test_batch_rows(self):
         s = ExampleStore(dim=2)
@@ -537,3 +557,69 @@ def test_random_operations_keep_refcounts_and_rows(n_kernels, ops):
         for k, buf in enumerate(buffers):
             assert set(np.flatnonzero(ex.coef[k]).tolist()) <= set(buf) | set(res.archive)
         assert not ex.coef[:, store.refs == 0].any()
+
+
+class TestHighWaterMark:
+    """The expansions' kernel rows pass only over the slots the store has ever handed out."""
+
+    GRID = (gaussian(0.5, 0), gaussian(2.0, 1), polynomial(2, 2), gaussian(8.0, 3))
+
+    @pytest.mark.parametrize("removal", ["half", "restart"])
+    def test_rows_below_the_mark_match_a_full_pass(self, removal):
+        # Float features with d >= 8, where a BLAS matrix-vector product can
+        # round a row differently by its place in a block of rows, and a small
+        # pool, so inputs repeat and proxies fire.
+        rng = np.random.default_rng(31)
+        d = 10
+        pool = rng.normal(size=(24, d)) / 3.0
+        learner = HingeKernelSelector(HingeSelectorConfig(
+            kernels=self.GRID, dim=d, budget=40, horizon=300, reservoir_size=2, removal=removal, seed=3,
+        ))
+        store, ex, grid = learner.store, learner.expansions, learner.kernels
+        peak = 0
+        add = store.add
+
+        def counted_add(*args):
+            nonlocal peak
+            slot = add(*args)
+            peak = max(peak, len(store))
+            return slot
+
+        store.add = counted_add
+        seen = set()
+        prefix_rounds = 0
+        for t in range(300):
+            x = pool[rng.integers(len(pool))]
+            rec = learner.update(x, 1 if x[0] * x[1] + 0.1 * rng.normal() > 0 else -1)
+            seen.update(rec.branch)
+            if rec.removed.any():
+                seen.add("removed")
+            mark = store.high_water
+            assert mark == peak, t
+            q = pool[rng.integers(len(pool))]
+            qsq = float(q @ q)
+            rows = ex.rows(q, qsq)
+            full = kernel_rows(grid, *pairwise(store.X, store.sqnorm, q, qsq, grid.gaussian))
+            assert rows.shape == full.shape
+            assert np.array_equal(rows[:, :mark].view(np.int64), full[:, :mark].view(np.int64)), t
+            n = -(-mark // ROW_BLOCK) * ROW_BLOCK
+            if n < store.capacity:
+                prefix_rounds += 1
+                assert not rows[:, n:].any(), t
+            learner.check_invariants()
+        assert {"proxy", "sampled", "removed"} <= seen
+        assert prefix_rounds == 300 and 0 < store.high_water < store.capacity
+
+    @pytest.mark.parametrize("field", ["refs", "coef", "self_k"])
+    def test_state_above_the_mark_fails_the_invariants(self, field):
+        store = ExampleStore(dim=2, capacity=5)
+        ex = KernelExpansions(self.GRID, store)
+        slot = ex.add(np.ones(2), 1, 2.0, self_values(self.GRID, 2.0))
+        ex.check_invariants(radius=1.0)
+        if field == "refs":
+            store.refs[3] = 1
+        else:
+            getattr(ex, field)[2, 3] = 0.5
+        with pytest.raises(AssertionError, match="above the high-water mark"):
+            ex.check_invariants(radius=1.0)
+        assert slot == 0 and store.high_water == 1
