@@ -38,8 +38,9 @@ __all__ = ["ExampleStore", "KernelExpansions"]
 
 # A BLAS matrix-vector product may sum a row's inner product differently
 # depending on the row's place in a block of rows (OpenBLAS's dgemv works in
-# blocks of four). Passes over a prefix of the store's rows that is a whole
-# number of such blocks give every row the bits of a pass over all of them.
+# blocks of four; eight also covers kernels with blocks of eight). Passes over
+# a prefix of the store's rows that is a whole number of such blocks give
+# every row the bits of a pass over all of them.
 ROW_BLOCK = 8
 
 
