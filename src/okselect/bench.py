@@ -110,7 +110,8 @@ class ExperimentConfig:
     a file's features are min-max normalized onto [0, 1].
     ``U`` is either the string ``"sqrt_b"`` or an explicit radius, with a
     finite learning rate lambda_scale * U / sqrt(B); ``B``,
-    ``M``, ``D`` and ``repeats`` integers >= 1; ``lambda_scale`` a finite
+    ``M``, ``D`` and ``repeats`` integers >= 1, the first three within the
+    float range; ``lambda_scale`` a finite
     number > 0; ``eta`` null (1/sqrt(T)) or a finite number >= 0;
     ``reg`` a finite number >= 0; ``seed`` an integer >= 0 and ``output``
     a file path or null. Any other value raises ConfigError, before a
@@ -180,6 +181,9 @@ class ExperimentConfig:
                 rate = math.inf
             if not math.isfinite(rate):
                 raise ConfigError(f"lambda_scale * U / sqrt(B) overflows: {self.lambda_scale!r} * {self.U!r} / sqrt({self.B})")
+        for name in ("B", "M", "D"):  # the learners size arrays and rates from them as floats
+            if not _is_finite(getattr(self, name)):
+                raise ConfigError(f"{name} must be an integer within the float range, got {getattr(self, name)!r}")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":

@@ -55,7 +55,7 @@ class Dataset:
         return self._dense
 
 
-def parse_libsvm(path, name: str | None = None) -> Dataset:
+def parse_libsvm(path) -> Dataset:
     """Parse a sparse text dataset.
 
     Exactly two distinct raw labels are required; the numerically larger
@@ -109,9 +109,8 @@ def parse_libsvm(path, name: str | None = None) -> Dataset:
         (np.array(values, dtype=float), np.array(indices, dtype=np.int64), np.array(indptr, dtype=np.int64)),
         shape=(len(raw_labels), max_index),
     )
-    dsname = name if name is not None else str(path)
     return Dataset(
-        name=dsname,
+        name=str(path),
         X=X,
         y=y,
     )

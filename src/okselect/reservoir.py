@@ -130,8 +130,6 @@ class Reservoir:
         st, v = self.store, self.sample
         self.labels = st.label[v]
         self.guess_coef = -self.labels / len(v)
-        if not self.specs:
-            return
         rows = kernel_rows(self.specs, *pairwise(st.X, st.sqnorm, st.X[v], st.sqnorm[v], self.specs.gaussian))
         self.label_sums = rows @ self.labels
         self._gram_sum = np.vecdot(self.label_sums[:, v], self.labels)

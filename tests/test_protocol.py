@@ -7,6 +7,8 @@ import pkgutil
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 import okselect
 from okselect import (
@@ -18,6 +20,7 @@ from okselect import (
     SmoothKernelSelector,
     SmoothSelectorConfig,
     gaussian,
+    polynomial,
     run,
     run_stream,
 )
@@ -25,7 +28,7 @@ from okselect.bench import _LEARNERS, _learner_config, load_dataset
 from okselect.data import permute
 from okselect.protocol import Prediction, RoundRecord, check_features, mix
 
-from conftest import blob_stream
+from conftest import blob_stream, state_digest
 
 D = 4
 GRID = tuple(gaussian(s, i) for i, s in enumerate((0.25, 1.0, 4.0, 16.0, 64.0)))
@@ -217,7 +220,6 @@ def test_mix_signs_the_mixture_and_the_record_copies_the_prediction():
     assert type(rec.truth) is int and rec.per_kernel is pred.per_kernel and rec.branch == ["skip", "skip"]
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_check_features():
     x, xsq = check_features([3, 4], 2)
     assert x.dtype == float and x.shape == (2,) and xsq == 25.0
@@ -228,11 +230,66 @@ def test_check_features():
         check_features([1e200, 1e200], 2)
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("name", LEARNERS)
 def test_overflowing_features_raise_value_error_when_warnings_are_errors(name):
+    # pyproject.toml makes every RuntimeWarning an error for the whole suite
     with pytest.raises(ValueError, match="overflows"):
         LEARNERS[name]().predict(BAD_X["overflow"])
+
+
+# The rejection property: small budgets so that removals fire, and a polynomial(40)
+# kernel beside the Gaussian one in the selectors' grid (the raker takes Gaussians only).
+POLY_GRID = (gaussian(1.0, 0), polynomial(40.0, 1))
+SMALL_LEARNERS = {
+    "momd_h": lambda: HingeKernelSelector(HingeSelectorConfig(
+        kernels=POLY_GRID, dim=2, budget=12, horizon=60, reservoir_size=2, seed=5)),  # buffers of 2
+    # U = 10 lets f(x) pass the loss cap; at lambda_scale 1 instead of 0.9 a sampled step's norm
+    # change overflows (the xfail test of the smooth learner's input validation)
+    "momd_s": lambda: SmoothKernelSelector(SmoothSelectorConfig(
+        kernels=POLY_GRID, dim=2, budget=2, ball_radius=10.0, lambda_scale=0.9, seed=6)),
+    "raker": lambda: RakerBaseline(RakerConfig(kernels=POLY_GRID[:1], dim=2, num_features=8, step_size=0.5, seed=7)),
+}
+ROW_KINDS = {
+    "ordinary": lambda a, b: np.array([a, b]),
+    "zero": lambda a, b: np.zeros(2),
+    "nan": lambda a, b: np.array([a, np.nan]),
+    "huge": lambda a, b: np.array([1e200, b]),
+    "wrong shape": lambda a, b: np.array([a, b, 0.0]),
+    # k(x, x) = 1e306 under polynomial(40): a selector's loss can pass the cap Hedge accepts
+    "past the loss cap": lambda a, b: np.array([10.0 ** (306 / 80), 0.0]),
+}
+ROUNDS = st.lists(st.tuples(
+    st.sampled_from([*ROW_KINDS, "duplicate"]), st.floats(-2.0, 2.0), st.floats(-2.0, 2.0),
+    st.integers(0, 59), st.sampled_from([-1, 1]),
+), min_size=20, max_size=60)
+
+
+@pytest.mark.parametrize("name", SMALL_LEARNERS)
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(rounds=ROUNDS)
+def test_a_round_either_keeps_the_invariants_or_changes_nothing(name, rounds):
+    """Every update returns a record after which the invariants hold, or raises
+    ValueError or FloatingPointError and leaves the learner as it was."""
+    learner = SMALL_LEARNERS[name]()
+    offered = []
+    for kind, a, b, back, y in rounds:
+        if kind == "duplicate" and offered:
+            x = offered[back % len(offered)].copy()  # an earlier row exactly, as a fresh array
+        else:  # the first round has no row to repeat: an ordinary one
+            x = ROW_KINDS.get(kind, ROW_KINDS["ordinary"])(a, b)
+        offered.append(x)
+        before = state_digest(learner)
+        try:
+            rec = learner.update(x, y)
+        except (ValueError, FloatingPointError) as exc:
+            event(f"rejected: {type(exc).__name__}: {str(exc)[:30]}")
+            assert state_digest(learner) == before
+        else:
+            assert isinstance(rec, RoundRecord)
+            if rec.removed is not None and rec.removed.any():
+                event("removal")
+            if name != "raker":  # the baseline has no budget or ball to check
+                learner.check_invariants()
 
 
 def _modules():

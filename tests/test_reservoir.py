@@ -48,7 +48,7 @@ def test_acceptance_rate_at_twice_capacity():
             hits += 1
         # release references so the shared store stays small
         for eid in r.archive:
-            store.decref(eid)
+            store.release(eid)
     assert abs(hits / trials - 0.5) <= 0.02
 
 
@@ -78,7 +78,7 @@ def test_expected_archive_growth():
             offer(r, x, 1, x_sqnorm)
         sizes.append(len(r.archive))
         for eid in r.archive:
-            store.decref(eid)
+            store.release(eid)
     mean = float(np.mean(sizes))
     se = float(np.std(sizes, ddof=1)) / math.sqrt(runs)
     assert mean <= M * (1 + math.log(T)) + 3 * se

@@ -21,6 +21,7 @@ from conftest import (
     brute_value,
     coeffs,
     guess_coeffs,
+    handout_order,
     offer,
     random_expansion,
     scan_refcounts,
@@ -44,7 +45,7 @@ class TestExampleStore:
         b = s.add([0.0, 1.0], -1, 1.0)
         with pytest.raises(RuntimeError):
             s.add([2.0, 2.0], 1, 8.0)  # the store never grows
-        s.decref(a)  # its one reference dropped: slot freed
+        s.release(a)  # its one reference dropped: slot freed
         assert s.refs[a] == 0
         c = s.add([2.0, 2.0], 1, 8.0)
         assert c == a and len(s) == 2
@@ -54,16 +55,16 @@ class TestExampleStore:
         s = ExampleStore(dim=1, capacity=4)
         for i in range(100):
             e = s.add([float(i)], 1, float(i * i))
-            s.decref(e)
+            s.release(e)
         assert len(s) == 0
         assert s.X.shape[0] == 4  # never grew
 
     def test_negative_refcount_rejected(self):
         s = ExampleStore(dim=1)
         e = s.add([1.0], 1, 1.0)
-        s.decref(e)
+        s.release(e)
         with pytest.raises(KeyError):
-            s.decref(e)  # already reclaimed
+            s.release(e)  # already reclaimed
 
     def test_add_hands_out_one_reference(self):
         s = ExampleStore(dim=1, capacity=3)
@@ -71,28 +72,12 @@ class TestExampleStore:
         assert s.refs.tolist() == [1, 0, 0] and len(s) == 1  # the caller's reference
         s.incref(e, 2)
         s.release(e)
-        s.decref(e)
+        s.release(e)
         assert s.refs[e] == 1 and len(s) == 1  # live while any reference is left
         s.release(e)
         assert s.refs[e] == 0 and len(s) == 0
 
-    def test_release_frees_in_the_order_of_decref(self):
-        # the last release frees a slot, and freed slots are handed out again
-        # last-freed first, as after one decref of the same slots in that order
-        stores = [ExampleStore(dim=1, capacity=5) for _ in range(2)]
-        for s in stores:
-            ids = [s.add([float(i)], 1, float(i * i)) for i in range(4)]
-            s.incref(ids[1])  # a second holder: its first release leaves it live
-        order = [2, 0, 1, 3]
-        for e in order:
-            stores[0].release(e)
-        stores[1].decref(np.array(order))
-        for s in stores:
-            assert s.refs.tolist() == [0, 1, 0, 0, 0] and len(s) == 1
-        reused = [[s.add([9.0], 1, 81.0) for _ in range(4)] for s in stores]
-        assert reused[0] == reused[1] == [3, 0, 2, 4]  # last freed first, then the never-used slot
-
-    @pytest.mark.parametrize("op", ["incref", "decref", "release"])
+    @pytest.mark.parametrize("op", ["incref", "release"])
     def test_free_slot_holds_no_example(self, op):
         s = ExampleStore(dim=1, capacity=3)
         e = s.add([1.0], 1, 1.0)
@@ -101,6 +86,21 @@ class TestExampleStore:
             with pytest.raises(KeyError, match=f"slot {slot} holds no example"):
                 getattr(s, op)(slot)
         assert s.refs.tolist() == [0, 0, 0] and len(s) == 0
+
+    @pytest.mark.parametrize("x", [np.zeros(3), np.zeros(1), 0.0], ids=["3", "1", "scalar"])
+    def test_wrong_shaped_x_takes_no_slot(self, x):
+        # add checks the shape before it takes a slot; without the check a (3,) x
+        # raised numpy's broadcast error with the slot taken and unreferenced,
+        # and a scalar x filled the row
+        s = ExampleStore(dim=2, capacity=4)
+        a = s.add([1.0, 0.0], 1, 1.0)
+        s.add([0.0, 1.0], 1, 1.0)
+        s.release(a)  # a freed slot, the next one add would take
+        size, high_water, refs, order = len(s), s.high_water, s.refs.copy(), handout_order(s)
+        with pytest.raises(ValueError, match=r"expected a \(2,\) vector"):
+            s.add(x, 1, 0.0)
+        assert (len(s), s.high_water, handout_order(s)) == (size, high_water, order)
+        assert np.array_equal(s.refs, refs)
 
     @pytest.mark.parametrize("n", [0, -1])
     def test_incref_below_one_is_rejected(self, n):
@@ -405,6 +405,23 @@ class TestDrop:
         reused = [store_example(s, [9.0], 1) for _ in range(4)]
         assert reused[:3] == [ids[4], ids[0], ids[2]]  # last freed is reused first
         assert reused[3] not in ids  # then the never-used slot
+
+    def test_frees_like_a_sequence_of_releases(self):
+        # slots dropped at once are freed as one release each, in the order
+        # given, and add hands them out again as Python ints
+        stores = [ExampleStore(dim=1, capacity=5) for _ in range(2)]
+        for s in stores:
+            ids = [store_example(s, [float(i)], 1) for i in range(4)]
+            s.incref(ids[1])  # a second holder: its first release leaves it live
+        order = [2, 0, 1, 3]
+        for e in order:
+            stores[0].release(e)
+        KernelExpansions((gaussian(1.0),), stores[1]).drop(slice(0, 1), np.array(order))
+        for s in stores:
+            assert s.refs.tolist() == [0, 1, 0, 0, 0] and len(s) == 1
+        reused = [[store_example(s, [9.0], 1) for _ in range(4)] for s in stores]
+        assert reused[0] == reused[1] == [3, 0, 2, 4]  # last freed first, then the never-used slot
+        assert all(type(slot) is int for slot in reused[0] + reused[1])
 
     def test_keeps_mass_outside_the_dropped_slots(self):
         # the smooth learner's removal: every kernel at once, norms over the kept slots

@@ -417,6 +417,25 @@ class TestInputValidation:
         learner.check_invariants()
         assert learner.t == untouched.t + 1  # the rejected round still counts
 
+    @pytest.mark.xfail(raises=RuntimeWarning, strict=True,
+                       reason="a sampled step's closed-form norm change overflows, and the cache keeps U^2")
+    def test_step_past_the_float_range_keeps_the_norm_cache_or_changes_nothing(self):
+        # k_2(x, x) = x^80 = 1e306 and a rate of about 71, so the accepted first round's step
+        # changes the squared norm by more than (71 * 1e153)^2: numpy overflows to inf, and the
+        # projection then zeroes the iterate and caches the squared radius as its norm
+        learner = make_learner(kernels=(gaussian(1.0, 0), polynomial(40.0, 1)), dim=1, budget=2,
+                               ball_radius=100.0, seed=2)
+        before = state_digest(learner)
+        try:
+            rec = learner.update(np.array([10.0 ** (306 / 80)]), 1)
+        except (ValueError, FloatingPointError):
+            assert state_digest(learner) == before
+        else:
+            assert rec.coin[0] == 1
+            cached = learner.expansions.sq_norms.copy()
+            learner.expansions.recompute_sq_norms()
+            assert learner.expansions.sq_norms == pytest.approx(cached, rel=1e-9)
+
     @pytest.mark.parametrize(
         "bad",
         [
