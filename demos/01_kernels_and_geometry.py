@@ -9,7 +9,7 @@ drives the proxy-update rule.
 import numpy as np
 
 from okselect import feature_distance, gaussian, kernel_eval, polynomial
-from okselect.kernels import kernel_rows, pairwise
+from okselect.kernels import KernelGrid, kernel_rows, pairwise
 
 rng = np.random.default_rng(0)
 
@@ -43,7 +43,7 @@ print("of a grid is read off the same inner products and distances:")
 X = rng.normal(size=(5, 3))
 sq = np.einsum("ij,ij->i", X, X)
 q = rng.normal(size=3)
-grid = (gaussian(0.5), gaussian(1.0), polynomial(2))
+grid = KernelGrid((gaussian(0.5), gaussian(1.0), polynomial(2)))  # built once, read every call
 rows = kernel_rows(grid, *pairwise(X, sq, q, float(q @ q)))
 for spec, row in zip(grid, rows):
     check = np.array([kernel_eval(spec, x, q) for x in X])

@@ -53,7 +53,7 @@ for t in range(2000):
     x = rng.normal(size=2)
     y = 1 if x.sum() > 0 else -1
     exact = -np.mean([yy * kernel_eval(spec, xx, query) for xx, yy in history]) if history else 0.0
-    rows = kernel_rows((spec,), *pairwise(store.X, store.sqnorm, query, float(query @ query)))
+    rows = kernel_rows(r.specs, *pairwise(store.X, store.sqnorm, query, float(query @ query)))
     guess = r.optimistic_value_many(rows)[0]
     if t in (10, 100, 500, 1999):
         print(f"t={t:<5} guess={guess:+.4f}  full-history average={exact:+.4f}  "

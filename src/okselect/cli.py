@@ -108,19 +108,17 @@ def main(argv=None) -> int:
             return _cmd_run(args)
         if args.command == "datagen":
             return _cmd_datagen(args)
-        if args.command == "inspect":
-            try:
-                return _cmd_inspect(args)
-            except OSError as exc:
-                print(f"config error: {exc}", file=sys.stderr)
-                return 1
+        try:  # inspect, the one command left: the parser requires one
+            return _cmd_inspect(args)
+        except OSError as exc:
+            print(f"config error: {exc}", file=sys.stderr)
+            return 1
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         print(f"runtime failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    return 0
 
 
 if __name__ == "__main__":

@@ -64,7 +64,7 @@ import numpy as np
 from .hedge import HedgeState
 from .kernels import KernelGrid, self_values
 from .losses import HingeLoss
-from .protocol import Prediction, RoundRecord, SelectorConfig, check_features, mix, pending
+from .protocol import Prediction, RoundRecord, SelectorConfig, check_features, check_self_values, mix, pending
 from .reservoir import Reservoir
 from .rkhs import ExampleStore, KernelExpansions
 
@@ -72,7 +72,6 @@ __all__ = [
     "HingeSelectorConfig",
     "HingeKernelSelector",
     "allocate_budgets",
-    "surrogate_weights",
     "BudgetError",
 ]
 
@@ -124,7 +123,7 @@ def allocate_budgets(config: HingeSelectorConfig) -> tuple[int, int]:
     return archive_cap, per_kernel
 
 
-def surrogate_weights(y: float, prob: float, accepted: bool) -> tuple[float, float]:
+def _surrogate_weights(y: float, prob: float, accepted: bool) -> tuple[float, float]:
     """One kernel's importance-weighted surrogate gradient.
 
     With grad = -y k(x, .), the surrogate (grad - guess)/p 1[accepted] + guess
@@ -146,7 +145,7 @@ class HingeKernelSelector:
 
     def __init__(self, config: HingeSelectorConfig):
         self.config = config
-        self.kernels = KernelGrid(config.kernels)  # shared with the reservoir and the expansions
+        self.kernels = KernelGrid(config.kernels)
         k = len(self.kernels)
         self.archive_cap, self.per_kernel_cap = allocate_budgets(config)
         self.radius = config.radius
@@ -183,9 +182,10 @@ class HingeKernelSelector:
         """f_{t,i}(x) = f'_i(x) - lambda_i * guess_i(x); mixture and sign.
 
         sign(0) is +1. Raises ValueError on a wrong-shaped or non-finite
-        ``x`` before any state changes.
+        ``x``, or one whose k_i(x, x) overflows, before any state changes.
         """
         x, xsq = check_features(x, self.config.dim)
+        check_self_values(self.kernels, xsq)
         rows = self.expansions.rows(x, xsq)
         guesses = self.reservoir.optimistic_value_many(rows)
         fx = np.vecdot(self.expansions.coef, rows)
@@ -315,7 +315,7 @@ class HingeKernelSelector:
         """Step every sampled kernel by -rate times its importance-weighted surrogate.
 
         Kernel i's step is c_i = u_i g + w_i k_i(x, .), with g the guess and
-        (u_i, w_i) = -rate (gamma_i, delta_i) from :func:`surrogate_weights`.
+        (u_i, w_i) = -rate (gamma_i, delta_i) from :func:`_surrogate_weights`.
         So ||f_i + c_i||^2 - ||f_i||^2 is
         u_i (2 <f_i, g> + u_i ||g||^2 + 2 w_i g(x)) + w_i (2 f_i(x) + w_i k_i(x, x)),
         where <f_i, g> comes from the reservoir's label sums, f_i(x) and g(x)
@@ -328,7 +328,7 @@ class HingeKernelSelector:
         neg_rate = -self.rate
         u, w, changes = [], [], []
         for s, a, p, fg, f, k_ii, g, g_sq in zip(sampled, accepted, prob, f_dot_g, fx, kxx, guess_values, guess_sq):
-            gamma, delta = surrogate_weights(y, p, a)
+            gamma, delta = _surrogate_weights(y, p, a)
             scale = neg_rate * s
             u_i, w_i = scale * gamma, scale * delta
             u.append(u_i)

@@ -13,8 +13,8 @@ A learner evaluates the same grid every round, so a :class:`KernelGrid`
 otherwise rebuild: the Gaussian divisors 2 sigma^2, the polynomial
 degrees, whether any kernel reads distances, and, for an all-Gaussian
 grid, the shared self-similarity vector. :func:`kernel_rows` and
-:func:`self_values` accept a grid or a plain sequence of specs, which they
-turn into a grid for that call.
+:func:`self_values` take a grid and convert nothing, so a caller builds its
+grid once.
 """
 
 from __future__ import annotations
@@ -75,8 +75,7 @@ class KernelGrid(tuple):
     whether any kernel is Gaussian (only those read distances), and
     ``self_ones`` the read-only (K,) vector of ones that
     :func:`self_values` returns for a scalar squared norm when every kernel
-    is Gaussian (None otherwise). A slice of a grid is a grid built from
-    its specs; a slice holding every spec is the grid itself.
+    is Gaussian (None otherwise). A slice of a grid is a plain tuple.
     """
 
     def __new__(cls, specs):
@@ -88,17 +87,6 @@ class KernelGrid(tuple):
         grid.gaussian = len(grid.poly) < len(grid)
         grid.self_ones = None if grid.poly else _read_only(np.ones(len(grid)))
         return grid
-
-    @classmethod
-    def of(cls, specs) -> KernelGrid:
-        """``specs`` itself if it is a grid, else a grid of its specs."""
-        return specs if type(specs) is cls else cls(specs)
-
-    def __getitem__(self, key):
-        if not isinstance(key, slice):
-            return tuple.__getitem__(self, key)
-        sub = tuple.__getitem__(self, key)
-        return self if sub == self else KernelGrid(sub)
 
 
 def gaussian(sigma: float, index: int = 0) -> KernelSpec:
@@ -142,9 +130,8 @@ def pairwise(X, row_sqnorms, z, z_sqnorms, distances: bool = True):
     return dots, sq_distances(dots, row_sqnorms, z_sqnorms) if distances else None
 
 
-def kernel_rows(specs, dots, sqdist=None):
-    """k_i for every kernel i of ``specs`` (a grid or a sequence of specs),
-    from inner products and distances.
+def kernel_rows(grid: KernelGrid, dots, sqdist=None):
+    """k_i for every kernel i of ``grid``, from inner products and distances.
 
     ``dots`` and ``sqdist`` are arrays of one shape holding <x_j, z_j> and
     ||x_j - z_j||^2 (clipped at zero) for the same pairs, as
@@ -153,7 +140,6 @@ def kernel_rows(specs, dots, sqdist=None):
     kernels only ``dots``, so ``sqdist`` may be None for a grid of
     polynomial kernels.
     """
-    grid = KernelGrid.of(specs)
     if sqdist is None:
         if grid.gaussian:
             raise ValueError("Gaussian kernels need the squared distances")
@@ -172,17 +158,15 @@ def kernel_column(spec, X, row_sqnorms, z, z_sqnorms):
     ``z`` is a query vector or a matrix of query rows, as in
     :func:`pairwise`, so this also gives Gram and cross-kernel matrices.
     """
-    return kernel_rows((spec,), *pairwise(X, row_sqnorms, z, z_sqnorms))[0]
+    return kernel_rows(KernelGrid((spec,)), *pairwise(X, row_sqnorms, z, z_sqnorms))[0]
 
 
-def self_values(specs, sqnorms):
-    """k_i(z, z) for every kernel i of ``specs`` (a grid or a sequence of
-    specs) and every z with squared norm in ``sqnorms``.
+def self_values(grid: KernelGrid, sqnorms):
+    """k_i(z, z) for every kernel i of ``grid`` and every z with squared norm in ``sqnorms``.
 
     Exactly 1 for Gaussian kernels. For an all-Gaussian grid and a scalar
     ``sqnorms`` the result is the grid's shared, read-only ``self_ones``.
     """
-    grid = KernelGrid.of(specs)
     if grid.self_ones is not None and isinstance(sqnorms, float):
         return grid.self_ones
     sqnorms = np.asarray(sqnorms, dtype=float)

@@ -19,10 +19,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .kernels import KernelSpec
+from .kernels import KernelGrid, KernelSpec
 from .losses import check_label
 
-__all__ = ["Prediction", "RoundRecord", "SelectorConfig", "check_features", "mix", "pending", "run_stream"]
+__all__ = ["Prediction", "RoundRecord", "SelectorConfig", "check_features", "check_self_values", "mix", "pending", "run_stream"]
 
 
 def check_features(x, dim: int) -> tuple[np.ndarray, float]:
@@ -41,6 +41,20 @@ def check_features(x, dim: int) -> tuple[np.ndarray, float]:
     if not math.isfinite(xsq):
         raise ValueError("feature vector is not finite or its squared norm overflows")
     return x, xsq
+
+
+def check_self_values(grid: KernelGrid, x_sqnorm: float):
+    """Raise ValueError when k_i(x, x) = (x @ x)^p of a polynomial kernel of ``grid`` overflows.
+
+    A Gaussian kernel's is 1, so an all-Gaussian grid passes. Python's float
+    power raises OverflowError where numpy's would warn and give inf, so the
+    check takes a few scalar powers and never meets numpy's warning rules.
+    """
+    for _, degree in grid.poly:
+        try:
+            x_sqnorm**degree
+        except OverflowError:
+            raise ValueError("a kernel's self-similarity k(x, x) overflows") from None
 
 
 class Prediction(NamedTuple):
@@ -135,7 +149,8 @@ def run_stream(learner, X, y, each_round=None) -> tuple[int, float]:
 @dataclass
 class SelectorConfig:
     """The fields both budgeted selectors share; a subclass adds its own
-    fields and its checks (after these)."""
+    fields and its checks (after these). The learning rate must be finite,
+    or the config raises ValueError."""
 
     kernels: tuple[KernelSpec, ...]
     dim: int
@@ -151,8 +166,16 @@ class SelectorConfig:
         if self.removal not in ("half", "restart"):
             raise ValueError("removal must be 'half' or 'restart'")
         for name, value in (("ball_radius", self.ball_radius), ("lambda_scale", self.lambda_scale)):
-            if value is not None and not (math.isfinite(value) and value > 0):
+            if value is not None and not 0 < value < math.inf:  # exact for an int past the float range
                 raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+        if self.budget < 1:
+            raise ValueError(f"budget must be >= 1, got {self.budget!r}")
+        try:  # an int operand past the float range overflows in the conversion
+            rate = self.learning_rate()
+        except OverflowError:
+            rate = math.inf
+        if not math.isfinite(rate):
+            raise ValueError(f"learning rate lambda_scale * U / sqrt(B) must be finite, got {rate!r}")
 
     @property
     def radius(self) -> float:

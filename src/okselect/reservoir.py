@@ -32,8 +32,8 @@ class Reservoir:
     """Capacity-M uniform sample with archive and optimistic-gradient views.
 
     ``specs`` are the kernels whose label sums are kept, as a
-    :class:`~okselect.kernels.KernelGrid` (a grid passed in is shared); a
-    kernel is named by its position in ``specs``. ``label_sums[i, s]`` is
+    :class:`~okselect.kernels.KernelGrid` of its own; a kernel is named by
+    its position in ``specs``. ``label_sums[i, s]`` is
     sum_{j in V} y_j k_i(x_j, x_s), valid at every live slot that entered
     through :meth:`observe` or was registered with :meth:`track`.
     Each sample change also caches the sample's labels, ``labels``, and the
@@ -56,7 +56,7 @@ class Reservoir:
         self.capacity = capacity
         self.archive_cap = archive_cap
         self.rng = rng
-        self.specs = KernelGrid.of(specs)
+        self.specs = KernelGrid(specs)
         self.sample = np.zeros(0, dtype=np.intp)  # slots of the current uniform sample V
         self.labels = np.zeros(0)  # the sample's labels y_j
         self.guess_coef = np.zeros(0)  # the guess's coefficients -y_j / |V| on the sample

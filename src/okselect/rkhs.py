@@ -130,12 +130,11 @@ class KernelExpansions:
 
     ``self_k[i, s]`` caches k_i(x_s, x_s) for every live slot s; it is
     written by :meth:`add`, so a learner stores examples through it.
-    ``specs`` is kept as a :class:`~okselect.kernels.KernelGrid`; a grid
-    passed in is shared, not copied.
+    ``specs`` is kept as a :class:`~okselect.kernels.KernelGrid` of its own.
     """
 
     def __init__(self, specs: tuple[KernelSpec, ...], store: ExampleStore):
-        self.specs = KernelGrid.of(specs)
+        self.specs = KernelGrid(specs)
         self.store = store
         self.coef = np.zeros((len(self.specs), store.capacity))
         self.sq_norms = np.zeros(len(self.specs))
@@ -232,7 +231,8 @@ class KernelExpansions:
         coef, norms = self.coef[kernels], self.sq_norms[kernels]
         if slots is None:
             slots = np.flatnonzero(coef.any(axis=0))
-        grid = self.specs[kernels]
+        specs = self.specs[kernels]
+        grid = self.specs if specs == self.specs else KernelGrid(specs)  # every kernel: the grid built once
         X = self.store.X.take(slots, axis=0)
         sq = self.store.sqnorm.take(slots) if grid.gaussian else None
         grams = kernel_rows(grid, *pairwise(X, sq, X, sq, grid.gaussian))

@@ -38,7 +38,7 @@ import numpy as np
 from .hedge import HedgeState
 from .kernels import KernelGrid, _read_only, kernel_rows, pairwise, self_values, sq_distances
 from .losses import LogisticLoss
-from .protocol import Prediction, RoundRecord, SelectorConfig, check_features, mix, pending
+from .protocol import Prediction, RoundRecord, SelectorConfig, check_features, check_self_values, mix, pending
 from .rkhs import ExampleStore, KernelExpansions
 
 __all__ = ["SmoothSelectorConfig", "SmoothKernelSelector", "pea_losses"]
@@ -93,7 +93,7 @@ class SmoothKernelSelector:
 
     def __init__(self, config: SmoothSelectorConfig):
         self.config = config
-        self.kernels = KernelGrid(config.kernels)  # shared with the expansions
+        self.kernels = KernelGrid(config.kernels)
         self.loss = config.loss
         self.radius = config.radius
         self.rate = config.learning_rate()
@@ -142,10 +142,11 @@ class SmoothKernelSelector:
     def predict(self, x) -> Prediction:
         """Per-kernel values f_i(x), their Hedge mixture and its sign (sign(0) is +1).
 
-        Raises ValueError on a wrong-shaped or non-finite ``x`` before any
-        state changes.
+        Raises ValueError on a wrong-shaped or non-finite ``x``, or one whose
+        k_i(x, x) overflows, before any state changes.
         """
         x, xsq = check_features(x, self.config.dim)
+        check_self_values(self.kernels, xsq)
         ex = self.expansions
         # The distances feed only Gaussian kernels and the proxy search, so a
         # polynomial grid computes them in update, when a proxy is looked for.

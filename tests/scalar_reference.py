@@ -17,7 +17,7 @@ under the square root, so that an exact duplicate is at the same distance
 (zero) in both.
 
 :func:`importance_weighted_coeffs` is the sampled branch's surrogate over
-dict coefficients, the reference for ``hinge_learner.surrogate_weights``.
+dict coefficients, the reference for ``hinge_learner._surrogate_weights``.
 
 Two correct implementations that round differently can still take opposite
 sides of a threshold that a quantity meets exactly in exact arithmetic: a

@@ -61,6 +61,15 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             ExperimentConfig(dataset="x", algorithm="momd_s", loss="hinge")
 
+    @pytest.mark.parametrize("raw, match", [
+        ({"dataset": 2, "algorithm": "momd_h"}, "dataset must be a file path or a generator spec, got 2"),
+        ({"dataset": "x", "algorithm": "momd_h", "loss": "squared"}, "unknown loss 'squared'"),
+        ({"algorithm": "momd_h"}, "config requires 'dataset' and 'algorithm'"),
+    ], ids=["dataset-type", "loss", "no-dataset"])
+    def test_bad_dataset_loss_or_missing_key_rejected(self, raw, match):
+        with pytest.raises(ConfigError, match=match):
+            ExperimentConfig.from_dict(raw)
+
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigError, match="unknown config keys"):
             ExperimentConfig.from_dict({"dataset": "x", "algorithm": "momd_h", "budget": 4})
@@ -357,6 +366,7 @@ class TestCli:
         {"generator": "lowerbound", "budget": "5", "rounds": 30},
         {"generator": "lowerbound", "budget": 5, "rounds": 30, "seed": [1]},
         {"generator": "lowerbound", "budget": 5, "rounds": 30, "sead": 1},
+        {"generator": "blobs", "budget": 5, "rounds": 30},
     ])
     def test_bad_generator_spec_is_config_error(self, tmp_path, capsys, spec):
         cfg_path = tmp_path / "cfg.json"

@@ -10,6 +10,7 @@ from okselect import (
     RakerConfig,
     Reservoir,
     SelectorConfig,
+    SmoothSelectorConfig,
     gaussian,
     gen_lowerbound,
     parse_libsvm,
@@ -42,6 +43,22 @@ CHECKS = {
                             ValueError, "need at least one kernel"),
     "selector-bad-removal": (lambda tmp: SelectorConfig(kernels=GRID, dim=2, budget=10, removal="halve"),
                              ValueError, "removal must be 'half' or 'restart'"),
+    "selector-budget-0": (lambda tmp: SelectorConfig(kernels=GRID, dim=2, budget=0),
+                          ValueError, "budget must be >= 1"),
+    # lambda_scale * U / sqrt(B) past the float range, or an int that a float cannot hold: ValueError, not OverflowError
+    "hinge-rate-inf": (lambda tmp: HingeSelectorConfig(kernels=GRID, dim=1, budget=40, horizon=100, ball_radius=1e200,
+                                                       lambda_scale=1e200),
+                       ValueError, "learning rate .* must be finite, got inf"),
+    "hinge-budget-past-float-range": (lambda tmp: HingeSelectorConfig(kernels=GRID, dim=1, budget=10**400, horizon=100),
+                                      ValueError, "learning rate .* must be finite, got inf"),
+    "smooth-rate-inf": (lambda tmp: SmoothSelectorConfig(kernels=GRID, dim=1, budget=4, ball_radius=1e200,
+                                                         lambda_scale=1e200),
+                        ValueError, "learning rate .* must be finite, got inf"),
+    "smooth-budget-past-float-range": (lambda tmp: SmoothSelectorConfig(kernels=GRID, dim=1, budget=10**400),
+                                       ValueError, "learning rate .* must be finite, got inf"),
+    "smooth-radius-past-float-range": (lambda tmp: SmoothSelectorConfig(kernels=GRID, dim=1, budget=4,
+                                                                        ball_radius=10**400),
+                                       ValueError, "learning rate .* must be finite, got inf"),
     "hinge-reservoir-size-0": (lambda tmp: HingeSelectorConfig(kernels=GRID, dim=2, budget=40, horizon=100,
                                                                reservoir_size=0),
                                ValueError, "reservoir size must be >= 1"),

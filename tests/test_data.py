@@ -24,6 +24,10 @@ class TestParse:
         x0 = ds.dense_features()[0]
         assert x0[2] == 0.5 and x0[6] == 1.0 and x0.sum() == 1.5
 
+    def test_blank_lines_are_skipped(self, tmp_path):
+        ds = parse_libsvm(write(tmp_path, "\n+1 1:0.5\n  \n\n-1 2:1.0\n\n"))
+        assert ds.num_examples == 2 and ds.y.tolist() == [1, -1]
+
     def test_larger_raw_label_maps_to_plus_one(self, tmp_path):
         # the {1, 2} convention: 2 -> +1, 1 -> -1
         ds = parse_libsvm(write(tmp_path, "1 1:1\n2 1:2\n2 2:1\n"))

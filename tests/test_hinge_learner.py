@@ -14,7 +14,7 @@ from okselect import (
     polynomial,
     run_stream,
 )
-from okselect.hinge_learner import surrogate_weights
+from okselect.hinge_learner import _surrogate_weights
 from okselect.kernels import kernel_eval
 
 from conftest import (
@@ -211,7 +211,7 @@ class TestSurrogateGradient:
         cases = [(0.3, True), (0.3, False), (1.0, True), (0.0, False), (0.02, True)]
         x_slot = 100  # the round's example, never in the sample
         for i, (prob, accepted) in enumerate(cases):
-            gamma, delta = surrogate_weights(y, prob, accepted)
+            gamma, delta = _surrogate_weights(y, prob, accepted)
             want = importance_weighted_coeffs({x_slot: -y} if accepted else {}, guess, prob, accepted)
             got = {s: gamma * c for s, c in guess.items()} | {x_slot: delta}
             scale = 1.0 / prob if accepted else 1.0
@@ -454,9 +454,9 @@ class TestInputValidation:
         learner, untouched = (HingeKernelSelector(make_config(seed=7, horizon=60)) for _ in range(2))
         for lr in (learner, untouched):
             run_stream(lr, X[:40], y[:40])
-        with np.errstate(over="ignore"), pytest.raises(ValueError):
+        with pytest.raises(ValueError):
             learner.predict(bad)
-        with np.errstate(over="ignore"), pytest.raises(ValueError):
+        with pytest.raises(ValueError):
             learner.update(bad, 1)
         assert learner.t == untouched.t
         assert state_digest(learner) == state_digest(untouched)

@@ -22,7 +22,7 @@ from conftest import column_oracle, gram_oracle
 def test_gaussian_identity_is_one():
     x = np.array([0.3, -0.7])
     assert kernel_eval(gaussian(1.0), x, x) == 1.0
-    assert self_values((gaussian(1.0), gaussian(3.0)), x @ x).tolist() == [1.0, 1.0]
+    assert self_values(KernelGrid((gaussian(1.0), gaussian(3.0))), x @ x).tolist() == [1.0, 1.0]
 
 
 def test_gaussian_closed_form():
@@ -62,10 +62,11 @@ def test_feature_distance_far_limit():
 def test_distance_squared_matches_expansion():
     rng = np.random.default_rng(7)
     spec = gaussian(0.8)
+    grid = KernelGrid((spec,))
     for _ in range(1000):
         x, z = rng.normal(size=3), rng.normal(size=3)
         lhs = feature_distance(spec, x, z) ** 2
-        kxx, kzz = self_values((spec,), [x @ x, z @ z])[0]
+        kxx, kzz = self_values(grid, [x @ x, z @ z])[0]
         rhs = kxx + kzz - 2.0 * kernel_eval(spec, x, z)
         assert abs(lhs - rhs) <= 1e-12
 
@@ -98,7 +99,8 @@ def test_batched_column_matches_scalar():
         for j in range(20):
             assert col[j] == pytest.approx(kernel_eval(spec, X[j], x), rel=1e-10, abs=1e-12)
         # feature-space distances from one column, as the hinge learner's proxy search takes them
-        dcol = np.sqrt(np.maximum(self_values((spec,), sq)[0] + self_values((spec,), xsq)[0] - 2.0 * col, 0.0))
+        grid = KernelGrid((spec,))
+        dcol = np.sqrt(np.maximum(self_values(grid, sq)[0] + self_values(grid, xsq)[0] - 2.0 * col, 0.0))
         for j in range(20):
             assert dcol[j] == pytest.approx(feature_distance(spec, X[j], x), rel=1e-9, abs=1e-9)
 
@@ -109,19 +111,19 @@ def test_rows_match_column_and_gram_bit_for_bit():
     sq = np.einsum("ij,ij->i", X, X)
     x = rng.normal(size=6)
     xsq = float(x @ x)
-    specs = (gaussian(0.5, 0), polynomial(1, 1), gaussian(4.0, 2), polynomial(3, 3))
-    rows = kernel_rows(specs, *pairwise(X, sq, x, xsq))
-    grams = kernel_rows(specs, *pairwise(X, sq, X, sq))
+    grid = KernelGrid((gaussian(0.5, 0), polynomial(1, 1), gaussian(4.0, 2), polynomial(3, 3)))
+    rows = kernel_rows(grid, *pairwise(X, sq, x, xsq))
+    grams = kernel_rows(grid, *pairwise(X, sq, X, sq))
     assert rows.shape == (4, 30) and grams.shape == (4, 30, 30)
-    for i, spec in enumerate(specs):
+    for i, spec in enumerate(grid):
         assert np.array_equal(rows[i], column_oracle(spec, X, sq, x, xsq))
         assert np.array_equal(grams[i], gram_oracle(spec, X, sq))
         assert np.array_equal(kernel_column(spec, X, sq, X, sq), grams[i])
     dots = X @ x
-    poly = (polynomial(1, 0), polynomial(2, 1))
+    poly = KernelGrid((polynomial(1, 0), polynomial(2, 1)))
     assert np.array_equal(kernel_rows(poly, dots), [dots**1.0, dots**2.0])
     with pytest.raises(ValueError):
-        kernel_rows(specs, dots)
+        kernel_rows(grid, dots)
 
 
 def test_gram_and_cross_match_scalar():
@@ -180,29 +182,24 @@ def same_bits(a, b):
 
 @pytest.mark.parametrize("name", GRIDS)
 def test_grid_and_tuple_give_the_same_bits(name):
+    """A grid of a tuple's specs gives the per-spec oracles' bits over that tuple."""
     specs = GRIDS[name]
-    grid = KernelGrid(specs)
-    assert grid == specs and KernelGrid.of(grid) is grid and grid[:] is grid
+    assert KernelGrid(specs) == specs and type(KernelGrid(specs)[1:]) is tuple
     sqnorm_inputs = (2.5, np.float64(0.75), np.asarray(1.5), np.array([0.0, 0.5, 3.0]), np.ones((2, 3)) * 1.25)
     for key in SLICES:
-        sub, plain = grid[key], specs[key]
-        assert type(sub) is KernelGrid and sub == plain
+        plain = specs[key]
+        grid = KernelGrid(plain)
         for dots, sqdist in pair_inputs():
             want = spec_rows(plain, dots, sqdist).reshape((len(plain),) + dots.shape)
-            assert same_bits(kernel_rows(sub, dots, sqdist), want)
-            assert same_bits(kernel_rows(plain, dots, sqdist), want)
-            assert same_bits(kernel_rows(list(plain), dots, sqdist), want)
+            assert same_bits(kernel_rows(grid, dots, sqdist), want)
         for sq in sqnorm_inputs:
             want = spec_self(plain, sq).reshape((len(plain),) + np.shape(sq))
-            assert same_bits(self_values(sub, sq), want)
-            assert same_bits(self_values(plain, sq), want)
+            assert same_bits(self_values(grid, sq), want)
 
 
-def test_a_slice_is_the_grid_only_when_it_holds_every_spec():
+def test_grid_constants_follow_the_spec_order():
     grid = KernelGrid(GRIDS["mixed"])
-    assert grid[0:4] is grid and grid[::1] is grid
-    rev = grid[::-1]
-    assert rev is not grid and rev == GRIDS["mixed"][::-1]
+    rev = KernelGrid(GRIDS["mixed"][::-1])
     assert same_bits(rev.neg_two_var, grid.neg_two_var[::-1].copy())
     assert rev.poly == ((0, 3.0), (2, 1.0)) and rev.gaussian and rev.self_ones is None
     assert not rev.neg_two_var.flags.writeable
@@ -215,20 +212,19 @@ def test_all_gaussian_self_values_are_shared_and_read_only():
     assert ones.tolist() == [1.0, 1.0, 1.0] and not ones.flags.writeable
     with pytest.raises(ValueError):
         ones[0] = 2.0
-    assert not self_values(GRIDS["gaussian"], 2.5).flags.writeable
     # an array of norms, or a grid with a polynomial kernel, gets a fresh array
     assert self_values(grid, np.array([2.5])).flags.writeable
     assert KernelGrid(GRIDS["mixed"]).self_ones is None
-    assert self_values(GRIDS["mixed"], 2.5).flags.writeable
+    assert self_values(KernelGrid(GRIDS["mixed"]), 2.5).flags.writeable
 
 
 def test_gaussian_grid_without_distances_raises():
     dots = np.arange(3.0)
     for name in ("gaussian", "mixed"):
-        for specs in (GRIDS[name], KernelGrid(GRIDS[name])):
-            with pytest.raises(ValueError, match="squared distances"):
-                kernel_rows(specs, dots)
-    # a polynomial grid, or a polynomial slice of a mixed one, reads no distances
-    assert KernelGrid(GRIDS["mixed"])[1:2].gaussian is False
-    assert same_bits(kernel_rows(KernelGrid(GRIDS["mixed"])[1:2], dots), np.array([dots**1.0]))
-    assert same_bits(kernel_rows(GRIDS["polynomial"], dots), spec_rows(GRIDS["polynomial"], dots, None))
+        with pytest.raises(ValueError, match="squared distances"):
+            kernel_rows(KernelGrid(GRIDS[name]), dots)
+    # a polynomial grid, or one of a mixed grid's polynomial kernels, reads no distances
+    assert KernelGrid(GRIDS["mixed"][1:2]).gaussian is False
+    assert same_bits(kernel_rows(KernelGrid(GRIDS["mixed"][1:2]), dots), np.array([dots**1.0]))
+    poly = KernelGrid(GRIDS["polynomial"])
+    assert same_bits(kernel_rows(poly, dots), spec_rows(GRIDS["polynomial"], dots, None))

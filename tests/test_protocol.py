@@ -4,6 +4,8 @@ every learner returns, and the exports."""
 import copy
 import importlib
 import pkgutil
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -27,6 +29,7 @@ from okselect import (
 from okselect.bench import _LEARNERS, _learner_config, load_dataset
 from okselect.data import permute
 from okselect.protocol import Prediction, RoundRecord, check_features, mix
+from okselect.smooth_learner import pea_losses
 
 from conftest import blob_stream, state_digest
 
@@ -80,7 +83,7 @@ def played(name, rounds=40):
 def assert_rejected(learner, call):
     """``call`` raises ValueError and leaves ``learner`` as it was."""
     before = copy.deepcopy(learner)
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError):
+    with pytest.raises(ValueError):
         call()
     assert_same_state(learner, before)
 
@@ -290,6 +293,38 @@ def test_a_round_either_keeps_the_invariants_or_changes_nothing(name, rounds):
                 event("removal")
             if name != "raker":  # the baseline has no budget or ball to check
                 learner.check_invariants()
+
+
+@pytest.mark.parametrize("warning_filter", ["error", "default"])
+@pytest.mark.parametrize("name", ["momd_h", "momd_s"])
+def test_an_x_whose_self_similarity_overflows_is_rejected_before_any_state_changes(name, warning_filter, monkeypatch):
+    # x @ x = 1e8, so k(x, x) = 1e320 under polynomial(40), while x's inner products with
+    # the stored rows, all near e2, stay below 1e4 and keep the kernel rows finite
+    learner = SMALL_LEARNERS[name]()
+    rng = np.random.default_rng(3)
+    for _ in range(30):
+        x = np.array([0.1 * rng.normal(), rng.normal()])
+        learner.update(x, 1 if x[1] > 0 else -1)
+    bad = np.array([1e4, 0.0])
+    with monkeypatch.context() as m:  # the round as it would run without the check
+        m.setattr(sys.modules[type(learner).__module__], "check_self_values", lambda grid, x_sqnorm: None)
+        pred = copy.deepcopy(learner).predict(bad)
+    y = -pred.label  # a mistake, so the derivative that scales momd_s's Hedge losses is not 0
+    if name == "momd_h":
+        losses = np.maximum(1.0 - y * pred.per_kernel, 0.0)
+    else:
+        losses = pea_losses(pred.per_kernel, learner.loss.deriv(pred.aggregate, y))
+    assert np.isfinite(losses).all() and losses.any()  # charging Hedge would change its state
+    before = state_digest(learner)
+    # [1e10, 0] also overflows its inner products with the stored rows under polynomial(40)
+    calls = (lambda: learner.predict(bad), lambda: learner.update(bad, y), lambda: learner.update(1e6 * bad, y))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter(warning_filter)
+        for call in calls:
+            with pytest.raises(ValueError, match="self-similarity"):
+                call()
+    assert not caught  # numpy's overflow warning is never met
+    assert state_digest(learner) == before and learner.t == 30
 
 
 def _modules():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from okselect import ExampleStore, Reservoir
-from okselect.kernels import gaussian, kernel_eval, kernel_rows, pairwise
+from okselect.kernels import KernelGrid, gaussian, kernel_eval, kernel_rows, pairwise
 
 from conftest import brute_guess_sq_norm, brute_value, guess_coeffs, offer
 
@@ -22,7 +22,7 @@ def guess(r, spec, x):
     """The reservoir's guess value at x, from kernel rows over the whole store."""
     x = np.asarray(x, dtype=float)
     st = r.store
-    return r.optimistic_value_many(kernel_rows((spec,), *pairwise(st.X, st.sqnorm, x, float(x @ x))))[0]
+    return r.optimistic_value_many(kernel_rows(KernelGrid((spec,)), *pairwise(st.X, st.sqnorm, x, float(x @ x))))[0]
 
 
 def test_always_inserts_until_full():

@@ -272,12 +272,12 @@ class TestNormTracking:
             learner.update(x, 1 if x[0] > 0 else -1)
         ex, store = learner.expansions, learner.store
         live = np.flatnonzero(store.refs)
-        assert len(live) and np.allclose(ex.self_k[:, live], self_values(self.GRID, store.sqnorm[live]), rtol=1e-14, atol=0)
+        assert len(live) and np.allclose(ex.self_k[:, live], self_values(ex.specs, store.sqnorm[live]), rtol=1e-14, atol=0)
         slot = live[-1]
         ex.self_k[1, slot] *= 1.0 + 1e-11  # the polynomial kernel's k(x, x) = ||x||^4
         with pytest.raises(AssertionError, match="self-similarity"):
             learner.check_invariants()
-        ex.self_k[1, slot] = self_values(self.GRID[1:2], store.sqnorm[slot])[0] * (1.0 + 1e-13)
+        ex.self_k[1, slot] = self_values(ex.specs, store.sqnorm[slot])[1] * (1.0 + 1e-13)
         learner.check_invariants()
 
 
@@ -627,7 +627,7 @@ class TestHighWaterMark:
     def test_state_above_the_mark_fails_the_invariants(self, field):
         store = ExampleStore(dim=2, capacity=5)
         ex = KernelExpansions(self.GRID, store)
-        slot = ex.add(np.ones(2), 1, 2.0, self_values(self.GRID, 2.0))
+        slot = ex.add(np.ones(2), 1, 2.0, self_values(ex.specs, 2.0))
         ex.check_invariants(radius=1.0)
         if field == "refs":
             store.refs[3] = 1

@@ -311,6 +311,11 @@ class TestConfig:
         run_stream(learner, X, y)
         assert learner.removals <= 3 * max(learner.removal_bound(), 1)
 
+    def test_removal_bound_is_inf_while_the_budget_is_below_the_log_term(self):
+        # B - (4/3) ln(100) = B - 6.14 is the bound's denominator
+        assert make_learner(budget=6).removal_bound() == math.inf
+        assert make_learner(budget=8).removal_bound() == 0  # no loss yet
+
     def test_restart_mode(self):
         X, y = blob_stream(500, 4, seed=37)
         learner = make_learner(budget=6, seed=11, removal="restart")
@@ -400,7 +405,20 @@ class TestRecords:
                 assert np.array_equal(getattr(before, field), getattr(after, field), equal_nan=True)
 
 
+class NanDerivLoss(LogisticLoss):
+    def deriv(self, f, y):
+        return math.nan
+
+
 class TestInputValidation:
+    def test_non_finite_derivative_is_floating_point_error_and_changes_nothing(self):
+        X, y = blob_stream(20, 4, seed=5)
+        learner = make_learner(budget=6, seed=3, loss=NanDerivLoss())
+        before = state_digest(learner)
+        with pytest.raises(FloatingPointError, match="non-finite loss derivative at round 1"):
+            learner.update(X[0], y[0])
+        assert state_digest(learner) == before and learner.t == 1
+
     def test_loss_rejected_by_hedge_changes_no_state(self):
         # k_2(x, x) = x^80 = 1e306: on round 2 the polynomial kernel's value is ~1e154, a loss
         # above the ~9.48e153 Hedge accepts, after a round whose coin stored x
@@ -451,9 +469,9 @@ class TestInputValidation:
         learner, untouched = make_learner(budget=6, seed=14), make_learner(budget=6, seed=14)
         for lr in (learner, untouched):
             run_stream(lr, X[:40], y[:40])
-        with np.errstate(over="ignore"), pytest.raises(ValueError):
+        with pytest.raises(ValueError):
             learner.predict(bad)
-        with np.errstate(over="ignore"), pytest.raises(ValueError):
+        with pytest.raises(ValueError):
             learner.update(bad, 1)
         assert learner.t == untouched.t
         assert state_digest(learner) == state_digest(untouched)
