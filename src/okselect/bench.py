@@ -22,9 +22,9 @@ import numpy as np
 
 from . import data as data_mod
 from .hinge_learner import HingeKernelSelector, HingeSelectorConfig
-from .kernels import KernelSpec, gaussian, polynomial
+from .kernels import KernelSpec, _count, _is_finite, gaussian, polynomial
 from .losses import HingeLoss, LogisticLoss
-from .protocol import run_stream
+from .protocol import learning_rate, run_stream
 from .raker import RakerBaseline, RakerConfig
 from .smooth_learner import SmoothKernelSelector, SmoothSelectorConfig
 
@@ -67,40 +67,6 @@ class ConfigError(ValueError):
 _KERNEL_KINDS = {"gaussian": (gaussian, "sigma"), "polynomial": (polynomial, "degree")}
 
 
-def _is_count(value) -> bool:
-    """True for an int >= 1; a bool is not a count."""
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
-
-
-def _is_finite(value) -> bool:
-    """True for a finite int or float; a bool is not a number, nor an int past the float range."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:
-        return False
-
-
-def _check_kernel_entries(kernels):
-    """Raise ConfigError unless every ``kernels`` entry is {"kind": kind, param: number > 0}."""
-    if not (isinstance(kernels, (list, tuple)) and kernels):
-        raise ConfigError(f"kernels must be a non-empty list of kernel entries, got {kernels!r}")
-    for i, item in enumerate(kernels):
-        if not isinstance(item, dict):
-            raise ConfigError(f"kernels[{i}] must be an object, got {item!r}")
-        kind = item.get("kind")
-        if not isinstance(kind, str) or kind not in _KERNEL_KINDS:
-            raise ConfigError(f"kernels[{i}] has unknown kind {kind!r}; expected one of {sorted(_KERNEL_KINDS)}")
-        param = _KERNEL_KINDS[kind][1]
-        if set(item) != {"kind", param}:
-            raise ConfigError(f"kernels[{i}] of kind {kind!r} takes exactly the keys "
-                              f"'kind' and {param!r}, got {list(item)}")
-        value = item[param]
-        if not (_is_finite(value) and value > 0):
-            raise ConfigError(f"kernels[{i}] {param!r} must be a finite number > 0, got {value!r}")
-
-
 @dataclass
 class ExperimentConfig:
     """Declarative description of one experiment.
@@ -110,17 +76,17 @@ class ExperimentConfig:
     a file's features are min-max normalized onto [0, 1].
     ``U`` is either the string ``"sqrt_b"`` or an explicit radius, with a
     finite learning rate lambda_scale * U / sqrt(B); ``B``,
-    ``M``, ``D`` and ``repeats`` integers >= 1, the first three within the
-    float range; ``lambda_scale`` a finite
+    ``M``, ``D`` and ``repeats`` integers >= 1 and ``seed`` an integer
+    >= 0, each within the float range; ``lambda_scale`` a finite
     number > 0; ``eta`` null (1/sqrt(T)) or a finite number >= 0;
-    ``reg`` a finite number >= 0; ``seed`` an integer >= 0 and ``output``
-    a file path or null. Any other value raises ConfigError, before a
-    dataset is read.
+    ``reg`` a finite number >= 0 and ``output`` a file path or null, by
+    the rule the library configs apply. Any other value raises
+    ConfigError, before a dataset is read.
     ``kernels`` is the kernel grid, by default the Gaussian grid with the
     widths ``DEFAULT_SIGMAS``. It is a non-empty list of specs, e.g.
     ``[{"kind": "polynomial", "degree": 1}]``: each entry holds ``kind``
-    and that kind's one parameter (``sigma`` or ``degree``), a finite
-    number > 0, and nothing else, or the config raises ConfigError.
+    and that kind's one parameter (``sigma`` or ``degree``), a number that
+    :class:`KernelSpec` accepts, and nothing else, or the config raises ConfigError.
     Settings that pass these checks but from which the learner cannot be
     built (a budget too small for the kernels, a raker over non-Gaussian
     kernels) raise ConfigError in :func:`run`, before the first repeat.
@@ -153,15 +119,8 @@ class ExperimentConfig:
             raise ConfigError("the per-kernel-buffer learner is defined for the hinge loss")
         if self.algorithm == "momd_s" and self.loss == "hinge":
             raise ConfigError("the shared-buffer learner needs a smooth loss (logistic)")
-        if not _is_count(self.repeats):
-            raise ConfigError(f"repeats must be an integer >= 1, got {self.repeats!r}")
-        if isinstance(self.seed, bool) or not (isinstance(self.seed, int) and self.seed >= 0):
-            raise ConfigError(f"seed must be an integer >= 0, got {self.seed!r}")
         if self.output is not None and not isinstance(self.output, (str, os.PathLike)):
             raise ConfigError(f"output must be a file path or null, got {self.output!r}")
-        for name in ("B", "M", "D"):
-            if not _is_count(getattr(self, name)):
-                raise ConfigError(f"{name} must be an integer >= 1, got {getattr(self, name)!r}")
         if not (_is_finite(self.lambda_scale) and self.lambda_scale > 0):
             raise ConfigError(f"lambda_scale must be a finite number > 0, got {self.lambda_scale!r}")
         if self.removal not in ("half", "restart"):
@@ -170,20 +129,15 @@ class ExperimentConfig:
             raise ConfigError(f"eta must be null or a finite number >= 0, got {self.eta!r}")
         if not (_is_finite(self.reg) and self.reg >= 0):
             raise ConfigError(f"reg must be a finite number >= 0, got {self.reg!r}")
-        if self.kernels is not None:
-            _check_kernel_entries(self.kernels)
+        self.kernel_specs()  # checks every entry
         if self.U != "sqrt_b" and not (_is_finite(self.U) and self.U > 0):
             raise ConfigError(f"U must be 'sqrt_b' or a finite positive radius, got {self.U!r}")
-        if self.U != "sqrt_b":
-            try:  # an int operand past the float range overflows in the conversion
-                rate = self.lambda_scale * self.U / math.sqrt(self.B)
-            except OverflowError:
-                rate = math.inf
-            if not math.isfinite(rate):
-                raise ConfigError(f"lambda_scale * U / sqrt(B) overflows: {self.lambda_scale!r} * {self.U!r} / sqrt({self.B})")
-        for name in ("B", "M", "D"):  # the learners size arrays and rates from them as floats
-            if not _is_finite(getattr(self, name)):
-                raise ConfigError(f"{name} must be an integer within the float range, got {getattr(self, name)!r}")
+        # ahead of the counts, so that an int B past the float range is named by the rate it overflows
+        if (self.U != "sqrt_b" and isinstance(self.B, int) and self.B > 0
+                and not _is_finite(learning_rate(self.lambda_scale, self.U, self.B))):
+            raise ConfigError(f"lambda_scale * U / sqrt(B) overflows: {self.lambda_scale!r} * {self.U!r} / sqrt({self.B})")
+        for name, minimum in (("B", 1), ("M", 1), ("D", 1), ("repeats", 1), ("seed", 0)):
+            _count(getattr(self, name), name, minimum, error=ConfigError)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
@@ -198,12 +152,28 @@ class ExperimentConfig:
         return cls(**raw)
 
     def kernel_specs(self) -> tuple[KernelSpec, ...]:
+        """The grid's specs; ConfigError unless every ``kernels`` entry is {"kind": kind, param: number} that builds one."""
         if self.kernels is None:
             return tuple(gaussian(s, index=i) for i, s in enumerate(DEFAULT_SIGMAS))
+        if not (isinstance(self.kernels, (list, tuple)) and self.kernels):
+            raise ConfigError(f"kernels must be a non-empty list of kernel entries, got {self.kernels!r}")
         specs = []
         for i, item in enumerate(self.kernels):
-            make, param = _KERNEL_KINDS[item["kind"]]
-            specs.append(make(item[param], index=i))
+            if not isinstance(item, dict):
+                raise ConfigError(f"kernels[{i}] must be an object, got {item!r}")
+            kind = item.get("kind")
+            if not isinstance(kind, str) or kind not in _KERNEL_KINDS:
+                raise ConfigError(f"kernels[{i}] has unknown kind {kind!r}; expected one of {sorted(_KERNEL_KINDS)}")
+            make, param = _KERNEL_KINDS[kind]
+            if set(item) != {"kind", param}:
+                raise ConfigError(f"kernels[{i}] of kind {kind!r} takes exactly the keys "
+                                  f"'kind' and {param!r}, got {list(item)}")
+            try:  # the type first: the constructor's float() would also take a bool or a numeric string
+                if not _is_finite(item[param]):
+                    raise ValueError(f"not a number, got {item[param]!r}")
+                specs.append(make(item[param], index=i))  # KernelSpec checks the value itself
+            except ValueError as exc:
+                raise ConfigError(f"kernels[{i}] {param!r} must be a finite number > 0 that KernelSpec accepts: {exc}") from None
         return tuple(specs)
 
     def radius(self) -> float | None:
@@ -280,10 +250,10 @@ def load_dataset(config: ExperimentConfig) -> data_mod.Dataset:
         del args["generator"]
         if set(args) != {"budget", "rounds", "seed"}:
             raise ConfigError(f"the lowerbound generator takes budget, rounds and seed, got {sorted(spec)}")
-        for key, value in args.items():
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ConfigError(f"generator spec {key!r} must be an integer, got {value!r}")
-        return data_mod.gen_lowerbound(**args)
+        try:
+            return data_mod.gen_lowerbound(**args)
+        except ValueError as exc:
+            raise ConfigError(f"generator spec: {exc}") from exc
     try:
         ds = data_mod.parse_libsvm(spec)
     except OSError as exc:

@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
+from .kernels import _count
+
 __all__ = [
     "Dataset",
     "LibsvmFormatError",
@@ -158,13 +160,12 @@ def gen_lowerbound(budget: int, rounds: int, seed: int) -> Dataset:
 
     The first 3B rounds present e_1, ..., e_{3B} with labels alternating
     +1, -1, +1, ...; every later round redraws one of those pairs uniformly
-    with replacement. Requires rounds >= 3 * budget.
+    with replacement. Requires ints budget >= 1, rounds >= 3 * budget, seed >= 0.
     """
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
+    budget = _count(budget, "budget")
     base = 3 * budget
-    if rounds < base:
-        raise ValueError(f"rounds={rounds} must be >= 3*budget={base}")
+    rounds = _count(rounds, "rounds", minimum=base)
+    seed = _count(seed, "seed", minimum=0)
     rng = np.random.default_rng(seed)
     base_labels = np.where(np.arange(1, base + 1) % 2 == 1, 1, -1)
     tail = rng.integers(0, base, size=rounds - base)

@@ -62,7 +62,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hedge import HedgeState
-from .kernels import KernelGrid, self_values
+from .kernels import KernelGrid, _count, self_values
 from .losses import HingeLoss
 from .protocol import Prediction, RoundRecord, SelectorConfig, check_features, check_self_values, mix, pending
 from .reservoir import Reservoir
@@ -87,7 +87,8 @@ class HingeSelectorConfig(SelectorConfig):
     ``budget`` is the total number of stored examples (reservoir archive
     plus all per-kernel buffers). ``horizon`` is the stream length, or an
     estimate of it in streaming mode (the archive slice depends on ln T);
-    bench passes the dataset's length. A budget that :func:`allocate_budgets`
+    bench passes the dataset's length. It and ``reservoir_size`` are ints
+    >= 1 within the float range. A budget that :func:`allocate_budgets`
     cannot split raises BudgetError here. The theorem's rate
     lambda_i = U * sqrt(K) / sqrt(2 B) is ``lambda_scale`` = sqrt(K / 2).
     """
@@ -97,10 +98,8 @@ class HingeSelectorConfig(SelectorConfig):
 
     def __post_init__(self):
         super().__post_init__()
-        if self.reservoir_size < 1:
-            raise ValueError("reservoir size must be >= 1")
-        if self.horizon < 1:
-            raise ValueError("horizon must be >= 1")
+        self.reservoir_size = _count(self.reservoir_size, "reservoir size")
+        self.horizon = _count(self.horizon, "horizon")
         allocate_budgets(self)
 
 

@@ -19,6 +19,8 @@ grid once.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,16 +40,38 @@ __all__ = [
 ]
 
 
+def _is_finite(value) -> bool:
+    """True for a finite real number; a bool is not a number, nor an int past the float range."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
+def _count(value, name: str, minimum: int = 1, error: type = ValueError) -> int:
+    """``value`` as a Python int when it is an int >= ``minimum`` (numpy's included) that a float can hold.
+
+    Otherwise raises ``error`` naming the value ``name``. A bool is not a count.
+    """
+    if not (isinstance(value, numbers.Integral) and _is_finite(value) and value >= minimum):
+        raise error(f"{name} must be >= {minimum} and an integer within the float range, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class KernelSpec:
     """One candidate kernel.
 
     ``kind`` is ``"gaussian"`` (param = bandwidth sigma > 0, so that
     k(x, z) = exp(-||x - z||^2 / (2 sigma^2))) or ``"polynomial"``
-    (param = degree p > 0, k(x, z) = <x, z>^p). ``index`` labels the
-    kernel's position in its candidate grid; no state is keyed off it, since
-    the learners and the reservoir name a kernel by its position in the
-    grid they were given.
+    (param = degree p > 0, k(x, z) = <x, z>^p). The param must be a finite
+    number > 0, and a width must keep the constants derived from it usable:
+    the divisor -2 sigma^2 finite and nonzero, and so 1/sigma finite. ``index``
+    labels the kernel's position in its candidate grid; no state is keyed
+    off it, since the learners and the reservoir name a kernel by its
+    position in the grid they were given.
     """
 
     kind: str
@@ -57,8 +81,16 @@ class KernelSpec:
     def __post_init__(self):
         if self.kind not in ("gaussian", "polynomial"):
             raise ValueError(f"unknown kernel kind: {self.kind!r}")
-        if not self.param > 0:
-            raise ValueError("kernel parameter must be positive")
+        if not (_is_finite(self.param) and self.param > 0):
+            raise ValueError(f"kernel parameter must be a finite number > 0, got {self.param!r}")
+        if self.kind == "gaussian":
+            try:  # the grid's divisor, as KernelGrid computes it; a float power raises on overflow
+                divisor = -2.0 * self.param**2
+            except OverflowError:
+                divisor = -math.inf
+            if not (divisor != 0 and _is_finite(divisor)):  # sigma^2 > 0 holds 1/sigma within the float range
+                raise ValueError(f"kernel parameter must be a Gaussian width whose -2 sigma^2 is finite and "
+                                 f"nonzero, got {self.param!r}")
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:

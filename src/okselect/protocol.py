@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .kernels import KernelGrid, KernelSpec
+from .kernels import KernelGrid, KernelSpec, _count, _is_finite
 from .losses import check_label
 
 __all__ = ["Prediction", "RoundRecord", "SelectorConfig", "check_features", "check_self_values", "mix", "pending", "run_stream"]
@@ -146,11 +146,21 @@ def run_stream(learner, X, y, each_round=None) -> tuple[int, float]:
     return mistakes, cum_loss
 
 
+def learning_rate(lambda_scale, radius, budget) -> float:
+    """The selectors' one rate, lambda_scale * radius / sqrt(budget); inf where a float cannot hold it."""
+    try:
+        return lambda_scale * radius / math.sqrt(budget)
+    except OverflowError:  # an int operand past the float range
+        return math.inf
+
+
 @dataclass
 class SelectorConfig:
     """The fields both budgeted selectors share; a subclass adds its own
-    fields and its checks (after these). The learning rate must be finite,
-    or the config raises ValueError."""
+    fields and its checks (after these). ``dim`` and ``budget`` are ints
+    >= 1 and ``seed`` an int >= 0 within the float range (a numpy int is
+    stored as a Python int), ``ball_radius`` (or None) and ``lambda_scale``
+    finite numbers > 0 and the learning rate finite, or ValueError."""
 
     kernels: tuple[KernelSpec, ...]
     dim: int
@@ -166,15 +176,13 @@ class SelectorConfig:
         if self.removal not in ("half", "restart"):
             raise ValueError("removal must be 'half' or 'restart'")
         for name, value in (("ball_radius", self.ball_radius), ("lambda_scale", self.lambda_scale)):
-            if value is not None and not 0 < value < math.inf:  # exact for an int past the float range
+            if value is not None and not (_is_finite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and > 0, got {value!r}")
-        if self.budget < 1:
-            raise ValueError(f"budget must be >= 1, got {self.budget!r}")
-        try:  # an int operand past the float range overflows in the conversion
-            rate = self.learning_rate()
-        except OverflowError:
-            rate = math.inf
-        if not math.isfinite(rate):
+        self.budget = _count(self.budget, "budget")
+        self.dim = _count(self.dim, "dim")
+        self.seed = _count(self.seed, "seed", minimum=0)
+        rate = self.learning_rate()
+        if not _is_finite(rate):
             raise ValueError(f"learning rate lambda_scale * U / sqrt(B) must be finite, got {rate!r}")
 
     @property
@@ -182,4 +190,4 @@ class SelectorConfig:
         return float(self.ball_radius) if self.ball_radius is not None else math.sqrt(self.budget)
 
     def learning_rate(self) -> float:
-        return self.lambda_scale * self.radius / math.sqrt(self.budget)
+        return learning_rate(self.lambda_scale, self.radius, self.budget)

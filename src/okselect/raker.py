@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import KernelSpec
+from .kernels import KernelSpec, _count, _is_finite
 from .losses import HingeLoss
 from .protocol import Prediction, RoundRecord, check_features, mix, pending
 
@@ -53,10 +53,11 @@ class RakerConfig:
         for spec in self.kernels:
             if spec.kind != "gaussian":
                 raise ValueError("random Fourier features require Gaussian kernels")
-        if self.num_features < 1:
-            raise ValueError("need at least one random feature")
+        self.dim = _count(self.dim, "dim")
+        self.num_features = _count(self.num_features, "need at least one random feature, so num_features")
+        self.seed = _count(self.seed, "seed", minimum=0)
         for name, value in (("step_size", self.step_size), ("reg", self.reg)):
-            if not (math.isfinite(value) and value >= 0):
+            if not (_is_finite(value) and value >= 0):
                 raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
         if self.loss is None:
             self.loss = HingeLoss()

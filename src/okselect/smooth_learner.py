@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hedge import HedgeState
-from .kernels import KernelGrid, _read_only, kernel_rows, pairwise, self_values, sq_distances
+from .kernels import KernelGrid, _count, _read_only, kernel_rows, pairwise, self_values, sq_distances
 from .losses import LogisticLoss
 from .protocol import Prediction, RoundRecord, SelectorConfig, check_features, check_self_values, mix, pending
 from .rkhs import ExampleStore, KernelExpansions
@@ -60,8 +60,7 @@ class SmoothSelectorConfig(SelectorConfig):
 
     def __post_init__(self):
         super().__post_init__()
-        if self.budget < 2:
-            raise ValueError("budget must be >= 2")
+        _count(self.budget, "budget", minimum=2)
         if self.budget % 2 != 0:
             warnings.warn(
                 f"buffer budget {self.budget} is odd; using {self.budget - 1} "

@@ -1,21 +1,32 @@
 """Every documented constructor and input check raises its documented error."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 
+import okselect.bench
 from okselect import (
     ExampleStore,
+    ExperimentConfig,
     HedgeState,
+    HingeKernelSelector,
     HingeSelectorConfig,
+    KernelSpec,
     RakerConfig,
     Reservoir,
     SelectorConfig,
+    SmoothKernelSelector,
     SmoothSelectorConfig,
     gaussian,
     gen_lowerbound,
     parse_libsvm,
 )
+from okselect.bench import ConfigError
 from okselect.data import LibsvmFormatError
+
+from conftest import state_digest
 
 GRID = (gaussian(1.0, 0),)
 
@@ -45,20 +56,20 @@ CHECKS = {
                              ValueError, "removal must be 'half' or 'restart'"),
     "selector-budget-0": (lambda tmp: SelectorConfig(kernels=GRID, dim=2, budget=0),
                           ValueError, "budget must be >= 1"),
-    # lambda_scale * U / sqrt(B) past the float range, or an int that a float cannot hold: ValueError, not OverflowError
+    # lambda_scale * U / sqrt(B) past the float range: ValueError; an int that a float cannot hold is no count or number
     "hinge-rate-inf": (lambda tmp: HingeSelectorConfig(kernels=GRID, dim=1, budget=40, horizon=100, ball_radius=1e200,
                                                        lambda_scale=1e200),
                        ValueError, "learning rate .* must be finite, got inf"),
     "hinge-budget-past-float-range": (lambda tmp: HingeSelectorConfig(kernels=GRID, dim=1, budget=10**400, horizon=100),
-                                      ValueError, "learning rate .* must be finite, got inf"),
+                                      ValueError, "budget must be >= 1 and an integer within the float range"),
     "smooth-rate-inf": (lambda tmp: SmoothSelectorConfig(kernels=GRID, dim=1, budget=4, ball_radius=1e200,
                                                          lambda_scale=1e200),
                         ValueError, "learning rate .* must be finite, got inf"),
     "smooth-budget-past-float-range": (lambda tmp: SmoothSelectorConfig(kernels=GRID, dim=1, budget=10**400),
-                                       ValueError, "learning rate .* must be finite, got inf"),
+                                       ValueError, "budget must be >= 1 and an integer within the float range"),
     "smooth-radius-past-float-range": (lambda tmp: SmoothSelectorConfig(kernels=GRID, dim=1, budget=4,
                                                                         ball_radius=10**400),
-                                       ValueError, "learning rate .* must be finite, got inf"),
+                                       ValueError, "ball_radius must be finite and > 0"),
     "hinge-reservoir-size-0": (lambda tmp: HingeSelectorConfig(kernels=GRID, dim=2, budget=40, horizon=100,
                                                                reservoir_size=0),
                                ValueError, "reservoir size must be >= 1"),
@@ -89,3 +100,63 @@ def test_check_raises_its_documented_error(tmp_path, case):
     build, error, message = CHECKS[case]
     with pytest.raises(error, match=message):
         build(tmp_path)
+
+
+COUNT = "must be >= {} and an integer within the float range"
+
+# A count is an int >= 1 (a seed >= 0) that a float can hold, and a number is finite; a bool is neither.
+# Each value below once built a config (or a stream) or raised something other than ValueError.
+NOT_A_COUNT_OR_NUMBER = {
+    "smooth-budget-4.5": (lambda: SmoothSelectorConfig(kernels=GRID, dim=2, budget=4.5), "budget " + COUNT.format(1)),
+    "hinge-budget-40.0": (lambda: HingeSelectorConfig(kernels=GRID, dim=2, budget=40.0, horizon=100),
+                          "budget " + COUNT.format(1)),
+    "hinge-dim-2.5": (lambda: HingeSelectorConfig(kernels=GRID, dim=2.5, budget=40, horizon=100),
+                      "dim " + COUNT.format(1)),
+    "raker-dim-2.5": (lambda: RakerConfig(kernels=GRID, dim=2.5), "dim " + COUNT.format(1)),
+    "hinge-reservoir-size-2.5": (lambda: HingeSelectorConfig(kernels=GRID, dim=2, budget=40, horizon=100,
+                                                             reservoir_size=2.5),
+                                 "reservoir size " + COUNT.format(1)),
+    "hinge-horizon-2.5": (lambda: HingeSelectorConfig(kernels=GRID, dim=2, budget=40, horizon=2.5),
+                          "horizon " + COUNT.format(1)),
+    "raker-num-features-2.5": (lambda: RakerConfig(kernels=GRID, dim=2, num_features=2.5),
+                               "need at least one random feature, so num_features " + COUNT.format(1)),
+    "raker-step-size-past-float-range": (lambda: RakerConfig(kernels=GRID, dim=2, step_size=10**400),
+                                         "step_size must be finite and >= 0"),
+    "raker-reg-past-float-range": (lambda: RakerConfig(kernels=GRID, dim=2, reg=10**400), "reg must be finite and >= 0"),
+    "smooth-seed-1.5": (lambda: SmoothSelectorConfig(kernels=GRID, dim=2, budget=4, seed=1.5), "seed " + COUNT.format(0)),
+    "smooth-seed--1": (lambda: SmoothSelectorConfig(kernels=GRID, dim=2, budget=4, seed=-1), "seed " + COUNT.format(0)),
+    "raker-seed-1.5": (lambda: RakerConfig(kernels=GRID, dim=2, seed=1.5), "seed " + COUNT.format(0)),
+    "raker-seed--1": (lambda: RakerConfig(kernels=GRID, dim=2, seed=-1), "seed " + COUNT.format(0)),
+    "kernel-gaussian-inf": (lambda: KernelSpec("gaussian", math.inf), "kernel parameter must be a finite number > 0"),
+    "lowerbound-budget-true": (lambda: gen_lowerbound(budget=True, rounds=10, seed=0), "budget " + COUNT.format(1)),
+    "lowerbound-budget-2.5": (lambda: gen_lowerbound(budget=2.5, rounds=10, seed=0), "budget " + COUNT.format(1)),
+}
+
+
+@pytest.mark.parametrize("case", list(NOT_A_COUNT_OR_NUMBER))
+def test_a_value_that_is_no_count_or_no_finite_number_is_value_error(case):
+    build, message = NOT_A_COUNT_OR_NUMBER[case]
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
+@pytest.mark.parametrize("selector, config", [(HingeKernelSelector, HingeSelectorConfig),
+                                              (SmoothKernelSelector, SmoothSelectorConfig)], ids=["hinge", "smooth"])
+def test_a_numpy_int_budget_builds_the_same_learner(selector, config):
+    extra = {"horizon": 100} if config is HingeSelectorConfig else {}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the smooth learner's radius warning
+        built = [selector(config(kernels=GRID, dim=2, budget=b, **extra)) for b in (40, np.int64(40))]
+    assert type(built[1].config.budget) is int
+    assert state_digest(built[1]) == state_digest(built[0])
+
+
+@pytest.mark.parametrize("sigma", [1e-170, 1e154, 1e155], ids=["divisor-0", "divisor-overflows", "square-overflows"])
+def test_a_gaussian_width_whose_constants_break_is_rejected(monkeypatch, sigma):
+    """-2 sigma^2 that is 0 or not finite: ValueError from the spec, ConfigError from bench before any dataset is read."""
+    with pytest.raises(ValueError, match="kernel parameter must be a Gaussian width whose -2 sigma\\^2 is finite"):
+        gaussian(sigma)
+    monkeypatch.setattr(okselect.bench, "load_dataset", lambda config: pytest.fail("the dataset was read"))
+    with pytest.raises(ConfigError, match=r"kernels\[0\] 'sigma' must be a finite number > 0 that KernelSpec accepts: kernel parameter must be a Gaussian"):
+        ExperimentConfig.from_dict({"dataset": "x", "algorithm": "momd_h", "kernels": [{"kind": "gaussian", "sigma": sigma}]})
+    gaussian(1e-160)  # its square is subnormal but not 0, and 1 / sigma is finite
