@@ -121,12 +121,28 @@ class KernelGrid(tuple):
         return grid
 
 
+def _check_specs(kernels) -> None:
+    """ValueError unless ``kernels`` holds at least one kernel and only :class:`KernelSpec` entries."""
+    if not kernels:
+        raise ValueError("need at least one kernel")
+    for spec in kernels:
+        if not isinstance(spec, KernelSpec):
+            raise ValueError(f"kernels must hold KernelSpec entries, got {spec!r}")
+
+
+def _param(value) -> float:
+    """A kernel parameter as a float, checked first: a bool, a string or an int past the float range is none."""
+    if not _is_finite(value):
+        raise ValueError(f"kernel parameter must be a finite number > 0, got {value!r}")
+    return float(value)
+
+
 def gaussian(sigma: float, index: int = 0) -> KernelSpec:
-    return KernelSpec("gaussian", float(sigma), index)
+    return KernelSpec("gaussian", _param(sigma), index)
 
 
 def polynomial(degree: float, index: int = 0) -> KernelSpec:
-    return KernelSpec("polynomial", float(degree), index)
+    return KernelSpec("polynomial", _param(degree), index)
 
 
 def kernel_eval(spec: KernelSpec, x, z) -> float:

@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .kernels import KernelGrid, KernelSpec, _count, _is_finite
+from .kernels import KernelGrid, KernelSpec, _check_specs, _count, _is_finite
 from .losses import check_label
 
 __all__ = ["Prediction", "RoundRecord", "SelectorConfig", "check_features", "check_self_values", "mix", "pending", "run_stream"]
@@ -157,10 +157,11 @@ def learning_rate(lambda_scale, radius, budget) -> float:
 @dataclass
 class SelectorConfig:
     """The fields both budgeted selectors share; a subclass adds its own
-    fields and its checks (after these). ``dim`` and ``budget`` are ints
-    >= 1 and ``seed`` an int >= 0 within the float range (a numpy int is
-    stored as a Python int), ``ball_radius`` (or None) and ``lambda_scale``
-    finite numbers > 0 and the learning rate finite, or ValueError."""
+    fields and its checks (after these). ``kernels`` holds KernelSpecs,
+    ``dim`` and ``budget`` are ints >= 1 and ``seed`` an int >= 0 within the
+    float range (a numpy int is stored as a Python int), ``ball_radius`` (or
+    None) and ``lambda_scale`` finite numbers > 0 and the learning rate
+    finite, or ValueError."""
 
     kernels: tuple[KernelSpec, ...]
     dim: int
@@ -171,8 +172,7 @@ class SelectorConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.kernels:
-            raise ValueError("need at least one kernel")
+        _check_specs(self.kernels)
         if self.removal not in ("half", "restart"):
             raise ValueError("removal must be 'half' or 'restart'")
         for name, value in (("ball_radius", self.ball_radius), ("lambda_scale", self.lambda_scale)):

@@ -1,15 +1,17 @@
 """Random-feature multi-kernel baseline.
 
 Each Gaussian kernel is approximated by random Fourier features: D
-frequencies drawn from the kernel's spectral density (Normal(0, 1/sigma^2)
-per coordinate), mapped through paired sin/cos and scaled by 1/sqrt(D) so
-the feature vector has unit squared norm up to rounding. A linear model per
-kernel is trained by regularized online gradient descent, and the
-per-kernel predictions are mixed by multiplicative weights on their task
-losses.
+frequencies from the kernel's spectral density Normal(0, I/sigma^2), mapped
+through paired sin/cos and scaled by 1/sqrt(D) so the feature vector has
+unit squared norm up to rounding. The density is a scaled standard normal,
+so the grid shares one (D, d) draw g, and kernel i's frequencies are
+g / sigma_i: each kernel's features are distributed as with a draw of its
+own (Rahimi and Recht, 2007). A linear model per kernel is trained by
+regularized online gradient descent, and the per-kernel predictions are
+mixed by multiplicative weights on their task losses.
 
-Each per-kernel quantity is one array with a row per kernel (kernel i owns
-frequency rows iD to (i+1)D - 1), so a round is one matrix-vector product,
+Each per-kernel quantity is one array with a row per kernel, so a round
+is one (D, d) matrix-vector product, its (K, D) scalings by 1/(2 sigma_i),
 one ``tan`` and array steps. Each pair comes from one t = tan(theta/2) by
 the half-angle identities sin theta = 2t/(1+t^2) and cos theta =
 (1-t)(1+t)/(1+t^2), within 1 ulp of 1.0 of numpy's ``sin`` and ``cos``:
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import KernelSpec, _count, _is_finite
+from .kernels import KernelSpec, _check_specs, _count, _is_finite
 from .losses import HingeLoss
 from .protocol import Prediction, RoundRecord, check_features, mix, pending
 
@@ -48,8 +50,7 @@ class RakerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.kernels:
-            raise ValueError("need at least one kernel")
+        _check_specs(self.kernels)
         for spec in self.kernels:
             if spec.kind != "gaussian":
                 raise ValueError("random Fourier features require Gaussian kernels")
@@ -73,10 +74,9 @@ class RakerBaseline:
         k = len(self.kernels)
         D = config.num_features
         rng = np.random.default_rng(np.random.SeedSequence(config.seed))
-        # frequencies ~ Normal(0, 1/sigma^2) per coordinate; kernel i owns rows iD .. (i+1)D - 1
-        freqs = rng.standard_normal((k, D, config.dim))
-        freqs *= np.array([1.0 / spec.param for spec in self.kernels])[:, None, None]
-        self.freqs = freqs.reshape(k * D, config.dim)
+        # kernel i's frequencies are base / sigma_i ~ Normal(0, 1/sigma_i^2) per coordinate
+        self.base = rng.standard_normal((D, config.dim))
+        self.half_inv_widths = np.array([[0.5 / spec.param] for spec in self.kernels])  # (K, 1)
         self.theta = np.zeros((k, 2 * D))
         self.log_weights = np.zeros(k)
         self.cum_loss = np.zeros(k)
@@ -87,8 +87,7 @@ class RakerBaseline:
         """Row i is z_i(x) = (1/sqrt(D)) [sin(w_1.x), cos(w_1.x), ...] of kernel i; ||z_i||^2 = 1 up to rounding."""
         x = np.asarray(x, dtype=float)
         k, D = self.theta.shape[0], self.config.num_features
-        t = self.freqs @ x
-        t *= 0.5  # theta/2: exact for every normal double
+        t = (self.half_inv_widths * (self.base @ x)).ravel()  # the (K, D) half angles theta/2, kernel after kernel
         np.tan(t, out=t)
         r = t * t
         r += 1.0
@@ -111,7 +110,7 @@ class RakerBaseline:
         x, xsq = check_features(x, self.config.dim)
         zs = self.features(x)
         vals = np.vecdot(self.theta, zs)
-        if not np.all(np.isfinite(vals)):
+        if not np.isfinite(vals).all():
             raise FloatingPointError("baseline weights diverged")
         self._last = pred = mix(x, xsq, vals, self.mixture_weights(), cache=zs)
         return pred

@@ -22,6 +22,7 @@ from okselect import (
     gaussian,
     gen_lowerbound,
     parse_libsvm,
+    polynomial,
 )
 from okselect.bench import ConfigError
 from okselect.data import LibsvmFormatError
@@ -136,6 +137,30 @@ NOT_A_COUNT_OR_NUMBER = {
 @pytest.mark.parametrize("case", list(NOT_A_COUNT_OR_NUMBER))
 def test_a_value_that_is_no_count_or_no_finite_number_is_value_error(case):
     build, message = NOT_A_COUNT_OR_NUMBER[case]
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
+PARAM = "kernel parameter must be a finite number > 0"
+ENTRY = "kernels must hold KernelSpec entries"
+
+# gaussian() and polynomial() check a parameter before converting it, and a config holds KernelSpecs only.
+# Each value below once built a spec or a config, or raised OverflowError or AttributeError.
+NOT_A_KERNEL = {
+    "gaussian-past-float-range": (lambda: gaussian(10**400), PARAM),
+    "gaussian-numeric-string": (lambda: gaussian("1.0"), PARAM),
+    "gaussian-bool": (lambda: gaussian(True), PARAM),
+    "polynomial-numeric-string": (lambda: polynomial("2"), PARAM),
+    "smooth-string-entry": (lambda: SmoothSelectorConfig(kernels=("gaussian",), dim=2, budget=4), ENTRY),
+    "hinge-string-entry": (lambda: HingeSelectorConfig(kernels=(GRID[0], "gaussian"), dim=2, budget=40, horizon=100),
+                           ENTRY),
+    "raker-tuple-entry": (lambda: RakerConfig(kernels=((1.0,),), dim=2), ENTRY),
+}
+
+
+@pytest.mark.parametrize("case", list(NOT_A_KERNEL))
+def test_a_kernel_that_is_no_spec_is_value_error(case):
+    build, message = NOT_A_KERNEL[case]
     with pytest.raises(ValueError, match=message):
         build()
 

@@ -11,12 +11,16 @@ from test_golden import GRID, RAKER_CASES
 
 
 def sin_cos_features(model, x) -> np.ndarray:
-    """The feature map from numpy's ``sin`` and ``cos``: the reference for ``RakerBaseline.features``."""
-    k, D = model.theta.shape[0], model.config.num_features
-    proj = (model.freqs @ np.asarray(x, dtype=float)).reshape(k, D)
-    z = np.empty((k, 2 * D))
-    np.sin(proj, out=z[:, 0::2])
-    np.cos(proj, out=z[:, 1::2])
+    """The feature map from numpy's ``sin`` and ``cos``: the reference for ``RakerBaseline.features``.
+
+    Its angles are theta = 2 t, t the half angles from the shared draw and
+    the half inverse widths, so both maps take the same t.
+    """
+    D = model.config.num_features
+    theta = 2.0 * (model.half_inv_widths * (model.base @ np.asarray(x, dtype=float)))
+    z = np.empty((len(theta), 2 * D))
+    np.sin(theta, out=z[:, 0::2])
+    np.cos(theta, out=z[:, 1::2])
     z /= math.sqrt(D)
     return z
 
@@ -51,13 +55,14 @@ def test_feature_norm_is_exactly_one():
         assert z @ z == pytest.approx(1.0, abs=1e-15)
 
 
-@pytest.mark.parametrize("D", [1, 100])
-def test_features_match_sin_cos(D):
-    # every projection w.x is set directly: one input coordinate of 1.0 and the arguments as frequencies
-    theta = hard_arguments()
-    K = len(theta) // D
-    model = RakerBaseline(RakerConfig(kernels=tuple(gaussian(1.0, i) for i in range(K)), dim=1, num_features=D))
-    model.freqs = theta[: K * D, None]
+@pytest.mark.parametrize("sigma", [1.0, 0.5])
+def test_features_match_sin_cos(sigma):
+    # every projection is set directly: one input coordinate of 1.0 and the arguments as the draw, one row each.
+    # At sigma = 1 the half angles are exactly half the arguments, so every hard argument is a theta; at
+    # sigma = 0.5 they are the arguments themselves, so tan meets the neighbours of its poles
+    args = hard_arguments()
+    model = RakerBaseline(RakerConfig(kernels=(gaussian(sigma),), dim=1, num_features=len(args)))
+    model.base = args[:, None]
     x = np.array([1.0])
     z, ref = model.features(x), sin_cos_features(model, x)
     assert np.abs(z - ref).max() <= 4.5e-16
@@ -76,6 +81,30 @@ def test_same_labels_as_sin_cos_features(name):
     assert labels == ref_labels
     assert np.abs(agg - ref_agg).max() <= 1e-12
     assert np.abs(theta - ref_theta).max() <= 1e-12
+
+
+def test_each_kernel_row_is_a_one_kernel_rakers_features():
+    # the grid shares one draw, so kernel i's row is what a raker of kernel i alone computes, bit for bit
+    model = make_model(num_features=100, seed=7)
+    singles = [make_model(kernels=(spec,), num_features=100, seed=7) for spec in GRID]
+    rng = np.random.default_rng(45)
+    for _ in range(20):
+        x = rng.normal(size=4)
+        z = model.features(x)
+        for i, single in enumerate(singles):
+            assert np.array_equal(z[i], single.features(x)[0])
+
+
+def test_kernels_of_equal_width_share_their_features_and_weights():
+    kernels = (gaussian(2.0, 0), gaussian(0.5, 1), gaussian(2.0, 2))
+    model = make_model(kernels=kernels, seed=6)
+    X, y = blob_stream(300, 4, seed=46)
+    for x in X:
+        z = model.features(x)
+        assert np.array_equal(z[0], z[2]) and not np.array_equal(z[0], z[1])
+    run_stream(model, X, y)
+    assert np.array_equal(model.theta[0], model.theta[2])
+    assert not np.array_equal(model.theta[0], model.theta[1])
 
 
 def test_feature_inner_product_at_identical_points():
