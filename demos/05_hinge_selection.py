@@ -50,8 +50,8 @@ learner.check_invariants()
 print()
 print(f"final AMR: {100 * mistakes / T:.2f}%")
 print(f"per-kernel update branches over all rounds: {branch_mix}")
-print(f"alignment proxies per sigma {sigmas}: {np.round(learner.alignment_proxies(), 1)}")
-print(f"  (minimum {learner.alignment_proxies().min():.0f} vs worst-case scale T = {T})")
+print(f"alignment proxies per sigma {sigmas}: {np.round(learner.gap_sums, 1)}")
+print(f"  (minimum {learner.gap_sums.min():.0f} vs worst-case scale T = {T})")
 print(f"removals per kernel: {learner.removals.tolist()}")
 print(f"expected-removals scale (x3 is the diagnostic cap): "
       f"{learner.removal_bounds().astype(int).tolist()}")

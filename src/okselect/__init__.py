@@ -8,7 +8,7 @@ kernel grid. A benchmark harness streams datasets, repeats over seeded
 permutations, and writes CSV reports.
 """
 
-from .bench import ExperimentConfig, Report, alignment_probe, run, sweep
+from .bench import ExperimentConfig, Report, run, sweep
 from .data import (
     Dataset,
     gen_lowerbound,
@@ -39,7 +39,6 @@ __all__ = [
     "Report",
     "run",
     "sweep",
-    "alignment_probe",
     "Dataset",
     "parse_libsvm",
     "serialize_libsvm",

@@ -337,10 +337,6 @@ class HingeKernelSelector:
 
     # -- diagnostics -----------------------------------------------------
 
-    def alignment_proxies(self) -> np.ndarray:
-        """Per-kernel accumulated ||grad - guess||^2 over violated rounds."""
-        return self.gap_sums.copy()
-
     def removal_bounds(self) -> np.ndarray:
         """ceil(4 K A_i / (B k1)) per kernel, with k1 = 1: the expected-removals scale."""
         k = len(self.kernels)

@@ -67,11 +67,12 @@ class KernelSpec:
     ``kind`` is ``"gaussian"`` (param = bandwidth sigma > 0, so that
     k(x, z) = exp(-||x - z||^2 / (2 sigma^2))) or ``"polynomial"``
     (param = degree p > 0, k(x, z) = <x, z>^p). The param must be a finite
-    number > 0, and a width must keep the constants derived from it usable:
-    the divisor -2 sigma^2 finite and nonzero, and so 1/sigma finite. ``index``
-    labels the kernel's position in its candidate grid; no state is keyed
-    off it, since the learners and the reservoir name a kernel by its
-    position in the grid they were given.
+    number > 0 (a bool or a string is none) and is kept as a float; a width
+    must keep the constants derived from it usable: the divisor -2 sigma^2
+    finite and nonzero, and so 1/sigma finite. ``index`` labels the kernel's
+    position in its candidate grid; no state is keyed off it, since the
+    learners and the reservoir name a kernel by its position in the grid
+    they were given.
     """
 
     kind: str
@@ -83,6 +84,7 @@ class KernelSpec:
             raise ValueError(f"unknown kernel kind: {self.kind!r}")
         if not (_is_finite(self.param) and self.param > 0):
             raise ValueError(f"kernel parameter must be a finite number > 0, got {self.param!r}")
+        object.__setattr__(self, "param", float(self.param))
         if self.kind == "gaussian":
             try:  # the grid's divisor, as KernelGrid computes it; a float power raises on overflow
                 divisor = -2.0 * self.param**2
@@ -121,28 +123,26 @@ class KernelGrid(tuple):
         return grid
 
 
-def _check_specs(kernels) -> None:
-    """ValueError unless ``kernels`` holds at least one kernel and only :class:`KernelSpec` entries."""
-    if not kernels:
+def _check_specs(kernels) -> tuple[KernelSpec, ...]:
+    """``kernels`` as a tuple; ValueError unless it is an iterable of at least one :class:`KernelSpec`."""
+    try:
+        specs = tuple(kernels)
+    except TypeError:
+        raise ValueError(f"kernels must be an iterable of KernelSpec entries, got {kernels!r}") from None
+    if not specs:
         raise ValueError("need at least one kernel")
-    for spec in kernels:
+    for spec in specs:
         if not isinstance(spec, KernelSpec):
             raise ValueError(f"kernels must hold KernelSpec entries, got {spec!r}")
-
-
-def _param(value) -> float:
-    """A kernel parameter as a float, checked first: a bool, a string or an int past the float range is none."""
-    if not _is_finite(value):
-        raise ValueError(f"kernel parameter must be a finite number > 0, got {value!r}")
-    return float(value)
+    return specs
 
 
 def gaussian(sigma: float, index: int = 0) -> KernelSpec:
-    return KernelSpec("gaussian", _param(sigma), index)
+    return KernelSpec("gaussian", sigma, index)
 
 
 def polynomial(degree: float, index: int = 0) -> KernelSpec:
-    return KernelSpec("polynomial", _param(degree), index)
+    return KernelSpec("polynomial", degree, index)
 
 
 def kernel_eval(spec: KernelSpec, x, z) -> float:

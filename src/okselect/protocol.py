@@ -157,11 +157,11 @@ def learning_rate(lambda_scale, radius, budget) -> float:
 @dataclass
 class SelectorConfig:
     """The fields both budgeted selectors share; a subclass adds its own
-    fields and its checks (after these). ``kernels`` holds KernelSpecs,
-    ``dim`` and ``budget`` are ints >= 1 and ``seed`` an int >= 0 within the
-    float range (a numpy int is stored as a Python int), ``ball_radius`` (or
-    None) and ``lambda_scale`` finite numbers > 0 and the learning rate
-    finite, or ValueError."""
+    fields and its checks (after these). ``kernels`` is an iterable of
+    KernelSpecs, stored as a tuple, ``dim`` and ``budget`` are ints >= 1 and
+    ``seed`` an int >= 0 within the float range (a numpy int is stored as a
+    Python int), ``ball_radius`` (or None) and ``lambda_scale`` finite
+    numbers > 0 and the learning rate finite, or ValueError."""
 
     kernels: tuple[KernelSpec, ...]
     dim: int
@@ -172,7 +172,7 @@ class SelectorConfig:
     seed: int = 0
 
     def __post_init__(self):
-        _check_specs(self.kernels)
+        self.kernels = _check_specs(self.kernels)
         if self.removal not in ("half", "restart"):
             raise ValueError("removal must be 'half' or 'restart'")
         for name, value in (("ball_radius", self.ball_radius), ("lambda_scale", self.lambda_scale)):

@@ -50,7 +50,7 @@ class RakerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        _check_specs(self.kernels)
+        self.kernels = _check_specs(self.kernels)
         for spec in self.kernels:
             if spec.kind != "gaussian":
                 raise ValueError("random Fourier features require Gaussian kernels")
@@ -70,16 +70,14 @@ class RakerBaseline:
     def __init__(self, config: RakerConfig):
         self.config = config
         self.loss = config.loss
-        self.kernels = tuple(config.kernels)
-        k = len(self.kernels)
+        k = len(config.kernels)
         D = config.num_features
         rng = np.random.default_rng(np.random.SeedSequence(config.seed))
         # kernel i's frequencies are base / sigma_i ~ Normal(0, 1/sigma_i^2) per coordinate
         self.base = rng.standard_normal((D, config.dim))
-        self.half_inv_widths = np.array([[0.5 / spec.param] for spec in self.kernels])  # (K, 1)
+        self.half_inv_widths = np.array([[0.5 / spec.param] for spec in config.kernels])  # (K, 1)
         self.theta = np.zeros((k, 2 * D))
         self.log_weights = np.zeros(k)
-        self.cum_loss = np.zeros(k)
         self.t = 0
         self._last: Prediction | None = None
 
@@ -127,7 +125,6 @@ class RakerBaseline:
         step *= eta
         self.theta -= step
         self.log_weights -= eta * losses
-        self.cum_loss += losses
         return RoundRecord.of(self.t, pred, y, losses)
 
     def summary(self) -> dict:

@@ -22,7 +22,6 @@ from okselect import (
     Reservoir,
     SmoothKernelSelector,
     SmoothSelectorConfig,
-    alignment_probe,
     gaussian,
     gen_lowerbound,
     polynomial,
@@ -107,9 +106,9 @@ def test_criterion_2_smooth_benchmarks(name, limit):
 def test_criterion_3_data_complexity():
     path = dataset_path("mushrooms")
     cfg = ExperimentConfig(dataset=str(path), algorithm="momd_h", B=400, M=30, repeats=1, seed=0)
-    probe = alignment_probe(cfg)
-    T = probe["T"]
-    ok_align = probe["min"] <= 0.25 * T
+    row = run(cfg).rows[0]
+    T = row["T"]
+    ok_align = row["alignment_proxy_min"] <= 0.25 * T
     smooth_cfg = ExperimentConfig(
         dataset=str(path), algorithm="momd_s", loss="logistic", B=400, repeats=3, seed=0
     )
@@ -119,7 +118,7 @@ def test_criterion_3_data_complexity():
     report(
         "3",
         ok_align and ok_loss,
-        f"min alignment proxy {probe['min']:.1f} and smooth cumulative loss {cum:.1f} vs 0.25*T={0.25 * T:.0f}",
+        f"min alignment proxy {row['alignment_proxy_min']:.1f} and smooth cumulative loss {cum:.1f} vs 0.25*T={0.25 * T:.0f}",
     )
 
 

@@ -14,6 +14,7 @@ from okselect import (
     HingeKernelSelector,
     HingeSelectorConfig,
     KernelSpec,
+    RakerBaseline,
     RakerConfig,
     Reservoir,
     SelectorConfig,
@@ -144,8 +145,8 @@ def test_a_value_that_is_no_count_or_no_finite_number_is_value_error(case):
 PARAM = "kernel parameter must be a finite number > 0"
 ENTRY = "kernels must hold KernelSpec entries"
 
-# gaussian() and polynomial() check a parameter before converting it, and a config holds KernelSpecs only.
-# Each value below once built a spec or a config, or raised OverflowError or AttributeError.
+# KernelSpec checks a parameter before converting it, and a config holds KernelSpecs only.
+# Each value below once built a spec or a config, or raised OverflowError, AttributeError or TypeError.
 NOT_A_KERNEL = {
     "gaussian-past-float-range": (lambda: gaussian(10**400), PARAM),
     "gaussian-numeric-string": (lambda: gaussian("1.0"), PARAM),
@@ -155,6 +156,9 @@ NOT_A_KERNEL = {
     "hinge-string-entry": (lambda: HingeSelectorConfig(kernels=(GRID[0], "gaussian"), dim=2, budget=40, horizon=100),
                            ENTRY),
     "raker-tuple-entry": (lambda: RakerConfig(kernels=((1.0,),), dim=2), ENTRY),
+    "selector-int-kernels": (lambda: SelectorConfig(kernels=5, dim=2, budget=10), "kernels must be an iterable"),
+    "raker-int-kernels": (lambda: RakerConfig(kernels=5, dim=2), "kernels must be an iterable"),
+    "raker-empty-generator": (lambda: RakerConfig(kernels=iter(()), dim=2), "need at least one kernel"),
 }
 
 
@@ -163,6 +167,23 @@ def test_a_kernel_that_is_no_spec_is_value_error(case):
     build, message = NOT_A_KERNEL[case]
     with pytest.raises(ValueError, match=message):
         build()
+
+
+@pytest.mark.parametrize("selector, config", [(HingeKernelSelector, HingeSelectorConfig),
+                                              (SmoothKernelSelector, SmoothSelectorConfig),
+                                              (RakerBaseline, RakerConfig)], ids=["hinge", "smooth", "raker"])
+def test_a_kernel_generator_is_kept_as_a_tuple(selector, config):
+    """A one-pass iterable of specs is read once, so the config and its learner see every kernel."""
+    grid = (gaussian(1.0, 0), gaussian(4.0, 1))
+    extra = {HingeSelectorConfig: {"budget": 40, "horizon": 100}, SmoothSelectorConfig: {"budget": 40},
+             RakerConfig: {"num_features": 8}}[config]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the smooth learner's radius warning
+        built = [selector(config(kernels=k, dim=2, **extra)) for k in (grid, (spec for spec in grid))]
+    assert built[1].config.kernels == grid and type(built[1].config.kernels) is tuple
+    assert state_digest(built[1]) == state_digest(built[0])
+    pred = built[1].predict(np.array([0.5, -0.5]))
+    assert pred.per_kernel.shape == (2,)
 
 
 @pytest.mark.parametrize("selector, config", [(HingeKernelSelector, HingeSelectorConfig),

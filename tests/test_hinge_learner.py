@@ -289,7 +289,7 @@ class TestFullRuns:
         total = np.zeros(len(GRID))
         for rec in records:
             total += rec.gap_sq
-        assert np.allclose(learner.alignment_proxies(), total, rtol=1e-10)
+        assert np.allclose(learner.gap_sums, total, rtol=1e-10)
 
     def test_removal_count_against_expected_scale(self):
         X, y = blob_stream(800, 4, seed=26)

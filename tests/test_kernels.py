@@ -44,6 +44,13 @@ def test_bad_spec_rejected():
         gaussian(0.0)
 
 
+def test_param_is_kept_as_a_float():
+    # a bool, a numeric string or an int past the float range is rejected first
+    # (tests/test_constructor_checks.py's NOT_A_KERNEL cases)
+    spec = KernelSpec("polynomial", 2)
+    assert spec.param == 2.0 and type(spec.param) is float
+
+
 def test_feature_distance_identity_and_formula():
     spec = gaussian(1.0)
     x = np.array([1.0, 0.0])

@@ -163,13 +163,15 @@ def test_separable_stream_low_mistake_rate():
 def test_mixture_weights_simplex_and_ordering():
     X, y = blob_stream(500, 4, seed=43)
     model = make_model(seed=3)
+    cum_loss = np.zeros(len(model.config.kernels))
 
     def check(rec):
+        cum_loss[:] += rec.losses
         w = model.mixture_weights()
         assert abs(w.sum() - 1.0) <= 1e-12
         assert w.min() >= 0.0
-        if len(np.flatnonzero(model.cum_loss == model.cum_loss.min())) == 1:
-            assert w.argmax() == model.cum_loss.argmin()
+        if len(np.flatnonzero(cum_loss == cum_loss.min())) == 1:
+            assert w.argmax() == cum_loss.argmin()
 
     run_stream(model, X, y, check)
 

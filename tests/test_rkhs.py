@@ -212,7 +212,7 @@ class TestNormTracking:
             oracle = brute_norm_sq(spec, s, coeffs(ex))
             assert ex.sq_norms[0] == pytest.approx(oracle, rel=1e-8, abs=1e-10)
 
-    def test_add_scaled_many_matches_sequential(self):
+    def test_many_slot_step_matches_sequential(self):
         # a step on several slots at once, with the closed-form change
         # 2 sum_j c_j f(x_j) + c^T K c, against one anchor step per slot
         rng = np.random.default_rng(7)
@@ -481,7 +481,7 @@ def test_clear_releases_everything():
     assert len(s) == 0
 
 
-_OPS = ("add", "add_scaled", "add_scaled_many", "project_ball", "drop_half", "restart", "observe")
+_OPS = ("add", "step", "step_many", "project", "drop_half", "restart", "observe")
 
 
 @settings(max_examples=80, deadline=None)
@@ -526,12 +526,12 @@ def test_random_operations_keep_refcounts_and_rows(n_kernels, ops):
             h = add(x, y)
             ex.coef[i, h] += rng.normal()
             join(i, h)
-        elif op == "add_scaled" and pool:
+        elif op == "step" and pool:
             h = pool[int(rng.integers(len(pool)))]
             # half the time cancel the coefficient exactly
             c = -ex.coef[i, h] if ex.coef[i, h] != 0.0 and rng.random() < 0.5 else rng.normal()
             ex.coef[i, h] += c
-        elif op == "add_scaled_many":
+        elif op == "step_many":
             updates = {h: -0.5 * c for h, c in guess_coeffs(res).items()}
             for h in rng.choice(pool, size=min(2, len(pool)), replace=False) if pool else ():
                 updates[int(h)] = updates.get(int(h), 0.0) + rng.normal()
@@ -541,7 +541,7 @@ def test_random_operations_keep_refcounts_and_rows(n_kernels, ops):
             ex.coef[i, list(updates)] += list(updates.values())
             if new is not None:
                 join(i, new)
-        elif op == "project_ball":
+        elif op == "project":
             ex.project(0.5)
         elif op == "drop_half" and len(buffers[i]) >= 2 and len(buffers[i]) % 2 == 0:
             n = len(buffers[i]) // 2
