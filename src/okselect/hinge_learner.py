@@ -20,7 +20,10 @@ reservoir took it. A full store raises, so the memory budget is enforced
 by the data structure itself. The K iterates are one (K, B + 1)
 coefficient matrix over the store's slots, and the K buffers, which the
 learner keeps itself, are the rows of a (K, B + 1) slot array in insertion
-order; removals go through ``KernelExpansions.drop``.
+order; removals go through ``KernelExpansions.drop``. A kernel's removals
+keep the oldest half of its buffer and the archive only grows, so its kept
+support often repeats; the learner hands each kernel's last removal record
+back to ``drop``, which then reuses that removal's Gram matrix.
 Each round computes the inner products and squared distances from x_t to
 every slot the store has ever handed out once (in ``predict``) and derives
 all K kernel rows from them; the iterates' values, the reservoir guesses
@@ -46,7 +49,8 @@ reservoir's label sums give; it evaluates no kernel. A proxy step adds a
 multiple c of k(x_j, .) for a buffered x_j, so its change is
 2 c f_i(x_j) + c^2 k_i(x_j, x_j), from one pass over the store at x_j.
 Kernel passes happen only in ``predict``, in that rare proxy step, when a
-removal recomputes a norm, and when the reservoir's sample changes.
+removal recomputes a norm over a support that is not the kernel's last
+removal's, and when the reservoir's sample changes.
 
 Within a round the K per-kernel updates depend only on the shared round
 inputs and on per-kernel random streams derived from the master seed, so
@@ -169,6 +173,7 @@ class HingeKernelSelector:
         self.hedge = HedgeState(k)
         self.gap_sums = np.zeros(k)  # per-kernel alignment proxy accumulator
         self.removals = np.zeros(k, dtype=int)
+        self._gram_records = [()] * k  # each kernel's last removal record, for KernelExpansions.drop
         self.t = 0
         self._last: Prediction | None = None  # its cache: (kernel rows over the store's slots, f_i(x) before the guess, guesses)
 
@@ -247,10 +252,11 @@ class HingeKernelSelector:
             coin.append(int(a) if s else -1)
         if any(removed):
             kept = full // 2 if self.config.removal == "half" else 0
+            records = self._gram_records
             for i in [i for i, r in enumerate(removed) if r]:
                 if not kept:  # a restart also drops the mass on archive anchors
                     ex.coef[i] = 0.0
-                ex.drop(slice(i, i + 1), self.buffer_slots[i, kept:full])
+                records[i] = ex.drop(slice(i, i + 1), self.buffer_slots[i, kept:full], last=records[i])
                 sizes[i] = kept
                 self.removals[i] += 1
             ex.project(self.radius)
@@ -357,7 +363,9 @@ class HingeKernelSelector:
         Between rounds each slot's reference count is its number of archive and
         buffer memberships, so the caps below bound the store by B. Each
         kernel's coefficients are zero outside its buffer and the archive, so
-        those memberships alone keep every slot an iterate needs alive.
+        those memberships alone keep every slot an iterate needs alive. A
+        removal keeps at most the archive and half a buffer, so each kernel
+        retains one Gram matrix of side at most archive_cap + per_kernel_cap // 2.
         """
         ex, store = self.expansions, self.store
         archive = set(self.reservoir.archive)
@@ -370,3 +378,7 @@ class HingeKernelSelector:
         ex.check_invariants(self.radius)
         assert len(self.reservoir.archive) <= self.archive_cap, "archive over cap"
         assert len(self.reservoir) <= self.config.reservoir_size, "reservoir over capacity"
+        assert len(self._gram_records) == len(self.kernels), "not one removal record per kernel"
+        side = self.archive_cap + self.per_kernel_cap // 2
+        for record in self._gram_records:
+            assert not record or record[1].shape[0] == 1 and record[1].shape[1] <= side, "retained Gram over its bound"

@@ -19,15 +19,20 @@ by terms its reservoir keeps. So a step takes its norm changes from the
 caller, in closed form, and evaluates no kernel. The one removal,
 :meth:`KernelExpansions.drop`, recomputes the cache from the Gram matrix
 of what is kept; which slots to drop is the learner's buffer policy, and
-the learner keeps its buffers itself. The kernel rows at a point, which
-both learners read for values at a stored example and the hinge learner
-for its predictions, come from one pass over that prefix only. The
-self-similarities k_i(x_s, x_s) that those changes and both learners'
-proxy searches need are cached per slot, written when a learner stores an
-example through :meth:`KernelExpansions.add`.
+the learner keeps its buffers itself. A learner that hands back the record
+of its previous removal reuses that removal's Gram matrix while the kept
+slots hold the same examples, which the store's per-slot fill counts
+tell. The kernel rows at a point, which both learners read for values at
+a stored example and the hinge learner for its predictions, come from one
+pass over that prefix only. The self-similarities k_i(x_s, x_s) that
+those changes and both learners' proxy searches need are cached per slot,
+written when a learner stores an example through
+:meth:`KernelExpansions.add`.
 """
 
 from __future__ import annotations
+
+from collections import Counter
 
 import numpy as np
 
@@ -52,12 +57,15 @@ class ExampleStore:
     ``refs`` counts a reference to it: :meth:`add` hands the new slot out
     holding one, the caller's, and every further holder (a buffer
     membership, an archive entry) takes one with :meth:`incref`. Every
-    holder gives its reference back with :meth:`release`, which frees a slot
-    whose count drops to zero for the next ``add``. The arrays are
+    holder gives its reference back with :meth:`release` (or, for many
+    slots at once, :meth:`release_many`), which frees a slot whose count
+    drops to zero for the next ``add``. The arrays are
     allocated once and never grow, so ``add`` on a full store raises.
     ``high_water`` counts the slots ever handed out: ``add`` reuses the last
     freed slot before an untouched one, so it is the peak of ``len(store)``
-    and the slots from it on are untouched, with zero rows.
+    and the slots from it on are untouched, with zero rows. ``fills[s]``
+    counts the examples slot s has held, so a slot whose count has not
+    changed still holds the same example.
     """
 
     def __init__(self, dim: int, capacity: int = 64):
@@ -71,6 +79,7 @@ class ExampleStore:
         self.sqnorm = np.zeros(capacity)
         self.label = np.zeros(capacity)
         self.refs = np.zeros(capacity, dtype=np.int64)
+        self.fills = np.zeros(capacity, dtype=np.int64)
         self.high_water = 0
         self._free: list[int] = []  # freed slots, the last freed handed out first
 
@@ -96,6 +105,7 @@ class ExampleStore:
         self.sqnorm[slot] = x_sqnorm
         self.label[slot] = float(y)
         self.refs[slot] = 1
+        self.fills[slot] += 1
         return slot
 
     def incref(self, slot: int, n: int = 1):
@@ -114,6 +124,22 @@ class ExampleStore:
         self.refs[slot] = refs - 1
         if refs == 1:
             self._free.append(slot)
+
+    def release_many(self, slots):
+        """:meth:`release` each slot of ``slots`` in order; KeyError, with
+        nothing changed, when a slot is listed more often than it holds references."""
+        slots = np.asarray(slots, dtype=np.intp)
+        held = self.refs.take(slots)  # IndexError past the store
+        listed, counts = slots.tolist(), held.tolist()
+        if len(set(listed)) == len(listed) and 0 not in counts:  # distinct live slots: all at once
+            self.refs[slots] = held - 1
+            self._free += [slot for slot, n in zip(listed, counts) if n == 1]
+            return
+        short = [slot for slot, n in Counter(listed).items() if n > self.refs[slot]]
+        if short:
+            raise KeyError(f"slot {short[0]} is listed more often than it holds references")
+        for slot in listed:
+            self.release(slot)
 
 
 class KernelExpansions:
@@ -206,36 +232,54 @@ class KernelExpansions:
             self.coef[i] *= radius / np.sqrt(self.sq_norms[i])
             self.sq_norms[i] = r2
 
-    def drop(self, kernels: slice, slots, keep=None):
+    def drop(self, kernels: slice, slots, keep=None, last=None):
         """Remove ``slots`` from the expansions of the kernels in a slice.
 
-        Their coefficients on ``slots`` are zeroed and each slot is given
-        one :meth:`ExampleStore.release`, in the order given, so the slots left
-        unreferenced are freed in that order. Coefficient mass on other
-        slots (the hinge learner's archive anchors) stays. The norms are
-        then recomputed over ``keep``, which must cover what is left of
-        the kernels' support and is by default their joint support; the
-        recomputation also resets accumulated drift.
+        Each slot is given one reference back through
+        :meth:`ExampleStore.release_many`, in the order given, so the slots
+        left unreferenced are freed in that order; a slot listed more often
+        than it holds references raises KeyError before anything changes.
+        Their coefficients on ``slots`` are then zeroed; coefficient mass on
+        other slots (the hinge learner's archive anchors) stays. The norms
+        are recomputed over ``keep``, which must cover what is left of the
+        kernels' support and is by default their joint support; the
+        recomputation also resets accumulated drift. ``last`` and the return
+        value are those of :meth:`recompute_sq_norms`.
         """
+        self.store.release_many(slots)
         self.coef[kernels, slots] = 0.0
-        for slot in np.asarray(slots).tolist():  # Python ints, so add hands out ints
-            self.store.release(slot)
-        self.recompute_sq_norms(kernels, keep)
+        return self.recompute_sq_norms(kernels, keep, last)
 
-    def recompute_sq_norms(self, kernels: slice = slice(None), slots=None):
+    def recompute_sq_norms(self, kernels: slice = slice(None), slots=None, last=None):
         """O(n^2) ||f_i||^2 for the kernels in a slice, from one pairwise pass over ``slots``.
 
         ``slots`` must cover the coefficient support of every kernel in the
-        slice; by default it is their joint support.
+        slice; by default it is their joint support. With ``last`` None,
+        nothing outlives the call and it returns None. Otherwise it returns
+        its record, the pair (key, the (k, n, n) Gram matrices), where the
+        key holds the slice, the slots and their fill counts, and ``last``
+        is the record of an earlier call, or ``()`` before the first. When
+        that record's key is this call's, its Gram matrices are reused and
+        ``last`` is returned: no kernel is evaluated, and the norms are the
+        bits a fresh pass would give.
         """
         coef, norms = self.coef[kernels], self.sq_norms[kernels]
         if slots is None:
             slots = np.flatnonzero(coef.any(axis=0))
-        specs = self.specs[kernels]
-        grid = self.specs if specs == self.specs else KernelGrid(specs)  # every kernel: the grid built once
-        X = self.store.X.take(slots, axis=0)
-        sq = self.store.sqnorm.take(slots) if grid.gaussian else None
-        grams = kernel_rows(grid, *pairwise(X, sq, X, sq, grid.gaussian))
+        if last is not None:
+            # bytes, so a caller that overwrites its slot array afterwards cannot fake a match
+            slots = np.asarray(slots, dtype=np.intp)
+            key = (kernels.indices(len(self.specs)), slots.tobytes(), self.store.fills.take(slots).tobytes())
+        if last and last[0] == key:
+            grams = last[1]
+        else:
+            specs = self.specs[kernels]
+            grid = self.specs if specs == self.specs else KernelGrid(specs)  # every kernel: the grid built once
+            X = self.store.X.take(slots, axis=0)
+            sq = self.store.sqnorm.take(slots) if grid.gaussian else None
+            grams = kernel_rows(grid, *pairwise(X, sq, X, sq, grid.gaussian))
+            last = None if last is None else (key, grams)
         for j, gram in enumerate(grams):
             beta = coef[j].take(slots)
             norms[j] = float(beta @ gram @ beta)
+        return last

@@ -304,6 +304,20 @@ class TestFullRuns:
         self.checked_records(learner, X, y, check_every=50)
         assert learner.removals.sum() > 0
 
+    def test_retained_grams_are_bounded(self):
+        # one removal record per kernel, each Gram of side at most the archive and half a buffer
+        X, y = blob_stream(800, 4, seed=26)
+        learner = HingeKernelSelector(make_config(seed=4, horizon=800))
+        run_stream(learner, X, y)
+        side = learner.archive_cap + learner.per_kernel_cap // 2
+        grams = [record[1] for record in learner._gram_records if record]
+        assert grams and all(g.shape[0] == 1 and g.shape[1] <= side for g in grams)
+        learner.check_invariants()
+        key = learner._gram_records[0][0] if learner._gram_records[0] else ()
+        learner._gram_records[0] = (key, np.zeros((1, side + 1, side + 1)))
+        with pytest.raises(AssertionError, match="retained Gram"):
+            learner.check_invariants()
+
     def test_restart_drops_the_archive_anchors_mass(self):
         # a restart zeroes the kernel's whole row before it steps, so the mass on
         # archive slots outside the round's guess sample goes, not only the buffer's

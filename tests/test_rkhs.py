@@ -13,10 +13,12 @@ from okselect import (
     SmoothSelectorConfig,
 )
 from okselect.kernels import gaussian, kernel_eval, kernel_rows, pairwise, polynomial, self_values
+from okselect.protocol import run_stream
 from okselect.rkhs import ROW_BLOCK
 
 from conftest import (
     assert_refcounts_conserved,
+    blob_stream,
     brute_norm_sq,
     brute_value,
     coeffs,
@@ -406,22 +408,55 @@ class TestDrop:
         assert reused[:3] == [ids[4], ids[0], ids[2]]  # last freed is reused first
         assert reused[3] not in ids  # then the never-used slot
 
-    def test_frees_like_a_sequence_of_releases(self):
+    @pytest.mark.parametrize("order, refs, freed", [([2, 0, 1, 3], [0, 1, 0, 0, 0], [3, 0, 2, 4]),
+                                                    ([1, 2, 0, 1, 3], [0] * 5, [3, 1, 0, 2, 4])])
+    def test_frees_like_a_sequence_of_releases(self, order, refs, freed):
         # slots dropped at once are freed as one release each, in the order
-        # given, and add hands them out again as Python ints
+        # given, also when a slot is listed once per holder, and add hands
+        # them out again as Python ints
         stores = [ExampleStore(dim=1, capacity=5) for _ in range(2)]
         for s in stores:
             ids = [store_example(s, [float(i)], 1) for i in range(4)]
             s.incref(ids[1])  # a second holder: its first release leaves it live
-        order = [2, 0, 1, 3]
         for e in order:
             stores[0].release(e)
         KernelExpansions((gaussian(1.0),), stores[1]).drop(slice(0, 1), np.array(order))
         for s in stores:
-            assert s.refs.tolist() == [0, 1, 0, 0, 0] and len(s) == 1
-        reused = [[store_example(s, [9.0], 1) for _ in range(4)] for s in stores]
-        assert reused[0] == reused[1] == [3, 0, 2, 4]  # last freed first, then the never-used slot
+            assert s.refs.tolist() == refs and len(s) == 5 - len(freed)
+        reused = [[store_example(s, [9.0], 1) for _ in range(len(freed))] for s in stores]
+        assert reused[0] == reused[1] == freed  # last freed first, then the never-used slot
         assert all(type(slot) is int for slot in reused[0] + reused[1])
+
+    @pytest.mark.parametrize(
+        "bad, error", [("released", KeyError), ("listed_twice", KeyError), ("past_the_store", IndexError)]
+    )
+    def test_a_bad_slot_changes_nothing(self, bad, error):
+        # dropping [0, 1, 2, 3] after slot 2 was released, with slot 1 listed twice,
+        # or with a slot past the store, raises before any slot is released or any
+        # coefficient or norm moves
+        rng = np.random.default_rng(15)
+        s = ExampleStore(dim=2, capacity=6)
+        ex, buf = random_expansion(gaussian(1.0), s, 4, rng)
+        if bad == "released":
+            s.release(buf[2])
+        elif bad == "listed_twice":
+            buf.insert(2, buf[1])
+        else:
+            buf.append(s.capacity)
+        before = (s.refs.copy(), handout_order(s), ex.coef.copy(), ex.sq_norms.copy())
+        with pytest.raises(error):
+            ex.drop(slice(0, 1), np.array(buf))
+        after = (s.refs, handout_order(s), ex.coef, ex.sq_norms)
+        assert all(np.array_equal(a, b) for a, b in zip(before, after))
+
+    def test_a_slot_listed_as_often_as_it_is_held_is_dropped(self):
+        s = ExampleStore(dim=1, capacity=3)
+        ex = KernelExpansions((gaussian(1.0),), s)
+        e = store_example(s, [1.0], 1)
+        ex.coef[0, e] = 1.0
+        s.incref(e)
+        ex.drop(slice(0, 1), np.array([e, e]))
+        assert s.refs[e] == 0 and len(s) == 0 and ex.sq_norms[0] == 0.0
 
     def test_keeps_mass_outside_the_dropped_slots(self):
         # the smooth learner's removal: every kernel at once, norms over the kept slots
@@ -440,6 +475,106 @@ class TestDrop:
         for i, spec in enumerate(specs):
             assert ex.sq_norms[i] == pytest.approx(brute_norm_sq(spec, s, coeffs(ex, i)), rel=1e-9, abs=1e-12)
         assert_refcounts_conserved(s, buffers=[buffer[3:]])
+
+
+class TestGramReuse:
+    """A removal that is handed its previous record reuses that record's Gram
+    matrices while the kept slots hold the same examples."""
+
+    GRID = (gaussian(0.5, 0), gaussian(2.0, 1), polynomial(2, 2), gaussian(8.0, 3))
+
+    def test_reused_norms_are_the_bits_of_a_fresh_pass(self):
+        # a momd_h stream whose buffers fill and split many times; each reused
+        # norm is checked against a fresh pass over the same slots, then restored
+        X, y = blob_stream(400, 4, seed=45, noise=1.5)
+        learner = HingeKernelSelector(HingeSelectorConfig(kernels=self.GRID, dim=4, budget=40, horizon=400, seed=5))
+        ex = learner.expansions
+        recompute = ex.recompute_sq_norms
+        reused = []
+
+        def checked(kernels=slice(None), slots=None, last=None):
+            record = recompute(kernels, slots, last)
+            if last and record is last:
+                got = ex.sq_norms[kernels].copy()
+                KernelExpansions.recompute_sq_norms(ex, kernels, slots)  # a fresh pass over the same slots
+                reused.append((got.tobytes(), ex.sq_norms[kernels].tobytes()))
+                ex.sq_norms[kernels] = got
+            return record
+
+        ex.recompute_sq_norms = checked
+        run_stream(learner, X, y)
+        assert len(reused) >= 1
+        assert all(got == fresh for got, fresh in reused)
+        learner.check_invariants()
+
+    def test_a_refilled_slot_is_recomputed(self):
+        # two drops leave the same slot ids with the same coefficients, but one
+        # slot was freed and refilled in between: the norm is the new example's
+        spec = gaussian(1.0)
+        s = ExampleStore(dim=2, capacity=4)
+        ex = KernelExpansions((spec,), s)
+        a, b, c = (store_example(s, x, 1) for x in ([0.0, 0.0], [1.0, 0.0], [0.0, 1.0]))
+        ex.coef[0, [a, b, c]] = [0.5, -0.25, 1.0]
+        first = ex.drop(slice(0, 1), [c], last=())
+        old = ex.sq_norms[0]
+        ex.drop(slice(0, 1), [b])
+        assert [store_example(s, [3.0, 1.0], 1), store_example(s, [2.0, 2.0], 1)] == [b, c]
+        ex.coef[0, [b, c]] = [-0.25, 1.0]
+        second = ex.drop(slice(0, 1), [c], last=first)
+        assert second is not first and second[0][:2] == first[0][:2]  # the same slice and slots
+        assert ex.sq_norms[0] != old
+        assert ex.sq_norms[0] == pytest.approx(brute_norm_sq(spec, s, coeffs(ex)), rel=1e-12)
+        assert ex.drop(slice(0, 1), [], last=second) is second  # nothing changed since: reused
+
+    def test_a_keep_array_overwritten_after_the_call_cannot_fake_a_reuse(self):
+        # the smooth learner's pattern: keep is a view of an order array that
+        # the caller overwrites at once; here with slots filled as often as the
+        # old ones, so only the record's own copy of its slots tells them apart
+        rng = np.random.default_rng(16)
+        spec = gaussian(1.0)
+        s = ExampleStore(dim=2, capacity=6)
+        ex = KernelExpansions((spec,), s)
+        slots = [store_example(s, rng.normal(size=2), 1) for _ in range(6)]
+        ex.coef[0, slots[:4]] = rng.normal(size=4)
+        order = np.array(slots[:4])
+        record = ex.drop(slice(None), order[:2], keep=order[2:], last=())
+        order[:2] = order[2:]
+        order[2:] = slots[4:]
+        assert record[0][1] == np.array(slots[2:4], dtype=np.intp).tobytes()
+        ex.coef[0, slots[4:]] = rng.normal(size=2)
+        assert ex.drop(slice(None), order[:2], keep=order[2:], last=record) is not record
+        assert ex.sq_norms[0] == pytest.approx(brute_norm_sq(spec, s, coeffs(ex)), rel=1e-12)
+
+    def test_a_restart_keeps_an_empty_record(self):
+        rng = np.random.default_rng(17)
+        s = ExampleStore(dim=2, capacity=5)
+        ex, buf = random_expansion(gaussian(1.0), s, 4, rng)
+        ex.coef[0] = 0.0
+        record = ex.drop(slice(0, 1), buf, last=())
+        assert ex.sq_norms[0] == 0.0 and record[0][1] == b"" and record[1].shape == (1, 0, 0)
+        buf = [store_example(s, rng.normal(size=2), 1) for _ in range(4)]  # refilled, with the row zeroed
+        assert ex.drop(slice(0, 1), buf, last=record) is record
+        assert ex.sq_norms[0] == 0.0 and len(s) == 0
+
+    def test_a_record_of_another_kernel_is_not_reused(self):
+        # the same slots and fill counts under another kernel give that kernel's own Gram
+        rng = np.random.default_rng(19)
+        specs = (gaussian(0.5), gaussian(3.0))
+        s = ExampleStore(dim=2)
+        ex = KernelExpansions(specs, s)
+        slots = [store_example(s, rng.normal(size=2), 1) for _ in range(4)]
+        ex.coef[:, slots] = rng.normal(size=(2, 4))
+        record = ex.recompute_sq_norms(slice(0, 1), last=())
+        assert ex.recompute_sq_norms(slice(1, 2), last=record) is not record
+        for i, spec in enumerate(specs):
+            assert ex.sq_norms[i] == pytest.approx(brute_norm_sq(spec, s, coeffs(ex, i)), rel=1e-12)
+
+    def test_no_record_is_kept_without_one_handed_in(self):
+        rng = np.random.default_rng(18)
+        s = ExampleStore(dim=2)
+        ex, buf = random_expansion(gaussian(1.0), s, 4, rng)
+        assert ex.drop(slice(0, 1), buf[2:]) is None
+        assert ex.recompute_sq_norms() is None
 
 
 def test_drift_over_random_interleaving():
@@ -502,6 +637,7 @@ def test_random_operations_keep_refcounts_and_rows(n_kernels, ops):
     ex = KernelExpansions(tuple(gaussian(0.5 + i, i) for i in range(n_kernels)), store)
     res = Reservoir(store, capacity=3, archive_cap=6, rng=np.random.default_rng(0), specs=(spec,))
     buffers = [[] for _ in range(n_kernels)]  # each kernel's slots, oldest first, one reference each
+    records = [()] * n_kernels  # each kernel's last removal record, handed back as the hinge learner does
     given_rows = {}  # handle -> (x, y) passed to add
 
     def held():
@@ -509,6 +645,12 @@ def test_random_operations_keep_refcounts_and_rows(n_kernels, ops):
 
     def join(i, h):
         buffers[i].append(h)  # a new example: the reference add handed out becomes the membership's
+
+    def drop(i, slots):
+        records[i] = ex.drop(slice(i, i + 1), slots, last=records[i])
+        got = ex.sq_norms[i]
+        ex.recompute_sq_norms(slice(i, i + 1))
+        assert float(got).hex() == float(ex.sq_norms[i]).hex(), "a reused Gram moved a norm"
 
     def add(x, y):
         before = held()
@@ -545,11 +687,11 @@ def test_random_operations_keep_refcounts_and_rows(n_kernels, ops):
             ex.project(0.5)
         elif op == "drop_half" and len(buffers[i]) >= 2 and len(buffers[i]) % 2 == 0:
             n = len(buffers[i]) // 2
-            ex.drop(slice(i, i + 1), buffers[i][n:])
+            drop(i, buffers[i][n:])
             del buffers[i][n:]
         elif op == "restart":
             ex.coef[i] = 0.0
-            ex.drop(slice(i, i + 1), buffers[i])
+            drop(i, buffers[i])
             buffers[i].clear()
         elif op == "observe":
             if which == 0:  # the learner's path: the round's example is stored first
