@@ -67,7 +67,7 @@ class HedgeState:
         if not (min(cl) >= 0.0 and math.isfinite(2.0 * top * top)):
             raise ValueError("losses must be finite and non-negative, and at most about 9.48e153")
         p = self._p
-        second_moment = self.second_moment + float(p @ (c * c))
+        second_moment = self.second_moment + float(p.dot(c * c))
         if not second_moment < math.inf:
             raise ValueError("losses must be finite and non-negative, and keep the second moment finite")
         self.second_moment = second_moment

@@ -366,6 +366,7 @@ class HingeKernelSelector:
         those memberships alone keep every slot an iterate needs alive. A
         removal keeps at most the archive and half a buffer, so each kernel
         retains one Gram matrix of side at most archive_cap + per_kernel_cap // 2.
+        The reservoir's label sums and guess norms are checked too.
         """
         ex, store = self.expansions, self.store
         archive = set(self.reservoir.archive)
@@ -376,6 +377,7 @@ class HingeKernelSelector:
             assert len(buf) <= self.per_kernel_cap, "buffer over budget"
             assert set(np.flatnonzero(ex.coef[i]).tolist()) <= archive.union(buf), "coefficient outside buffer and archive"
         ex.check_invariants(self.radius)
+        self.reservoir.check_invariants()
         assert len(self.reservoir.archive) <= self.archive_cap, "archive over cap"
         assert len(self.reservoir) <= self.config.reservoir_size, "reservoir over capacity"
         assert len(self._gram_records) == len(self.kernels), "not one removal record per kernel"

@@ -109,7 +109,8 @@ class KernelGrid(tuple):
     whether any kernel is Gaussian (only those read distances), and
     ``self_ones`` the read-only (K,) vector of ones that
     :func:`self_values` returns for a scalar squared norm when every kernel
-    is Gaussian (None otherwise). A slice of a grid is a plain tuple.
+    is Gaussian (None otherwise). A slice of a grid is a plain tuple;
+    :meth:`part` gives the grid of a slice.
     """
 
     def __new__(cls, specs):
@@ -120,7 +121,19 @@ class KernelGrid(tuple):
         grid.poly = tuple((i, spec.param) for i, spec in enumerate(grid) if spec.kind == "polynomial")
         grid.gaussian = len(grid.poly) < len(grid)
         grid.self_ones = None if grid.poly else _read_only(np.ones(len(grid)))
+        grid._parts = {}  # the grids part() has built, by slice indices
         return grid
+
+    def part(self, kernels: slice) -> KernelGrid:
+        """The grid of the kernels in a slice: the grid itself when the slice covers it,
+        otherwise a grid built on the first call and kept for the later ones."""
+        key = kernels.indices(len(self))
+        if key == (0, len(self), 1):
+            return self
+        part = self._parts.get(key)
+        if part is None:
+            part = self._parts[key] = KernelGrid(self[kernels])
+        return part
 
 
 def _check_specs(kernels) -> tuple[KernelSpec, ...]:
@@ -151,8 +164,8 @@ def kernel_eval(spec: KernelSpec, x, z) -> float:
     z = np.asarray(z, dtype=float)
     if spec.kind == "gaussian":
         diff = x - z
-        return float(np.exp(-(diff @ diff) / (2.0 * spec.param**2)))
-    return float((x @ z) ** spec.param)
+        return float(np.exp(-diff.dot(diff) / (2.0 * spec.param**2)))
+    return float(x.dot(z) ** spec.param)
 
 
 def sq_distances(dots, row_sqnorms, z_sqnorms):
@@ -174,7 +187,7 @@ def pairwise(X, row_sqnorms, z, z_sqnorms, distances: bool = True):
     ``distances=False`` the distances are None, which is enough for a grid
     of polynomial kernels.
     """
-    dots = X @ z.T
+    dots = X.dot(z.T)
     return dots, sq_distances(dots, row_sqnorms, z_sqnorms) if distances else None
 
 

@@ -35,7 +35,7 @@ def check_features(x, dim: int) -> tuple[np.ndarray, float]:
     if x.shape != (dim,):
         raise ValueError(f"expected a ({dim},) feature vector, got shape {x.shape}")
     try:
-        xsq = float(x @ x)
+        xsq = float(x.dot(x))
     except RuntimeWarning:  # numpy's overflow warning, when warnings are errors
         xsq = math.inf
     if not math.isfinite(xsq):
@@ -73,7 +73,7 @@ class Prediction(NamedTuple):
 
 def mix(x, x_sqnorm: float, per_kernel, weights, cache=None) -> Prediction:
     """The round's prediction: the ``weights`` mixture of ``per_kernel`` and its sign (sign(0) is +1)."""
-    agg = float(weights @ per_kernel)
+    agg = float(weights.dot(per_kernel))
     return Prediction(per_kernel, agg, 1 if agg >= 0 else -1, x, x_sqnorm, weights, cache)
 
 

@@ -85,7 +85,7 @@ class RakerBaseline:
         """Row i is z_i(x) = (1/sqrt(D)) [sin(w_1.x), cos(w_1.x), ...] of kernel i; ||z_i||^2 = 1 up to rounding."""
         x = np.asarray(x, dtype=float)
         k, D = self.theta.shape[0], self.config.num_features
-        t = (self.half_inv_widths * (self.base @ x)).ravel()  # the (K, D) half angles theta/2, kernel after kernel
+        t = (self.half_inv_widths * self.base.dot(x)).ravel()  # the (K, D) half angles theta/2, kernel after kernel
         np.tan(t, out=t)
         r = t * t
         r += 1.0

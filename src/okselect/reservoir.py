@@ -7,9 +7,14 @@ store slot s, a (K, capacity) matrix. With them the learner reads the
 inner product of any iterate with the guess, and the guess's squared norm,
 without evaluating a kernel. A slot's sums are written when its example is
 stored (from the guess values the learner computed at predict), and one
-pass over the store against the new sample recomputes every slot's sums
-when the sample changes. Sample changes stop when the archive freezes, so
-they are rare: about a hundred on a stream of thousands.
+pass against the new sample recomputes the sums when the sample changes.
+That pass covers only the slots the store has ever handed out, rounded up
+to whole blocks of rows (:meth:`~okselect.rkhs.ExampleStore.rows_used`),
+so every row gets the bits of a pass over the whole store; the sums past
+it are zero, where every coefficient is zero too, and a slot handed out
+later gets its sums from ``track``. The same pass caches the guess's
+squared norms. Sample changes stop when the archive freezes, so they are
+rare: about a hundred on a stream of thousands.
 
 The sample and the archive hold store slots. The archive (every example
 that ever entered the reservoir) is capped: insertion freezes once it
@@ -36,8 +41,9 @@ class Reservoir:
     its position in ``specs``. ``label_sums[i, s]`` is
     sum_{j in V} y_j k_i(x_j, x_s), valid at every live slot that entered
     through :meth:`observe` or was registered with :meth:`track`.
-    Each sample change also caches the sample's labels, ``labels``, and the
-    guess's coefficients on the sample, ``guess_coef`` = -labels / |V|.
+    Each sample change also caches the sample's labels, ``labels``, the
+    guess's coefficients on the sample, ``guess_coef`` = -labels / |V|, and
+    its squared norm under each kernel, ``guess_sq_norms``.
     """
 
     def __init__(
@@ -63,8 +69,7 @@ class Reservoir:
         self.archive: list[int] = []  # slots of every example ever sampled
         self.seen = 0
         self.label_sums = np.zeros((len(self.specs), store.capacity))
-        # sum_{j,k in V} y_j y_k k_i(x_j, x_k) for each kernel i, unnormalized
-        self._gram_sum = np.zeros(len(self.specs))
+        self.guess_sq_norms = np.zeros(len(self.specs))  # ||guess||^2 under each kernel
 
     def __len__(self) -> int:
         return len(self.sample)
@@ -118,18 +123,33 @@ class Reservoir:
         return -np.vecdot(rows[:, self.sample], self.labels) / len(self.sample)
 
     def optimistic_sq_norms(self) -> np.ndarray:
-        """Squared RKHS norm of the guess under each kernel of ``specs``."""
-        if not len(self.sample):
-            return np.zeros(len(self.specs))
-        return np.maximum(self._gram_sum, 0.0) / len(self.sample) ** 2
+        """Squared RKHS norm of the guess under each kernel of ``specs``, as the last sample change cached it."""
+        return self.guess_sq_norms
 
     # -- label-sum maintenance ---------------------------------------------
 
     def _sums_update(self):
-        # One pass over the store against the new sample, so the sums carry no drift.
+        # One pass over the used slots against the new sample, so the sums carry no drift.
         st, v = self.store, self.sample
         self.labels = st.label[v]
         self.guess_coef = -self.labels / len(v)
-        rows = kernel_rows(self.specs, *pairwise(st.X, st.sqnorm, st.X[v], st.sqnorm[v], self.specs.gaussian))
-        self.label_sums = rows @ self.labels
-        self._gram_sum = np.vecdot(self.label_sums[:, v], self.labels)
+        n = st.rows_used()
+        rows = kernel_rows(self.specs, *pairwise(st.X[:n], st.sqnorm[:n], st.X[v], st.sqnorm[v], self.specs.gaussian))
+        # matmul runs one gemv per kernel over the (K, n, m) stack; ndarray.dot would sum
+        # each row with its own ddot, which rounds differently
+        self.label_sums[:, :n] = np.matmul(rows, self.labels)
+        self.label_sums[:, n:] = 0.0
+        gram_sum = np.vecdot(self.label_sums[:, v], self.labels)  # sum_{j,k in V} y_j y_k k_i(x_j, x_k)
+        self.guess_sq_norms = np.maximum(gram_sum, 0.0) / len(v) ** 2
+
+    def check_invariants(self):
+        """Assert that the label sums at every live slot match a fresh pass against the
+        sample (rel 1e-12 of the sum of the terms' magnitudes), and that the cached
+        squared norms of the guess are those the sums give."""
+        st, v = self.store, self.sample
+        live = np.flatnonzero(st.refs)
+        terms = kernel_rows(self.specs, *pairwise(st.X[live], st.sqnorm[live], st.X[v], st.sqnorm[v], self.specs.gaussian))
+        want, scale = np.matmul(terms, self.labels), np.abs(terms).sum(axis=-1)
+        assert np.all(np.abs(self.label_sums[:, live] - want) <= 1e-12 * scale), "stale label sums"
+        norms = np.maximum(np.vecdot(self.label_sums[:, v], self.labels), 0.0) / max(len(v), 1) ** 2
+        assert np.array_equal(self.guess_sq_norms, norms), "stale guess norms"

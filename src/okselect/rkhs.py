@@ -45,7 +45,9 @@ __all__ = ["ExampleStore", "KernelExpansions"]
 # depending on the row's place in a block of rows (OpenBLAS's dgemv works in
 # blocks of four; eight also covers kernels with blocks of eight). Passes over
 # a prefix of the store's rows that is a whole number of such blocks give
-# every row the bits of a pass over all of them.
+# every row the bits of a pass over all of them. A whole block also keeps a
+# product with a matrix of queries from shrinking to one row, which numpy
+# would take as a matrix-vector product, with other bits.
 ROW_BLOCK = 8
 
 
@@ -107,6 +109,11 @@ class ExampleStore:
         self.refs[slot] = 1
         self.fills[slot] += 1
         return slot
+
+    def rows_used(self) -> int:
+        """The leading rows that a pass over the slots ever handed out covers: ``high_water``
+        rounded up to a whole block of :data:`ROW_BLOCK` rows, and at most the capacity."""
+        return min(-(-self.high_water // ROW_BLOCK) * ROW_BLOCK, self.capacity)
 
     def incref(self, slot: int, n: int = 1):
         """Add ``n`` >= 1 references to a live slot."""
@@ -197,8 +204,8 @@ class KernelExpansions:
         hold stale rows; their coefficients are zero too.
         """
         st, grid = self.store, self.specs
-        n = -(-st.high_water // ROW_BLOCK) * ROW_BLOCK
-        if n >= st.capacity:
+        n = st.rows_used()
+        if n == st.capacity:
             return kernel_rows(grid, *pairwise(st.X, st.sqnorm, x, x_sqnorm, grid.gaussian))
         out = np.zeros((len(grid), st.capacity))
         out[:, :n] = kernel_rows(grid, *pairwise(st.X[:n], st.sqnorm[:n], x, x_sqnorm, grid.gaussian))
@@ -273,13 +280,12 @@ class KernelExpansions:
         if last and last[0] == key:
             grams = last[1]
         else:
-            specs = self.specs[kernels]
-            grid = self.specs if specs == self.specs else KernelGrid(specs)  # every kernel: the grid built once
+            grid = self.specs.part(kernels)
             X = self.store.X.take(slots, axis=0)
             sq = self.store.sqnorm.take(slots) if grid.gaussian else None
             grams = kernel_rows(grid, *pairwise(X, sq, X, sq, grid.gaussian))
             last = None if last is None else (key, grams)
         for j, gram in enumerate(grams):
             beta = coef[j].take(slots)
-            norms[j] = float(beta @ gram @ beta)
+            norms[j] = float(beta.dot(gram).dot(beta))
         return last

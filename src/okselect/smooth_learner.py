@@ -192,9 +192,9 @@ class SmoothKernelSelector:
                 xj = store.X[j]
                 if self.kernels.gaussian:
                     diff = xj - x
-                    k_jx = kernel_rows(self.kernels, np.asarray(xj @ x), np.asarray(diff @ diff))
+                    k_jx = kernel_rows(self.kernels, np.asarray(xj.dot(x)), np.asarray(diff.dot(diff)))
                 else:
-                    k_jx = kernel_rows(self.kernels, np.asarray(xj @ x))
+                    k_jx = kernel_rows(self.kernels, np.asarray(xj.dot(x)))
                 k_jj = ex.self_k[:, j]
                 if math.sqrt(max((k_jj + k_xx - 2.0 * k_jx).max(), 0.0)) <= gamma:
                     anchor = j

@@ -1,8 +1,11 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import okselect
 from okselect.kernels import (
     KernelGrid,
     KernelSpec,
@@ -14,6 +17,7 @@ from okselect.kernels import (
     pairwise,
     polynomial,
     self_values,
+    sq_distances,
 )
 
 from conftest import column_oracle, gram_oracle
@@ -235,3 +239,32 @@ def test_gaussian_grid_without_distances_raises():
     assert same_bits(kernel_rows(KernelGrid(GRIDS["mixed"][1:2]), dots), np.array([dots**1.0]))
     poly = KernelGrid(GRIDS["polynomial"])
     assert same_bits(kernel_rows(poly, dots), spec_rows(GRIDS["polynomial"], dots, None))
+
+
+@pytest.mark.parametrize("query", ["vector", "matrix", "syrk"])
+def test_pairwise_keeps_the_bits_of_the_matmul_operator(query):
+    """pairwise's inner products come from ndarray.dot, which calls the BLAS routine
+    that the @ operator's matmul calls (dgemv, dgemm, or dsyrk for X times its own
+    transpose), so they keep its bits. A numpy whose two paths part fails here."""
+    rng = np.random.default_rng(14)
+    for n, d in ((192, 112), (400, 68), (24, 150), (33, 20), (7, 3)):
+        X = rng.normal(size=(n, d))
+        sq = np.einsum("ij,ij->i", X, X)
+        z = {"vector": rng.normal(size=d), "matrix": rng.normal(size=(10, d)), "syrk": X}[query]
+        zsq = float(z @ z) if z.ndim == 1 else np.einsum("ij,ij->i", z, z)
+        want = X @ z.T
+        dots, sqdist = pairwise(X, sq, z, zsq)
+        assert same_bits(dots, want), (n, d)
+        assert same_bits(sqdist, sq_distances(want, sq, zsq)), (n, d)
+
+
+def test_no_matmul_operator_in_the_library():
+    """Every dense product in okselect is an ndarray.dot call or a named np.matmul, never
+    the @ operator, whose generalized-ufunc dispatch costs more per call than dot."""
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(Path(okselect.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)
+    ]
+    assert not found, f"@ operators at {found}"

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from okselect import ExampleStore, Reservoir
+from okselect import ExampleStore, HingeKernelSelector, HingeSelectorConfig, Reservoir
 from okselect.kernels import KernelGrid, gaussian, kernel_eval, kernel_rows, pairwise
 
 from conftest import brute_guess_sq_norm, brute_value, guess_coeffs, offer
@@ -156,3 +156,25 @@ def test_refcounts_cover_sample_and_archive():
     for slot in r.archive:
         assert store.refs[slot] == 1
     assert np.flatnonzero(store.refs).tolist() == sorted(r.archive)
+
+
+@pytest.mark.parametrize("field, message", [("label_sums", "stale label sums"), ("guess_sq_norms", "stale guess norms")])
+def test_a_stale_cache_fails_the_learners_invariants(field, message):
+    # the hinge learner's check_invariants checks its reservoir's label sums and guess norms
+    rng = np.random.default_rng(15)
+    learner = HingeKernelSelector(HingeSelectorConfig(
+        kernels=(gaussian(0.5, 0), gaussian(2.0, 1)), dim=3, budget=24, horizon=100, reservoir_size=4, seed=1,
+    ))
+    for _ in range(60):
+        x = rng.normal(size=3)
+        learner.update(x, 1 if x[0] > 0 else -1)
+    learner.check_invariants()
+    res = learner.reservoir
+    live = int(res.sample[0])
+    cache = getattr(res, field)
+    if field == "label_sums":
+        cache[1, live] *= 1.0 + 1e-9
+    else:
+        cache[1] *= 1.0 + 1e-15
+    with pytest.raises(AssertionError, match=message):
+        learner.check_invariants()

@@ -765,6 +765,38 @@ class TestHighWaterMark:
             learner.check_invariants()
         assert {"proxy", "sampled", "removed"} <= seen
 
+    @pytest.mark.parametrize("removal", ["half", "restart"])
+    def test_label_sums_below_the_mark_match_a_full_pass(self, removal):
+        # The reservoir's pass against a new sample covers only the slots below
+        # the mark, rounded up to whole blocks of rows. Float features with
+        # d >= 8 and samples of several examples. Each stream's first sample
+        # change comes at a mark of 1, where a one-row pass would be a
+        # matrix-vector product and round the first slot's sums differently
+        # about half the time, so several streams are played.
+        d = 12
+        checked = short = 0
+        for seed in range(8):
+            rng = np.random.default_rng(32 + seed)
+            pool = rng.normal(size=(30, d)) / 3.0
+            learner = HingeKernelSelector(HingeSelectorConfig(
+                kernels=self.GRID, dim=d, budget=60, horizon=400, reservoir_size=6, removal=removal, seed=seed,
+            ))
+            store, res, grid = learner.store, learner.reservoir, learner.kernels
+            for t in range(150):
+                x = pool[rng.integers(len(pool))]
+                rec = learner.update(x, 1 if x[0] * x[1] + 0.1 * rng.normal() > 0 else -1)
+                if not rec.reservoir_accepted:
+                    continue
+                v, mark = res.sample, store.high_water
+                full = np.matmul(kernel_rows(grid, *pairwise(store.X, store.sqnorm, store.X[v], store.sqnorm[v])), res.labels)
+                assert np.array_equal(res.label_sums[:, :mark].view(np.int64), full[:, :mark].view(np.int64)), (seed, t)
+                n = min(-(-mark // ROW_BLOCK) * ROW_BLOCK, store.capacity)
+                assert not res.label_sums[:, n:].any(), (seed, t)
+                checked += 1
+                short += n < store.capacity
+                learner.check_invariants()
+        assert checked >= 50 and short >= 40
+
     @pytest.mark.parametrize("field", ["refs", "coef", "self_k"])
     def test_state_above_the_mark_fails_the_invariants(self, field):
         store = ExampleStore(dim=2, capacity=5)
