@@ -12,9 +12,10 @@ A learner evaluates the same grid every round, so a :class:`KernelGrid`
 (an immutable tuple of specs) computes once what each call would
 otherwise rebuild: the Gaussian divisors 2 sigma^2, the polynomial
 degrees, whether any kernel reads distances, and, for an all-Gaussian
-grid, the shared self-similarity vector. :func:`kernel_rows` and
-:func:`self_values` take a grid and convert nothing, so a caller builds its
-grid once.
+grid, the shared self-similarity vector; per feature dimension, it also
+keeps the constants of the rounding bounds of :meth:`KernelGrid.pair_errors`.
+:func:`kernel_rows` and :func:`self_values` take a grid and convert
+nothing, so a caller builds its grid once.
 """
 
 from __future__ import annotations
@@ -110,7 +111,9 @@ class KernelGrid(tuple):
     ``self_ones`` the read-only (K,) vector of ones that
     :func:`self_values` returns for a scalar squared norm when every kernel
     is Gaussian (None otherwise). A slice of a grid is a plain tuple;
-    :meth:`part` gives the grid of a slice.
+    :meth:`part` gives the grid of a slice. :meth:`pair_errors` bounds
+    how far two evaluations of one kernel value can differ in the last
+    bits.
     """
 
     def __new__(cls, specs):
@@ -122,6 +125,7 @@ class KernelGrid(tuple):
         grid.gaussian = len(grid.poly) < len(grid)
         grid.self_ones = None if grid.poly else _read_only(np.ones(len(grid)))
         grid._parts = {}  # the grids part() has built, by slice indices
+        grid._slack = {}  # the constants pair_errors() has built, by dimension
         return grid
 
     def part(self, kernels: slice) -> KernelGrid:
@@ -134,6 +138,79 @@ class KernelGrid(tuple):
         if part is None:
             part = self._parts[key] = KernelGrid(self[kernels])
         return part
+
+    def pair_errors(self, dim: int, n_x: float, n_z: float):
+        """Yield (i, e) for each kernel i whose two values at a pair (x, z) of ``dim``-vectors lie within e.
+
+        Both values come from :func:`kernel_rows`: one from :func:`pairwise`
+        over a matrix of rows, the other from the ``ddot`` of x and z and,
+        for a Gaussian, of x - z with itself. ``n_x`` and ``n_z`` are x.dot(x)
+        and z.dot(z). Gaussian kernels and polynomial kernels of integer
+        degree yield a bound, in grid order, unless it overflows; other
+        kernels yield none. The constants are built on the first call for
+        ``dim`` and kept.
+        """
+        slack = self._slack.get(dim)
+        if slack is None:
+            slack = self._slack[dim] = _pair_slack(self, dim)
+        gauss, poly = slack
+        for i, a, b in gauss:
+            yield i, a * (n_x + n_z) + b
+        if poly:
+            pp = math.sqrt(n_x + _NORM_FLOOR) * math.sqrt(n_z + _NORM_FLOOR)
+            for i, c, p, b in poly:
+                try:
+                    e = c * pp**p + b
+                except OverflowError:
+                    continue
+                yield i, e
+
+
+# The unit roundoff of a double, and a floor added to squared norms: below
+# it, a sum of squares may have lost any share of its value to underflow.
+_U = 2.0**-53
+_NORM_FLOOR = 2.0**-900
+
+
+def _pair_slack(grid: KernelGrid, dim: int) -> tuple[tuple, tuple]:
+    """The constants of :meth:`KernelGrid.pair_errors`: (i, a, b) per Gaussian, (i, c, p, b) per polynomial.
+
+    Each doubles a first-order bound. A d-term inner product, in any order,
+    with or without fused multiply-adds, errs by at most g_d <= (d + 1) u
+    times the sum of its terms' magnitudes, plus d subnormal ulps; adding
+    F = 2^-900 to each stored squared norm keeps those ulps, and the norms'
+    own underflow, far below the relative terms. Let N = n_x + n_z + 2 F.
+
+    Gaussian, e = a (n_x + n_z) + b, b = 2 F a + 64 u: pairwise's clipped
+    distance is within (2 g_d + 3 u) N of s = ||x - z||^2 <= 2 N, and the
+    ``ddot`` of the rounded x - z within g_(d+2) s, so the two distances
+    differ by under 4 (d + 2) u N. Both are divided by the same
+    -2 sigma^2, and exp(-t) is 1-Lipschitz for t >= 0; each division's
+    rounding moves exp by at most u / e, and each exp errs by at most 4
+    ulps of a value <= 1.
+
+    Polynomial of integer degree p, e = c P^p + b, with
+    P = sqrt(n_x + F) sqrt(n_z + F): the two inner products are each
+    within g_d P of <x, z>, and |v^p - w^p| <= p max(|v|, |w|)^(p - 1)
+    |v - w|, so the powers differ by 2 p g_d (1 + g_d)^(p - 1) P^p, plus at
+    most 4 ulps of each. The factor (1 + 4 (d + 2) u)^(p + 1) covers the
+    (1 + g_d) factors and the rounding of P; b = c 2^-1021 + 2^-1068 covers
+    a P^p or a power that underflows.
+    """
+    g = (dim + 2) * _U
+    gauss, poly = [], []
+    for i, spec in enumerate(grid):
+        if spec.kind == "gaussian":
+            a = 8.0 * g / -float(grid.neg_two_var[i])
+            gauss.append((i, a, 2.0 * _NORM_FLOOR * a + 64.0 * _U))
+        elif spec.param.is_integer():
+            p = spec.param
+            try:
+                c = (4.0 * p * (dim + 2) + 32.0) * _U * (1.0 + 4.0 * g) ** (p + 1.0)
+            except OverflowError:
+                continue
+            poly.append((i, c, p, c * 2.0**-1021 + 2.0**-1068))
+    return tuple(gauss), tuple(poly)
 
 
 def _check_specs(kernels) -> tuple[KernelSpec, ...]:

@@ -32,6 +32,7 @@ written when a learner stores an example through
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 
 import numpy as np
@@ -233,11 +234,13 @@ class KernelExpansions:
     def project(self, radius: float):
         """Project each f_i onto {||f|| <= radius}; idempotent, never grows a norm."""
         r2 = radius * radius
-        if max(self.sq_norms.tolist()) <= r2:
+        norms = self.sq_norms.tolist()
+        if max(norms) <= r2:
             return
-        for i in np.flatnonzero(self.sq_norms > r2):
-            self.coef[i] *= radius / np.sqrt(self.sq_norms[i])
-            self.sq_norms[i] = r2
+        for i, n in enumerate(norms):
+            if n > r2:  # sqrt and division round correctly in Python as in numpy: the same bits
+                self.coef[i] *= radius / math.sqrt(n)
+                self.sq_norms[i] = r2
 
     def drop(self, kernels: slice, slots, keep=None, last=None):
         """Remove ``slots`` from the expansions of the kernels in a slice.

@@ -17,8 +17,12 @@ a full buffer first discards the oldest half (keeping the newest),
 projects, and then steps. A step adds c k_i(x_j, .) to every iterate, so
 each squared norm changes by 2 c f_i(x_j) + c^2 k_i(x_j, x_j), from the
 round's values (a sampled step) or the iterates read at the proxy anchor.
-The proxy test reads k_i(x_j, x_j) from the expansions' self-similarity
-cache and evaluates each kernel once, at the pair (x_j, x_t).
+The proxy test starts from ``predict``'s kernel rows at the nearest
+buffered example x_j. They lie within a rounding bound of the exact
+pair's values, so when they still put some kernel's distance above gamma
+the test fails with no more work. Otherwise it reads k_i(x_j, x_j) from
+the expansions' self-similarity cache and evaluates each kernel once, at
+the pair (x_j, x_t); a NaN gap there never passes.
 The Hedge losses are the gap-to-best form:
 d * (v_i - min_j v_j) when d > 0, else d * (v_i - max_j v_j), which is
 non-negative with at least one zero.
@@ -185,23 +189,13 @@ class SmoothKernelSelector:
                 # The Euclidean-nearest buffered example is the nearest in
                 # every Gaussian feature space at once; ties go to the oldest.
                 j = buffer[sqdist[buffer].argmin()]
-                # Its feature-space distance to x comes from x_j - x itself,
-                # so that an exact duplicate is at distance exactly 0. The
-                # kernels see 0-d arrays, not numpy scalars, whose power can
-                # differ in the last bit from the array power predict uses.
-                xj = store.X[j]
-                if self.kernels.gaussian:
-                    diff = xj - x
-                    k_jx = kernel_rows(self.kernels, np.asarray(xj.dot(x)), np.asarray(diff.dot(diff)))
-                else:
-                    k_jx = kernel_rows(self.kernels, np.asarray(xj.dot(x)))
-                k_jj = ex.self_k[:, j]
-                if math.sqrt(max((k_jj + k_xx - 2.0 * k_jx).max(), 0.0)) <= gamma:
-                    anchor = j
+                if not self._rows_rule_out(j, rows, k_xx, pred.x_sqnorm, gamma):
+                    if math.sqrt(max(self._pair_gap_sq(j, x, k_xx), 0.0)) <= gamma:
+                        anchor = j
             if anchor is not None:
                 branch = "proxy"
                 c = -self.rate * d
-                ex.step(anchor, c, 2.0 * c * ex.values_at(anchor) + c * c * k_jj)
+                ex.step(anchor, c, 2.0 * c * ex.values_at(anchor) + c * c * ex.self_k[:, anchor])
                 ex.project(self.radius)
             else:
                 branch = "sampled"
@@ -241,6 +235,40 @@ class SmoothKernelSelector:
             gap_sq=self._zeros,
             removed=self._removed[did_remove],
         )
+
+    def _rows_rule_out(self, j, rows, k_xx, x_sqnorm: float, gamma: float) -> bool:
+        """True when ``predict``'s kernel rows prove that slot j fails the proxy test.
+
+        The test passes only if every kernel's radicand k_jj + k_xx - 2 k_jx
+        (:meth:`_pair_gap_sq`) is within gamma^2, so one kernel whose
+        radicand is provably above it is enough. ``rows[i, j]`` lies within
+        the grid's :meth:`~okselect.kernels.KernelGrid.pair_errors` bound e
+        of the k_jx that the test computes, so its radicand is at least
+        (k_jj + k_xx) - 2 (rows[i, j] + e): rounding is monotone, and so is
+        sqrt. A NaN or infinite bound proves nothing.
+        """
+        self_k = self.expansions.self_k
+        for i, e in self.kernels.pair_errors(self.config.dim, self.store.sqnorm.item(j), x_sqnorm):
+            low = (self_k.item(i, j) + k_xx.item(i)) - 2.0 * (rows.item(i, j) + e)
+            if low > 0.0 and math.sqrt(low) > gamma:
+                return True
+        return False
+
+    def _pair_gap_sq(self, j, x, k_xx):
+        """max_i k_jj + k_xx - 2 k_jx over the kernels, with k_jx evaluated at the pair (x_j, x); NaN when any is.
+
+        The distance comes from x_j - x itself, so that an exact duplicate is
+        at distance exactly 0. The kernels see 0-d arrays, not numpy
+        scalars, whose power can differ in the last bit from the array power
+        ``predict`` uses.
+        """
+        xj = self.store.X[j]
+        if self.kernels.gaussian:
+            diff = xj - x
+            k_jx = kernel_rows(self.kernels, np.asarray(xj.dot(x)), np.asarray(diff.dot(diff)))
+        else:
+            k_jx = kernel_rows(self.kernels, np.asarray(xj.dot(x)))
+        return (self.expansions.self_k[:, j] + k_xx - 2.0 * k_jx).max()
 
     # -- diagnostics -----------------------------------------------------
 

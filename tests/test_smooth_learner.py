@@ -1,11 +1,12 @@
 import copy
+import dataclasses
 import math
 import warnings
 from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from okselect import (
@@ -17,7 +18,8 @@ from okselect import (
     run_stream,
 )
 from okselect.data import gen_lowerbound
-from okselect.kernels import kernel_eval
+from okselect.kernels import kernel_eval, self_values
+from okselect.protocol import check_features, check_self_values
 from okselect.smooth_learner import pea_losses
 
 from conftest import blob_stream, state_digest
@@ -25,14 +27,14 @@ from conftest import blob_stream, state_digest
 GRID = tuple(gaussian(s, i) for i, s in enumerate((0.25, 1.0, 4.0, 16.0, 64.0)))
 
 
-def make_learner(**kw):
+def make_learner(cls=SmoothKernelSelector, **kw):
     """Build a selector with the K>d / aggressive-radius advisories muted;
     they are exercised explicitly in TestConfig."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         base = dict(kernels=GRID, dim=4, budget=40, seed=0)
         base.update(kw)
-        return SmoothKernelSelector(SmoothSelectorConfig(**base))
+        return cls(SmoothSelectorConfig(**base))
 
 
 def scalar_value(spec, rows, coefs, x) -> float:
@@ -212,6 +214,138 @@ class TestUpdateBranches:
                 assert np.all(np.delete(learner.expansions.coef, learner.buffer, axis=1) == 0.0)
             learner.check_invariants()
         assert removal_seen, "removal never fired; adjust seed"
+
+
+class Unscreened(SmoothKernelSelector):
+    """The smooth learner with the proxy screen off: every proxy search evaluates the exact pair."""
+
+    def _rows_rule_out(self, *args):
+        return False
+
+
+def near_duplicate_stream(rng, rounds, dim, pool_size):
+    """Rows from a small pool: half as they are, the others moved by one ulp, up or down, in one coordinate."""
+    pool = rng.normal(size=(pool_size, dim))
+    X = pool[rng.integers(0, pool_size, rounds)]
+    for t, how in enumerate(rng.integers(0, 4, rounds)):
+        coord = rng.integers(dim)
+        if how == 1:
+            X[t, coord] = np.nextafter(X[t, coord], np.inf)
+        elif how == 2:
+            X[t, coord] = np.nextafter(X[t, coord], -np.inf)
+    return X, np.where(rng.random(rounds) < 0.5, 1, -1)
+
+
+def ternary_stream(rng, rounds, dim):
+    """Features from {0, 0.5, 1}, labelled by the sign of a random linear rule."""
+    X = rng.integers(0, 3, size=(rounds, dim)) / 2.0
+    return X, np.where((X - 0.5).dot(rng.normal(size=dim)) >= 0.0, 1, -1)
+
+
+class TestProxyScreen:
+    """``update`` reads the proxy candidate's kernel values from ``predict``'s rows and
+    evaluates the exact pair only when those rows cannot prove that the test fails."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        grid=st.sampled_from([
+            (gaussian(1.0, 0),), (gaussian(0.01, 0),), (gaussian(300.0, 0),), (gaussian(1e-160, 0),),
+            (polynomial(1, 0),), (polynomial(2, 0),), (polynomial(3, 0),), (polynomial(0.5, 0),),
+            (gaussian(0.5, 0), polynomial(3, 1)),
+        ]),
+        dim=st.sampled_from([1, 2, 5, 17]),
+        scale=st.sampled_from([1.0, 1e-160, 1e-150, 1e75, 1e100, 1e150]),
+        how=st.sampled_from(["duplicate", "ulp up", "ulp down", "ulp mixed", "scaled", "independent"]),
+        others=st.integers(0, 10),
+        seed=st.integers(0, 2**16),
+        widen=st.sampled_from([1.0, 1.0 + 2.0**-52, 1.5]),
+    )
+    # distances, inner products and norms in the subnormal range, where rounding errs by absolute amounts
+    @example(grid=(gaussian(1e-160, 0),), dim=17, scale=1e-160, how="independent", others=0, seed=0, widen=1.0)
+    @example(grid=(polynomial(1, 0),), dim=2, scale=1e-150, how="scaled", others=0, seed=5443, widen=1.0)
+    def test_never_rules_out_a_pair_that_passes(self, grid, dim, scale, how, others, seed, widen):
+        # gamma is the exact test's own threshold sqrt(max(gap, 0)), or just above it: the exact
+        # test passes, so the rows must not rule the pair out.
+        rng = np.random.default_rng(seed)
+        learner = make_learner(kernels=grid, dim=dim, budget=12)
+        xj = rng.normal(size=dim) * scale
+        x = xj.copy()
+        if how.startswith("ulp"):
+            steps = {"ulp up": [np.inf], "ulp down": [-np.inf], "ulp mixed": [np.inf, -np.inf]}[how]
+            x = np.nextafter(x, rng.choice(steps, size=dim))
+        elif how == "scaled":
+            x = xj * (1.0 + 2.0**-40)
+        elif how == "independent":
+            x = rng.normal(size=dim) * scale
+        rows = [rng.normal(size=dim) * scale for _ in range(others)] + [xj]
+        with np.errstate(all="ignore"):  # a degree 0.5 kernel at a negative inner product gives NaN
+            try:
+                for row in rows:
+                    row, sq = check_features(row, dim)
+                    check_self_values(learner.kernels, sq)
+                    slot = learner.expansions.add(row, 1, sq, self_values(learner.kernels, sq))
+                    learner._order[len(learner.store) - 1] = slot
+                pred = learner.predict(x)
+            except ValueError:  # a squared norm or a polynomial's k(x, x) past the float range
+                return
+            k_xx = self_values(learner.kernels, pred.x_sqnorm)
+            gap = learner._pair_gap_sq(slot, x, k_xx)
+        if math.isnan(gap):  # the exact test fails, whatever the rows say
+            return
+        gamma = math.sqrt(max(gap, 0.0)) * widen
+        assert not learner._rows_rule_out(slot, pred.cache[2], k_xx, pred.x_sqnorm, gamma)
+
+    @pytest.mark.parametrize("grid", [
+        GRID,
+        (polynomial(1, 0),),
+        (polynomial(2, 0),),
+        (gaussian(0.5, 0), polynomial(1, 1), gaussian(2.0, 2), polynomial(2, 3), gaussian(8.0, 4)),
+    ], ids=["gaussian", "poly1", "poly2", "mixed"])
+    def test_screen_off_and_on_give_the_same_rounds(self, grid):
+        X, y = near_duplicate_stream(np.random.default_rng(41), 1500, 4, 60)
+        on = make_learner(kernels=grid, budget=20, seed=7)
+        off = make_learner(Unscreened, kernels=grid, budget=20, seed=7)
+        branches = Counter()
+        for t in range(len(y)):
+            recs = []
+            for learner in (on, off):
+                learner.predict(X[t])
+                recs.append(learner.update(X[t], y[t]))
+            for field in dataclasses.fields(recs[0]):
+                a, b = (getattr(rec, field.name) for rec in recs)
+                if isinstance(a, np.ndarray):
+                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (t, field.name)
+                else:
+                    assert a == b, (t, field.name)
+            assert state_digest(on) == state_digest(off), t
+            branches[recs[0].branch[0]] += 1
+        assert branches["proxy"] and branches["sampled"], branches
+
+    def test_exact_pair_is_rare_and_behind_every_proxy_step(self, monkeypatch):
+        # A ternary stream, with a copy of the newest buffered row every 300 rounds:
+        # those copies take the proxy step, and no other round needs the exact pair.
+        X, y = ternary_stream(np.random.default_rng(43), 3000, 68)
+        learner = make_learner(dim=68, budget=400, lambda_scale=1.0, seed=44)  # five Gaussian widths
+        calls = []
+        pair_gap_sq = SmoothKernelSelector._pair_gap_sq
+
+        def counted(self, *args):
+            calls.append(None)
+            return pair_gap_sq(self, *args)
+
+        monkeypatch.setattr(SmoothKernelSelector, "_pair_gap_sq", counted)
+        exact_rounds, proxy_rounds = [], []
+        for t in range(len(y)):
+            x = learner.store.X[learner.buffer[-1]].copy() if t % 300 == 299 else X[t]
+            learner.predict(x)
+            before = len(calls)
+            if learner.update(x, y[t]).branch[0] == "proxy":
+                proxy_rounds.append(t)
+            if len(calls) > before:
+                exact_rounds.append(t)
+        assert proxy_rounds, "no proxy step; reseed the test"
+        assert len(exact_rounds) < 0.01 * len(y), exact_rounds
+        assert set(proxy_rounds) <= set(exact_rounds)
 
 
 class TestSharedBufferCoherence:
