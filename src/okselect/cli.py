@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import bench
@@ -52,6 +53,13 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _check_writable(path) -> None:
+    """Raise ValueError unless a file can be written at ``path``, so a bad output fails before any work."""
+    parent = os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path) or not (os.path.isdir(parent) and os.access(parent, os.W_OK)):
+        raise ValueError(f"output {str(path)!r} is not a file in a writable directory")
+
+
 def _cmd_run(args) -> int:
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
@@ -60,6 +68,7 @@ def _cmd_run(args) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     config = bench.ExperimentConfig.from_dict(raw)
+    _check_writable(config.output or "report.csv")
     report = bench.run(config)
     failures = [r for r in report.rows if str(r.get("config", "")).startswith("FAILED")]
     mean_row, std_row = report.aggregates()
@@ -80,6 +89,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_datagen(args) -> int:
+    _check_writable(args.out)
     ds = gen_lowerbound(budget=args.budget, rounds=args.rounds, seed=args.seed)
     serialize_libsvm(ds, args.out)
     print(f"wrote {ds.num_examples} rounds over {ds.dim} features to {args.out}")

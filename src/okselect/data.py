@@ -31,6 +31,9 @@ class LibsvmFormatError(ValueError):
     pass
 
 
+_MAX_INDEX = int(np.iinfo(np.int64).max)  # the column indices and the width are int64
+
+
 @dataclass
 class Dataset:
     name: str
@@ -61,8 +64,9 @@ def parse_libsvm(path) -> Dataset:
     """Parse a sparse text dataset.
 
     Exactly two distinct raw labels are required; the numerically larger
-    one maps to +1. Malformed lines, non-ascending indices, and non-finite
-    values raise :class:`LibsvmFormatError` with the offending line number.
+    one maps to +1. Malformed lines, non-ascending indices, indices past the
+    int64 range, and non-finite labels or values raise
+    :class:`LibsvmFormatError` with the offending line number.
     """
     raw_labels = []
     indptr = [0]
@@ -76,9 +80,12 @@ def parse_libsvm(path) -> Dataset:
                 continue
             parts = line.split()
             try:
-                raw_labels.append(float(parts[0]))
+                label = float(parts[0])
             except ValueError as exc:
                 raise LibsvmFormatError(f"{path}:{lineno}: bad label {parts[0]!r}") from exc
+            if not math.isfinite(label):
+                raise LibsvmFormatError(f"{path}:{lineno}: non-finite label {parts[0]!r}")
+            raw_labels.append(label)
             prev = 0
             for tok in parts[1:]:
                 try:
@@ -91,6 +98,8 @@ def parse_libsvm(path) -> Dataset:
                     raise LibsvmFormatError(
                         f"{path}:{lineno}: indices must be ascending and 1-based (saw {idx} after {prev})"
                     )
+                if idx > _MAX_INDEX:
+                    raise LibsvmFormatError(f"{path}:{lineno}: index {idx} is past the int64 range")
                 if not math.isfinite(val):
                     raise LibsvmFormatError(f"{path}:{lineno}: non-finite value {val_s!r}")
                 prev = idx

@@ -207,7 +207,7 @@ class HingeKernelSelector:
         ex, res = self.expansions, self.reservoir
         kxx = self_values(self.kernels, pred.x_sqnorm)
         # Every per-kernel scalar is a Python float from here on; numpy works only over store slots.
-        kxx_, guesses_, guess_sq = kxx.tolist(), guesses.tolist(), res.optimistic_sq_norms().tolist()
+        kxx_, guesses_, guess_sq = kxx.tolist(), guesses.tolist(), res.guess_sq_norms.tolist()
         sizes = self.buffer_sizes.tolist()
         sums = self.gap_sums.tolist()
         losses, violated, gap_sq, gamma, candidates = [], [], [], [], []

@@ -122,10 +122,6 @@ class Reservoir:
             return np.zeros(len(rows))
         return -np.vecdot(rows[:, self.sample], self.labels) / len(self.sample)
 
-    def optimistic_sq_norms(self) -> np.ndarray:
-        """Squared RKHS norm of the guess under each kernel of ``specs``, as the last sample change cached it."""
-        return self.guess_sq_norms
-
     # -- label-sum maintenance ---------------------------------------------
 
     def _sums_update(self):

@@ -348,6 +348,17 @@ class TestCli:
         assert rows[0]["dataset"].startswith("lowerbound")
         assert rows[0]["T"] == "120"
 
+    def test_unwritable_output_fails_before_any_work(self, tmp_path, capsys, monkeypatch):
+        """A run's report or datagen's file that cannot be written exits 1 before a repeat runs or a stream is made."""
+        monkeypatch.setattr("okselect.bench.run", lambda config: pytest.fail("ran the experiment"))
+        monkeypatch.setattr("okselect.cli.gen_lowerbound", lambda **kw: pytest.fail("generated the stream"))
+        (tmp_path / "file").write_text("", encoding="utf-8")
+        for out in (tmp_path / "missing" / "out.txt", tmp_path, tmp_path / "file" / "out.txt"):
+            cfg = lowerbound_config_file(tmp_path, algorithm="momd_h", B=40, output=str(out))
+            assert cli_main(["run", "--config", str(cfg)]) == 1
+            assert cli_main(["datagen", "lowerbound", "--budget", "3", "--rounds", "20", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.count("config error: output") == 6
+
     def test_missing_dataset_is_config_error(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(
@@ -494,11 +505,6 @@ class TestCli:
         assert "-> report.csv" in capsys.readouterr().out
         with open(tmp_path / "report.csv", newline="", encoding="utf-8") as fh:
             assert [r["seed"] for r in csv.DictReader(fh)] == ["0", "mean", "std"]
-
-    def test_output_that_cannot_be_written_is_runtime_failure(self, tmp_path, capsys):
-        cfg_path = lowerbound_config_file(tmp_path, algorithm="momd_h", B=40, output=str(tmp_path))
-        assert cli_main(["run", "--config", str(cfg_path)]) == 2
-        assert capsys.readouterr().err.startswith("runtime failure: ")
 
     @pytest.mark.parametrize("raw", ["5", "null", '[["dataset", "a"]]', '"x"', "[]"],
                              ids=["number", "null", "pairs", "string", "empty-list"])

@@ -38,9 +38,11 @@ class TestParse:
         assert ds.num_examples == 2
         assert np.allclose(ds.dense_features()[0], 0.0)
 
-    def test_malformed_line_reports_line_number(self, tmp_path):
+    @pytest.mark.parametrize("line", ["+1 oops", "nan 1:1", "1 99999999999999999999:1"],
+                             ids=["bad_pair", "nan_label", "index_past_int64"])
+    def test_malformed_line_reports_line_number(self, tmp_path, line):
         with pytest.raises(LibsvmFormatError, match=":2:"):
-            parse_libsvm(write(tmp_path, "+1 1:1.0\n+1 oops\n"))
+            parse_libsvm(write(tmp_path, f"+1 1:1.0\n{line}\n-1 1:1\n"))
 
     def test_single_class_rejected(self, tmp_path):
         with pytest.raises(LibsvmFormatError, match="two classes"):
@@ -54,9 +56,13 @@ class TestParse:
         with pytest.raises(LibsvmFormatError, match="ascending"):
             parse_libsvm(write(tmp_path, "+1 3:1.0 2:1.0\n-1 1:1\n"))
 
-    def test_non_finite_value_rejected(self, tmp_path):
+    @pytest.mark.parametrize("text", ["+1 1:inf\n-1 1:1\n", "nan 1:1\n-1 1:1\n", "inf 1:1\n-1 1:1\n",
+                                      "-1 1:1\n1e400 1:1\n"],
+                             ids=["inf_value", "nan_label", "inf_label", "1e400_label"])
+    def test_non_finite_value_rejected(self, tmp_path, text):
+        """A non-finite label is no class, so it cannot decide the split."""
         with pytest.raises(LibsvmFormatError, match="non-finite"):
-            parse_libsvm(write(tmp_path, "+1 1:inf\n-1 1:1\n"))
+            parse_libsvm(write(tmp_path, text))
 
 
 def test_round_trip_is_exact(tmp_path):

@@ -1,94 +1,26 @@
-"""Golden traces: per-round digests of both learners on fixed seeds.
+"""Golden traces: per-round digests of the three learners on fixed seeds.
 
-Each case streams a short fixed-seed stream through a learner and hashes,
-per round, the predicted label, the exact bits of the aggregate
-(``float.hex``), the branch, the coin and the removal flags, and at the end
-the cumulative loss and the removal counts. The digests were recorded
-before the smooth learner moved to one shared buffer; a change that moves
-any rounding or random draw of a learner changes them. The two
-``momd_h_blob`` digests were recorded again when the hinge learner moved to
-one coefficient matrix: its sums now run in slot order over one pass of
-the whole store, which moves the last bits of the aggregates (by at most
-5e-13 relative), while every label, branch, coin, removal and reservoir
-decision stayed the same. The ``momd_s_blob_half``, ``momd_s_blob_restart``
-and ``momd_s_mixed_grid`` digests were recorded again when the smooth
-learner moved onto the shared store and expansions: its predictions and
-proxy-step values now sum over every store slot in slot order, and slots
-are reused out of insertion order after a removal, which moves the last
-bits of the aggregates (by at most 8e-15 relative), while every label,
-branch, coin and removal stayed the same. ``momd_s_lowerbound_poly1`` did
-not move. The three ``momd_h`` digests were recorded again when the hinge
-learner's sampled step became closed-form: each squared norm now changes
-by a formula over cached inner products instead of a fresh kernel block,
-the step's coefficients are -rate (1 - 1/p) times the guess's instead of
--rate (g - g/p), and the guess's squared norm is summed from label sums
-recomputed at each sample change instead of updated in place. That moves
-the last bits of the aggregates (by at most 4e-13 relative), while every
-label, branch, coin, removal and reservoir decision stayed the same, and
-``tests/test_reference.py`` (the learner against its scalar reference)
-passed on the same change. The four ``momd_s`` digests did not move.
-``momd_h_blob_half`` was recorded again when the proxy step became
-closed-form too: its norm change is 2 c f_i(x_j) + c^2 k_i(x_j, x_j) from
-the iterate's values at the anchor instead of a kernel block over the
-support, which moves the cached norm, and through a projection 12
-aggregates, by at most 2e-15 relative, while every label, branch, coin and
-removal stayed the same and ``tests/test_reference.py`` passed on the
-same change. The other two ``momd_h`` digests did not move.
-The ``momd_h`` full-state cases (``FULL_STATE``) replay two of those
-streams and hash much more: per round the bits of every per-kernel value,
-loss, coin probability (NaN included) and gap, the coins with their dtype,
-the removal flags and the reservoir's decision, and at the end the
-coefficient matrix's bytes, the cached norms, the gap sums, Hedge's state,
-the buffers and the reservoir. They pin what the label-level digests above
-would miss, such as a NaN probability turned into 0.0 or a flipped signed
-zero in a coefficient. They were recorded before the hinge update moved
-its per-kernel scalars from (K,) arrays to Python floats, and that change
-left them, and every digest above, as they were.
-The ``RECORD_STATE`` cases do the same for two ``momd_s`` streams and one
-raker stream, with nothing chosen by hand: every field of every round's
-record in exact bits, then the learner's whole final state through
-``conftest.state_digest``, which hashes the store by what it holds and the
-order in which it would hand out its free slots. The smooth learner's
-proxy step reads the expansions' kernel rows at a stored example, so these
-cases pin that pass in ``momd_s`` too. They were recorded before the
-expansions' kernel rows came to skip the store slots never handed out.
-The ``raker`` cases hash, per round, the exact bits of the random-feature
-baseline's aggregate, and at the end its weights ``theta``; they pin the
-feature map and the gradient step to the bit. They were recorded again when
-the feature map moved from numpy's ``sin`` and ``cos`` to one ``tan`` of the
-half angle: each feature moved by at most 1 ulp of 1.0, and on both streams
-every label stayed the same (``tests/test_raker.py`` holds the sin/cos
-reference and compares the two). The cases now pin the tan-based map.
-The three raker digests (``GOLDEN`` ``raker_dense`` and ``raker_dense_reg``,
-``RECORD_STATE`` ``raker_dense_reg``) and their ``_NO_AVX512`` entries
-were recorded again when the kernels came to share one standard-normal
-draw, kernel i's frequencies being that draw over sigma_i, in place of an
-independent draw per kernel. The draws moved, so the aggregates, labels and
-weights moved with them. The baseline is no weaker for it: on the
-benchmark's ``raker_dense`` stream, seeds 1-12, with the sigma=4 kernel
-(the one Hedge ends up on) given the same normal block under both schemes,
-the shared draw's AMR differed from the independent draws' by +0.011
-percentage points on average (sd 0.054, largest 0.090), and every seed
-stayed under the 50% ceiling (largest 46.38%). Every ``momd_h`` and
-``momd_s`` digest, and ``tests/test_reference.py``, passed unchanged.
-numpy dispatches float64 ``tan`` by CPU (an AVX-512 loop where the CPU has
-it, a scalar baseline elsewhere), and likewise the ``exp`` under the
-selectors' Gaussian kernels, so a digest holds for one dispatch target.
-The tables above hold the digests where both run on numpy's X86_V4
-(AVX-512) loops. ``TARGET_DIGESTS`` holds the ones that move elsewhere,
-keyed by the (exp, tan) targets that ``numpy.lib.introspect.opt_func_info``
-reports; they were computed from unchanged code on an AVX-512 host with
-``NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR"`` (exp on X86_V3,
-tan on the baseline) and with ``X86_V3`` disabled as well (both on the
-baseline), which gave the same 11 digests; the other 3 cases do not move.
-A target with no recorded set fails every case, with a message naming it.
-``RECORD_STATE`` hashes the learner's attribute names too, through
-``state_digest``, so ``raker_dense_reg`` and its ``_NO_AVX512`` entry were
-recorded again when ``RakerBaseline`` dropped its write-only ``cum_loss``
-and its copy of ``config.kernels``. A hash of the per-round records and
-the cumulative loss alone, without the final state, stayed the same on
-both targets, and every other digest passed unchanged.
-Print the current digests with ``PYTHONPATH=src python tests/test_golden.py``.
+Each case streams a short fixed-seed stream through a learner and gives a
+pair of sha256 digests. The records digest hashes every field of every
+round's ``RoundRecord`` in exact bits (arrays by dtype, shape and bytes,
+floats by ``float.hex``, so a flipped signed zero or a NaN turned into a
+number moves it), then the cumulative loss. The state digest is
+``conftest.state_digest`` of the learner at the end. A change that moves a
+rounding or a random draw moves the records digest; a change to the
+learner's attributes alone moves only the state digest. CHANGES.md holds
+the history of every digest recorded again.
+
+numpy dispatches float64 ``exp`` (under the Gaussian kernels) and ``tan``
+(under the raker's feature map) by CPU, so a digest holds for one dispatch
+target. ``DIGESTS`` holds the pairs where both run on numpy's X86_V4
+(AVX-512) loops, and ``_NO_AVX512`` the pairs that move where exp runs on
+X86_V3 or the baseline and tan on the baseline. ``TARGET_DIGESTS`` keys
+them by the (exp, tan) targets that ``numpy.lib.introspect.opt_func_info``
+reports; a target with no recorded set fails every case, naming it.
+
+Print the digests with ``PYTHONPATH=src python tests/test_golden.py``, and
+once more with ``NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR"``
+set for the ``_NO_AVX512`` set.
 """
 
 from __future__ import annotations
@@ -115,6 +47,8 @@ from okselect import (
 )
 
 from conftest import blob_stream, state_digest
+
+pytestmark = pytest.mark.bits
 
 GRID = tuple(gaussian(s, i) for i, s in enumerate((0.25, 1.0, 4.0, 16.0, 64.0)))
 
@@ -149,38 +83,28 @@ def hinge(stream, **kw):
     return lambda: (HingeKernelSelector(HingeSelectorConfig(horizon=len(stream[1]), **kw)), stream)
 
 
-# name -> (build, branches and removal the case must reach)
+# every selector case must reach these branches and a removal
+REQUIRED = {"proxy", "sampled", "removed"}
+
+# name -> build
 CASES = {
-    "momd_s_blob_half": (
-        smooth(pooled_blobs(500, 12, seed=41), kernels=GRID, dim=4, budget=8, seed=1),
-        {"proxy", "sampled", "removed"},
+    "momd_s_blob_half": smooth(pooled_blobs(500, 12, seed=41), kernels=GRID, dim=4, budget=8, seed=1),
+    "momd_s_blob_restart": smooth(
+        pooled_blobs(500, 12, seed=42), kernels=GRID, dim=4, budget=6, seed=2, removal="restart"
     ),
-    "momd_s_blob_restart": (
-        smooth(pooled_blobs(500, 12, seed=42), kernels=GRID, dim=4, budget=6, seed=2, removal="restart"),
-        {"proxy", "sampled", "removed"},
+    "momd_s_mixed_grid": smooth(
+        pooled_blobs(400, 10, seed=43),
+        kernels=(gaussian(0.5, 0), gaussian(4.0, 1), polynomial(1, 2)), dim=4, budget=4, seed=3,
     ),
-    "momd_s_mixed_grid": (
-        smooth(
-            pooled_blobs(400, 10, seed=43),
-            kernels=(gaussian(0.5, 0), gaussian(4.0, 1), polynomial(1, 2)), dim=4, budget=4, seed=3,
-        ),
-        {"proxy", "sampled", "removed"},
+    "momd_s_lowerbound_poly1": smooth(
+        lowerbound(10, 800, seed=44), kernels=(polynomial(1, 0),), dim=30, budget=10, seed=4
     ),
-    "momd_s_lowerbound_poly1": (
-        smooth(lowerbound(10, 800, seed=44), kernels=(polynomial(1, 0),), dim=30, budget=10, seed=4),
-        {"proxy", "sampled", "removed"},
+    "momd_h_blob_half": hinge(blob_stream(400, 4, seed=45, noise=1.5), kernels=GRID, dim=4, budget=40, seed=5),
+    "momd_h_blob_restart": hinge(
+        blob_stream(400, 4, seed=46, noise=1.5), kernels=GRID, dim=4, budget=40, seed=6, removal="restart"
     ),
-    "momd_h_blob_half": (
-        hinge(blob_stream(400, 4, seed=45, noise=1.5), kernels=GRID, dim=4, budget=40, seed=5),
-        {"proxy", "sampled", "removed"},
-    ),
-    "momd_h_blob_restart": (
-        hinge(blob_stream(400, 4, seed=46, noise=1.5), kernels=GRID, dim=4, budget=40, seed=6, removal="restart"),
-        {"proxy", "sampled", "removed"},
-    ),
-    "momd_h_lowerbound_poly1": (
-        hinge(lowerbound(10, 600, seed=47), kernels=(polynomial(1, 0),), dim=30, budget=20, seed=7),
-        {"proxy", "sampled", "removed"},
+    "momd_h_lowerbound_poly1": hinge(
+        lowerbound(10, 600, seed=47), kernels=(polynomial(1, 0),), dim=30, budget=20, seed=7
     ),
 }
 
@@ -194,59 +118,50 @@ RAKER_CASES = {
     "raker_dense_reg": (ternary(300, 68, seed=49), dict(num_features=100, step_size=0.2, reg=0.05, seed=9)),
 }
 
-# the momd_h cases whose whole state is hashed, every round and at the end
-FULL_STATE = {
-    "momd_h_blob_half": "45a2ea9d42c205f50fc8128296acdc58889910f496890e21fb309bcc5b9c56ee",
-    "momd_h_blob_restart": "932da88f260eefc9e40b0728c91e539eaf4d45bef0658b116005af06b751e51f",
+# name -> (records digest, state digest) on numpy's X86_V4 loops
+DIGESTS = {
+    "momd_s_blob_half": ("41cc8e2ca7bd5cb7d27f6d07999353660607afc879933d1f6dd5468398f244bd",
+                         "94c3fbad3cfcbcc79b35b58a12deb2c81010c604b611c363ee93f795135f0339"),
+    "momd_s_blob_restart": ("e1dfbb1980d757c2204278f970151e81e83b30d04ed712b84dceabda454e3026",
+                            "4aea1a12e25ed2e206293d49ac65704493a6e2c85aa98059c2ce40bb4012f681"),
+    "momd_s_mixed_grid": ("2ed3571655ea15b48a781b7a70711af22dc386ee8e988993c1350a69d48dd57c",
+                          "e3226ee668b59657b2279d63cdc8375f396412e11fdaf0367ac0ae6fc22ffd13"),
+    "momd_s_lowerbound_poly1": ("3cef3b7067854a4a641cf6b0cbdb6ef4dcd112e5a66710225053c1ca92e56def",
+                                "aef3fbd3701440270c570e07a69b73969ebf2b6d0440018d23defaf55536a2fe"),
+    "momd_h_blob_half": ("23790523f1b63d328a9a310bab19513ef7544b6269a7fe669ac5fd821f8ecdee",
+                         "9421170de3ca1626ee7a8b3db317bd7f5fceee1d6fc5ff1738fe5924157403a2"),
+    "momd_h_blob_restart": ("6ddb0f68f35828c5659015f207c6f165a5f5956be56b2be2c0ce9b03746bb3b0",
+                            "c0825078fa28325e10b86c23d447c8409da7a9d7b1631fbfa737e0259c8a2d8a"),
+    "momd_h_lowerbound_poly1": ("93f770eabdd06c43e3edc0c12ae101c94cc002776665a2917d1d0952954f9f32",
+                                "4792356af5fdb503301c8d091342ff1144c56e531a218e4c75bbed102690263e"),
+    "raker_dense": ("99672cd3c2f7980a16a9ce883d7b06bceb400daa0f11c51b6959be99b4dfa156",
+                    "0f464123295e64f285bb9a82eca4542beefecf8d2e6a56f287dd5c2940975cc5"),
+    "raker_dense_reg": ("c6ce9676332b1bd6a87871a68cc40b1b5bafa34b091c4cc02e1b63a81635cf07",
+                        "cd18db3ad0ecc470804d6d25441f7c43de5d1dfc5f819d110d49748b349b32dd"),
 }
 
-# momd_s and raker cases hashed as fully: every field of every round's record
-# in exact bits, then the learner's whole final state (``state_digest``)
-RECORD_STATE = {
-    "momd_s_blob_half": "47bfc699aa9cab3ef1010717edabf7440c7a0704ed65b221bef2080ed3021b31",
-    "momd_s_mixed_grid": "94c466272bac049e26a92aee87a34c4295b608ec98f68b0b011516c6cd8e6b12",
-    "raker_dense_reg": "ecdb50a0525643746113cd2610e47a8f2264b29b728b754eb34e914d0f7fcc17",
-}
-
-GOLDEN = {
-    "momd_s_blob_half": "427b1f22204957ec80f64f8c443c96299cbfd7c21577da9b3633b53037f9ed1b",
-    "momd_s_blob_restart": "89535456a1de0a1f4eea1b1851ef5648e4290d0deba312311a03611eefffff26",
-    "momd_s_mixed_grid": "868bfe6558ea0a90b75a0fa41f4c977e54d191e71b22a9ba79b79e0a3813296c",
-    "momd_s_lowerbound_poly1": "e7dabb6961177bf1236945f682fe53af795a29b1b7af624e779e91b361f256d3",
-    "momd_h_blob_half": "508b80b63f0e92493d430f2d98573cc30ebb6164bafcc5fb2179c29dea5671fe",
-    "momd_h_blob_restart": "f36234fb6d7c09c3ed62144587cb32b96110a5dba23a7faee75361ab4ab32bea",
-    "momd_h_lowerbound_poly1": "778d7afb4c2e0d773db067b67c1ad5e07b479368f18788de0fab675cfe3e4195",
-    "raker_dense": "118ce7abba8cc8738c5f3c4d5f67a6666409dbddb3c92fac6a92e299847cc5c9",
-    "raker_dense_reg": "24a7ae5d8a4bb28b64311d1b4b96635a8e02cf3a839745260aa8c1b6545a4960",
-}
-
-
-# digests that move off the X86_V4 loops, by (exp target, tan target); a case not named keeps its digest above
+# the pairs that move off the X86_V4 loops; a case not named keeps its pair in DIGESTS
 _NO_AVX512 = {
-    "GOLDEN": {
-        "momd_s_blob_half": "15083b06d567984891fa54c9d08b036910ced7b8d84c3eaf8fed20fb95a93af6",
-        "momd_s_blob_restart": "66e621506836dbe9a1e35eb1c8cb8895356547349f0b019c41f655f59f800546",
-        "momd_h_blob_half": "4ddd441a88800f425802ee9219b80955aaff10ae114f651a6ef7ac8c91540ccf",
-        "momd_h_blob_restart": "6fb5d0d5f7f05f3a0a96452ddc30a48d65b686366243875f72f60638e2dcf74e",
-        "raker_dense": "fa28e44aaf430d8991949af9c8cc3f11cf83aba3c5be6e3ee3d47447004ce2c5",
-        "raker_dense_reg": "9ee35c8fbe4b502ca3b6bddfe012d16bd470a8a4a8ccdfb91a07378923fb283f",
-    },
-    "FULL_STATE": {
-        "momd_h_blob_half": "aa0046809becc62b5a2d147617ea55e215cf2c96039c3b5e5098ffcc21467084",
-        "momd_h_blob_restart": "2c87bb1eceacf5bcd8cb30b4b9eeb74d154bac64624a805ab61a93f91c9cb2c8",
-    },
-    "RECORD_STATE": {
-        "momd_s_blob_half": "fcca9325b3e9aeba31a2eedb7c00dc6e64311cd1cd8d922c06e847a55f3ad270",
-        "momd_s_mixed_grid": "b65f4ec353b2985bf7cefc1495248f4d9b00b5c30dd1fb2efd879d895200700f",
-        "raker_dense_reg": "95bb620dd721ced9db05eabe422db79261033cd8d05f914ca76d40fd54eea8a0",
-    },
+    "momd_s_blob_half": ("46eb04b01684a589bb3803cf9370f144ce9b6d9581f851135ed50c21c9a8fb75",
+                         "e18baeed1e148356a7137df5c8a56e080ef058b8df784c2b1e3baf4bb7304e45"),
+    "momd_s_blob_restart": ("7161860cb64722d42f76df607d4a19438d884e4801e6c843ce5bc709e8aa9636",
+                            "7870c8255cf7f66a78eaf6aea93656f3131fc54a7bbe27f6ac6f3aa6fa9655dc"),
+    "momd_s_mixed_grid": ("d35b57dcf717c8745eb0931f631f888894ce23039c3e26fd46537e551e126909",
+                          "e3226ee668b59657b2279d63cdc8375f396412e11fdaf0367ac0ae6fc22ffd13"),
+    "momd_h_blob_half": ("7a299c63a96950fc378f2ad220fabfdfc8ee39210d4e0bf4b602696027cc9f39",
+                         "0c68b8a5b7387fb8ea57bb081fe9bda06f848f26bee8b0282b428bed7331ade0"),
+    "momd_h_blob_restart": ("b0cf68141e1875aba30249ecef00e2d0b4bbcf9a0c4863e4ded4b2278b1dbf9f",
+                            "7b7bcd86079138aab225686ee3e64f7042e7d44f12756ab285169ebf7932ec8a"),
+    "raker_dense": ("68b58f88a7d13ee59a08726273fcb824e5d19120bcf07da21c54445096d9cf1f",
+                    "383df7d6196fa62e036c1e375cd14516e6e54b838699bfaef20b8902716571f0"),
+    "raker_dense_reg": ("efb0a62a9a75eb19dae9c56722b51fa1f3b9dd44e8a7eb0869c8a008b0024d30",
+                        "d6488583262ec587e1ea0f761ba4f1e30f2df6e5b8888401110ff610708e150b"),
 }
 TARGET_DIGESTS = {
     ("X86_V4", "X86_V4"): {},
     ("X86_V3", "baseline(X86_V2)"): _NO_AVX512,
     ("baseline(X86_V2)", "baseline(X86_V2)"): _NO_AVX512,
 }
-TABLES = {"GOLDEN": GOLDEN, "FULL_STATE": FULL_STATE, "RECORD_STATE": RECORD_STATE}
 
 
 def dispatch_target() -> tuple[str, str]:
@@ -257,12 +172,12 @@ def dispatch_target() -> tuple[str, str]:
     return info["exp"]["dd"]["current"], info["tan"]["dd"]["current"]
 
 
-def expected(table: str, name: str) -> str:
-    """The recorded digest of case ``name`` in ``table`` for this host's dispatch target."""
+def expected(name: str) -> tuple[str, str]:
+    """The recorded digest pair of case ``name`` for this host's dispatch target."""
     target = dispatch_target()
     if target not in TARGET_DIGESTS:
         pytest.fail(f"no golden digests recorded for numpy's float64 exp on {target[0]} and tan on {target[1]}")
-    return TARGET_DIGESTS[target].get(table, {}).get(name, TABLES[table][name])
+    return TARGET_DIGESTS[target].get(name, DIGESTS[name])
 
 
 def build_case(name: str):
@@ -272,81 +187,14 @@ def build_case(name: str):
         return RakerBaseline(RakerConfig(kernels=GRID, dim=X.shape[1], **kw)), (X, y)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        return CASES[name][0]()
+        return CASES[name]()
 
 
 def trace(name: str):
-    """(sha256 of the case's trace, the branches and removal it reached)."""
+    """((records digest, state digest), the branches and removal the case reached)."""
     learner, (X, y) = build_case(name)
     h = hashlib.sha256()
     reached = set()
-
-    def record(rec):
-        line = (
-            rec.label,
-            float(rec.aggregate).hex(),
-            tuple(rec.branch),
-            tuple(int(c) for c in rec.coin),
-            tuple(bool(r) for r in rec.removed),
-        )
-        h.update(repr(line).encode())
-        reached.update(rec.branch)
-        if rec.removed.any():
-            reached.add("removed")
-
-    _, cum_loss = run_stream(learner, X, y, record)
-    removals = np.atleast_1d(learner.removals).tolist()
-    h.update(repr((cum_loss.hex(), removals)).encode())
-    return h.hexdigest(), reached
-
-
-def hexes(values) -> tuple:
-    return tuple(float(v).hex() for v in np.asarray(values, dtype=float).ravel().tolist())
-
-
-def full_state_trace(name: str) -> str:
-    """sha256 over every round's record fields in exact bits and the learner's final state."""
-    learner, (X, y) = build_case(name)
-    h = hashlib.sha256()
-
-    def record(rec):
-        line = (
-            hexes(rec.per_kernel),
-            hexes(rec.losses),
-            hexes(rec.prob),
-            hexes(rec.gap_sq),
-            str(rec.coin.dtype),
-            rec.coin.tolist(),
-            np.asarray(rec.removed, dtype=bool).tolist(),
-            bool(rec.reservoir_accepted),
-        )
-        h.update(repr(line).encode())
-
-    run_stream(learner, X, y, record)
-    ex, res = learner.expansions, learner.reservoir
-    h.update(ex.coef.tobytes())
-    end = (
-        hexes(ex.sq_norms),
-        hexes(learner.gap_sums),
-        hexes(learner.hedge.cum_loss),
-        float(learner.hedge.second_moment).hex(),
-        [buf.tolist() for buf in learner.buffers],
-        learner.buffer_sizes.tolist(),
-        res.sample.tolist(),
-        list(res.archive),
-    )
-    h.update(repr(end).encode())
-    return h.hexdigest()
-
-
-def record_state_trace(name: str) -> str:
-    """sha256 over every field of every round's record and the learner's final ``state_digest``.
-
-    Arrays are hashed by dtype, shape and bytes and floats by ``float.hex``,
-    so a flipped signed zero or a NaN turned into a number moves the digest.
-    """
-    learner, (X, y) = build_case(name)
-    h = hashlib.sha256()
 
     def record(rec):
         for field in dataclasses.fields(rec):
@@ -356,52 +204,25 @@ def record_state_trace(name: str) -> str:
                 h.update(np.ascontiguousarray(v).tobytes())
             else:
                 h.update(repr((field.name, v.hex() if isinstance(v, float) else v)).encode())
+        reached.update(rec.branch or ())
+        if rec.removed is not None and rec.removed.any():
+            reached.add("removed")
 
     _, cum_loss = run_stream(learner, X, y, record)
     h.update(cum_loss.hex().encode())
-    h.update(state_digest(learner).encode())
-    return h.hexdigest()
+    return (h.hexdigest(), state_digest(learner)), reached
 
 
-def raker_trace(name: str) -> str:
-    """sha256 over every round's aggregate bits and the final ``theta`` bytes."""
-    learner, (X, y) = build_case(name)
-    h = hashlib.sha256()
-    _, cum_loss = run_stream(learner, X, y, lambda rec: h.update(float(rec.aggregate).hex().encode()))
-    h.update(cum_loss.hex().encode())
-    h.update(learner.theta.tobytes())
-    return h.hexdigest()
-
-
-@pytest.mark.parametrize("name", sorted(CASES))
+@pytest.mark.parametrize("name", sorted(CASES) + sorted(RAKER_CASES))
 def test_golden_trace(name):
-    digest, reached = trace(name)
-    assert CASES[name][1] <= reached, f"{name} reached only {sorted(reached)}"
-    assert digest == expected("GOLDEN", name)
-
-
-@pytest.mark.parametrize("name", sorted(FULL_STATE))
-def test_hinge_full_state_trace(name):
-    assert full_state_trace(name) == expected("FULL_STATE", name)
-
-
-@pytest.mark.parametrize("name", sorted(RECORD_STATE))
-def test_record_state_trace(name):
-    assert record_state_trace(name) == expected("RECORD_STATE", name)
-
-
-@pytest.mark.parametrize("name", sorted(RAKER_CASES))
-def test_raker_golden_trace(name):
-    assert raker_trace(name) == expected("GOLDEN", name)
+    digests, reached = trace(name)
+    if name in CASES:
+        assert REQUIRED <= reached, f"{name} reached only {sorted(reached)}"
+    assert digests == expected(name)
 
 
 if __name__ == "__main__":
-    for case in CASES:
-        digest, reached = trace(case)
-        print(f'    "{case}": "{digest}",  # reaches {sorted(reached)}')
-    for case in FULL_STATE:
-        print(f'    "{case}": "{full_state_trace(case)}",  # full state')
-    for case in RAKER_CASES:
-        print(f'    "{case}": "{raker_trace(case)}",')
-    for case in RECORD_STATE:
-        print(f'    "{case}": "{record_state_trace(case)}",  # records and state')
+    print(f"# numpy float64 exp on {dispatch_target()[0]}, tan on {dispatch_target()[1]}")
+    for case in (*CASES, *RAKER_CASES):
+        (records, state), reached = trace(case)
+        print(f'    "{case}": ("{records}",\n{" " * (len(case) + 9)}"{state}"),  # reaches {sorted(reached)}')

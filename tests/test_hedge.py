@@ -6,6 +6,8 @@ import pytest
 
 from okselect import HedgeState
 
+pytestmark = pytest.mark.bits
+
 
 def expected_rate(K, second_moment):
     return math.sqrt(2.0 * math.log(K)) / math.sqrt(1.0 + second_moment)

@@ -376,6 +376,7 @@ class TestFullRuns:
         assert np.flatnonzero(learner.expansions.coef[0] != before[0]).tolist() == [older]
 
 
+@pytest.mark.bits
 class TestCoefficientMatrix:
     @settings(max_examples=60, deadline=None)
     @given(
@@ -425,7 +426,7 @@ class TestCoefficientMatrix:
             for i, spec in enumerate(grid):
                 assert set(np.flatnonzero(ex.coef[i]).tolist()) <= archive | set(learner.buffers[i])
                 assert ex.sq_norms[i] == pytest.approx(brute_norm_sq(spec, store, coeffs(ex, i)), rel=1e-9, abs=1e-12)
-                assert res.optimistic_sq_norms()[i] == pytest.approx(brute_guess_sq_norm(res, spec), rel=1e-9, abs=1e-12)
+                assert res.guess_sq_norms[i] == pytest.approx(brute_guess_sq_norm(res, spec), rel=1e-9, abs=1e-12)
                 # the reservoir's label sums at every live slot
                 for s in np.flatnonzero(store.refs):
                     want = sum(store.label[j] * kernel_eval(spec, store.X[j], store.X[s]) for j in res.sample)

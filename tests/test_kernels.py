@@ -22,6 +22,8 @@ from okselect.kernels import (
 
 from conftest import column_oracle, gram_oracle
 
+pytestmark = pytest.mark.bits
+
 
 def test_gaussian_identity_is_one():
     x = np.array([0.3, -0.7])

@@ -9,6 +9,8 @@ from okselect.kernels import kernel_eval
 from conftest import blob_stream
 from test_golden import GRID, RAKER_CASES
 
+pytestmark = pytest.mark.bits
+
 
 def sin_cos_features(model, x) -> np.ndarray:
     """The feature map from numpy's ``sin`` and ``cos``: the reference for ``RakerBaseline.features``.

@@ -16,6 +16,7 @@ import math
 import warnings
 
 import numpy as np
+import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
@@ -29,6 +30,8 @@ from okselect import (
 )
 
 from scalar_reference import ScalarHinge, ScalarSmooth
+
+pytestmark = pytest.mark.bits
 
 GRIDS = [
     (gaussian(0.5, 0), gaussian(2.0, 1), polynomial(1, 2)),

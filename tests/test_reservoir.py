@@ -8,6 +8,8 @@ from okselect.kernels import KernelGrid, gaussian, kernel_eval, kernel_rows, pai
 
 from conftest import brute_guess_sq_norm, brute_value, guess_coeffs, offer
 
+pytestmark = pytest.mark.bits
+
 BIG_CAP = 10**9  # effectively uncapped archive for sampling-law tests
 STORE_CAP = 1024  # store slots: room for an uncapped archive over these streams
 
@@ -100,11 +102,11 @@ def test_optimistic_value_empty_and_single():
     store, r = make_reservoir(capacity=4, seed=6, specs=(spec,))
     x = np.array([0.5, 0.5])
     assert guess(r, spec, x) == 0.0
-    assert r.optimistic_sq_norms()[0] == 0.0
+    assert r.guess_sq_norms[0] == 0.0
     offer(r, [1.0, 0.0], 1)  # t=1: inserted with probability 1
     expect = -kernel_eval(spec, np.array([1.0, 0.0]), x)
     assert guess(r, spec, x) == pytest.approx(expect, abs=1e-12)
-    assert r.optimistic_sq_norms()[0] == pytest.approx(1.0, abs=1e-12)
+    assert r.guess_sq_norms[0] == pytest.approx(1.0, abs=1e-12)
     assert len(r) == 1 and store.label[r.sample[0]] == 1.0
 
 
@@ -114,7 +116,7 @@ def test_optimistic_value_cancellation():
     offer(r, [1.0, 0.0], 1)
     offer(r, [1.0, 0.0], -1)
     assert guess(r, spec, [0.3, 0.4]) == pytest.approx(0.0, abs=1e-12)
-    assert r.optimistic_sq_norms()[0] == pytest.approx(0.0, abs=1e-12)
+    assert r.guess_sq_norms[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_sq_norm_cache_tracks_brute_force_under_swaps():
@@ -126,11 +128,11 @@ def test_sq_norm_cache_tracks_brute_force_under_swaps():
         offer(r, rng.normal(size=3), int(rng.choice([-1, 1])))
         if t % 20 == 0:
             for i, spec in enumerate(specs):
-                assert r.optimistic_sq_norms()[i] == pytest.approx(
+                assert r.guess_sq_norms[i] == pytest.approx(
                     brute_guess_sq_norm(r, spec), rel=1e-8, abs=1e-10
                 )
     for i, spec in enumerate(specs):
-        assert r.optimistic_sq_norms()[i] == pytest.approx(
+        assert r.guess_sq_norms[i] == pytest.approx(
             brute_guess_sq_norm(r, spec), rel=1e-8, abs=1e-10
         )
 

@@ -483,6 +483,7 @@ class TestGramReuse:
 
     GRID = (gaussian(0.5, 0), gaussian(2.0, 1), polynomial(2, 2), gaussian(8.0, 3))
 
+    @pytest.mark.bits
     def test_reused_norms_are_the_bits_of_a_fresh_pass(self):
         # a momd_h stream whose buffers fill and split many times; each reused
         # norm is checked against a fresh pass over the same slots, then restored
@@ -718,6 +719,7 @@ def test_random_operations_keep_refcounts_and_rows(n_kernels, ops):
         assert not ex.coef[:, store.refs == 0].any()
 
 
+@pytest.mark.bits
 class TestHighWaterMark:
     """The expansions' kernel rows pass only over the slots the store has ever handed out."""
 

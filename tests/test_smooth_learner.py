@@ -242,6 +242,7 @@ def ternary_stream(rng, rounds, dim):
     return X, np.where((X - 0.5).dot(rng.normal(size=dim)) >= 0.0, 1, -1)
 
 
+@pytest.mark.bits
 class TestProxyScreen:
     """``update`` reads the proxy candidate's kernel values from ``predict``'s rows and
     evaluates the exact pair only when those rows cannot prove that the test fails."""
