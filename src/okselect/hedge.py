@@ -53,8 +53,10 @@ class HedgeState:
         ~ 9.48e153, or when the second moment would overflow. The moment
         accumulates with the distribution held *before* this update.
         With one expert the distribution is exactly [1.0] at every rate, so
-        the read-only array is kept and no softmax runs; the moment,
-        ``cum_loss`` and ``rate()`` advance as for any K.
+        the read-only array is kept and no softmax runs, and the moment adds
+        c_0 * c_0 in Python: 1.0 * c_0^2 is exact, so that is the bits of
+        ``p.dot(c * c)``. The moment, ``cum_loss`` and ``rate()`` advance as
+        for any K.
         """
         c = np.asarray(losses, dtype=float)
         if c.shape != (self.num_experts,):
@@ -67,7 +69,7 @@ class HedgeState:
         if not (min(cl) >= 0.0 and math.isfinite(2.0 * top * top)):
             raise ValueError("losses must be finite and non-negative, and at most about 9.48e153")
         p = self._p
-        second_moment = self.second_moment + float(p.dot(c * c))
+        second_moment = self.second_moment + (top * top if self.num_experts == 1 else float(p.dot(c * c)))
         if not second_moment < math.inf:
             raise ValueError("losses must be finite and non-negative, and keep the second moment finite")
         self.second_moment = second_moment

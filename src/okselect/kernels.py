@@ -12,8 +12,10 @@ A learner evaluates the same grid every round, so a :class:`KernelGrid`
 (an immutable tuple of specs) computes once what each call would
 otherwise rebuild: the Gaussian divisors 2 sigma^2, the polynomial
 degrees, whether any kernel reads distances, and, for an all-Gaussian
-grid, the shared self-similarity vector; per feature dimension, it also
-keeps the constants of the rounding bounds of :meth:`KernelGrid.pair_errors`.
+grid, the shared self-similarity vector (else that of the last scalar
+squared norm, so rows of one norm compute it once); per feature
+dimension, it also keeps the constants of the rounding bounds of
+:meth:`KernelGrid.pair_errors`.
 :func:`kernel_rows` and :func:`self_values` take a grid and convert
 nothing, so a caller builds its grid once.
 """
@@ -110,7 +112,9 @@ class KernelGrid(tuple):
     whether any kernel is Gaussian (only those read distances), and
     ``self_ones`` the read-only (K,) vector of ones that
     :func:`self_values` returns for a scalar squared norm when every kernel
-    is Gaussian (None otherwise). A slice of a grid is a plain tuple;
+    is Gaussian (None otherwise; such a grid keeps the read-only vector of
+    the last scalar norm instead, an attribute that a walk over the grid's
+    items does not see). A slice of a grid is a plain tuple;
     :meth:`part` gives the grid of a slice. :meth:`pair_errors` bounds
     how far two evaluations of one kernel value can differ in the last
     bits.
@@ -126,6 +130,7 @@ class KernelGrid(tuple):
         grid.self_ones = None if grid.poly else _read_only(np.ones(len(grid)))
         grid._parts = {}  # the grids part() has built, by slice indices
         grid._slack = {}  # the constants pair_errors() has built, by dimension
+        grid._self_last = (math.nan, None)  # the last scalar squared norm self_values() got, and its vector
         return grid
 
     def part(self, kernels: slice) -> KernelGrid:
@@ -302,15 +307,25 @@ def kernel_column(spec, X, row_sqnorms, z, z_sqnorms):
 def self_values(grid: KernelGrid, sqnorms):
     """k_i(z, z) for every kernel i of ``grid`` and every z with squared norm in ``sqnorms``.
 
-    Exactly 1 for Gaussian kernels. For an all-Gaussian grid and a scalar
-    ``sqnorms`` the result is the grid's shared, read-only ``self_ones``.
+    Exactly 1 for Gaussian kernels. An array of norms gets a fresh array. A
+    scalar ``sqnorms`` (a float or numpy float64) gets a read-only vector: an
+    all-Gaussian grid's ``self_ones``, else the grid's vector of the last
+    scalar norm while it repeats (a zero, whose sign a power keeps, never
+    does), else a fresh one that the grid keeps.
     """
-    if grid.self_ones is not None and isinstance(sqnorms, float):
-        return grid.self_ones
-    sqnorms = np.asarray(sqnorms, dtype=float)
-    out = np.ones((len(grid),) + sqnorms.shape)
+    scalar = isinstance(sqnorms, float)
+    if scalar:
+        if grid.self_ones is not None:
+            return grid.self_ones
+        last, out = grid._self_last
+        if sqnorms == last and last != 0.0:  # the same norm, so the same powers
+            return out
+    norms = np.asarray(sqnorms, dtype=float)
+    out = np.ones((len(grid),) + norms.shape)
     for i, degree in grid.poly:
-        out[i] = sqnorms**degree
+        out[i] = norms**degree
+    if scalar:
+        grid._self_last = (sqnorms, _read_only(out))
     return out
 
 

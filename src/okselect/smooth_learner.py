@@ -17,12 +17,16 @@ a full buffer first discards the oldest half (keeping the newest),
 projects, and then steps. A step adds c k_i(x_j, .) to every iterate, so
 each squared norm changes by 2 c f_i(x_j) + c^2 k_i(x_j, x_j), from the
 round's values (a sampled step) or the iterates read at the proxy anchor.
-The proxy test starts from ``predict``'s kernel rows at the nearest
-buffered example x_j. They lie within a rounding bound of the exact
-pair's values, so when they still put some kernel's distance above gamma
-the test fails with no more work. Otherwise it reads k_i(x_j, x_j) from
-the expansions' self-similarity cache and evaluates each kernel once, at
-the pair (x_j, x_t); a NaN gap there never passes.
+The proxy test starts from the nearest buffered example x_j; a
+byte-for-byte copy of x_t passes it exactly, valued by ``predict``.
+Otherwise ``predict``'s kernel rows at x_j lie within a rounding bound of
+the exact pair's values, so when they still put some kernel's distance
+above gamma the test fails with no more work. Otherwise it reads
+k_i(x_j, x_j) from the expansions' self-similarity cache and evaluates
+each kernel once, at the pair (x_j, x_t); a NaN gap there never passes.
+A round whose sampled step would change a squared norm by a c^2 k_i(x_t,
+x_t) past the float range raises ValueError before Hedge, whatever its
+branch.
 The Hedge losses are the gap-to-best form:
 d * (v_i - min_j v_j) when d > 0, else d * (v_i - max_j v_j), which is
 non-negative with at least one zero.
@@ -76,19 +80,20 @@ class SmoothSelectorConfig(SelectorConfig):
             self.loss = LogisticLoss()
 
 
-def pea_losses(values: np.ndarray, d: float) -> np.ndarray:
-    """Hedge losses from per-kernel values and the aggregate derivative.
+def pea_losses(values, d: float) -> np.ndarray:
+    """Hedge losses from the (K,) per-kernel values and the aggregate derivative.
 
     d > 0 charges each kernel its gap to the smallest value, d < 0 the gap
-    to the largest; every entry is >= 0 and at least one is exactly 0.
+    to the largest; every entry is >= 0 and at least one is exactly 0, and
+    d = 0 (either sign) charges nothing. ``values`` is any array-like. The
+    arithmetic runs on Python floats, one IEEE operation per step as numpy's
+    elementwise ``d * (values - m)`` takes, so it gives numpy's bits.
     """
-    values = np.asarray(values, dtype=float)
-    # the builtins read a K-vector's extreme faster than numpy, and exactly
-    if d > 0:
-        return d * (values - min(values.tolist()))
-    if d < 0:
-        return d * (values - max(values.tolist()))
-    return np.zeros_like(values)
+    values = np.asarray(values, dtype=float).tolist()
+    if not (d > 0 or d < 0):
+        return np.zeros(len(values))
+    m = min(values) if d > 0 else max(values)
+    return np.array([d * (v - m) for v in values])
 
 
 class SmoothKernelSelector:
@@ -169,10 +174,16 @@ class SmoothKernelSelector:
         d = self.loss.deriv(pred.aggregate, y)
         if not math.isfinite(d):
             raise FloatingPointError(f"non-finite loss derivative at round {self.t}")
+        ad = abs(d)
+        if ad > 0.0:
+            k_xx = self_values(self.kernels, pred.x_sqnorm)
+            q = ad / (ad + self.loss.G1)
+            c = -self.rate * d / q  # the sampled step's coefficient
+            if not math.isfinite(c * c * max(k_xx.tolist())):
+                raise ValueError(f"a sampled step's norm change c^2 k(x, x) overflows at round {self.t}")
         # Hedge is charged first: when it rejects the losses, no iterate has moved.
         losses = pea_losses(pred.per_kernel, d)
         self.hedge.update(losses)
-        ad = abs(d)
 
         branch = "skip"
         prob = self._no_prob
@@ -182,25 +193,25 @@ class SmoothKernelSelector:
         if ad > 0.0:
             gamma = self._sqrt_2lnk / math.sqrt(1.0 + self.deriv_sum + ad)
             anchor = None
-            k_xx = self_values(self.kernels, pred.x_sqnorm)
             if len(buffer):
                 if sqdist is None:
                     sqdist = sq_distances(dots, store.sqnorm, pred.x_sqnorm)
                 # The Euclidean-nearest buffered example is the nearest in
                 # every Gaussian feature space at once; ties go to the oldest.
                 j = buffer[sqdist[buffer].argmin()]
-                if not self._rows_rule_out(j, rows, k_xx, pred.x_sqnorm, gamma):
+                if sqdist.item(j) == 0.0 and self._is_copy(j, x, k_xx):
+                    anchor, f_anchor = j, pred.per_kernel
+                elif not self._rows_rule_out(j, rows, k_xx, pred.x_sqnorm, gamma):
                     if math.sqrt(max(self._pair_gap_sq(j, x, k_xx), 0.0)) <= gamma:
-                        anchor = j
+                        anchor, f_anchor = j, ex.values_at(j)
             if anchor is not None:
                 branch = "proxy"
                 c = -self.rate * d
-                ex.step(anchor, c, 2.0 * c * ex.values_at(anchor) + c * c * ex.self_k[:, anchor])
+                ex.step(anchor, c, 2.0 * c * f_anchor + c * c * ex.self_k[:, anchor])
                 ex.project(self.radius)
             else:
                 branch = "sampled"
-                q = ad / (ad + self.loss.G1)
-                prob = np.full(k, q)
+                prob = np.array([q] * k)
                 accepted = bool(self.rng.random() < q)
                 coin = 1 if accepted else 0
                 if accepted:
@@ -217,7 +228,6 @@ class SmoothKernelSelector:
                         did_remove = True
                     slot = ex.add(x, y, pred.x_sqnorm, k_xx)  # its reference is the buffer's
                     self._order[len(store) - 1] = slot
-                    c = -self.rate * d / q
                     ex.step(slot, c, 2.0 * c * fx + c * c * k_xx)
                     ex.project(self.radius)
 
@@ -235,6 +245,19 @@ class SmoothKernelSelector:
             gap_sq=self._zeros,
             removed=self._removed[did_remove],
         )
+
+    def _is_copy(self, j, x, k_xx) -> bool:
+        """True when slot j, at distance 0, holds x byte for byte (-0.0 and 0.0 differ) and 2 k_i(x, x) is finite.
+
+        Then the proxy test passes: k_jj and the exact pair's k_jx are k_xx
+        = a (same norm, a distance of 0 or the same inner product), so every
+        radicand is (a + a) - 2a = 0. And ``values_at(j)`` would repeat
+        ``predict``'s pass with the same row as query, over a prefix of whole
+        ``ROW_BLOCK``s and zero coefficients after it: its f_i can differ only
+        in the sign of a zero, which 2 c f + c^2 k_jj (>= +0) does not see.
+        A copy this misses takes the general path, to the same bits.
+        """
+        return self.store.X[j].tobytes() == x.tobytes() and math.isfinite(2.0 * max(k_xx.tolist()))
 
     def _rows_rule_out(self, j, rows, k_xx, x_sqnorm: float, gamma: float) -> bool:
         """True when ``predict``'s kernel rows prove that slot j fails the proxy test.

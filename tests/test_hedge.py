@@ -3,6 +3,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from okselect import HedgeState
 
@@ -227,3 +229,23 @@ def test_one_expert_keeps_its_distribution_and_matches_the_full_softmax():
         assert float(lean.cum_loss[0]).hex() == float(ref.cum_loss[0]).hex()
         assert lean.rate().hex() == ref.rate().hex()
     assert lean.second_moment > 1e300  # the stream reached the large losses
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(
+    st.floats(0.0, 9.4e153),
+    st.sampled_from([0.0, -0.0, 5e-324, 2.0**-1022, 1.5e-154, 1e150, 9.4e153]),
+), min_size=1, max_size=30))
+def test_one_expert_moment_keeps_the_bits_of_the_dot_product(losses):
+    # the one-expert moment adds c_0 * c_0 in Python; the oracle is the dot product with p = [1.0]
+    s = HedgeState(1)
+    p = s.distribution()
+    moment = 0.0
+    for c in losses:
+        moment += float(p.dot(np.array([c]) * np.array([c])))
+        if moment == math.inf:  # the moment's overflow is rejected
+            with pytest.raises(ValueError, match="second moment"):
+                s.update([c])
+            break
+        assert s.update([c]) is p
+        assert s.second_moment.hex() == moment.hex() and type(s.second_moment) is float

@@ -225,10 +225,42 @@ def test_all_gaussian_self_values_are_shared_and_read_only():
     assert ones.tolist() == [1.0, 1.0, 1.0] and not ones.flags.writeable
     with pytest.raises(ValueError):
         ones[0] = 2.0
-    # an array of norms, or a grid with a polynomial kernel, gets a fresh array
+    # an array of norms gets a fresh array; a scalar norm, also under a polynomial kernel, a shared read-only one
     assert self_values(grid, np.array([2.5])).flags.writeable
-    assert KernelGrid(GRIDS["mixed"]).self_ones is None
-    assert self_values(KernelGrid(GRIDS["mixed"]), 2.5).flags.writeable
+    mixed = KernelGrid(GRIDS["mixed"])
+    assert mixed.self_ones is None
+    kept = self_values(mixed, 2.5)
+    assert not kept.flags.writeable and self_values(mixed, 2.5) is kept
+    assert self_values(mixed, np.array([2.5])).flags.writeable
+
+
+@pytest.mark.parametrize("part", [slice(None), slice(1, 4)], ids=["mixed", "part"])
+def test_polynomial_self_values_of_the_last_scalar_norm_are_kept(part):
+    """A grid with a polynomial kernel keeps the vector of the last scalar squared norm: a repeat
+    gets it back, with the bits of a fresh computation, and another norm is computed afresh."""
+    grid = KernelGrid(GRIDS["mixed"]).part(part)
+    assert grid.poly and grid.self_ones is None
+
+    def fresh(sq):  # the same norm through a grid that has kept nothing
+        return spec_self(grid, sq)
+
+    first = self_values(grid, 2.5)
+    assert same_bits(first, fresh(2.5)) and not first.flags.writeable
+    with pytest.raises(ValueError):
+        first[0] = 2.0
+    assert self_values(grid, 2.5) is first and self_values(grid, np.float64(2.5)) is first
+    other = self_values(grid, 3.0)
+    assert other is not first and same_bits(other, fresh(3.0)) and same_bits(first, fresh(2.5))
+    assert self_values(grid, 3.0) is other
+    assert same_bits(self_values(grid, 2.5), fresh(2.5)) and self_values(grid, 2.5) is not first
+    # a zero norm keeps its sign through an odd power, so -0.0 after 0.0 is no repeat
+    assert same_bits(self_values(grid, 0.0), fresh(0.0))
+    linear = grid.poly[0][0]  # a polynomial kernel of degree 1
+    assert same_bits(self_values(grid, -0.0), fresh(-0.0))
+    assert math.copysign(1.0, self_values(grid, -0.0)[linear]) == -1.0
+    # a NaN is never a repeat, and an array or an int norm gets a fresh, writable array
+    assert np.isnan(self_values(grid, math.nan)[linear]) and self_values(grid, math.nan) is not self_values(grid, math.nan)
+    assert self_values(grid, np.array([2.5])).flags.writeable and self_values(grid, 2).flags.writeable
 
 
 def test_gaussian_grid_without_distances_raises():

@@ -246,10 +246,10 @@ POLY_GRID = (gaussian(1.0, 0), polynomial(40.0, 1))
 SMALL_LEARNERS = {
     "momd_h": lambda: HingeKernelSelector(HingeSelectorConfig(
         kernels=POLY_GRID, dim=2, budget=12, horizon=60, reservoir_size=2, seed=5)),  # buffers of 2
-    # U = 10 lets f(x) pass the loss cap; at lambda_scale 1 instead of 0.9 a sampled step's norm
-    # change overflows (the xfail test of the smooth learner's input validation)
+    # U = 10 lets f(x) pass the loss cap, and at rate 10 / sqrt(2) a sampled step's norm change
+    # can pass the float range, which the learner rejects
     "momd_s": lambda: SmoothKernelSelector(SmoothSelectorConfig(
-        kernels=POLY_GRID, dim=2, budget=2, ball_radius=10.0, lambda_scale=0.9, seed=6)),
+        kernels=POLY_GRID, dim=2, budget=2, ball_radius=10.0, lambda_scale=1.0, seed=6)),
     "raker": lambda: RakerBaseline(RakerConfig(kernels=POLY_GRID[:1], dim=2, num_features=8, step_size=0.5, seed=7)),
 }
 ROW_KINDS = {

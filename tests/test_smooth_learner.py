@@ -71,13 +71,33 @@ class TestPeaLosses:
             if d != 0:
                 assert c.min() == pytest.approx(0.0, abs=1e-15)
 
-    def test_bit_identical_to_the_numpy_reductions(self):
-        rng = np.random.default_rng(31)
-        for _ in range(500):
-            v = rng.normal(size=5) * rng.choice([1e-12, 1.0, 1e6])
-            d = rng.normal()
-            want = d * (v - (v.min() if d > 0 else v.max()))
-            assert pea_losses(v, d).tobytes() == want.tobytes()
+    @pytest.mark.bits
+    @settings(max_examples=300, deadline=None)
+    @given(
+        values=st.lists(st.one_of(
+            st.floats(allow_nan=False, allow_infinity=False),
+            st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.0**-1022, 1e300, -1e300, 1.7e308, -1.7e308]),
+        ), min_size=1, max_size=8),
+        d=st.one_of(
+            st.floats(allow_nan=False, allow_infinity=False),
+            st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, 0.5, -0.5]),
+        ),
+    )
+    def test_python_floats_keep_the_bits_of_the_array_expression(self, values, d):
+        # the array expression pea_losses used to be, kept as the oracle: the builtins pick the
+        # extreme (of 0.0 and -0.0 the first, where numpy's min may take -0.0), numpy the rest;
+        # a gap past the float range overflows to inf in both
+        array = np.array(values)
+        with np.errstate(over="ignore"):
+            if d > 0:
+                want = d * (array - min(values))
+            elif d < 0:
+                want = d * (array - max(values))
+            else:
+                want = np.zeros_like(array)
+        for given_as in (array, values):
+            got = pea_losses(given_as, d)
+            assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 class TestPredict:
@@ -109,6 +129,24 @@ class TestPredict:
             assert pred.per_kernel[i] == pytest.approx(fi, rel=1e-10)
             brute += p[i] * fi
         assert pred.aggregate == pytest.approx(brute, rel=1e-10)
+
+
+def plant(learner, x, sq):
+    """Buffer a copy of x with no coefficient, as the next stored example."""
+    slot = learner.expansions.add(x, 1, sq, self_values(learner.kernels, sq))
+    learner._order[len(learner.store) - 1] = slot
+    return slot
+
+
+class SpiedGap(SmoothKernelSelector):
+    """The smooth learner, listing every exact pair's gap in a class-level list, outside its state."""
+
+    gaps: list = []
+
+    def _pair_gap_sq(self, *args):
+        gap = super()._pair_gap_sq(*args)
+        self.gaps.append(gap)
+        return gap
 
 
 class TestUpdateBranches:
@@ -143,19 +181,23 @@ class TestUpdateBranches:
         assert learner.cum_loss == pytest.approx(0.3)
         assert learner.deriv_sum == 0.0
 
-    @pytest.mark.parametrize("seed", range(4))
-    def test_nan_gap_is_not_a_proxy(self, seed):
-        # k_2(x, x) = 34.67**200 ~ 9.8e307, so k_jj + k_xx and 2 k_jx both
-        # overflow and the polynomial gap is inf - inf = NaN, while the
-        # Gaussian gap before it is 0. A NaN gap must fail the proxy test
-        # wherever it sits in the vector.
-        learner = make_learner(kernels=(gaussian(1.0, 0), polynomial(200.0, 1)), dim=1, budget=4, seed=seed)
-        x = np.array([math.sqrt(34.67)])
+    @pytest.mark.parametrize("label", [1.0, -1.0])
+    @pytest.mark.parametrize("grid", [(gaussian(1.0, 0), polynomial(200.0, 1)), (polynomial(200.0, 0), gaussian(1.0, 1))],
+                             ids=["poly last", "poly first"])
+    def test_nan_gap_is_not_a_proxy(self, grid, label, monkeypatch):
+        # k(x, x) = 34.67**200 ~ 9.8e307 under the polynomial kernel, so against a buffered
+        # copy of x, k_jj + k_xx and 2 k_jx both overflow and its gap is inf - inf = NaN, while
+        # the Gaussian gap is 0. A NaN gap must fail the proxy test wherever it sits in the
+        # vector. At rate 0.5 the sampled step's |c| is at most 1, so c^2 k(x, x) stays finite
+        # and the round plays; the copy's 2 k(x, x) overflows, so it must take the exact test.
+        monkeypatch.setattr(SpiedGap, "gaps", [])
+        learner = make_learner(SpiedGap, kernels=grid, dim=1, budget=4, lambda_scale=0.5)
+        x, sq = check_features([math.sqrt(34.67)], 1)
+        plant(learner, x, sq)
         with np.errstate(all="ignore"):
-            for t in range(3):
-                learner.predict(x)
-                rec = learner.update(x, 1.0 if t % 2 == 0 else -1.0)
-                assert rec.branch[0] != "proxy"
+            rec = learner.update(x, label)
+        assert rec.branch[0] == "sampled"
+        assert len(SpiedGap.gaps) == 1 and math.isnan(SpiedGap.gaps[0])
 
     def test_duplicate_example_triggers_proxy(self):
         # gamma > 0 and an exact duplicate in the buffer has distance 0
@@ -242,6 +284,17 @@ def ternary_stream(rng, rounds, dim):
     return X, np.where((X - 0.5).dot(rng.normal(size=dim)) >= 0.0, 1, -1)
 
 
+def assert_same_round(recs, learners, t):
+    """Round t's two records agree in every field, arrays in exact bits, and so do the learners' states."""
+    for field in dataclasses.fields(recs[0]):
+        a, b = (getattr(rec, field.name) for rec in recs)
+        if isinstance(a, np.ndarray):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (t, field.name)
+        else:
+            assert a == b, (t, field.name)
+    assert state_digest(learners[0]) == state_digest(learners[1]), t
+
+
 @pytest.mark.bits
 class TestProxyScreen:
     """``update`` reads the proxy candidate's kernel values from ``predict``'s rows and
@@ -312,19 +365,14 @@ class TestProxyScreen:
             for learner in (on, off):
                 learner.predict(X[t])
                 recs.append(learner.update(X[t], y[t]))
-            for field in dataclasses.fields(recs[0]):
-                a, b = (getattr(rec, field.name) for rec in recs)
-                if isinstance(a, np.ndarray):
-                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (t, field.name)
-                else:
-                    assert a == b, (t, field.name)
-            assert state_digest(on) == state_digest(off), t
+            assert_same_round(recs, (on, off), t)
             branches[recs[0].branch[0]] += 1
         assert branches["proxy"] and branches["sampled"], branches
 
-    def test_exact_pair_is_rare_and_behind_every_proxy_step(self, monkeypatch):
-        # A ternary stream, with a copy of the newest buffered row every 300 rounds:
-        # those copies take the proxy step, and no other round needs the exact pair.
+    def test_exact_pair_is_rare_and_every_proxy_step_has_it_or_a_copy(self, monkeypatch):
+        # A ternary stream, with a copy of the newest buffered row every 300 rounds: those
+        # copies take the proxy step on their byte-equal anchor, with no exact pair, and any
+        # other proxy step runs the exact pair, which few rounds need.
         X, y = ternary_stream(np.random.default_rng(43), 3000, 68)
         learner = make_learner(dim=68, budget=400, lambda_scale=1.0, seed=44)  # five Gaussian widths
         calls = []
@@ -335,18 +383,98 @@ class TestProxyScreen:
             return pair_gap_sq(self, *args)
 
         monkeypatch.setattr(SmoothKernelSelector, "_pair_gap_sq", counted)
-        exact_rounds, proxy_rounds = [], []
+        exact_rounds, copy_rounds = [], []
         for t in range(len(y)):
             x = learner.store.X[learner.buffer[-1]].copy() if t % 300 == 299 else X[t]
-            learner.predict(x)
+            sqdist = learner.predict(x).cache[1]
+            buffer = learner.buffer
+            nearest = buffer[sqdist[buffer].argmin()] if len(buffer) else None
             before = len(calls)
-            if learner.update(x, y[t]).branch[0] == "proxy":
-                proxy_rounds.append(t)
+            branch = learner.update(x, y[t]).branch[0]
             if len(calls) > before:
                 exact_rounds.append(t)
-        assert proxy_rounds, "no proxy step; reseed the test"
+            elif branch == "proxy":
+                assert learner.store.X[nearest].tobytes() == x.tobytes(), t
+                copy_rounds.append(t)
+        assert copy_rounds == list(range(299, len(y), 300)), copy_rounds
         assert len(exact_rounds) < 0.01 * len(y), exact_rounds
-        assert set(proxy_rounds) <= set(exact_rounds)
+
+
+class CopiesToTheExactTest(SmoothKernelSelector):
+    """The smooth learner with the copy check off: every proxy search takes the general path."""
+
+    def _is_copy(self, *args):
+        return False
+
+
+class CountedCopies(SmoothKernelSelector):
+    """The smooth learner, counting its copy anchors in a class-level list, outside its state."""
+
+    copies: list = []
+
+    def _is_copy(self, *args):
+        found = super()._is_copy(*args)
+        if found:
+            self.copies.append(self.t)
+        return found
+
+
+@pytest.mark.bits
+class TestCopyAnchor:
+    """A buffered byte-for-byte copy of x is its own proxy anchor, valued by ``predict``: no
+    exact pair and no kernel pass, and every round keeps the bits of the general path."""
+
+    @pytest.mark.parametrize("stream", ["lowerbound", "replayed ternary"])
+    def test_copy_anchor_and_general_path_give_the_same_rounds(self, stream, monkeypatch):
+        monkeypatch.setattr(CountedCopies, "copies", [])
+        rng = np.random.default_rng(51)
+        if stream == "lowerbound":
+            ds = gen_lowerbound(budget=50, rounds=2000, seed=52)
+            X, y, replay = ds.dense_features(), ds.y, np.zeros(len(ds.y), dtype=bool)
+            kw = dict(kernels=(polynomial(1, 0),), dim=X.shape[1], budget=24, seed=53)
+        else:
+            X, y = ternary_stream(rng, 1500, 20)
+            replay = np.arange(len(y)) % 5 == 4  # these rounds play a copy of a buffered row
+            kw = dict(dim=20, budget=40, seed=54)  # five Gaussian widths
+        learners = make_learner(CountedCopies, **kw), make_learner(CopiesToTheExactTest, **kw)
+        proxy_rounds = []
+        for t in range(len(y)):
+            x = X[t]
+            buffer = learners[0].buffer
+            if replay[t] and len(buffer):
+                x = learners[0].store.X[buffer[rng.integers(len(buffer))]].copy()
+            recs = []
+            for learner in learners:
+                learner.predict(x)
+                recs.append(learner.update(x, y[t]))
+            assert_same_round(recs, learners, t)
+            if recs[0].branch[0] == "proxy":
+                proxy_rounds.append(learners[0].t)
+        assert CountedCopies.copies, "no copy anchor; reseed the test"
+        if stream == "lowerbound":  # basis vectors at gamma = 0: every proxy anchor is a copy
+            assert CountedCopies.copies == proxy_rounds
+
+    @pytest.mark.parametrize("case", ["signed zero", "2 k(x, x) overflows"])
+    def test_rows_the_copy_check_leaves_to_the_exact_test(self, case, monkeypatch):
+        # x equals a buffered row but for the sign of a zero, or 2 k(x, x) overflows: the copy
+        # check passes it to the exact test, which gives the general path's round
+        if case == "signed zero":
+            kw = dict(kernels=(gaussian(0.5, 0), polynomial(1, 1), polynomial(3, 2)), dim=3, budget=4)
+            stored, x = np.array([0.5, 0.0, -1.0]), np.array([0.5, -0.0, -1.0])
+        else:
+            kw = dict(kernels=(gaussian(1.0, 0), polynomial(200.0, 1)), dim=1, budget=4, lambda_scale=0.5)
+            stored = x = np.array([math.sqrt(34.67)])
+        monkeypatch.setattr(SpiedGap, "gaps", [])
+        learners = make_learner(SpiedGap, **kw), make_learner(CopiesToTheExactTest, **kw)
+        recs = []
+        with np.errstate(all="ignore"):
+            for learner in learners:
+                plant(learner, *check_features(stored, kw["dim"]))
+                learner.predict(x)
+                recs.append(learner.update(x, 1))
+        assert len(SpiedGap.gaps) == 1
+        assert_same_round(recs, learners, 1)
+        assert recs[0].branch[0] == ("proxy" if case == "signed zero" else "sampled")
 
 
 class TestSharedBufferCoherence:
@@ -570,12 +698,11 @@ class TestInputValidation:
         learner.check_invariants()
         assert learner.t == untouched.t + 1  # the rejected round still counts
 
-    @pytest.mark.xfail(raises=RuntimeWarning, strict=True,
-                       reason="a sampled step's closed-form norm change overflows, and the cache keeps U^2")
     def test_step_past_the_float_range_keeps_the_norm_cache_or_changes_nothing(self):
-        # k_2(x, x) = x^80 = 1e306 and a rate of about 71, so the accepted first round's step
-        # changes the squared norm by more than (71 * 1e153)^2: numpy overflows to inf, and the
-        # projection then zeroes the iterate and caches the squared radius as its norm
+        # k_2(x, x) = x^80 = 1e306 and a rate of about 71, so a sampled step would change the
+        # squared norm by more than (71 * 1e153)^2. Were it taken, numpy would overflow to inf,
+        # and the projection would zero the iterate and cache the squared radius as its norm;
+        # the round is rejected before Hedge instead
         learner = make_learner(kernels=(gaussian(1.0, 0), polynomial(40.0, 1)), dim=1, budget=2,
                                ball_radius=100.0, seed=2)
         before = state_digest(learner)
