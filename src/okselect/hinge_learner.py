@@ -45,7 +45,10 @@ a branch signed-zero terms, so the results are the same to the bit.
 A sampled step changes each iterate by a multiple of the guess and of
 k(x_t, .), so its change of squared norm is closed-form in f_i(x_t), the
 guess's value at x_t, its squared norm and <f_i, guess>, which the
-reservoir's label sums give; it evaluates no kernel. A proxy step adds a
+reservoir's label sums give; it evaluates no kernel. A round where some
+kernel's coin could accept a step whose term c^2 k_i(x_t, x_t), with
+c = lambda / p_i, is past the float range raises ValueError before Hedge,
+whatever branch it then takes. A proxy step adds a
 multiple c of k(x_j, .) for a buffered x_j, so its change is
 2 c f_i(x_j) + c^2 k_i(x_j, x_j), from one pass over the store at x_j.
 Kernel passes happen only in ``predict``, in that rare proxy step, when a
@@ -68,7 +71,7 @@ import numpy as np
 from .hedge import HedgeState
 from .kernels import KernelGrid, _count, self_values
 from .losses import HingeLoss
-from .protocol import Prediction, RoundRecord, SelectorConfig, check_features, check_self_values, mix, pending
+from .protocol import Prediction, RoundRecord, SelectorConfig, check_features, check_norm_change, check_self_values, mix, pending
 from .reservoir import Reservoir
 from .rkhs import ExampleStore, KernelExpansions
 
@@ -200,7 +203,8 @@ class HingeKernelSelector:
         """Consume the round's true label; one call per round, after predict.
 
         Hedge is charged first, so losses it rejects raise ValueError before
-        the round changes anything but ``t``, which counts the round.
+        the round changes anything but ``t``, which counts the round; so does
+        a sampled step whose norm change would overflow, checked before Hedge.
         """
         y, pred = pending(self, x, y)
         rows, fx, guesses = pred.cache
@@ -210,7 +214,7 @@ class HingeKernelSelector:
         kxx_, guesses_, guess_sq = kxx.tolist(), guesses.tolist(), res.guess_sq_norms.tolist()
         sizes = self.buffer_sizes.tolist()
         sums = self.gap_sums.tolist()
-        losses, violated, gap_sq, gamma, candidates = [], [], [], [], []
+        losses, violated, gap_sq, gamma, candidates, coin_p = [], [], [], [], [], []
         for i, (f, k_ii, g, g_sq) in enumerate(zip(pred.per_kernel.tolist(), kxx_, guesses_, guess_sq)):
             m = y * f
             v = m < 1.0  # where the margin is violated, grad = -y k(x_t, .)
@@ -223,6 +227,10 @@ class HingeKernelSelector:
             gamma.append(gap / math.sqrt(1.0 + sums[i]))
             if v and sizes[i]:
                 candidates.append(i)
+            p = gap / (gap + g_sq) if gap > 0.0 else 0.0  # the coin's probability, were kernel i sampled
+            if p > 0.0:  # a coin that can accept steps by rate / p on k_i(x, .), whatever the branch
+                check_norm_change(self.rate * (1.0 / p), k_ii, self.t)
+            coin_p.append(p)
         losses = np.array(losses)
         # charged before the round changes any state, so losses it rejects leave the learner as it was
         self.hedge.update(losses)
@@ -234,16 +242,11 @@ class HingeKernelSelector:
 
         full = self.per_kernel_cap
         sampled, prob, accepted, removed, branch, coin = [], [], [], [], [], []
-        for i, (v, gap, g_sq) in enumerate(zip(violated, gap_sq, guess_sq)):
+        for i, (v, gap) in enumerate(zip(violated, gap_sq)):
             s = v and i not in proxy
-            a = False
-            if not s:
-                p = math.nan
-            elif gap > 0.0:
-                p = gap / (gap + g_sq)
-                a = self._rngs[i].random() < p
-            else:  # a zero gap means grad coincides with the guess: an exact step, no coin
-                p = 0.0
+            p = coin_p[i] if s else math.nan
+            # a zero gap means grad coincides with the guess: an exact step, no coin
+            a = s and gap > 0.0 and self._rngs[i].random() < p
             sampled.append(s)
             prob.append(p)
             accepted.append(a)

@@ -17,7 +17,7 @@ squared norm, so rows of one norm compute it once); per feature
 dimension, it also keeps the constants of the rounding bounds of
 :meth:`KernelGrid.pair_errors`.
 :func:`kernel_rows` and :func:`self_values` take a grid and convert
-nothing, so a caller builds its grid once.
+nothing, so a caller builds its grid once: ``KernelGrid(grid) is grid``.
 """
 
 from __future__ import annotations
@@ -114,13 +114,15 @@ class KernelGrid(tuple):
     :func:`self_values` returns for a scalar squared norm when every kernel
     is Gaussian (None otherwise; such a grid keeps the read-only vector of
     the last scalar norm instead, an attribute that a walk over the grid's
-    items does not see). A slice of a grid is a plain tuple;
-    :meth:`part` gives the grid of a slice. :meth:`pair_errors` bounds
-    how far two evaluations of one kernel value can differ in the last
-    bits.
+    items does not see). ``KernelGrid(grid) is grid``, as ``tuple(t) is t``.
+    A slice of a grid is a plain tuple; :meth:`part` gives the grid of a
+    slice. :meth:`pair_errors` bounds how far two evaluations of one kernel
+    value can differ in the last bits.
     """
 
     def __new__(cls, specs):
+        if type(specs) is cls:  # a grid is its own grid, as tuple(t) is t, so its holders share its caches
+            return specs
         grid = super().__new__(cls, specs)
         # exp(sqdist / -2 sigma^2) is bit for bit exp(-sqdist / 2 sigma^2): IEEE division is sign-symmetric
         neg_two_var = [-2.0 * spec.param**2 if spec.kind == "gaussian" else -1.0 for spec in grid]

@@ -22,7 +22,8 @@ import numpy as np
 from .kernels import KernelGrid, KernelSpec, _check_specs, _count, _is_finite
 from .losses import check_label
 
-__all__ = ["Prediction", "RoundRecord", "SelectorConfig", "check_features", "check_self_values", "mix", "pending", "run_stream"]
+__all__ = ["Prediction", "RoundRecord", "SelectorConfig", "check_features", "check_norm_change", "check_self_values", "mix",
+           "pending", "run_stream"]
 
 
 def check_features(x, dim: int) -> tuple[np.ndarray, float]:
@@ -55,6 +56,14 @@ def check_self_values(grid: KernelGrid, x_sqnorm: float):
             x_sqnorm**degree
         except OverflowError:
             raise ValueError("a kernel's self-similarity k(x, x) overflows") from None
+
+
+def check_norm_change(c: float, k_xx: float, t: int):
+    """Raise ValueError when a sampled step c k(x, .) would change a squared norm by a c^2 k(x, x) past the
+    float range. A learner checks it before Hedge, so that its cached norm never overflows and a round's
+    outcome does not hang on its branch."""
+    if not math.isfinite(c * c * k_xx):
+        raise ValueError(f"a sampled step's norm change c^2 k(x, x) overflows at round {t}")
 
 
 class Prediction(NamedTuple):

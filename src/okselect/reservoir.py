@@ -37,8 +37,8 @@ class Reservoir:
     """Capacity-M uniform sample with archive and optimistic-gradient views.
 
     ``specs`` are the kernels whose label sums are kept, as a
-    :class:`~okselect.kernels.KernelGrid` of its own; a kernel is named by
-    its position in ``specs``. ``label_sums[i, s]`` is
+    :class:`~okselect.kernels.KernelGrid` (the given one if it is a grid);
+    a kernel is named by its position in ``specs``. ``label_sums[i, s]`` is
     sum_{j in V} y_j k_i(x_j, x_s), valid at every live slot that entered
     through :meth:`observe` or was registered with :meth:`track`.
     Each sample change also caches the sample's labels, ``labels``, the

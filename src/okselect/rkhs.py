@@ -33,7 +33,6 @@ written when a learner stores an example through
 from __future__ import annotations
 
 import math
-from collections import Counter
 
 import numpy as np
 
@@ -61,8 +60,8 @@ class ExampleStore:
     holding one, the caller's, and every further holder (a buffer
     membership, an archive entry) takes one with :meth:`incref`. Every
     holder gives its reference back with :meth:`release` (or, for many
-    slots at once, :meth:`release_many`), which frees a slot whose count
-    drops to zero for the next ``add``. The arrays are
+    distinct slots at once, :meth:`release_many`), which frees a slot
+    whose count drops to zero for the next ``add``. The arrays are
     allocated once and never grow, so ``add`` on a full store raises.
     ``high_water`` counts the slots ever handed out: ``add`` reuses the last
     freed slot before an untouched one, so it is the peak of ``len(store)``
@@ -134,20 +133,18 @@ class ExampleStore:
             self._free.append(slot)
 
     def release_many(self, slots):
-        """:meth:`release` each slot of ``slots`` in order; KeyError, with
-        nothing changed, when a slot is listed more often than it holds references."""
+        """:meth:`release` each of ``slots``, distinct live slots, at once, freeing in the order given; any
+        other list raises before anything changes: KeyError for a freed slot or one listed twice,
+        IndexError for a slot past the store."""
         slots = np.asarray(slots, dtype=np.intp)
         held = self.refs.take(slots)  # IndexError past the store
         listed, counts = slots.tolist(), held.tolist()
-        if len(set(listed)) == len(listed) and 0 not in counts:  # distinct live slots: all at once
-            self.refs[slots] = held - 1
-            self._free += [slot for slot, n in zip(listed, counts) if n == 1]
-            return
-        short = [slot for slot, n in Counter(listed).items() if n > self.refs[slot]]
-        if short:
-            raise KeyError(f"slot {short[0]} is listed more often than it holds references")
-        for slot in listed:
-            self.release(slot)
+        if 0 in counts:
+            raise KeyError(f"slot {listed[counts.index(0)]} holds no example")
+        if len(set(listed)) != len(listed):
+            raise KeyError(f"a slot is listed more than once in {listed}")
+        self.refs[slots] = held - 1
+        self._free += [slot for slot, n in zip(listed, counts) if n == 1]
 
 
 class KernelExpansions:
@@ -164,7 +161,7 @@ class KernelExpansions:
 
     ``self_k[i, s]`` caches k_i(x_s, x_s) for every live slot s; it is
     written by :meth:`add`, so a learner stores examples through it.
-    ``specs`` is kept as a :class:`~okselect.kernels.KernelGrid` of its own.
+    ``specs`` is kept as a :class:`~okselect.kernels.KernelGrid`, the given one if it is a grid.
     """
 
     def __init__(self, specs: tuple[KernelSpec, ...], store: ExampleStore):
@@ -245,10 +242,10 @@ class KernelExpansions:
     def drop(self, kernels: slice, slots, keep=None, last=None):
         """Remove ``slots`` from the expansions of the kernels in a slice.
 
-        Each slot is given one reference back through
-        :meth:`ExampleStore.release_many`, in the order given, so the slots
-        left unreferenced are freed in that order; a slot listed more often
-        than it holds references raises KeyError before anything changes.
+        ``slots`` are distinct live slots, each given one reference back
+        through :meth:`ExampleStore.release_many`, so the slots left
+        unreferenced are freed in the order given; any other list raises
+        before anything changes.
         Their coefficients on ``slots`` are then zeroed; coefficient mass on
         other slots (the hinge learner's archive anchors) stays. The norms
         are recomputed over ``keep``, which must cover what is left of the

@@ -46,7 +46,7 @@ import numpy as np
 from .hedge import HedgeState
 from .kernels import KernelGrid, _count, _read_only, kernel_rows, pairwise, self_values, sq_distances
 from .losses import LogisticLoss
-from .protocol import Prediction, RoundRecord, SelectorConfig, check_features, check_self_values, mix, pending
+from .protocol import Prediction, RoundRecord, SelectorConfig, check_features, check_norm_change, check_self_values, mix, pending
 from .rkhs import ExampleStore, KernelExpansions
 
 __all__ = ["SmoothSelectorConfig", "SmoothKernelSelector", "pea_losses"]
@@ -179,8 +179,7 @@ class SmoothKernelSelector:
             k_xx = self_values(self.kernels, pred.x_sqnorm)
             q = ad / (ad + self.loss.G1)
             c = -self.rate * d / q  # the sampled step's coefficient
-            if not math.isfinite(c * c * max(k_xx.tolist())):
-                raise ValueError(f"a sampled step's norm change c^2 k(x, x) overflows at round {self.t}")
+            check_norm_change(c, max(k_xx.tolist()), self.t)
         # Hedge is charged first: when it rejects the losses, no iterate has moved.
         losses = pea_losses(pred.per_kernel, d)
         self.hedge.update(losses)

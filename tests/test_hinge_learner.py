@@ -499,6 +499,32 @@ class TestInputValidation:
         learner.check_invariants()
         assert learner.t == untouched.t + 1  # the rejected round still counts
 
+    @pytest.mark.parametrize("warm", [0, 30])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_step_past_the_float_range_is_rejected_before_any_state_changes(self, seed, warm):
+        # k_2(x, x) = x^80 = 1e306 and a rate of about 29, so a sampled step on k_2(x, .) would
+        # change the squared norm by more than (29 * 1e153)^2. Were it taken, the cached norm
+        # would overflow and the projection would zero the iterate and cache U^2 = 10000, while a
+        # recompute gives 0; the round is rejected before Hedge instead, whatever branch it takes
+        def build():
+            return HingeKernelSelector(HingeSelectorConfig(
+                kernels=(gaussian(1.0, 0), polynomial(40.0, 1)), dim=2, budget=12, ball_radius=100.0,
+                horizon=100, seed=seed,
+            ))
+
+        X, y = blob_stream(warm + 10, 2, seed=40 + seed)
+        learner, untouched = build(), build()
+        for lr in (learner, untouched):
+            run_stream(lr, X[:warm], y[:warm])
+        before = state_digest(learner)
+        with pytest.raises(ValueError, match="overflows"):
+            learner.update(np.array([10.0 ** (306 / 80), 0.0]), 1)
+        assert state_digest(learner) == before and learner.t == warm + 1
+        learner.check_invariants()
+        for t in range(warm, warm + 10):
+            recs = [lr.update(X[t], y[t]) for lr in (learner, untouched)]
+            assert recs[0].aggregate == recs[1].aggregate and np.array_equal(recs[0].coin, recs[1].coin)
+
     @pytest.mark.parametrize(
         "field, value",
         [("ball_radius", math.nan), ("ball_radius", -2.0), ("ball_radius", 0.0), ("ball_radius", math.inf),

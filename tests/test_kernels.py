@@ -195,9 +195,11 @@ def same_bits(a, b):
 
 @pytest.mark.parametrize("name", GRIDS)
 def test_grid_and_tuple_give_the_same_bits(name):
-    """A grid of a tuple's specs gives the per-spec oracles' bits over that tuple."""
+    """A grid of a tuple's specs gives the per-spec oracles' bits over that tuple; a grid of a grid is that grid."""
     specs = GRIDS[name]
-    assert KernelGrid(specs) == specs and type(KernelGrid(specs)[1:]) is tuple
+    grid = KernelGrid(specs)
+    assert grid == specs and type(grid[1:]) is tuple
+    assert KernelGrid(grid) is grid and KernelGrid(tuple(grid)) is not grid
     sqnorm_inputs = (2.5, np.float64(0.75), np.asarray(1.5), np.array([0.0, 0.5, 3.0]), np.ones((2, 3)) * 1.25)
     for key in SLICES:
         plain = specs[key]
